@@ -16,7 +16,8 @@ from char2orbits.classical import random_group_element, space_for
 space = space_for("so-even", 2, 1)
 F = space.field
 group = orc.enumerate_group(space)
-print(f"O(4, F_2) has {group.order} elements (filter scan)")
+print(f"O(4, F_2) has {group.order} elements; {len(group.generators)} "
+      f"generators: reflections and a hyperbolic-pair swap")
 
 reports = orc.all_nilpotent_orbits(space, group, classify=False)
 sizes = sorted(r.orbit_size for r in reports)

@@ -115,6 +115,14 @@ def group_order(n: int, q: int) -> int:
     return out
 
 
+def even_group_order(n: int, q: int) -> int:
+    "Order of the split orthogonal group O+(2n, F_q)."
+    out = 2 * q ** (n * (n - 1)) * (q ** n - 1)
+    for i in range(1, n):
+        out *= q ** (2 * i) - 1
+    return out
+
+
 def chain_z_order(m: int, q: int) -> int:
     "Exact stabilizer count q^m for the pure chain of dimension 2m+1."
     return q ** m

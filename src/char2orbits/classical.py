@@ -152,13 +152,7 @@ class Space:
 
     def pairing_vector(self, X: np.ndarray) -> tuple[int, ...]:
         "Values of the functional on the algebra basis."
-        flat = np.asarray(X, dtype=np.uint8).reshape(-1)
-        out = []
-        for b in self.lie_basis():
-            mask = b.T.reshape(-1) == 1
-            sel = flat[mask]
-            out.append(int(np.bitwise_xor.reduce(sel)) if sel.size else 0)
-        return tuple(out)
+        return _pairings(self.lie_basis(), X)
 
     def dual_equal(self, X: np.ndarray, Y: np.ndarray) -> bool:
         return self.pairing_vector(X) == self.pairing_vector(Y)
@@ -195,6 +189,16 @@ class Space:
             if v[p]:
                 v ^= MUL[v[p], R[i]]
         return v.reshape(self.d, self.d)
+
+
+def _pairings(basis: np.ndarray, X: np.ndarray) -> tuple[int, ...]:
+    "Values tr(X b) for the 0/1 matrices b of the basis."
+    flat = np.asarray(X, dtype=np.uint8).reshape(-1)
+    out = []
+    for b in basis:
+        sel = flat[b.T.reshape(-1) == 1]
+        out.append(int(np.bitwise_xor.reduce(sel)) if sel.size else 0)
+    return tuple(out)
 
 
 def space_for(kind: str, n: int, e: int = 1) -> Space:
@@ -354,14 +358,13 @@ def algebra_to_dual(space: Space, T: np.ndarray) -> np.ndarray:
 # nilpotency
 
 
+def borel_pairing(space: Space, X: np.ndarray) -> tuple[int, ...]:
+    "Values of the functional on the Borel basis."
+    return _pairings(space.borel_basis(), X)
+
+
 def vanishes_on_borel(space: Space, X: np.ndarray) -> bool:
-    flat = np.asarray(X, dtype=np.uint8).reshape(-1)
-    for b in space.borel_basis():
-        mask = b.T.reshape(-1) == 1
-        sel = flat[mask]
-        if sel.size and int(np.bitwise_xor.reduce(sel)):
-            return False
-    return True
+    return not any(borel_pairing(space, X))
 
 
 def is_nilpotent_functional(space: Space, X: np.ndarray) -> bool:

@@ -10,9 +10,6 @@ Subcommands
 
 Exit codes: 0 success, 1 verification failure, 2 invalid request,
 3 size bounds exceeded, 4 classify input not nilpotent.
-
-The env var ORBITS_THREADS caps the worker processes the verify
-subcommand uses to warm its orbit censuses.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -134,13 +130,14 @@ def _rational_rows(kind: str, n: int, q: int) -> list[dict]:
 def _even_rows(n: int, e: int) -> list[dict]:
     space = space_for("so-even", n, e)
     try:
-        group = orc.enumerate_group(space)
+        reports = orc.all_nilpotent_orbits(space, classify=False)
     except ValueError:
+        # so-even duals fit orc.POINT_LIMIT up to n = 2 (F_2), n = 1 (F_4)
         raise SizeBound(
-            f"so-even over GF({space.field.q}) is answered by exhaustive "
-            f"scan, which stops at n = 2; n = {n} is out of reach")
+            f"so-even over GF({space.field.q}) is answered by an exhaustive "
+            f"census, which stops at n = {3 - e}; n = {n} is out of reach")
     rows = []
-    for r in orc.all_nilpotent_orbits(space, group, classify=False):
+    for r in reports:
         rows.append({
             "orbit_size": r.orbit_size,
             "stabilizer_order": r.stabilizer_order,
@@ -178,10 +175,18 @@ def _cmd_orbits(args) -> int:
 
 
 def _read_matrix(path: str, type_flag: str | None, e: int):
-    text = open(path).read()
-    if text.lstrip().startswith("{"):
-        space, X = cl.dual_from_json(json.loads(text))
-        return space, X
+    try:
+        with open(path) as f:
+            text = f.read()
+        if text.lstrip().startswith("{"):
+            return cl.dual_from_json(json.loads(text))
+        return _read_grid(text, type_flag, e)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise BadRequest(f"malformed matrix file {path}: "
+                         f"{type(exc).__name__}: {exc}")
+
+
+def _read_grid(text: str, type_flag: str | None, e: int):
     if type_flag is None:
         raise BadRequest("plain matrix files need --type")
     field = field_for(e)
@@ -328,20 +333,9 @@ def _cmd_centralizer(args) -> int:
 # verify
 
 
-def _workers() -> int:
-    raw = os.environ.get("ORBITS_THREADS", "")
-    try:
-        w = int(raw)
-    except ValueError:
-        w = 0
-    if w > 0:
-        return w
-    return min(4, os.cpu_count() or 1)
-
-
 def _cmd_verify(args) -> int:
     suites = vf.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = vf.run(suites, max_n=args.max_n, workers=_workers())
+    results = vf.run(suites, max_n=args.max_n)
     if args.format == "json":
         print(json.dumps({
             "max_n": args.max_n,

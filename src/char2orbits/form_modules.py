@@ -153,15 +153,6 @@ class FormModule:
     def beta(self, v, w) -> int:
         return la.dot(self.field, v, la.mat_vec(self.field, self.gram, w))
 
-    def beta_shift(self, v, w) -> int:
-        "The pairing beta(Tv, w)."
-        return self.beta(la.mat_vec(self.field, self.op, v), w)
-
-    def quad_value(self, v) -> int:
-        return int(iso.quad_values(self.field,
-                                    self._U,
-                                    np.asarray(v, dtype=np.uint8)[None, :])[0])
-
     def forms(self) -> iso.ModuleForms:
         return iso.ModuleForms(self.gram, self.op, self.quad, self.polar_gram)
 

@@ -49,10 +49,6 @@ def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(F, A, np.asarray(v, dtype=np.uint8).reshape(-1, 1)).reshape(-1)
 
 
-def vec_mat(F: Field, v: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return mat_mul(F, np.asarray(v, dtype=np.uint8).reshape(1, -1), A).reshape(-1)
-
-
 def dot(F: Field, v: np.ndarray, w: np.ndarray) -> int:
     v = np.asarray(v, dtype=np.uint8)
     w = np.asarray(w, dtype=np.uint8)

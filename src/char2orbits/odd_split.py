@@ -22,7 +22,7 @@ level above m absorbs its decoration, and adjacent blocks whose levels
 together exceed the leading size swap decorations freely.  The canonical
 representative has "d" only at splitting positions of the associated
 partition pair.  An exhaustive whole-space isometry search provides the
-same answer independently and serves as the fallback.
+same answer independently; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -251,8 +251,9 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
     The complement's decorated label is one representative of the class;
     clipping and the equivalence moves walk its orbit, and the unique
     reachable label that is an admissible pair with decorations only at
-    splitting positions is canonical.  If the walk does not reach one,
-    the isometry search fallback decides.
+    splitting positions is canonical.  A walk that reaches none or several
+    raises ClassificationError; odd_label_by_search is the independent
+    check the tests hold this against.
     """
     raw = classify_orth_fq(split.module) if split.module is not None else ()
     start = _clip(split.m, raw)
@@ -269,13 +270,11 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    if len(canonical) > 1:
+    if len(canonical) != 1:
         raise ClassificationError(
-            f"moves connected distinct canonical labels {canonical}")
-    if canonical:
-        lab = OddLabel(split.m, canonical[0])
-    else:
-        lab = odd_label_by_search(split)
+            f"moves from {start} reach {len(canonical)} canonical labels "
+            f"{canonical}, not one")
+    lab = OddLabel(split.m, canonical[0])
     if not cb.oodd_pair_valid(*lab.pair()):
         raise ClassificationError(f"label {lab} is not an admissible pair")
     return lab

@@ -1,14 +1,19 @@
 """Brute-force ground truth: groups, orbit partitions, stabilizers.
 
-Functionals are handled through their value vectors on the algebra basis
-(exact and hashable); matrices only serve as action representatives.
-Groups come in two modes: filter (scan every matrix and keep the form
-preservers, exact at small sizes) and generators (transvections, which
-generate the symplectic and odd orthogonal groups; the even orthogonal
-group in dimension 4 is the classical exception and stays on filter
-mode).  Orbits are BFS closures under the action, canonicalized so that
-set membership is exact, and each nilpotent orbit is reported with its
-size, stabilizer order, and classifier label.
+Functionals are handled through their value vectors on the algebra basis,
+packed into one integer key with e bits per value; matrices only serve as
+action representatives.  A group is a list of generators and its order
+from the product formula: transvections for the symplectic and odd
+orthogonal groups, reflections plus one swap of two hyperbolic pairs for
+the split even orthogonal group.
+
+There is one orbit engine.  Every generator acts F_2-linearly on keys, so
+its permutation of all q^N keys is spread out from the images of the e*N
+single-bit keys; min-label propagation over the permutations then names
+every orbit by its least key.  The same engine partitions the algebra
+under conjugation, with keys read as coefficient vectors.  Permutations
+are built over at most POINT_LIMIT keys.  Each nilpotent orbit is
+reported with its size, stabilizer order, and classifier label.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from . import linalg as la
 from . import odd_split as od
 from .finite_field import Field
 
-FILTER_LIMIT = 1 << 18
+POINT_LIMIT = 1 << 10
 
 
 @dataclass
@@ -33,20 +38,16 @@ class FiniteGroup:
     kind: str
     n: int
     field: Field
-    elements: list | None = None
-    generators: list | None = None
-    order: int | None = None
-    _pairs: list | None = dc_field(default=None, repr=False)
-
-    def acting_set(self) -> list:
-        return self.generators if self.generators is not None else self.elements
+    generators: list
+    order: int
+    _labels: dict = dc_field(default_factory=dict, repr=False)
 
 
 @dataclass
 class OrbitReport:
     representative: np.ndarray
     orbit_size: int
-    stabilizer_order: int | None
+    stabilizer_order: int
     label: object = None
 
     def label_json(self):
@@ -61,13 +62,16 @@ class OrbitReport:
 # value-vector keys
 
 
+def _pack(values, e: int) -> int:
+    key = 0
+    for i, v in enumerate(values):
+        key |= int(v) << (e * i)
+    return key
+
+
 def functional_key(space: cl.Space, X: np.ndarray) -> int:
     "The functional as one integer: packed values on the algebra basis."
-    e = space.field.e
-    key = 0
-    for i, v in enumerate(space.pairing_vector(X)):
-        key |= v << (e * i)
-    return key
+    return _pack(space.pairing_vector(X), space.field.e)
 
 
 def key_values(space: cl.Space, key: int) -> np.ndarray:
@@ -78,22 +82,10 @@ def key_values(space: cl.Space, key: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# group enumeration
+# groups
 
 
 _group_memo: dict = {}
-
-
-def _all_matrices(q: int, d: int):
-    "Every d x d matrix over the field with q elements, one at a time."
-    total = q ** (d * d)
-    for idx in range(total):
-        flat = np.zeros(d * d, dtype=np.uint8)
-        rem = idx
-        for k in range(d * d):
-            rem, digit = divmod(rem, q)
-            flat[k] = digit
-        yield flat.reshape(d, d)
 
 
 def _transvections(space: cl.Space) -> list:
@@ -131,89 +123,126 @@ def _vectors(q: int, d: int):
         yield vec
 
 
-def enumerate_group(space: cl.Space, mode: str = "auto") -> FiniteGroup:
-    """The finite group of the space, by filter scan or by generators.
+def _pair_swap(space: cl.Space) -> np.ndarray:
+    "The swap (e_1, f_1) <-> (e_2, f_2) of the first two hyperbolic pairs."
+    n = space.n
+    perm = list(range(space.d))
+    perm[0], perm[1], perm[n], perm[n + 1] = 1, 0, n + 1, n
+    return la.identity(space.d)[perm]
 
-    Filter mode is exact and bounded by FILTER_LIMIT total matrices; the
-    even orthogonal kind has no transvection generating set in rank 2, so
-    it never falls back to generators.  Symplectic and odd orthogonal
-    groups always carry their transvections, which the orbit walks prefer
-    over full element lists.
+
+def enumerate_group(space: cl.Space) -> FiniteGroup:
+    """Generators of the space's finite group, and its order.
+
+    Transvections generate the symplectic and odd orthogonal groups.  The
+    reflections of the split even orthogonal group can fall short: in
+    O+(4, F_2) they generate a subgroup of index 2, so the swap of two
+    hyperbolic pairs joins them.  The order is the product formula; the
+    tests close the generators under multiplication and compare.
     """
-    memo_key = (space.kind, space.n, space.field.e, mode)
-    if memo_key in _group_memo:
-        return _group_memo[memo_key]
-    F = space.field
-    total = F.q ** (space.d * space.d)
-    small = total <= 1 << 16 or (space.kind == "so-even"
-                                 and total <= FILTER_LIMIT)
-    use_filter = mode == "filter" or (mode == "auto" and small)
-    gens = None if space.kind == "so-even" else _transvections(space)
-    if use_filter:
-        if total > FILTER_LIMIT:
-            raise ValueError(f"filter mode over {total} matrices refused")
-        elements = [g.copy() for g in _all_matrices(F.q, space.d)
-                    if cl.preserves_form(space, g)]
-        grp = FiniteGroup(space.kind, space.n, F, elements=elements,
-                          generators=gens, order=len(elements))
-    elif space.kind == "so-even":
-        raise ValueError("even orthogonal groups support only filter mode")
-    else:
-        grp = FiniteGroup(space.kind, space.n, F, generators=gens,
-                          order=cz.group_order(space.n, F.q))
-    _group_memo[memo_key] = grp
-    return grp
-
-
-def multiply_closure(space: cl.Space, mats, cap: int = 10 ** 6) -> list:
-    "Closure of `mats` under multiplication, as a list of matrices."
-    F = space.field
-    seen = {la.identity(space.d).tobytes()}
-    out = [la.identity(space.d)]
-    frontier = list(out)
-    while frontier:
-        g = frontier.pop()
-        for h in mats:
-            gh = la.mat_mul(F, g, h)
-            b = gh.tobytes()
-            if b not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError("closure exceeded the cap")
-                seen.add(b)
-                out.append(gh)
-                frontier.append(gh)
-    return out
+    memo_key = (space.kind, space.n, space.field.e)
+    if memo_key not in _group_memo:
+        q = space.field.q
+        gens = _transvections(space)
+        if space.kind == "so-even":
+            if space.n >= 2:
+                gens.append(_pair_swap(space))
+            order = cz.even_group_order(space.n, q)
+        else:
+            order = cz.group_order(space.n, q)
+        _group_memo[memo_key] = FiniteGroup(space.kind, space.n, space.field,
+                                            gens, order)
+    return _group_memo[memo_key]
 
 
 # ----------------------------------------------------------------------
-# coadjoint orbits
+# the orbit engine
 
 
-def _action_reps(space: cl.Space, group: FiniteGroup) -> list:
-    if group._pairs is None:
+def _functional(space: cl.Space, key: int) -> np.ndarray:
+    return space.dual_from_values(key_values(space, key))
+
+
+def _algebra_element(space: cl.Space, key: int) -> np.ndarray:
+    F = space.field
+    T = la.zeros(space.d, space.d)
+    for c, b in zip(key_values(space, key), space.lie_basis()):
+        T ^= la.scale(F, int(c), b)
+    return T
+
+
+def _algebra_key(space: cl.Space, T: np.ndarray) -> int:
+    return _pack(cl.algebra_coords(space, T), space.field.e)
+
+
+# action name -> (key to matrix, matrix to key); g acts by M -> g M g^-1
+_ACTIONS = {"coadjoint": (_functional, functional_key),
+            "adjoint": (_algebra_element, _algebra_key)}
+
+
+def _spread(images) -> np.ndarray:
+    "The F_2-linear map on all keys with the given single-bit images."
+    out = np.zeros(1 << len(images), dtype=np.int64)
+    for i, img in enumerate(images):
+        out[1 << i:2 << i] = out[:1 << i] ^ img
+    return out
+
+
+def _key_bits(space: cl.Space) -> int:
+    "Bits in a key; spaces of more than POINT_LIMIT keys are refused."
+    bits = space.field.e * space.dim_algebra
+    if 1 << bits > POINT_LIMIT:
+        raise ValueError(f"{space} has 2^{bits} points; the orbit engine "
+                         f"stops at {POINT_LIMIT}")
+    return bits
+
+
+def _unit_matrices(space: cl.Space, action: str) -> list:
+    "The matrices of the single-bit keys."
+    to_matrix = _ACTIONS[action][0]
+    return [to_matrix(space, 1 << i) for i in range(_key_bits(space))]
+
+
+def _orbits(space: cl.Space, group: FiniteGroup | None,
+            action: str) -> tuple[FiniteGroup, np.ndarray]:
+    """The group, and the least key of every key's orbit under `action`.
+
+    Each pass pulls every label down to the least label among its
+    generator images, then jumps labels to their own labels; the labels
+    stop moving exactly when each is its orbit's minimum.
+    """
+    bits = _key_bits(space)
+    if group is None:
+        group = enumerate_group(space)
+    if action not in group._labels:
         F = space.field
-        group._pairs = [(g, la.inverse(F, g)) for g in group.acting_set()]
-    return group._pairs
+        units = _unit_matrices(space, action)
+        to_key = _ACTIONS[action][1]
+        perms = []
+        for g in group.generators:
+            g_inv = la.inverse(F, g)
+            perms.append(_spread([
+                to_key(space, la.mat_mul(F, la.mat_mul(F, g, M), g_inv))
+                for M in units]))
+        labels = np.arange(1 << bits)
+        while True:
+            before = labels
+            for p in perms:
+                labels = np.minimum(labels, labels[p])
+            labels = labels[labels]
+            if np.array_equal(labels, before):
+                break
+        group._labels[action] = labels
+    return group, group._labels[action]
 
 
 def coadjoint_orbit(space: cl.Space, X: np.ndarray,
                     group: FiniteGroup) -> dict[int, np.ndarray]:
     "Orbit of the functional: key -> canonical representative matrix."
-    F = space.field
-    X = space.canonical_rep(X)
-    orbit = {functional_key(space, X): X}
-    frontier = [X]
-    pairs = _action_reps(space, group)
-    while frontier:
-        Y = frontier.pop()
-        for g, g_inv in pairs:
-            Z = space.canonical_rep(
-                la.mat_mul(F, la.mat_mul(F, g, Y), g_inv))
-            k = functional_key(space, Z)
-            if k not in orbit:
-                orbit[k] = Z
-                frontier.append(Z)
-    return orbit
+    _, labels = _orbits(space, group, "coadjoint")
+    members = np.flatnonzero(labels == labels[functional_key(space, X)])
+    return {int(k): space.canonical_rep(_functional(space, int(k)))
+            for k in members}
 
 
 def _classify(space: cl.Space, X: np.ndarray):
@@ -230,81 +259,35 @@ def all_nilpotent_orbits(space: cl.Space,
     """Every nilpotent coadjoint orbit over the space's own field.
 
     Nilpotence uses the definition: the orbit must contain a functional
-    vanishing on the fixed Borel.  The whole dual is partitioned, so the
-    run is exhaustive; reports are sorted by size and label text.
+    vanishing on the fixed Borel, and those functionals form a linear
+    subspace of keys.  The whole dual is partitioned, so the run is
+    exhaustive; reports are sorted by size and label text, ties in order
+    of the orbits' least keys.
     """
-    if group is None:
-        group = enumerate_group(space)
-    seen: set[int] = set()
+    group, labels = _orbits(space, group, "coadjoint")
+    e = space.field.e
+    borel = _spread([_pack(cl.borel_pairing(space, X), e)
+                     for X in _unit_matrices(space, "coadjoint")])
+    sizes = np.bincount(labels)
     reports = []
-    for idx in range(space.field.q ** space.dim_algebra):
-        if idx in seen:
-            continue
-        X = space.dual_from_values(key_values(space, idx))
-        orbit = coadjoint_orbit(space, X, group)
-        seen.update(orbit)
-        if not any(cl.vanishes_on_borel(space, Y) for Y in orbit.values()):
-            continue
-        rep = orbit[min(orbit)]
-        stab = group.order // len(orbit) if group.order else None
+    for least in np.unique(labels[borel == 0]):
+        rep = space.canonical_rep(_functional(space, int(least)))
+        size = int(sizes[least])
         reports.append(OrbitReport(
             representative=rep,
-            orbit_size=len(orbit),
-            stabilizer_order=stab,
+            orbit_size=size,
+            stabilizer_order=group.order // size,
             label=_classify(space, rep) if classify else None))
     reports.sort(key=lambda r: (r.orbit_size, str(r.label)))
     return reports
 
 
-def direct_stabilizer_order(space: cl.Space, X: np.ndarray,
-                            group: FiniteGroup) -> int:
-    "Count of group elements fixing the functional; needs element mode."
-    if group.elements is None:
-        raise ValueError("direct stabilizer needs an element listing")
-    F = space.field
-    key = functional_key(space, X)
-    count = 0
-    for g in group.elements:
-        moved = la.mat_mul(F, la.mat_mul(F, g, X), la.inverse(F, g))
-        if functional_key(space, moved) == key:
-            count += 1
-    return count
-
-
-# ----------------------------------------------------------------------
-# adjoint side (for the even orthogonal transport checks)
-
-
 def adjoint_nilpotent_orbit_count(space: cl.Space,
                                   group: FiniteGroup | None = None) -> int:
     "Orbit count of nilpotent algebra elements under conjugation."
-    if group is None:
-        group = enumerate_group(space)
-    F = space.field
-    basis = space.lie_basis()
-    seen = set()
-    count = 0
-    pairs = _action_reps(space, group)
-    for idx in range(F.q ** space.dim_algebra):
-        coeffs = key_values(space, idx)
-        T = la.zeros(space.d, space.d)
-        for c, b in zip(coeffs, basis):
-            T ^= la.scale(F, int(c), b)
-        b0 = T.tobytes()
-        if b0 in seen or not la.is_nilpotent(F, T):
-            continue
-        count += 1
-        frontier = [T]
-        seen.add(b0)
-        while frontier:
-            Y = frontier.pop()
-            for g, g_inv in pairs:
-                Z = la.mat_mul(F, la.mat_mul(F, g, Y), g_inv)
-                bz = Z.tobytes()
-                if bz not in seen:
-                    seen.add(bz)
-                    frontier.append(Z)
-    return count
+    _, labels = _orbits(space, group, "adjoint")
+    return sum(la.is_nilpotent(space.field, _algebra_element(space, int(k)))
+               for k in np.unique(labels))
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,7 @@ range, and where the first mismatch sits if there is one.  The suites are
 
 Oracle-backed checks cap their rank at 2; max_n lowers the caps further
 (None keeps every check at its full documented range).  Censuses shared
-between checks are memoized, and warm_censuses can fill the memo with
-several worker processes.
+between checks are memoized.
 
 One check is expected to fail: the claimed exact count q^(2m+1) for the
 full automorphism group of the odd chain module.  The counted value is
@@ -28,7 +27,6 @@ claim survives as stated.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import log2
@@ -75,39 +73,8 @@ def census(kind: str, n: int, e: int) -> list:
     return _census_memo[key]
 
 
-def _census_job(key):
-    return key, census(*key)
-
-
-def warm_censuses(keys, workers: int = 1) -> None:
-    todo = [k for k in dict.fromkeys(keys) if k not in _census_memo]
-    if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            for key, reports in pool.map(_census_job, todo):
-                _census_memo[key] = reports
-    else:
-        for key in todo:
-            census(*key)
-
-
 def _oracle_cap(max_n) -> int:
     return 2 if max_n is None else max(1, min(max_n, 2))
-
-
-def _suite_census_keys(suite: str, max_n) -> list[tuple[str, int, int]]:
-    cap = _oracle_cap(max_n)
-    if suite == "sp":
-        return [("sp", n, 1) for n in range(1, cap + 1)]
-    if suite == "so-odd":
-        return [("so-odd", n, 1) for n in range(1, cap + 1)]
-    if suite == "so-even":
-        return [("so-even", cap, 1)]
-    if suite == "centralizers":
-        keys = [(k, 1, e) for k in ("sp", "so-odd") for e in (1, 2)]
-        if cap >= 2:
-            keys.append(("so-odd", 2, 1))
-        return keys
-    return []
 
 
 # ----------------------------------------------------------------------
@@ -629,11 +596,9 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, max_n: int | None = None,
-              workers: int = 1) -> list[CheckResult]:
+def run_suite(suite: str, max_n: int | None = None) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    warm_censuses(_suite_census_keys(suite, max_n), workers)
     out = []
     for name, fn in SUITES[suite]:
         t0 = time.perf_counter()
@@ -646,8 +611,5 @@ def run_suite(suite: str, max_n: int | None = None,
     return out
 
 
-def run(suites=SUITE_NAMES, max_n: int | None = None,
-        workers: int = 1) -> list[CheckResult]:
-    keys = [k for s in suites for k in _suite_census_keys(s, max_n)]
-    warm_censuses(keys, workers)
+def run(suites=SUITE_NAMES, max_n: int | None = None) -> list[CheckResult]:
     return [r for s in suites for r in run_suite(s, max_n)]

@@ -52,11 +52,3 @@ def test_census_is_memoized():
     first = vf.census("sp", 1, 1)
     assert vf.census("sp", 1, 1) is first
     assert sum(r.orbit_size for r in first) == 4
-
-
-def test_warm_censuses_parallel_agrees_with_serial():
-    key = ("so-odd", 1, 1)
-    vf._census_memo.pop(key, None)
-    vf.warm_censuses([key, ("sp", 1, 1)], workers=2)
-    sizes = sorted(r.orbit_size for r in vf._census_memo[key])
-    assert sizes == sorted(r.orbit_size for r in vf.census("so-odd", 1, 1))
