@@ -55,16 +55,11 @@ def dim_z_symp(blocks) -> int:
 
 
 def comp_rank_symp(blocks) -> int:
-    "Positions with l_i + l_{i+1} < m_i and 2 l_i >= m_i (l after the end is 0)."
+    "Number of splitting positions of the symbol's partition pair."
     pairs = _symbol_pairs(blocks)
     if not cb.symp_symbol_valid(pairs):
         raise ValueError(f"not a symplectic symbol: {pairs}")
-    rank = 0
-    for i, (m, l) in enumerate(pairs):
-        l_next = pairs[i + 1][1] if i + 1 < len(pairs) else 0
-        if l + l_next < m and 2 * l >= m:
-            rank += 1
-    return rank
+    return cb.symp_split_k(cb.symp_symbol_to_pair(pairs))
 
 
 def symp_report(blocks) -> CentralizerReport:
@@ -136,26 +131,3 @@ def chain_isometry_order(m: int, q: int) -> int:
     2m free higher coefficients, giving (q-1) q^{2m}.
     """
     return (q - 1) * q ** (2 * m)
-
-
-def orbit_report(kind: str, label, n: int | None = None) -> dict:
-    """Row data for orbit tables: dimensions and component group.
-
-    label is a symbol for kind "sp" and a (nu, mu) pair for kind "so-odd";
-    n defaults to the rank the label itself encodes (sum of block sizes,
-    resp. of both partitions).
-    """
-    if kind == "sp":
-        rep = symp_report(label)
-        total = sum(m for m, _ in _symbol_pairs(label))
-    elif kind == "so-odd":
-        rep = oodd_report(label)
-        total = sum(cb.strip_zeros(label[0])) + sum(cb.strip_zeros(label[1]))
-    else:
-        raise ValueError(f"no centralizer formulas for kind {kind!r}")
-    if n is None:
-        n = total
-    return {"dim_z": rep.dim_z,
-            "comp_rank": rep.comp_rank,
-            "component_group": rep.component_group(),
-            "dim_orbit": algebra_dim(n) - rep.dim_z}

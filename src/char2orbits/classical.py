@@ -253,12 +253,28 @@ def orthogonal_transvection(space: Space, v) -> np.ndarray:
     return t
 
 
+def pair_swap(space: Space) -> np.ndarray:
+    "The swap (e_1, f_1) <-> (e_2, f_2) of the first two hyperbolic pairs."
+    n = space.n
+    perm = list(range(space.d))
+    perm[0], perm[1], perm[n], perm[n + 1] = 1, 0, n + 1, n
+    return la.identity(space.d)[perm]
+
+
 def random_group_element(space: Space, rng: np.random.Generator, steps: int = 8) -> np.ndarray:
-    "Product of random transvections (a group element, not uniformly drawn)."
+    """Product of random transvections (a group element, not uniformly drawn).
+
+    In the even orthogonal kind with n >= 2 each step is the pair swap with
+    probability 1/2, since reflections alone can miss a coset of the group.
+    """
     F = space.field
     g = la.identity(space.d)
     done = 0
     while done < steps:
+        if space.kind == "so-even" and space.n >= 2 and rng.integers(0, 2):
+            g = la.mat_mul(F, g, pair_swap(space))
+            done += 1
+            continue
         v = rng.integers(0, F.q, size=space.d, dtype=np.uint8)
         if not v.any():
             continue

@@ -30,6 +30,7 @@ from . import oracle as orc
 from . import verify as vf
 from .classical import space_for
 from .finite_field import field_for
+from .isometry import SearchTooLarge
 
 LIST_CAP = 12
 
@@ -68,62 +69,72 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> None:
 # orbits
 
 
-def _closed_rows(kind: str, n: int) -> list[dict]:
-    rows = []
+def _label_rank(label) -> int:
+    if isinstance(label, od.OddLabel):
+        return label.m + sum(b.m for b in label.blocks)
+    return sum(b.m for b in label)
+
+
+def _label_row(kind: str, label) -> dict:
+    """Every field the commands print about one label.
+
+    label is a block tuple for kind "sp" and an OddLabel for "so-odd",
+    decorated or closed; dim_orbit is taken at the rank the label encodes.
+    """
     if kind == "sp":
-        for pair in cb.symp_pairs(n):
-            blocks = cb.symp_pair_to_symbol(pair)
-            rep = cz.symp_report(blocks)
-            rows.append({
-                "label": cb.format_symp_symbol(blocks),
-                "pair": cb.format_pair(pair),
-                "dim_orbit": cz.algebra_dim(n) - rep.dim_z,
-                "component_group": rep.component_group(),
-                "fq_classes": 2 ** rep.comp_rank,
-            })
+        symbol = [(b.m, b.l) for b in label]
+        pair, blocks = cb.symp_symbol_to_pair(symbol), label
+        rep = cz.symp_report(symbol)
+        text, closed = fm.format_blocks(label), cb.format_symp_symbol(symbol)
+        label_json = fm.blocks_to_json(label)
     else:
-        for pair in cb.oodd_pairs(n):
-            lab = od.pair_to_label(pair)
-            closed = od.OddLabel(lab.m, tuple(fm.BlockLabel(b.m, b.l)
-                                              for b in lab.blocks))
-            rep = cz.oodd_report(pair)
-            rows.append({
-                "label": od.format_label(closed),
-                "pair": cb.format_pair(pair, odd=True),
-                "dim_orbit": cz.algebra_dim(n) - rep.dim_z,
-                "component_group": rep.component_group(),
-                "fq_classes": 2 ** rep.comp_rank,
-            })
+        pair, blocks = label.pair(), label.blocks
+        rep = cz.oodd_report(pair)
+        text, closed = od.format_label(label), od.format_label(label.closed())
+        label_json = od.label_to_json(label)
+    eps = [b.eps for b in blocks]
+    return {"label": text,
+            "closed_label": closed,
+            "pair": cb.format_pair(pair, odd=kind == "so-odd"),
+            "eps": None if None in eps else "".join(eps),
+            "label_json": label_json,
+            "dim_z": rep.dim_z,
+            "comp_rank": rep.comp_rank,
+            "component_group": rep.component_group(),
+            "dim_orbit": cz.algebra_dim(_label_rank(label)) - rep.dim_z,
+            "fq_classes": 2 ** rep.comp_rank,
+            "points_leading_q2": rep.point_count_leading(2),
+            "points_leading_q4": rep.point_count_leading(4)}
+
+
+def _pick(row: dict, *keys: str) -> dict:
+    return {k: row[k] for k in keys}
+
+
+def _closed_rows(kind: str, n: int) -> list[dict]:
+    if kind == "sp":
+        labels = [tuple(fm.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(p))
+                  for p in cb.symp_pairs(n)]
+    else:
+        labels = [od.pair_to_label(p) for p in cb.oodd_pairs(n)]
+    rows = []
+    for lab in labels:
+        row = _label_row(kind, lab)
+        rows.append({"label": row["closed_label"],
+                     **_pick(row, "pair", "dim_orbit", "component_group",
+                             "fq_classes")})
     return rows
 
 
 def _rational_rows(kind: str, n: int, q: int) -> list[dict]:
+    labels = fm.rational_symbols(n) if kind == "sp" else od.rational_labels(n)
     rows = []
-    if kind == "sp":
-        for sym in fm.rational_symbols(n):
-            rep = cz.symp_report(sym)
-            rows.append({
-                "label": fm.format_blocks(sym),
-                "eps": "".join(b.eps for b in sym),
-                "pair": cb.format_pair(cb.symp_symbol_to_pair(
-                    [(b.m, b.l) for b in sym])),
-                "dim_orbit": cz.algebra_dim(n) - rep.dim_z,
-                "component_group": rep.component_group(),
-                "stabilizer_leading": rep.point_count_leading(q),
-                "label_json": fm.blocks_to_json(sym),
-            })
-    else:
-        for lab in od.rational_labels(n):
-            rep = cz.oodd_report(lab.pair())
-            rows.append({
-                "label": od.format_label(lab),
-                "eps": "".join(lab.eps()),
-                "pair": cb.format_pair(lab.pair(), odd=True),
-                "dim_orbit": cz.algebra_dim(n) - rep.dim_z,
-                "component_group": rep.component_group(),
-                "stabilizer_leading": rep.point_count_leading(q),
-                "label_json": od.label_to_json(lab),
-            })
+    for lab in labels:
+        row = _label_row(kind, lab)
+        rows.append({**_pick(row, "label", "eps", "pair", "dim_orbit",
+                             "component_group"),
+                     "stabilizer_leading": row[f"points_leading_q{q}"],
+                     "label_json": row["label_json"]})
     return rows
 
 
@@ -217,22 +228,8 @@ def _cmd_classify(args) -> int:
         return 4
     if space.kind == "sp":
         label = fm.classify_fq(fm.build_module(space, X))
-        rep = cz.symp_report(label)
-        report.update({
-            "label": fm.format_blocks(label),
-            "label_json": fm.blocks_to_json(label),
-            "closed_label": cb.format_symp_symbol([(b.m, b.l) for b in label]),
-        })
     elif space.kind == "so-odd":
         label = od.rational_odd_label(od.split_odd_functional(space, X))
-        rep = cz.oodd_report(label.pair())
-        stripped = od.OddLabel(label.m, tuple(fm.BlockLabel(b.m, b.l)
-                                              for b in label.blocks))
-        report.update({
-            "label": od.format_label(label),
-            "label_json": od.label_to_json(label),
-            "closed_label": od.format_label(stripped),
-        })
     else:
         report.update({
             "label": None,
@@ -240,12 +237,10 @@ def _cmd_classify(args) -> int:
                     "here; nilpotence was decided by matrix transport"})
         print(json.dumps(report, indent=2))
         return 0
-    report["centralizer"] = {
-        "dim_z": rep.dim_z,
-        "comp_rank": rep.comp_rank,
-        "component_group": rep.component_group(),
-        "dim_orbit": cz.algebra_dim(space.n) - rep.dim_z,
-    }
+    row = _label_row(space.kind, label)
+    report.update(_pick(row, "label", "label_json", "closed_label"))
+    report["centralizer"] = _pick(row, "dim_z", "comp_rank",
+                                  "component_group", "dim_orbit")
     print(json.dumps(report, indent=2))
     return 0
 
@@ -255,18 +250,22 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_label(kind: str, text: str):
+    "A valid label of rank >= 1: a block tuple (sp) or an OddLabel (so-odd)."
     try:
         if kind == "sp":
-            blocks = fm.parse_blocks(text)
-            if not fm.validate_blocks(blocks, kind="sp"):
-                raise ValueError(f"invalid symplectic label {text!r}")
-            return blocks
-        label = od.parse_label(text)
-        if not cb.oodd_pair_valid(*label.pair()):
-            raise ValueError(f"invalid odd label {text!r}")
-        return label
+            label = fm.parse_blocks(text)
+            valid = fm.validate_blocks(label, kind="sp")
+        else:
+            label = od.parse_label(text)
+            valid = (cb.oodd_pair_valid(*label.pair())
+                     and fm.validate_blocks(label.blocks, kind="orth"))
     except ValueError as exc:
         raise BadRequest(str(exc))
+    if not valid:
+        raise BadRequest(f"invalid {kind} label {text!r}")
+    if _label_rank(label) < 1:
+        raise BadRequest(f"label {text!r} has rank 0; ranks must be >= 1")
+    return label
 
 
 def _matrix_tokens(field, M) -> list[list[str]]:
@@ -277,6 +276,9 @@ def _cmd_normal_form(args) -> int:
     e = 1 if args.q == "2" else 2
     field = field_for(e)
     label = _parse_label(args.type, args.label)
+    if _label_rank(label) > LIST_CAP:
+        raise SizeBound(f"normal forms stop at rank {LIST_CAP}; "
+                        f"{args.label!r} has rank {_label_rank(label)}")
     if args.type == "sp":
         mod, X = fm.build_normal_form(label, field)
         out = {"kind": "sp", "q": field.q, "label": fm.format_blocks(label),
@@ -286,6 +288,9 @@ def _cmd_normal_form(args) -> int:
                "quad": [field.format_element(int(x)) for x in mod.quad],
                "functional": _matrix_tokens(field, X)}
     else:
+        if None in label.eps():
+            raise BadRequest(f"so-odd witnesses need a decorated label, "
+                             f"got {args.label!r}")
         space, X = od.odd_witness(label, field)
         out = {"kind": "so-odd", "q": field.q,
                "label": od.format_label(label), "dim": space.d,
@@ -306,21 +311,10 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
-    label = _parse_label(args.type, args.label)
-    if args.type == "sp":
-        rep = cz.symp_report(label)
-        n = sum(b.m for b in label)
-        text = fm.format_blocks(label)
-    else:
-        rep = cz.oodd_report(label.pair())
-        n = label.m + sum(b.m for b in label.blocks)
-        text = od.format_label(label)
-    out = {"kind": args.type, "label": text,
-           "dim_z": rep.dim_z, "comp_rank": rep.comp_rank,
-           "component_group": rep.component_group(),
-           "dim_orbit": cz.algebra_dim(n) - rep.dim_z,
-           "points_leading_q2": rep.point_count_leading(2),
-           "points_leading_q4": rep.point_count_leading(4)}
+    row = _label_row(args.type, _parse_label(args.type, args.label))
+    out = {"kind": args.type,
+           **_pick(row, "label", "dim_z", "comp_rank", "component_group",
+                   "dim_orbit", "points_leading_q2", "points_leading_q4")}
     if args.format == "json":
         print(json.dumps(out, indent=2))
     else:
@@ -417,7 +411,7 @@ def main(argv=None) -> int:
     except BadRequest as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except SizeBound as exc:
+    except (SizeBound, SearchTooLarge) as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except OSError as exc:

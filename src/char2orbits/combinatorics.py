@@ -242,27 +242,6 @@ def oodd_fq_fanout(pair: Pair) -> list[Pair]:
 
 
 # ----------------------------------------------------------------------
-# Weyl-group irreducible counts
-
-
-def weyl_irrep_count(family: str, n: int) -> int:
-    """Number of irreducible characters of the Weyl group of type B/C/D.
-
-    B and C give ordered pairs of partitions with total n.  D counts
-    unordered pairs, with pairs of two equal halves contributing twice.
-    """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    fam = family.upper()
-    if fam in ("B", "C"):
-        return p2(n)
-    if fam == "D":
-        dbl = partition_count(n // 2) if n % 2 == 0 else 0
-        return (p2(n) - dbl) // 2 + 2 * dbl
-    raise ValueError(f"unknown family {family!r}")
-
-
-# ----------------------------------------------------------------------
 # text forms
 
 
@@ -275,21 +254,6 @@ def format_pair(pair: Pair, odd: bool = False) -> str:
     mu = list(strip_zeros(a))
     nu = list(strip_zeros(b))
     return f"nu={nu}; mu={mu}".replace(" ", "")
-
-
-def parse_pair(text: str, odd: bool = False) -> Pair:
-    "Inverse of format_pair, returning the same tuple order it accepts."
-    try:
-        first, second = text.replace(" ", "").split(";")
-        assert first.startswith("nu=[") and first.endswith("]")
-        assert second.startswith("mu=[") and second.endswith("]")
-        nu = tuple(int(t) for t in first[4:-1].split(",") if t)
-        mu = tuple(int(t) for t in second[4:-1].split(",") if t)
-    except (ValueError, AssertionError) as exc:
-        raise ValueError(f"bad pair syntax {text!r}") from exc
-    if odd:
-        return strip_zeros(nu), strip_zeros(mu)
-    return strip_zeros(mu), strip_zeros(nu)
 
 
 def format_symp_symbol(blocks) -> str:

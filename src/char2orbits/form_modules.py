@@ -93,18 +93,23 @@ def validate_blocks(blocks, kind: str = "sp") -> bool:
 
 
 def split_positions(blocks) -> list[int]:
-    """0-based block positions where a rational label may carry "d".
+    """0-based block positions where a rational label may carry "d": the
+    splitting indices of the label's partition pair."""
+    pairs = [(b.m, b.l) for b in blocks]
+    return cb.symp_split_indices(cb.symp_symbol_to_pair(pairs))
 
-    Position i qualifies when 2 l_i >= m_i and l_i + l_{i+1} < m_i, reading
-    l after the last block as 0.
+
+def decorations(closed, free):
+    """The labels that decorate `closed` with "0" or "d" at each position of
+    `free` and "0" everywhere else.
+
+    "0" comes before "d" and the rightmost free position changes fastest;
+    orbit tables and the first match of classify_orth_fq follow this order.
     """
-    blocks = tuple(blocks)
-    out = []
-    for i, b in enumerate(blocks):
-        l_next = blocks[i + 1].l if i + 1 < len(blocks) else 0
-        if 2 * b.l >= b.m and b.l + l_next < b.m:
-            out.append(i)
-    return out
+    for choice in product(("0", "d"), repeat=len(free)):
+        eps = dict(zip(free, choice))
+        yield tuple(BlockLabel(b.m, b.l, eps.get(i, "0"))
+                    for i, b in enumerate(closed))
 
 
 # ----------------------------------------------------------------------
@@ -173,18 +178,6 @@ def build_module(space: Space, X: np.ndarray) -> FormModule:
     return FormModule("sp", F, space.S, T, quad)
 
 
-def direct_sum(a: FormModule, b: FormModule) -> FormModule:
-    if a.kind != b.kind or a.field is not b.field:
-        raise ValueError("summands must share kind and field")
-    da, db = a.dim, b.dim
-    gram = la.zeros(da + db, da + db)
-    op = la.zeros(da + db, da + db)
-    gram[:da, :da], gram[da:, da:] = a.gram, b.gram
-    op[:da, :da], op[da:, da:] = a.op, b.op
-    return FormModule(a.kind, a.field, gram, op,
-                      np.concatenate([a.quad, b.quad]))
-
-
 # ----------------------------------------------------------------------
 # series and the index function
 
@@ -249,36 +242,6 @@ def classify_closed(mod: FormModule) -> tuple[BlockLabel, ...]:
     blocks = tuple(BlockLabel(m, index_chi(mod, m)) for m in parts[0::2])
     if not validate_blocks(blocks, kind=mod.kind):
         raise ValueError(f"classification produced an invalid label {blocks}")
-    return blocks
-
-
-def normalize_symbol(raw) -> tuple[BlockLabel, ...]:
-    """Fixpoint of the two level rewrites on undecorated (m, l) blocks.
-
-    With sizes weakly decreasing, (i) a level below its right neighbour is
-    raised to it, and (ii) a co-level below its right neighbour pulls the
-    neighbour's level up to match the co-levels.  Both rewrites preserve
-    the module class.
-    """
-    pairs = [(b.m, b.l) if isinstance(b, BlockLabel) else (b[0], b[1])
-             for b in raw]
-    ms = [m for m, _ in pairs]
-    ls = [l for _, l in pairs]
-    if any(a < b for a, b in zip(ms, ms[1:])):
-        raise ValueError("sizes must be weakly decreasing")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ms) - 1):
-            if ls[i] < ls[i + 1]:
-                ls[i] = ls[i + 1]
-                changed = True
-            if ms[i] - ls[i] < ms[i + 1] - ls[i + 1]:
-                ls[i + 1] = ms[i + 1] - ms[i] + ls[i]
-                changed = True
-    blocks = tuple(BlockLabel(m, l) for m, l in zip(ms, ls))
-    if not validate_blocks(blocks, kind="sp"):
-        raise ValueError(f"rewriting did not reach a valid label: {blocks}")
     return blocks
 
 
@@ -370,15 +333,8 @@ def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
     closed = classify_closed(mod)
-    pos = split_positions(closed)
-    matches = []
-    for choice in product(("0", "d"), repeat=len(pos)):
-        eps = ["0"] * len(closed)
-        for p, c in zip(pos, choice):
-            eps[p] = c
-        cand = tuple(BlockLabel(b.m, b.l, e) for b, e in zip(closed, eps))
-        if _matches_normal_form(mod, cand):
-            matches.append(cand)
+    matches = [cand for cand in decorations(closed, split_positions(closed))
+               if _matches_normal_form(mod, cand)]
     if len(matches) != 1:
         raise ClassificationError(
             f"expected exactly one canonical match, got {len(matches)} "
@@ -396,8 +352,7 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
     closed = classify_closed(mod)
-    for choice in product(("0", "d"), repeat=len(closed)):
-        cand = tuple(BlockLabel(b.m, b.l, e) for b, e in zip(closed, choice))
+    for cand in decorations(closed, range(len(closed))):
         if not validate_blocks(cand, kind="orth"):
             continue
         if _matches_normal_form(mod, cand):
@@ -415,13 +370,7 @@ def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
     out = []
     for pair in cb.symp_pairs(n):
         closed = tuple(BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
-        pos = split_positions(closed)
-        for choice in product(("0", "d"), repeat=len(pos)):
-            eps = ["0"] * len(closed)
-            for p, c in zip(pos, choice):
-                eps[p] = c
-            out.append(tuple(BlockLabel(b.m, b.l, e)
-                             for b, e in zip(closed, eps)))
+        out += decorations(closed, split_positions(closed))
     return out
 
 

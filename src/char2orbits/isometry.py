@@ -7,7 +7,7 @@ placed, then filtered by the quadratic values along its operator chain.  A
 space map (no operator) places one basis image per level under the same
 regime, optionally with some leading images pinned.  Both searches are
 exact: every affine solution set is enumerated in full, so a ``None``
-answer means no map exists, and counting mode visits every leaf.
+answer means no map exists, and count_space_maps visits every leaf.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> np.ndarray:
 # module maps: images of a generating set, propagated along the operator
 
 
-def _module_search(F, src: ModuleForms, gens, dst: ModuleForms, cap, want_count):
+def _module_search(F, src: ModuleForms, gens, dst: ModuleForms, cap):
     d = src.gram.shape[0]
     if dst.gram.shape[0] != d:
         raise ValueError("modules must have equal dimension")
@@ -130,13 +130,10 @@ def _module_search(F, src: ModuleForms, gens, dst: ModuleForms, cap, want_count)
 
     M_rows = [la.mat_mul(F, P[k].T, dst.gram) for k in range(maxh)]
     images: list[np.ndarray] = []
-    state = {"count": 0, "found": None}
+    found = []
 
     def descend(b: int) -> bool:
         if b == len(gens):
-            if want_count:
-                state["count"] += 1
-                return False
             cols = []
             for y, h in zip(images, heights):
                 w = y
@@ -152,7 +149,7 @@ def _module_search(F, src: ModuleForms, gens, dst: ModuleForms, cap, want_count)
                 la.mat_mul(F, la.mat_mul(F, M.T, dst.polar), M), src.polar)
             assert np.array_equal(quad_values(F, U_dst, M.T),
                                   np.asarray(src.quad, dtype=np.uint8))
-            state["found"] = M
+            found.append(M)
             return True
         h = heights[b]
         rows, rhs = list(P[h]), [0] * d
@@ -173,7 +170,7 @@ def _module_search(F, src: ModuleForms, gens, dst: ModuleForms, cap, want_count)
         return False
 
     descend(0)
-    return state["count"] if want_count else state["found"]
+    return found[0] if found else None
 
 
 def find_module_map(F, src, gens, dst, cap=LEVEL_CAP):
@@ -182,11 +179,7 @@ def find_module_map(F, src, gens, dst, cap=LEVEL_CAP):
     `gens` lists (vector, height) pairs whose operator chains form a basis
     of the source module.
     """
-    return _module_search(F, src, gens, dst, cap, want_count=False)
-
-
-def count_module_maps(F, src, gens, dst, cap=LEVEL_CAP) -> int:
-    return _module_search(F, src, gens, dst, cap, want_count=True)
+    return _module_search(F, src, gens, dst, cap)
 
 
 # ----------------------------------------------------------------------

@@ -254,37 +254,3 @@ def jordan_partition(F: Field, A: np.ndarray) -> list[int]:
     parts.sort(reverse=True)
     assert sum(parts) == n
     return parts
-
-
-# ----------------------------------------------------------------------
-# text format: "rows cols GF(2^e)/modulus" header, then one hex token per
-# entry, one line per row
-
-
-def format_matrix(F: Field, A: np.ndarray) -> str:
-    A = as_matrix(A)
-    lines = [f"{A.shape[0]} {A.shape[1]} {F.header()}"]
-    for row in A:
-        lines.append(" ".join(F.format_element(int(x)) for x in row))
-    return "\n".join(lines)
-
-
-def parse_matrix(text: str) -> tuple[Field, np.ndarray]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad matrix header {lines[0]!r}")
-    m, n = int(head[0]), int(head[1])
-    F = Field.from_header(head[2])
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
-    A = zeros(m, n)
-    for i, ln in enumerate(lines[1:]):
-        toks = ln.split()
-        if len(toks) != n:
-            raise ValueError(f"row {i} has {len(toks)} entries, expected {n}")
-        for j, t in enumerate(toks):
-            A[i, j] = F.parse_element(t)
-    return F, A

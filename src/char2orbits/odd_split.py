@@ -39,7 +39,7 @@ from .classical import Space, alternating_gram
 from .finite_field import Field
 from .form_modules import (BlockLabel, ClassificationError, FormModule,
                            build_normal_form, classify_closed,
-                           classify_orth_fq, validate_blocks,
+                           classify_orth_fq, decorations, validate_blocks,
                            format_blocks as fm_format_blocks,
                            parse_blocks as fm_parse_blocks)
 
@@ -73,6 +73,9 @@ class OddLabel:
 
     def eps(self):
         return tuple(b.eps for b in self.blocks)
+
+    def closed(self) -> "OddLabel":
+        return OddLabel(self.m, tuple(b.closed() for b in self.blocks))
 
 
 # ----------------------------------------------------------------------
@@ -187,12 +190,6 @@ def split_odd_functional(space: Space, X: np.ndarray) -> OddSplit:
 # labels
 
 
-def closed_odd_label(split: OddSplit) -> OddLabel:
-    "The rational label with the decorations stripped off."
-    lab = rational_odd_label(split)
-    return OddLabel(lab.m, tuple(BlockLabel(b.m, b.l) for b in lab.blocks))
-
-
 def _clip(m: int, blocks):
     "Raise levels so no co-level exceeds the chain length."
     out = []
@@ -302,12 +299,8 @@ def rational_labels(n: int) -> list[OddLabel]:
     for pair in cb.oodd_pairs(n):
         base = pair_to_label(pair)
         free = _split_positions(base.m, base.blocks)
-        for choice in product(("0", "d"), repeat=len(free)):
-            eps = ["0"] * len(base.blocks)
-            for pos, c in zip(free, choice):
-                eps[pos] = c
-            out.append(OddLabel(base.m, tuple(
-                BlockLabel(b.m, b.l, e) for b, e in zip(base.blocks, eps))))
+        out += [OddLabel(base.m, blocks)
+                for blocks in decorations(base.blocks, free)]
     return out
 
 
@@ -323,13 +316,8 @@ def _canonical_candidates(m: int, sizes) -> list[OddLabel]:
                 cb.strip_zeros((m,) + tuple(k - l for k, l in zip(sizes, levels))),
                 cb.strip_zeros(levels)):
             continue
-        free = _split_positions(m, base)
-        for choice in product(("0", "d"), repeat=len(free)):
-            eps = ["0"] * len(base)
-            for pos, c in zip(free, choice):
-                eps[pos] = c
-            out.append(OddLabel(m, tuple(
-                BlockLabel(b.m, b.l, e) for b, e in zip(base, eps))))
+        out += [OddLabel(m, blocks)
+                for blocks in decorations(base, _split_positions(m, base))]
     return out
 
 

@@ -123,14 +123,6 @@ def _vectors(q: int, d: int):
         yield vec
 
 
-def _pair_swap(space: cl.Space) -> np.ndarray:
-    "The swap (e_1, f_1) <-> (e_2, f_2) of the first two hyperbolic pairs."
-    n = space.n
-    perm = list(range(space.d))
-    perm[0], perm[1], perm[n], perm[n + 1] = 1, 0, n + 1, n
-    return la.identity(space.d)[perm]
-
-
 def enumerate_group(space: cl.Space) -> FiniteGroup:
     """Generators of the space's finite group, and its order.
 
@@ -146,7 +138,7 @@ def enumerate_group(space: cl.Space) -> FiniteGroup:
         gens = _transvections(space)
         if space.kind == "so-even":
             if space.n >= 2:
-                gens.append(_pair_swap(space))
+                gens.append(cl.pair_swap(space))
             order = cz.even_group_order(space.n, q)
         else:
             order = cz.group_order(space.n, q)

@@ -3,11 +3,13 @@ import pytest
 
 from char2orbits import centralizers as cz
 from char2orbits import classical as cl
+from char2orbits import cli
 from char2orbits import combinatorics as cb
 from char2orbits import isometry as iso
 from char2orbits import linalg as la
 from char2orbits import odd_split as od
 from char2orbits.finite_field import field_for
+from char2orbits.form_modules import BlockLabel
 
 
 def symbols(n):
@@ -113,13 +115,14 @@ def test_report_fields_and_leading_count():
 
 
 def test_orbit_report_rows():
-    row = cz.orbit_report("sp", [(2, 1)])
-    assert row == {"dim_z": 4, "comp_rank": 1,
-                   "component_group": "(Z/2)^1", "dim_orbit": 6}
-    row = cz.orbit_report("so-odd", ((), (1, 1)))
+    # the command line takes every orbit and centralizer row from one builder
+    keys = ("dim_z", "comp_rank", "component_group", "dim_orbit")
+    row = cli._label_row("sp", (BlockLabel(2, 1),))
+    assert {k: row[k] for k in keys} == {"dim_z": 4, "comp_rank": 1,
+                                         "component_group": "(Z/2)^1",
+                                         "dim_orbit": 6}
+    row = cli._label_row("so-odd", od.pair_to_label(((), (1, 1))))
     assert row["dim_z"] == 10 and row["dim_orbit"] == 0
-    with pytest.raises(ValueError):
-        cz.orbit_report("so-even", [(1, 1)])
 
 
 def test_group_orders():

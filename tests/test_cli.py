@@ -262,6 +262,26 @@ def test_normal_form_rejects_invalid_label(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command,kind,label,code,extra", [
+    ("normal-form", "so-odd", "m=0; -", 2, []),
+    ("normal-form", "so-odd", "m=1; (2)^2_1:d", 2, []),
+    ("centralizer", "so-odd", "m=1; (2)^2_1:d", 2, []),
+    ("normal-form", "so-odd", "m=1; (1)^2_1", 2, []),
+    ("normal-form", "sp", "", 2, []),
+    ("centralizer", "sp", "", 2, []),
+    ("normal-form", "sp", "(400)^2_200", 3, []),
+    ("normal-form", "so-odd", "m=300; -", 3, []),
+    # nine "d" blocks leave a 4^10 affine level in the witness search
+    ("normal-form", "so-odd", "m=0;" + " (1)^2_1:d" * 9, 3, ["--q", "4"]),
+])
+def test_unservable_label_is_one_line(capsys, command, kind, label, code,
+                                      extra):
+    rc, out, err = run(capsys, [command, "--type", kind, "--label", label]
+                       + extra)
+    assert rc == code and out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_centralizer_reports_match_library(capsys):
     rc, out, _ = run(capsys, ["centralizer", "--type", "sp",
                               "--label", "(2)^2_1:0"])

@@ -31,6 +31,16 @@ def single(m, l, eps=None, field=F2, kind="sp"):
     return mod
 
 
+def direct_sum(a, b):
+    "The orthogonal direct sum of two modules of one kind over one field."
+    def diag(x, y):
+        out = la.zeros(len(x) + len(y), len(x) + len(y))
+        out[:len(x), :len(x)], out[len(x):, len(x):] = x, y
+        return out
+    return fm.FormModule(a.kind, a.field, diag(a.gram, b.gram),
+                         diag(a.op, b.op), np.concatenate([a.quad, b.quad]))
+
+
 # ----------------------------------------------------------------------
 # validation and split positions
 
@@ -90,7 +100,7 @@ def test_orth_chi_follows_the_same_pattern(m, l):
 def test_chi_of_a_sum_is_the_sup_over_blocks():
     for pairs in [((2, 1), (1, 1)), ((3, 2), (2, 1)), ((2, 2), (2, 1))]:
         mods = [single(m, l) for m, l in pairs]
-        total = fm.direct_sum(mods[0], mods[1])
+        total = direct_sum(mods[0], mods[1])
         for k in range(total.dim + 1):
             assert fm.index_chi(total, k) == max(
                 fm.index_chi(mods[0], min(k, mods[0].dim)),
@@ -191,25 +201,19 @@ def test_series_of_the_generator_pair_is_an_indicator():
 # rewriting
 
 
-def test_normalize_fixes_the_two_example_rewrites():
-    assert fm.normalize_symbol([(2, 1), (2, 2)]) == labels((2, 2), (2, 2))
-    assert fm.normalize_symbol([(3, 3), (2, 1)]) == labels((3, 3), (2, 2))
-    assert fm.normalize_symbol([(2, 1), (1, 0)]) == labels((2, 1), (1, 0))
-
-
 def test_normalize_agrees_with_basis_free_classification():
     # build the misordered sums directly and let chi read the label
     for raw, want in [
         ([(2, 1), (2, 2)], labels((2, 2), (2, 2))),
         ([(3, 3), (2, 1)], labels((3, 3), (2, 2))),
     ]:
-        total = fm.direct_sum(single(*raw[0]), single(*raw[1]))
-        assert fm.classify_closed(total) == want == fm.normalize_symbol(raw)
+        total = direct_sum(single(*raw[0]), single(*raw[1]))
+        assert fm.classify_closed(total) == want
 
 
 @pytest.mark.parametrize("field", [F2, F4])
 def test_rewrite_equivalence_is_witnessed_by_an_isometry(field):
-    total = fm.direct_sum(single(2, 1, field=field), single(2, 2, field=field))
+    total = direct_sum(single(2, 1, field=field), single(2, 2, field=field))
     blocks = labels((2, 2), (2, 2))
     nf, _ = fm.build_normal_form(blocks, field)
     gens = fm.normal_form_generators(blocks)

@@ -188,26 +188,3 @@ def test_mat_pow_and_trace():
     assert not la.mat_pow(F, J, 4).any()
     assert la.mat_trace(F, la.identity(3)) == 1
     assert la.mat_trace(F, la.identity(4)) == 0
-
-
-# ----------------------------------------------------------------------
-# text round trip
-
-
-@pytest.mark.parametrize("e", [1, 2, 8])
-def test_matrix_text_round_trip(e):
-    F = field_for(e)
-    A = random_matrix(F, 3, 5)
-    text = la.format_matrix(F, A)
-    G, B = la.parse_matrix(text)
-    assert G == F
-    assert np.array_equal(A, B)
-
-
-def test_parse_matrix_rejects_garbage():
-    with pytest.raises(ValueError):
-        la.parse_matrix("")
-    with pytest.raises(ValueError):
-        la.parse_matrix("2 2 GF(2^1)/11\n0 1")
-    with pytest.raises(ValueError):
-        la.parse_matrix("1 2 GF(2^1)/11\n0 1 1")

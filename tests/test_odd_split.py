@@ -60,9 +60,8 @@ def test_zero_functional_has_empty_chain_and_trivial_blocks():
     s = od.split_odd_functional(sp, la.zeros(sp.d, sp.d))
     assert s.m == 0 and s.dual == []
     assert s.module is not None and s.module.dim == 4
-    closed = od.closed_odd_label(s)
-    assert closed.blocks == (BlockLabel(1, 1), BlockLabel(1, 1))
     lab = od.rational_odd_label(s)
+    assert lab.closed().blocks == (BlockLabel(1, 1), BlockLabel(1, 1))
     assert lab.eps() == ("0", "0")
     assert lab.pair() == ((), (1, 1))
 
@@ -75,8 +74,7 @@ def test_pure_chain_witness_has_no_complement(n):
     assert s.m == n
     assert s.module is None and len(s.complement) == 0
     assert len(s.chain) == n + 1 and len(s.dual) == n
-    assert od.rational_odd_label(s) == lab
-    assert od.closed_odd_label(s) == lab
+    assert od.rational_odd_label(s) == lab == lab.closed()
 
 
 def test_split_rejects_other_kinds():

@@ -139,6 +139,18 @@ def test_even_reflections_alone_stop_at_index_two():
     assert len(closure(F2, refl)) == 36
 
 
+def test_random_even_elements_reach_both_cosets():
+    space = space_for("so-even", 2)
+    gens = orc.enumerate_group(space).generators
+    refl = [g for g in gens if la.rank(F2, g ^ la.identity(4)) == 1]
+    half = closure(F2, refl)
+    rng = np.random.default_rng(0)
+    draws = [cl.random_group_element(space, rng) for _ in range(300)]
+    assert all(g.tobytes() in generator_closure("so-even", 2, 1) for g in draws)
+    inside = sum(g.tobytes() in half for g in draws)
+    assert 0 < inside < len(draws)
+
+
 def test_census_refuses_duals_beyond_the_point_limit():
     assert orc.POINT_LIMIT == 1 << 10
     for kind, n, e in [("so-even", 3, 1), ("so-even", 2, 2), ("sp", 2, 2)]:
