@@ -15,8 +15,8 @@ the algebra agree.  The calculus attached to a functional:
     turns the space into a module over the functional; for so-even this map
     is a bijection from functionals onto the Lie algebra itself;
   * functional_alpha (sp): the quadratic form v -> beta(v, Xv);
-  * alternating_gram / functional_beta (so-odd): the alternating matrix
-    X^t S + S X and its bilinear form.
+  * alternating_gram (so-odd): the alternating matrix X^t S + S X, the
+    Gram of the functional's bilinear form.
 
 All of these are representative-independent, which the tests check by
 perturbing X along the trace radical.
@@ -315,11 +315,6 @@ def alternating_gram(space: Space, X: np.ndarray) -> np.ndarray:
     return la.mat_mul(F, X.T, space.S) ^ la.mat_mul(F, space.S, X)
 
 
-def functional_beta(space: Space, X: np.ndarray, v, w) -> int:
-    G = alternating_gram(space, X)
-    return la.dot(space.field, v, la.mat_vec(space.field, G, w))
-
-
 def dual_to_algebra(space: Space, X: np.ndarray) -> np.ndarray:
     "The even-orthogonal bijection from functionals to algebra elements."
     assert space.kind == "so-even"
@@ -377,10 +372,6 @@ def algebra_to_dual(space: Space, T: np.ndarray) -> np.ndarray:
 def borel_pairing(space: Space, X: np.ndarray) -> tuple[int, ...]:
     "Values of the functional on the Borel basis."
     return _pairings(space.borel_basis(), X)
-
-
-def vanishes_on_borel(space: Space, X: np.ndarray) -> bool:
-    return not any(borel_pairing(space, X))
 
 
 def is_nilpotent_functional(space: Space, X: np.ndarray) -> bool:

@@ -9,7 +9,8 @@ Subcommands
   verify       run the acceptance suites
 
 Exit codes: 0 success, 1 verification failure, 2 invalid request,
-3 size bounds exceeded, 4 classify input not nilpotent.
+3 size bounds exceeded, 4 classify input not nilpotent, 141 (128 + SIGPIPE)
+when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -192,6 +194,8 @@ def _read_matrix(path: str, type_flag: str | None, e: int):
         if text.lstrip().startswith("{"):
             return cl.dual_from_json(json.loads(text))
         return _read_grid(text, type_flag, e)
+    except OSError as exc:
+        raise BadRequest(f"cannot read matrix file {path}: {exc}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BadRequest(f"malformed matrix file {path}: "
                          f"{type(exc).__name__}: {exc}")
@@ -250,7 +254,10 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_label(kind: str, text: str):
-    "A valid label of rank >= 1: a block tuple (sp) or an OddLabel (so-odd)."
+    """A valid label of rank >= 1: a block tuple (sp) or an OddLabel (so-odd).
+
+    A decorated label must be canonical: "d" only at splitting positions.
+    """
     try:
         if kind == "sp":
             label = fm.parse_blocks(text)
@@ -265,6 +272,13 @@ def _parse_label(kind: str, text: str):
         raise BadRequest(f"invalid {kind} label {text!r}")
     if _label_rank(label) < 1:
         raise BadRequest(f"label {text!r} has rank 0; ranks must be >= 1")
+    if kind == "sp":
+        blocks, free = label, fm.split_positions(label)
+    else:
+        blocks, free = label.blocks, od.split_positions(label.m, label.blocks)
+    if any(b.eps == "d" and i not in free for i, b in enumerate(blocks)):
+        raise BadRequest(f"label {text!r} is not canonical: \"d\" may only "
+                         f"sit at its splitting positions {free} (0-based)")
     return label
 
 
@@ -407,16 +421,20 @@ def main(argv=None) -> int:
         print("ranks must be >= 1", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except BadRequest as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (SizeBound, SearchTooLarge) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # The reader is gone: end quietly, as a writer killed by SIGPIPE
+        # would, with stdout pointed at devnull so the exit flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

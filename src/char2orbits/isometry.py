@@ -5,9 +5,11 @@ module map is pinned down by the images of a few generating vectors: each
 image is constrained linearly by pairing series against the images already
 placed, then filtered by the quadratic values along its operator chain.  A
 space map (no operator) places one basis image per level under the same
-regime, optionally with some leading images pinned.  Both searches are
-exact: every affine solution set is enumerated in full, so a ``None``
-answer means no map exists, and count_space_maps visits every leaf.
+regime.  Both searches are exact: every affine solution set is enumerated
+in full, so a ``None`` answer means no map exists, and count_space_maps
+visits every leaf.  The production path searches only for module maps,
+in the rational classifiers; space maps are the reference oracle of the
+tests and of verify.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def find_module_map(F, src, gens, dst, cap=LEVEL_CAP):
 # space maps: one basis image per level, several pairings at once
 
 
-def _space_search(F, pairings, src_quad, dst_quad, pins, cap, want_count):
+def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
     pairings = [(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
                 for a, b in pairings]
     d = pairings[0][0].shape[0]
@@ -195,7 +197,6 @@ def _space_search(F, pairings, src_quad, dst_quad, pins, cap, want_count):
             raise ValueError("pairing Grams must all have equal dimension")
     src_quad = np.asarray(src_quad, dtype=np.uint8)
     U_dst = quad_matrix(F, dst_quad, pairings[0][1])
-    pins = [np.asarray(p, dtype=np.uint8) for p in pins]
 
     images: list[np.ndarray] = []
     state = {"count": 0, "found": None}
@@ -206,14 +207,7 @@ def _space_search(F, pairings, src_quad, dst_quad, pins, cap, want_count):
             for j in range(i):
                 rows.append(la.mat_vec(F, Gd, images[j]))
                 rhs.append(int(Gs[j, i]))
-        if i < len(pins):
-            cand = pins[i][None, :]
-            if rows and not np.array_equal(
-                    la.mat_vec(F, np.stack(rows), pins[i]),
-                    np.asarray(rhs, dtype=np.uint8)):
-                return cand[:0]
-        else:
-            cand = _affine_candidates(F, rows, rhs, d, cap)
+        cand = _affine_candidates(F, rows, rhs, d, cap)
         keep = quad_values(F, U_dst, cand) == src_quad[i]
         return cand[keep]
 
@@ -242,18 +236,17 @@ def _space_search(F, pairings, src_quad, dst_quad, pins, cap, want_count):
     return state["count"] if want_count else state["found"]
 
 
-def find_space_map(F, pairings, src_quad, dst_quad, pins=(), cap=LEVEL_CAP):
+def find_space_map(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP):
     """A basis-image map matching every pairing in `pairings` plus the
     quadratic values, or None.
 
     Each entry of `pairings` is (source Gram, destination Gram); the
-    quadratic form polarizes to the first pairing.  `pins` fixes the images
-    of the leading source basis vectors.
+    quadratic form polarizes to the first pairing.
     """
-    return _space_search(F, pairings, src_quad, dst_quad, pins, cap,
+    return _space_search(F, pairings, src_quad, dst_quad, cap,
                          want_count=False)
 
 
-def count_space_maps(F, pairings, src_quad, dst_quad, pins=(), cap=LEVEL_CAP) -> int:
-    return _space_search(F, pairings, src_quad, dst_quad, pins, cap,
+def count_space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP) -> int:
+    return _space_search(F, pairings, src_quad, dst_quad, cap,
                          want_count=True)

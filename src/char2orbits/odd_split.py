@@ -201,7 +201,7 @@ def _clip(m: int, blocks):
     return tuple(out)
 
 
-def _split_positions(m: int, blocks) -> list[int]:
+def split_positions(m: int, blocks) -> list[int]:
     "0-based complement block positions where the decoration is free."
     nu = cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks))
     mu = cb.strip_zeros(tuple(b.l for b in blocks))
@@ -213,7 +213,7 @@ def _is_canonical(m: int, blocks) -> bool:
             cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks)),
             cb.strip_zeros(tuple(b.l for b in blocks))):
         return False
-    free = set(_split_positions(m, blocks))
+    free = set(split_positions(m, blocks))
     return all(b.eps == "0" for i, b in enumerate(blocks) if i not in free)
 
 
@@ -298,7 +298,7 @@ def rational_labels(n: int) -> list[OddLabel]:
     out = []
     for pair in cb.oodd_pairs(n):
         base = pair_to_label(pair)
-        free = _split_positions(base.m, base.blocks)
+        free = split_positions(base.m, base.blocks)
         out += [OddLabel(base.m, blocks)
                 for blocks in decorations(base.blocks, free)]
     return out
@@ -317,7 +317,7 @@ def _canonical_candidates(m: int, sizes) -> list[OddLabel]:
                 cb.strip_zeros(levels)):
             continue
         out += [OddLabel(m, blocks)
-                for blocks in decorations(base, _split_positions(m, base))]
+                for blocks in decorations(base, split_positions(m, base))]
     return out
 
 
@@ -355,15 +355,15 @@ def odd_witness(label: OddLabel, field: Field):
     """A space and functional splitting to the given label.
 
     The abstract model puts the chain pairs, the dual family, and the
-    complement's normal form side by side.  Almost every slot embeds
-    constructively: chain and dual vectors go to standard basis vectors,
-    and a complement slot goes to its hyperbolic coordinate plus a
-    multiple of the partner coordinate that produces the right quadratic
-    value.  The partner corrections collide on a decorated block (its
-    level slots would pair to 1 + delta instead of 1), so those slots
-    are ordered last and left to the isometry search with everything
-    else pinned.  The functional comes out of the transported
-    alternating Gram by the triangular block solve.
+    complement's normal form side by side, and a fixed rule embeds it in
+    the standard space: v_i goes to e_i (i < m), v_m to the radical
+    vector e_2n, u_i to e_{n+i}, and a complement slot to its hyperbolic
+    coordinate plus its quadratic value times the partner coordinate.
+    Both level slots of a decorated block carry a value, so the partner
+    corrections would pair them to 1 + delta; the second-chain level slot
+    goes instead to the partner coordinate plus sqrt(delta) times e_2n.
+    The functional comes out of the transported alternating Gram by the
+    triangular block solve.
     """
     m, blocks = label.m, tuple(label.blocks)
     if any(b.eps is None for b in blocks):
@@ -390,43 +390,28 @@ def odd_witness(label: OddLabel, field: Field):
         Gx[o:, o:] = la.mat_mul(field, w.op.T, w.gram)
         quad[o:] = w.quad
 
-    def unit(i):
-        e = np.zeros(d, dtype=np.uint8)
-        e[i] = 1
-        return e
-
-    def w_image(a):
-        "The corrected hyperbolic image of complement slot a (0-based in W)."
-        i, j = (m + a, n + m + a) if a < K else (n + m + a - K, m + a - K)
-        img = unit(i)
-        if quad[o + a]:
-            img ^= la.scale(field, quad[o + a], unit(j))
-        return img
-
-    colliding = []
-    off = 0
+    # column s of C is the image of slot s
+    C = la.zeros(d, d)
+    for i in range(m):
+        C[i, i] = C[n + i, m + 1 + i] = 1
+    C[2 * n, m] = 1
+    second_levels, off = set(), 0
     for b in blocks:
         if b.eps == "d":
-            colliding.append(K + off + b.l - 1)
+            second_levels.add(K + off + b.l - 1)
         off += b.m
-    order = list(range(o)) + [o + a for a in range(2 * K)
-                              if a not in colliding]
-    order += [o + a for a in colliding]
-
-    pins = [unit(i) for i in range(m)] + [unit(2 * n)]
-    pins += [unit(n + i) for i in range(m)]
-    pins += [w_image(a) for a in range(2 * K) if a not in colliding]
-
-    perm = np.array(order)
-    Gb_p = Gb[np.ix_(perm, perm)]
-    quad_p = quad[perm]
-    quad_std = np.diagonal(space.B).copy()
-    Cp = iso.find_space_map(field, [(Gb_p, space.S)], quad_p, quad_std,
-                            pins=pins)
-    if Cp is None:
-        raise ClassificationError(f"label {label} does not embed")
-    C = la.zeros(d, d)
-    C[:, perm] = Cp
+    for a in range(2 * K):
+        i, j = (m + a, n + m + a) if a < K else (n + m + a - K, m + a - K)
+        if a in second_levels:
+            C[j, o + a] = 1
+            C[2 * n, o + a] = field.sqrt(quad[o + a])
+        else:
+            C[i, o + a] = 1
+            C[j, o + a] = quad[o + a]
+    assert np.array_equal(la.mat_mul(field, la.mat_mul(field, C.T, space.S), C),
+                          Gb), "the embedding must carry the model's pairing"
+    assert np.array_equal(iso.quad_values(field, space.B, C.T), quad), \
+        "the embedding must carry the model's quadratic values"
 
     Ci = la.inverse(field, C)
     Y = la.mat_mul(field, la.mat_mul(field, Ci.T, Gx), Ci)

@@ -25,7 +25,6 @@ import numpy as np
 from . import centralizers as cz
 from . import classical as cl
 from . import form_modules as fm
-from . import isometry as iso
 from . import linalg as la
 from . import odd_split as od
 from .finite_field import Field
@@ -49,13 +48,6 @@ class OrbitReport:
     orbit_size: int
     stabilizer_order: int
     label: object = None
-
-    def label_json(self):
-        if self.label is None:
-            return None
-        if isinstance(self.label, od.OddLabel):
-            return od.label_to_json(self.label)
-        return fm.blocks_to_json(self.label)
 
 
 # ----------------------------------------------------------------------
@@ -280,64 +272,3 @@ def adjoint_nilpotent_orbit_count(space: cl.Space,
     _, labels = _orbits(space, group, "adjoint")
     return sum(la.is_nilpotent(space.field, _algebra_element(space, int(k)))
                for k in np.unique(labels))
-
-
-# ----------------------------------------------------------------------
-# module equivalence with a verified witness
-
-
-def verify_module_map(src: fm.FormModule, dst: fm.FormModule,
-                      C: np.ndarray) -> bool:
-    "Check that the rows of C are images defining an equivalence src -> dst."
-    F = src.field
-    if la.rank(F, C) != src.dim:
-        return False
-    if not np.array_equal(
-            la.mat_mul(F, la.mat_mul(F, C, dst.gram), C.T), src.gram):
-        return False
-    if not np.array_equal(iso.quad_values(F, dst._U, C), src.quad):
-        return False
-    return np.array_equal(la.mat_mul(F, src.op.T, C),
-                          la.mat_mul(F, C, dst.op.T))
-
-
-def isometry_equivalent(mod1: fm.FormModule,
-                        mod2: fm.FormModule) -> np.ndarray | None:
-    """A verified equivalence witness between two form modules, or None.
-
-    Both modules are mapped onto the normal form of their label; the
-    witness is the composite, re-checked against every structure before
-    being returned.
-    """
-    if (mod1.kind != mod2.kind or mod1.field is not mod2.field
-            or mod1.dim != mod2.dim):
-        return None
-    classify = fm.classify_fq if mod1.kind == "sp" else fm.classify_orth_fq
-    lab1 = classify(mod1)
-    if lab1 != classify(mod2):
-        return None
-    nf, _ = fm.build_normal_form(lab1, mod1.field, kind=mod1.kind)
-    gens = fm.normal_form_generators(lab1)
-    C1 = iso.find_module_map(mod1.field, nf.forms(), gens, mod1.forms())
-    C2 = iso.find_module_map(mod2.field, nf.forms(), gens, mod2.forms())
-    if C1 is None or C2 is None:
-        raise RuntimeError("normal form stopped matching its own label")
-    C = la.mat_mul(mod1.field, la.inverse(mod1.field, C1), C2)
-    if not verify_module_map(mod1, mod2, C):
-        raise RuntimeError("composed witness failed verification")
-    return C
-
-
-# ----------------------------------------------------------------------
-# JSON lines
-
-
-def report_to_json(report: OrbitReport, space: cl.Space) -> dict:
-    return {"kind": space.kind,
-            "n": space.n,
-            "q": space.field.q,
-            "values": [int(v) for v in
-                       space.pairing_vector(report.representative)],
-            "orbit_size": report.orbit_size,
-            "stabilizer_order": report.stabilizer_order,
-            "label": report.label_json()}

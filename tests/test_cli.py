@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from char2orbits.classical import space_for
 from char2orbits.finite_field import field_for
 
 F2 = field_for(1)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -271,8 +276,12 @@ def test_normal_form_rejects_invalid_label(capsys):
     ("centralizer", "sp", "", 2, []),
     ("normal-form", "sp", "(400)^2_200", 3, []),
     ("normal-form", "so-odd", "m=300; -", 3, []),
-    # nine "d" blocks leave a 4^10 affine level in the witness search
-    ("normal-form", "so-odd", "m=0;" + " (1)^2_1:d" * 9, 3, ["--q", "4"]),
+    # "d" off the splitting positions: the label is not canonical
+    ("normal-form", "so-odd", "m=0;" + " (1)^2_1:d" * 9, 2, ["--q", "4"]),
+    ("normal-form", "so-odd", "m=0; (2)^2_2:d", 2, []),
+    ("centralizer", "so-odd", "m=0; (2)^2_2:d", 2, []),
+    ("normal-form", "sp", "(2)^2_1:d (2)^2_1:0", 2, []),
+    ("centralizer", "sp", "(2)^2_1:d (2)^2_1:0", 2, []),
 ])
 def test_unservable_label_is_one_line(capsys, command, kind, label, code,
                                       extra):
@@ -280,6 +289,29 @@ def test_unservable_label_is_one_line(capsys, command, kind, label, code,
                        + extra)
     assert rc == code and out == ""
     assert len(err.splitlines()) == 1
+
+
+def test_classify_search_cap_is_one_line(capsys, tmp_path):
+    # the zero functional on Sp(20) leaves a 2^20 affine level
+    path = write_grid(tmp_path / "z20.txt", np.zeros((20, 20), dtype=np.uint8))
+    rc, out, err = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_closed_stdout_ends_quietly():
+    # the table is larger than the pipe buffer, so the writer meets the
+    # closed pipe and must end with 128 + SIGPIPE and nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with subprocess.Popen([sys.executable, "-m", "char2orbits.cli", "orbits",
+                           "--type", "sp", "--n", "12"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as p:
+        assert p.stdout.readline()
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_centralizer_reports_match_library(capsys):

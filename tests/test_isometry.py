@@ -99,23 +99,6 @@ def test_count_space_maps_split_quadratic_plane():
     assert iso.count_space_maps(F2, pairs, q, q) == 2
 
 
-def test_pinning_the_first_image_cuts_the_count():
-    pairs = hyperbolic_plane(F2)
-    q = np.zeros(2, dtype=np.uint8)
-    e0 = np.array([1, 0], dtype=np.uint8)
-    assert iso.count_space_maps(F2, pairs, q, q, pins=[e0]) == 1
-    e1 = np.array([0, 1], dtype=np.uint8)
-    assert iso.count_space_maps(F2, pairs, q, q, pins=[e1]) == 1
-
-
-def test_inconsistent_pin_returns_no_map():
-    pairs = hyperbolic_plane(F2)
-    q_src = np.zeros(2, dtype=np.uint8)
-    q_dst = np.zeros(2, dtype=np.uint8)
-    bad_pin = np.array([1, 1], dtype=np.uint8)  # alpha = 1, but src wants 0
-    assert iso.find_space_map(F2, pairs, q_src, q_dst, pins=[bad_pin]) is None
-
-
 def test_split_and_nonsplit_quadratic_planes_are_not_isometric():
     S = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     split = np.zeros(2, dtype=np.uint8)

@@ -1,5 +1,6 @@
 """Chain splitting and labeling of odd orthogonal functionals."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -12,7 +13,8 @@ from char2orbits.classical import (alternating_gram, coadjoint,
                                    is_nilpotent_functional,
                                    random_group_element, space_for)
 from char2orbits.finite_field import Field
-from char2orbits.form_modules import BlockLabel, ClassificationError
+from char2orbits.form_modules import (BlockLabel, ClassificationError,
+                                      classify_closed)
 
 F2 = Field(1)
 F4 = Field(2)
@@ -270,6 +272,30 @@ def test_census_labels_are_admissible_pairs():
         nu, mu = lab.pair()
         assert cb.oodd_pair_valid(nu, mu)
         assert sum(nu) + sum(mu) == 2
+
+
+def test_witness_bytes_are_pinned():
+    # sha256 of every canonical witness for n = 1..4, over F_2 then F_4:
+    # normal-form prints these functionals, so their bytes must not drift
+    h = hashlib.sha256()
+    count = 0
+    for F in (F2, F4):
+        for n in range(1, 5):
+            for lab in od.rational_labels(n):
+                _, X = od.odd_witness(lab, F)
+                h.update(X.tobytes())
+                count += 1
+    assert count == 74
+    assert h.hexdigest() == ("9822377546b5942a035535e264706997"
+                             "984c0b2179ae66aed3e02b400e32dab1")
+
+
+def test_nine_decorated_blocks_embed_without_search():
+    lab = od.OddLabel(0, (BlockLabel(1, 1, "d"),) * 9)
+    space, X = od.odd_witness(lab, F4)
+    s = od.split_odd_functional(space, X)
+    assert s.m == 0
+    assert classify_closed(s.module) == (BlockLabel(1, 1),) * 9
 
 
 def test_witness_requires_decorations():

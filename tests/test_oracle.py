@@ -1,5 +1,4 @@
 import functools
-import json
 
 import numpy as np
 import pytest
@@ -193,8 +192,7 @@ def test_sp4_census():
     assert len({str(r.label) for r in reports}) == 5
     zero = next(r for r in reports if r.orbit_size == 1)
     assert zero.label == labels((1, 0), (1, 0), eps=["0", "0"])
-    assert not zero.representative.any() or cl.vanishes_on_borel(
-        space, zero.representative)
+    assert not any(cl.borel_pairing(space, zero.representative))
 
 
 def test_o5_census_matches_the_frozen_sizes():
@@ -279,37 +277,6 @@ def test_labels_are_constant_on_small_orbits():
 
 
 # ----------------------------------------------------------------------
-# verified module equivalence
-
-
-def test_isometry_equivalent_finds_a_verified_self_witness():
-    mod, _ = fm.build_normal_form(labels((2, 1), eps=["d"]), F2)
-    C = orc.isometry_equivalent(mod, mod)
-    assert C is not None and orc.verify_module_map(mod, mod, C)
-
-
-def test_isometry_equivalent_separates_the_quadratic_planes():
-    plain, _ = fm.build_normal_form(labels((1, 1), eps=["0"]), F2,
-                                    kind="orth")
-    delta, _ = fm.build_normal_form(labels((1, 1), eps=["d"]), F2,
-                                    kind="orth")
-    assert orc.isometry_equivalent(plain, delta) is None
-
-
-def test_isometry_equivalent_joins_fused_decorations():
-    dd, _ = fm.build_normal_form(labels((2, 1), (2, 1), eps=["d", "d"]), F2)
-    zz, _ = fm.build_normal_form(labels((2, 1), (2, 1), eps=["0", "0"]), F2)
-    C = orc.isometry_equivalent(dd, zz)
-    assert C is not None and orc.verify_module_map(dd, zz, C)
-
-
-def test_isometry_equivalent_rejects_size_mismatch():
-    a, _ = fm.build_normal_form(labels((1, 0)), F2)
-    b, _ = fm.build_normal_form(labels((1, 0), (1, 0)), F2)
-    assert orc.isometry_equivalent(a, b) is None
-
-
-# ----------------------------------------------------------------------
 # even orthogonal transport
 
 
@@ -318,21 +285,3 @@ def test_even_adjoint_and_coadjoint_nilpotent_counts_agree():
     grp = orc.enumerate_group(space)
     co = orc.all_nilpotent_orbits(space, grp, classify=False)
     assert orc.adjoint_nilpotent_orbit_count(space, grp) == len(co)
-
-
-# ----------------------------------------------------------------------
-# JSON lines
-
-
-def test_report_json_lines():
-    space = space_for("so-odd", 1)
-    for r in orc.all_nilpotent_orbits(space):
-        obj = json.loads(json.dumps(orc.report_to_json(r, space)))
-        assert obj["orbit_size"] == r.orbit_size
-        assert obj["kind"] == "so-odd" and obj["q"] == 2
-        if obj["label"] is not None and "pair" in obj["label"]:
-            assert od.label_from_json(obj["label"]) == r.label
-    space = space_for("sp", 1)
-    for r in orc.all_nilpotent_orbits(space):
-        obj = orc.report_to_json(r, space)
-        assert fm.blocks_from_json(obj["label"]) == r.label
