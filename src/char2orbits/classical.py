@@ -14,7 +14,6 @@ the algebra agree.  The calculus attached to a functional:
   * module_endomorphism (sp, so-even): X + S X^t S, the endomorphism that
     turns the space into a module over the functional; for so-even this map
     is a bijection from functionals onto the Lie algebra itself;
-  * functional_alpha (sp): the quadratic form v -> beta(v, Xv);
   * alternating_gram (so-odd): the alternating matrix X^t S + S X, the
     Gram of the functional's bilinear form.
 
@@ -300,12 +299,6 @@ def module_endomorphism(space: Space, X: np.ndarray) -> np.ndarray:
         raise ValueError("no direct module endomorphism in the odd kind")
     F = space.field
     return X ^ la.mat_mul(F, la.mat_mul(F, space.S, X.T), space.S)
-
-
-def functional_alpha(space: Space, X: np.ndarray, v) -> int:
-    "Quadratic form beta(v, Xv) of a symplectic functional."
-    assert space.kind == "sp"
-    return space.beta(v, la.mat_vec(space.field, X, v))
 
 
 def alternating_gram(space: Space, X: np.ndarray) -> np.ndarray:

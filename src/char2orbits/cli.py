@@ -32,7 +32,6 @@ from . import oracle as orc
 from . import verify as vf
 from .classical import space_for
 from .finite_field import field_for
-from .isometry import SearchTooLarge
 
 LIST_CAP = 12
 
@@ -417,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "n", 1) < 1 or (getattr(args, "max_n", None) or 1) < 1:
+    max_n = getattr(args, "max_n", None)
+    if getattr(args, "n", 1) < 1 or (max_n is not None and max_n < 1):
         print("ranks must be >= 1", file=sys.stderr)
         return 2
     try:
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except BadRequest as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (SizeBound, SearchTooLarge) as exc:
+    except SizeBound as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -88,9 +88,6 @@ class Field:
     # ------------------------------------------------------------------
     # scalar arithmetic
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         r = 0
         while b:
@@ -132,19 +129,6 @@ class Field:
             x = self.mul(x, x)
         return t
 
-    def solve_artin_schreier(self, c: int) -> int | None:
-        """Some x with x^2 + x = c, or None.
-
-        Solvable exactly when trace(c) = 0, in which case x and x + 1 are the
-        two solutions; the smaller one is returned.
-        """
-        if self.trace(c):
-            return None
-        for x in range(self.q):
-            if self.mul(x, x) ^ x == c:
-                return x
-        raise AssertionError("trace-zero element with no Artin-Schreier preimage")
-
     def nonsplit_element(self) -> int:
         """Smallest c not of the form x^2 + x.
 
@@ -156,9 +140,6 @@ class Field:
             if self.trace(c):
                 return c
         raise AssertionError("trace form identically zero")
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # ------------------------------------------------------------------
     # numpy lookup tables (built lazily; used by the dense linear algebra)

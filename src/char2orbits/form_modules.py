@@ -24,8 +24,13 @@ A block is labelled by the chain length m and a level l:
 
 In a multi-block label the sizes, levels, and co-levels m - l are all
 weakly decreasing.  The classification index chi reads the levels off any
-module without choosing a basis, and exhaustive isometry search settles the
-rational decorations.
+module without choosing a basis.  The rational decorations are Arf classes
+in F_q/(x^2 + x): for each Jordan size m and power i, the form
+v -> quad(T^i v) on ker(T^m) either fails to vanish on its polar radical or
+descends to a nondegenerate form whose Arf invariant has an absolute trace.
+arf_invariant collects these, and the rational classifiers compare them
+with the candidates' normal forms, so classification is polynomial linear
+algebra with no search.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from . import combinatorics as cb
 from . import isometry as iso
 from . import linalg as la
-from .classical import Space, functional_alpha, module_endomorphism
+from .classical import Space, module_endomorphism
 from .finite_field import Field
 
 
@@ -158,9 +163,6 @@ class FormModule:
     def beta(self, v, w) -> int:
         return la.dot(self.field, v, la.mat_vec(self.field, self.gram, w))
 
-    def forms(self) -> iso.ModuleForms:
-        return iso.ModuleForms(self.gram, self.op, self.quad, self.polar_gram)
-
 
 def build_module(space: Space, X: np.ndarray) -> FormModule:
     """The form module of a nilpotent symplectic functional.
@@ -204,6 +206,17 @@ def xi_series(mod: FormModule, v, w) -> list[int]:
     return out
 
 
+def _power_forms(mod: FormModule, m: int, count: int):
+    """Polar Gram and basis values of v -> quad(T^i v) on ker(T^m), for
+    i = 0..count-1."""
+    F, P = mod.field, mod.polar_gram
+    img = la.kernel_basis(F, la.mat_pow(F, mod.op, m))
+    for _ in range(count):
+        yield (la.mat_mul(F, la.mat_mul(F, img, P), img.T),
+               iso.quad_values(F, mod._U, img))
+        img = la.mat_mul(F, img, mod.op.T)
+
+
 def index_chi(mod: FormModule, m: int) -> int:
     """Smallest i with v -> quad(T^i v) identically zero on ker(T^m).
 
@@ -212,19 +225,47 @@ def index_chi(mod: FormModule, m: int) -> int:
     """
     if not 0 <= m <= mod.dim:
         raise ValueError("power must lie between 0 and dim")
-    F = mod.field
-    K = la.kernel_basis(F, la.mat_pow(F, mod.op, m))
-    if len(K) == 0:
-        return 0
-    P = mod.polar_gram
-    img = K
-    for i in range(mod.dim + 1):
-        vals = iso.quad_values(F, mod._U, img)
-        pol = la.mat_mul(F, la.mat_mul(F, img, P), img.T)
+    for i, (pol, vals) in enumerate(_power_forms(mod, m, mod.dim + 1)):
         if not vals.any() and not pol.any():
             return i
-        img = la.mat_mul(F, img, mod.op.T)
     raise AssertionError("nilpotent operator must reach a vanishing power")
+
+
+def _arf_trace(F: Field, gram: np.ndarray, vals: np.ndarray) -> int | None:
+    """Absolute trace of the Arf invariant of a quadratic form, or None
+    when the form does not vanish on its polar radical.
+
+    `gram` is the polar Gram and `vals` the values on the basis.  Each step
+    takes a hyperbolic pair (e, f) with polar 1, adds quad(e) quad(f) to the
+    invariant, and projects every basis vector v to
+    v + polar(v, f) e + polar(v, e) f, which sends e and f themselves to 0.
+    What is left spans the polar radical, on which the form is additive.
+    """
+    A, q = gram.copy(), vals.copy()
+    mul = F.mul_table
+    arf = 0
+    while A.any():
+        r, s = (int(x) for x in np.argwhere(A)[0])
+        c = int(F.inv_table[A[r, s]])
+        A[s], A[:, s], q[s] = mul[c, A[s]], mul[c, A[:, s]], mul[mul[c, c], q[s]]
+        arf ^= int(mul[q[r], q[s]])
+        a, b = A[:, s].copy(), A[:, r].copy()
+        q ^= mul[mul[a, a], q[r]] ^ mul[mul[b, b], q[s]] ^ mul[a, b]
+        A ^= mul[a[:, None], b[None, :]] ^ mul[b[:, None], a[None, :]]
+    return None if q.any() else F.trace(arf)
+
+
+def arf_invariant(mod: FormModule) -> tuple:
+    """Arf data of v -> quad(T^i v) on ker(T^m), for every Jordan size m
+    and 0 <= i <= m: None where the form does not vanish on its polar
+    radical, else the absolute trace of its Arf invariant.
+
+    Isometric modules have equal invariants, and the rational classifiers
+    rely on the converse among the decorations of one closed label.
+    """
+    sizes = sorted(set(la.jordan_partition(mod.field, mod.op)))
+    return tuple(_arf_trace(mod.field, pol, vals) for m in sizes
+                 for pol, vals in _power_forms(mod, m, m + 1))
 
 
 # ----------------------------------------------------------------------
@@ -249,12 +290,6 @@ def classify_closed(mod: FormModule) -> tuple[BlockLabel, ...]:
 # normal forms
 
 
-def _chain_layout(blocks):
-    sizes = [b.m for b in blocks]
-    offs = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    return sizes, offs, int(offs[-1])
-
-
 def build_normal_form(blocks, field: Field, kind: str = "sp"):
     """The standard module of a label, and for sp a witness functional.
 
@@ -269,7 +304,8 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
     blocks = tuple(blocks)
     if not validate_blocks(blocks, kind=kind):
         raise ValueError(f"invalid label {blocks} for kind {kind}")
-    sizes, offs, K = _chain_layout(blocks)
+    offs = np.concatenate(([0], np.cumsum([b.m for b in blocks]))).astype(int)
+    K = int(offs[-1])
     d = 2 * K
     T = la.zeros(d, d)
     quad = np.zeros(d, dtype=np.uint8)
@@ -296,45 +332,28 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
     return mod, X
 
 
-def normal_form_generators(blocks):
-    "Generator (vector index, height) list matching build_normal_form."
-    blocks = tuple(blocks)
-    sizes, offs, K = _chain_layout(blocks)
-    d = 2 * K
-    gens = []
-    for b, lab in enumerate(blocks):
-        o = int(offs[b])
-        for idx in (o, K + o + lab.m - 1):
-            v = np.zeros(d, dtype=np.uint8)
-            v[idx] = 1
-            gens.append((v, lab.m))
-    return gens
-
-
-def _matches_normal_form(mod: FormModule, blocks) -> bool:
-    nf, _ = build_normal_form(blocks, mod.field, kind=mod.kind)
-    if nf.dim != mod.dim:
-        return False
-    gens = normal_form_generators(blocks)
-    return iso.find_module_map(mod.field, nf.forms(), gens, mod.forms()) is not None
-
-
 # ----------------------------------------------------------------------
 # rational classification
+
+
+def _normal_form_invariant(blocks, mod: FormModule) -> tuple:
+    "Arf invariant of the normal form of `blocks` in the kind of `mod`."
+    return arf_invariant(build_normal_form(blocks, mod.field, kind=mod.kind)[0])
 
 
 def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """Decorated label of a symplectic module over its own field.
 
     The closed label fixes everything except a "0"/"d" choice at each
-    splitting position; isometry search against the canonical
-    representatives decides those, and exactly one must match.
+    splitting position; the canonical representative whose Arf invariant
+    equals the module's decides those, and exactly one must match.
     """
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
     closed = classify_closed(mod)
+    inv = arf_invariant(mod)
     matches = [cand for cand in decorations(closed, split_positions(closed))
-               if _matches_normal_form(mod, cand)]
+               if _normal_form_invariant(cand, mod) == inv]
     if len(matches) != 1:
         raise ClassificationError(
             f"expected exactly one canonical match, got {len(matches)} "
@@ -346,16 +365,18 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """Decorated label of an orthogonal module over its own field.
 
     All 2^s decorations of the closed label are scanned in a fixed order
-    ("0" before "d", rightmost position fastest) and the first matching
-    one is returned, which collapses fused decorations deterministically.
+    ("0" before "d", rightmost position fastest) and the first one whose
+    Arf invariant equals the module's is returned, which collapses fused
+    decorations deterministically.
     """
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
     closed = classify_closed(mod)
+    inv = arf_invariant(mod)
     for cand in decorations(closed, range(len(closed))):
         if not validate_blocks(cand, kind="orth"):
             continue
-        if _matches_normal_form(mod, cand):
+        if _normal_form_invariant(cand, mod) == inv:
             return cand
     raise ClassificationError(
         f"no decoration of {closed} matches the module")
@@ -401,8 +422,3 @@ def parse_blocks(text: str) -> tuple[BlockLabel, ...]:
 
 def blocks_to_json(blocks) -> dict:
     return {"blocks": [{"m": b.m, "l": b.l, "eps": b.eps} for b in blocks]}
-
-
-def blocks_from_json(obj: dict) -> tuple[BlockLabel, ...]:
-    return tuple(BlockLabel(int(b["m"]), int(b["l"]), b.get("eps"))
-                 for b in obj["blocks"])

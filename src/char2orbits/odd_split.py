@@ -16,13 +16,15 @@ The functional is nilpotent exactly when the split goes through with T
 nilpotent; every structural failure raises SplitError.
 
 The rational label of a nilpotent functional is the chain length m plus
-the decorated block label of W, normalized across the whole module: a
+the decorated block label of W, which classify_orth_fq reads off Arf
+invariants with no search, normalized across the whole module: a
 block with co-level above m is clipped up to co-level m, a block with
 level above m absorbs its decoration, and adjacent blocks whose levels
 together exceed the leading size swap decorations freely.  The canonical
 representative has "d" only at splitting positions of the associated
-partition pair.  An exhaustive whole-space isometry search provides the
-same answer independently; the tests compare the two.
+partition pair.  An exhaustive whole-space isometry search
+(odd_label_by_search) provides the same answer independently; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -462,18 +464,3 @@ def label_to_json(label: OddLabel) -> dict:
     return {"m": label.m,
             "pair": {"nu": list(nu), "mu": list(mu)},
             "eps": [b.eps for b in label.blocks]}
-
-
-def label_from_json(obj: dict) -> OddLabel:
-    m = int(obj["m"])
-    mu = [int(x) for x in obj["pair"]["mu"]]
-    nu = [int(x) for x in obj["pair"]["nu"]]
-    if nu and nu[0] != m:
-        raise ValueError("leading co-level entry must equal the chain length")
-    tail = nu[1:] + [0] * (len(mu) - len(nu) + 1)
-    eps = list(obj["eps"])
-    if len(eps) != len(mu):
-        raise ValueError("need one decoration per block")
-    blocks = tuple(BlockLabel(mu[i] + tail[i], mu[i], eps[i])
-                   for i in range(len(mu)))
-    return OddLabel(m, blocks)

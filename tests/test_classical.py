@@ -170,7 +170,8 @@ def test_sp_calculus_well_defined(kind, n, e):
                               cl.module_endomorphism(sp, X ^ R))
         if vs is not None:
             for v in vs:
-                assert cl.functional_alpha(sp, X, v) == cl.functional_alpha(sp, X ^ R, v)
+                assert sp.beta(v, la.mat_vec(F, X, v)) == \
+                    sp.beta(v, la.mat_vec(F, X ^ R, v))
 
 
 def test_sp_module_endomorphism_self_adjoint_and_alpha_compatible():

@@ -142,7 +142,7 @@ def test_classify_symplectic_witness(capsys, tmp_path):
     assert doc["nilpotent"] is True
     assert doc["label"] == "(2)^2_1:d"
     assert doc["centralizer"]["component_group"] == "(Z/2)^1"
-    assert fm.blocks_from_json(doc["label_json"]) == label
+    assert doc["label_json"] == {"blocks": [{"m": 2, "l": 1, "eps": "d"}]}
 
 
 def test_classify_json_file_is_self_describing(capsys, tmp_path):
@@ -155,7 +155,8 @@ def test_classify_json_file_is_self_describing(capsys, tmp_path):
     assert rc == 0
     doc = json.loads(out)
     assert doc["kind"] == "so-odd"
-    assert od.label_from_json(doc["label_json"]) == label
+    assert doc["label_json"] == {"m": 1, "pair": {"nu": [1], "mu": [1]},
+                                 "eps": ["0"]}
 
 
 def test_classify_zero_matrix(capsys, tmp_path):
@@ -291,12 +292,13 @@ def test_unservable_label_is_one_line(capsys, command, kind, label, code,
     assert len(err.splitlines()) == 1
 
 
-def test_classify_search_cap_is_one_line(capsys, tmp_path):
-    # the zero functional on Sp(20) leaves a 2^20 affine level
+def test_classify_zero_functional_of_sp20(capsys, tmp_path):
+    # T = 0 makes every vector a search candidate; the Arf invariants need
+    # no search, so the zero functional labels at any rank
     path = write_grid(tmp_path / "z20.txt", np.zeros((20, 20), dtype=np.uint8))
-    rc, out, err = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
-    assert rc == 3 and out == ""
-    assert len(err.splitlines()) == 1
+    rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
+    assert rc == 0
+    assert json.loads(out)["label"] == " ".join(["(1)^2_0:0"] * 10)
 
 
 def test_closed_stdout_ends_quietly():
@@ -352,6 +354,14 @@ def test_verify_json_is_machine_readable(capsys):
     for check in doc["checks"]:
         assert check["suite"] == "combinatorics"
         assert isinstance(check["seconds"], float)
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_rejects_a_rank_cap_below_one(capsys, max_n):
+    rc, out, err = run(capsys, ["verify", "--suite", "combinatorics",
+                                "--max-n", max_n])
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_centralizers_carries_the_known_failure(capsys):

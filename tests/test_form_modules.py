@@ -1,8 +1,10 @@
 import json
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import module_search as ms
 from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
@@ -215,9 +217,7 @@ def test_normalize_agrees_with_basis_free_classification():
 def test_rewrite_equivalence_is_witnessed_by_an_isometry(field):
     total = direct_sum(single(2, 1, field=field), single(2, 2, field=field))
     blocks = labels((2, 2), (2, 2))
-    nf, _ = fm.build_normal_form(blocks, field)
-    gens = fm.normal_form_generators(blocks)
-    assert iso.find_module_map(field, nf.forms(), gens, total.forms()) is not None
+    assert ms.matches_normal_form(total, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -238,10 +238,7 @@ def test_fusion_when_levels_reach_the_size():
     d0 = fm.build_normal_form(labels((2, 1), (2, 1), eps=["d", "0"]), F2)[0]
     assert fm.classify_fq(dd) == labels((2, 1), (2, 1), eps=["0", "0"])
     # the mixed labels fuse onto each other: a direct search finds the map
-    zd_blocks = labels((2, 1), (2, 1), eps=["0", "d"])
-    zd, _ = fm.build_normal_form(zd_blocks, F2)
-    gens = fm.normal_form_generators(zd_blocks)
-    assert iso.find_module_map(F2, zd.forms(), gens, d0.forms()) is not None
+    assert ms.matches_normal_form(d0, labels((2, 1), (2, 1), eps=["0", "d"]))
 
 
 def test_no_fusion_when_levels_fall_short():
@@ -272,8 +269,7 @@ def test_rational_label_is_invariant_under_the_group(field):
 def test_orth_rational_distinguishes_the_two_quadratic_planes():
     plain = single(1, 1, "0", kind="orth")
     delta = single(1, 1, "d", kind="orth")
-    gens = fm.normal_form_generators(labels((1, 1)))
-    assert iso.find_module_map(F2, plain.forms(), gens, delta.forms()) is None
+    assert not ms.matches_normal_form(delta, labels((1, 1), eps=["0"]))
     assert fm.classify_orth_fq(plain) == labels((1, 1), eps=["0"])
     assert fm.classify_orth_fq(delta) == labels((1, 1), eps=["d"])
 
@@ -302,6 +298,96 @@ def test_orth_boundary_decoration_rebuilds_the_higher_level(field):
     assert fm.classify_orth_fq(mod) == labels((2, 2), eps=["d"])
 
 
+@pytest.mark.parametrize("field", [F2, F4])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_rational_label_is_constant_on_random_conjugates(field, n):
+    gen = np.random.default_rng(n)
+    space = cl.Space("sp", n, field)
+    for blocks in fm.rational_symbols(n):
+        _, X = fm.build_normal_form(blocks, field)
+        Y = cl.coadjoint(space, cl.random_group_element(space, gen), X)
+        assert fm.classify_fq(fm.build_module(space, Y)) == blocks
+
+
+# ----------------------------------------------------------------------
+# Arf invariants
+
+
+@pytest.mark.parametrize("e,dim", [(1, 6), (2, 4), (3, 3)])
+def test_arf_trace_matches_the_zero_count(e, dim):
+    # a form that vanishes on its polar radical R has
+    # q^dim(R) (q^(2r-1) + s (q^r - q^(r-1))) zeros on a 2r-dimensional
+    # nondegenerate part, with s = +1 exactly when the Arf trace is 0
+    F = field_for(e)
+    q = F.q
+    gen = np.random.default_rng(e)
+    vecs = np.indices((q,) * dim).reshape(dim, -1).T.astype(np.uint8)
+    for _ in range(60):
+        A = np.triu(gen.integers(0, q, size=(dim, dim), dtype=np.uint8), 1)
+        A[:, gen.random(dim) < 0.3] = 0
+        gram = A ^ A.T
+        vals = gen.integers(0, q, size=dim, dtype=np.uint8)
+        vals[gen.random(dim) < 0.4] = 0
+        zero = iso.quad_values(F, iso.quad_matrix(F, vals, gram), vecs) == 0
+        radical = ~la.mat_mul(F, vecs, gram).any(axis=1)
+        got = fm._arf_trace(F, gram, vals)
+        if not zero[radical].all():
+            assert got is None
+            continue
+        rho = la.rank(F, vecs[radical])
+        r = (dim - rho) // 2
+        split = q ** (2 * r - 1) + q ** r - q ** (r - 1)
+        assert got == (0 if zero.sum() == q ** rho * split else 1)
+
+
+@pytest.mark.parametrize("field", [F2, F4])
+def test_arf_invariant_reads_the_decoration(field):
+    # (2)^2_1: quad vanishes on ker T, the radical of its polar
+    # beta(T., .), and the Arf trace on V / ker T is the decoration
+    assert fm.arf_invariant(single(2, 1, "0", field=field)) == (0, 0, 0)
+    assert fm.arf_invariant(single(2, 1, "d", field=field)) == (1, 0, 0)
+    # (2)^2_2: quad is nonzero on ker T, so nothing descends at i = 0, 1
+    assert fm.arf_invariant(single(2, 2, "0", field=field)) == (None, None, 0)
+    # orth (1)^2_1: the split and the non-split quadratic plane
+    assert fm.arf_invariant(single(1, 1, "0", field=field, kind="orth")) == (0, 0)
+    assert fm.arf_invariant(single(1, 1, "d", field=field, kind="orth")) == (1, 0)
+
+
+@pytest.mark.parametrize("field", [F2, F4])
+def test_arf_invariant_separates_the_canonical_sp_decorations(field):
+    for n in range(1, 6):
+        for pair in cb.symp_pairs(n):
+            closed = pair_to_blocks(pair)
+            cands = list(fm.decorations(closed, fm.split_positions(closed)))
+            invs = {fm.arf_invariant(fm.build_normal_form(c, field)[0])
+                    for c in cands}
+            assert len(invs) == len(cands), closed
+
+
+def closed_orth_labels(K):
+    "Every closed orth label whose chain sizes sum to K."
+    for sizes in cb.partitions(K):
+        for levels in product(*[range((m + 1) // 2, m + 1) for m in sizes]):
+            blocks = labels(*zip(sizes, levels))
+            if fm.validate_blocks(blocks, kind="orth"):
+                yield blocks
+
+
+@pytest.mark.parametrize("field", [F2, F4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_arf_invariant_is_complete_on_orth_decorations(field, K):
+    pairs = 0
+    for closed in closed_orth_labels(K):
+        cands = [c for c in fm.decorations(closed, range(len(closed)))
+                 if fm.validate_blocks(c, kind="orth")]
+        mods = [fm.build_normal_form(c, field, kind="orth")[0] for c in cands]
+        for (a, ma), (b, mb) in combinations(zip(cands, mods), 2):
+            same = fm.arf_invariant(ma) == fm.arf_invariant(mb)
+            assert same == ms.matches_normal_form(mb, a), (a, b)
+            pairs += 1
+    assert pairs == {1: 1, 2: 7}[K]
+
+
 # ----------------------------------------------------------------------
 # text and JSON round trips
 
@@ -319,7 +405,8 @@ def test_text_round_trip():
 def test_json_round_trip():
     blocks = labels((2, 1), (2, 1), eps=["0", "d"])
     obj = json.loads(json.dumps(fm.blocks_to_json(blocks)))
-    assert fm.blocks_from_json(obj) == blocks
+    assert obj == {"blocks": [{"m": 2, "l": 1, "eps": "0"},
+                              {"m": 2, "l": 1, "eps": "d"}]}
 
 
 def test_parse_rejects_garbage():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import module_search as ms
 from char2orbits import form_modules as fm
 from char2orbits import isometry as iso
 from char2orbits import linalg as la
@@ -13,7 +14,7 @@ F4 = field_for(2)
 def normal_form(m, l, eps=None, field=F2, kind="sp"):
     blocks = (fm.BlockLabel(m, l, eps),)
     mod, _ = fm.build_normal_form(blocks, field, kind=kind)
-    return mod, fm.normal_form_generators(blocks)
+    return mod, ms.normal_form_generators(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +45,7 @@ def test_count_self_maps_level_one_module(field, count):
 
 def test_find_module_map_is_verified_exactly():
     mod, gens = normal_form(2, 1, eps="d")
-    M = iso.find_module_map(F2, mod.forms(), gens, mod.forms())
+    M = ms.find_module_map(F2, ms.forms(mod), gens, ms.forms(mod))
     assert M is not None
     G, T = mod.gram, mod.op
     assert np.array_equal(la.mat_mul(F2, la.mat_mul(F2, M.T, G), M), G)
@@ -55,32 +56,32 @@ def test_find_module_map_is_verified_exactly():
 def test_no_map_between_the_two_rational_forms_of_2_1(field):
     plain, gens = normal_form(2, 1, eps="0", field=field)
     delta, _ = normal_form(2, 1, eps="d", field=field)
-    assert iso.find_module_map(field, plain.forms(), gens, delta.forms()) is None
-    assert iso.find_module_map(field, delta.forms(), gens, plain.forms()) is None
+    assert ms.find_module_map(field, ms.forms(plain), gens, ms.forms(delta)) is None
+    assert ms.find_module_map(field, ms.forms(delta), gens, ms.forms(plain)) is None
 
 
 def test_module_map_respects_quadratic_values_not_just_pairing():
     # same gram and op, different quad: no map may exist
     src, gens = normal_form(1, 1)
     dst, _ = normal_form(1, 0)
-    assert iso.find_module_map(F2, src.forms(), gens, dst.forms()) is None
+    assert ms.find_module_map(F2, ms.forms(src), gens, ms.forms(dst)) is None
 
 
 def test_degenerate_pairing_is_rejected():
     d = 2
-    forms = iso.ModuleForms(la.zeros(d, d), la.zeros(d, d),
-                            np.zeros(d, dtype=np.uint8), la.zeros(d, d))
+    forms = ms.ModuleForms(la.zeros(d, d), la.zeros(d, d),
+                           np.zeros(d, dtype=np.uint8), la.zeros(d, d))
     gens = [(np.array([1, 0], dtype=np.uint8), 1)]
     with pytest.raises(ValueError):
-        iso.find_module_map(F2, forms, gens, forms)
+        ms.find_module_map(F2, forms, gens, forms)
 
 
 def test_non_self_adjoint_operator_is_rejected():
     mod, gens = normal_form(1, 0)
-    bad = iso.ModuleForms(mod.gram, np.array([[0, 1], [0, 0]], dtype=np.uint8),
-                          mod.quad, mod.polar_gram)
+    bad = ms.ModuleForms(mod.gram, np.array([[0, 1], [0, 0]], dtype=np.uint8),
+                         mod.quad, mod.polar_gram)
     with pytest.raises(ValueError):
-        iso.find_module_map(F2, bad, gens, bad)
+        ms.find_module_map(F2, bad, gens, bad)
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +147,9 @@ def test_module_of_a_translated_functional_is_isometric():
     space = cl.space_for("sp", 2)
     blocks = (fm.BlockLabel(2, 1, "d"),)
     nf, X = fm.build_normal_form(blocks, F2)
-    gens = fm.normal_form_generators(blocks)
+    gens = ms.normal_form_generators(blocks)
     for _ in range(5):
         g = cl.random_group_element(space, rng)
         Y = cl.coadjoint(space, g, X)
         other = fm.build_module(space, Y)
-        assert iso.find_module_map(F2, nf.forms(), gens, other.forms()) is not None
+        assert ms.find_module_map(F2, ms.forms(nf), gens, ms.forms(other)) is not None
