@@ -9,6 +9,7 @@
 from collections import Counter
 
 from char2orbits import centralizers as cz
+from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import oracle as orc
 from char2orbits.classical import space_for
@@ -18,7 +19,7 @@ reports = orc.all_nilpotent_orbits(space)
 
 print("exhaustive nilpotent coadjoint orbits of Sp(4, F_2):")
 for r in reports:
-    print(f"  {fm.format_blocks(r.label):22} size {r.orbit_size:>4}  "
+    print(f"  {cb.format_blocks(r.label):22} size {r.orbit_size:>4}  "
           f"stabilizer {r.stabilizer_order}")
 
 # Group the rational orbits by their underlying closed class (forget the
@@ -49,5 +50,5 @@ twins = [r for r in reports if [(b.m, b.l) for b in r.label] == [(2, 1)]]
 print()
 for r in twins:
     mod, _ = fm.build_normal_form(r.label, space.field)
-    print(f"  {fm.format_blocks(r.label)}: orbit size {r.orbit_size}, "
+    print(f"  {cb.format_blocks(r.label)}: orbit size {r.orbit_size}, "
           f"quadratic values on the standard basis {mod.quad.tolist()}")

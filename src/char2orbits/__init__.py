@@ -4,7 +4,8 @@ Submodules:
 
     finite_field    GF(2^e) arithmetic on int-encoded elements
     linalg          dense matrices over GF(2^e) (numpy uint8 + lookup tables)
-    combinatorics   partitions, orbit-label sets, counts, fanout
+    combinatorics   partition-pair labels, block and odd label types with
+                    their text and JSON forms, counts, rational fanout
     classical       symplectic / orthogonal Lie algebras, Borels, dual spaces
     form_modules    form modules, normal forms, closed-field classification
     isometry        backtracking isometry search between formed spaces
@@ -13,9 +14,9 @@ Submodules:
     oracle          brute-force orbit enumeration over GF(2) and GF(4)
     verify          acceptance checks runnable from the CLI or tests
     cli             command line front end
+
+Importing the package loads no submodule, and the label layer
+(combinatorics, centralizers) needs no numpy.
 """
 
-from .finite_field import Field, field_for
-
-__all__ = ["Field", "field_for"]
 __version__ = "0.1.0"

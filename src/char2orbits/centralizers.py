@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import combinatorics as cb
-from .form_modules import BlockLabel
 
 
 def _symbol_pairs(blocks) -> list[tuple[int, int]]:
-    return [(b.m, b.l) if isinstance(b, BlockLabel) else (int(b[0]), int(b[1]))
+    return [(b.m, b.l) if isinstance(b, cb.BlockLabel) else (int(b[0]), int(b[1]))
             for b in blocks]
 
 

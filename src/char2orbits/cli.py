@@ -11,6 +11,10 @@ Subcommands
 Exit codes: 0 success, 1 verification failure, 2 invalid request,
 3 size bounds exceeded, 4 classify input not nilpotent, 141 (128 + SIGPIPE)
 when the reader closes standard output early.
+
+Labels are pure combinatorics, so only combinatorics and centralizers load
+with this module; a command that builds matrices imports the numpy-backed
+modules inside its own function.
 """
 
 from __future__ import annotations
@@ -21,19 +25,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import centralizers as cz
-from . import classical as cl
 from . import combinatorics as cb
-from . import form_modules as fm
-from . import odd_split as od
-from . import oracle as orc
-from . import verify as vf
-from .classical import space_for
-from .finite_field import field_for
 
 LIST_CAP = 12
+# the verify suites, in run order; a test pins this to verify.SUITES
+SUITES = ("combinatorics", "sp", "so-odd", "so-even", "centralizers")
 
 
 class SizeBound(Exception):
@@ -71,7 +68,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> None:
 
 
 def _label_rank(label) -> int:
-    if isinstance(label, od.OddLabel):
+    if isinstance(label, cb.OddLabel):
         return label.m + sum(b.m for b in label.blocks)
     return sum(b.m for b in label)
 
@@ -86,13 +83,13 @@ def _label_row(kind: str, label) -> dict:
         symbol = [(b.m, b.l) for b in label]
         pair, blocks = cb.symp_symbol_to_pair(symbol), label
         rep = cz.symp_report(symbol)
-        text, closed = fm.format_blocks(label), cb.format_symp_symbol(symbol)
-        label_json = fm.blocks_to_json(label)
+        text, closed = cb.format_blocks(label), cb.format_symp_symbol(symbol)
+        label_json = cb.blocks_to_json(label)
     else:
         pair, blocks = label.pair(), label.blocks
         rep = cz.oodd_report(pair)
-        text, closed = od.format_label(label), od.format_label(label.closed())
-        label_json = od.label_to_json(label)
+        text, closed = cb.format_label(label), cb.format_label(label.closed())
+        label_json = cb.label_to_json(label)
     eps = [b.eps for b in blocks]
     return {"label": text,
             "closed_label": closed,
@@ -114,10 +111,10 @@ def _pick(row: dict, *keys: str) -> dict:
 
 def _closed_rows(kind: str, n: int) -> list[dict]:
     if kind == "sp":
-        labels = [tuple(fm.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(p))
+        labels = [tuple(cb.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(p))
                   for p in cb.symp_pairs(n)]
     else:
-        labels = [od.pair_to_label(p) for p in cb.oodd_pairs(n)]
+        labels = [cb.pair_to_label(p) for p in cb.oodd_pairs(n)]
     rows = []
     for lab in labels:
         row = _label_row(kind, lab)
@@ -128,7 +125,7 @@ def _closed_rows(kind: str, n: int) -> list[dict]:
 
 
 def _rational_rows(kind: str, n: int, q: int) -> list[dict]:
-    labels = fm.rational_symbols(n) if kind == "sp" else od.rational_labels(n)
+    labels = cb.rational_symbols(n) if kind == "sp" else cb.rational_labels(n)
     rows = []
     for lab in labels:
         row = _label_row(kind, lab)
@@ -140,7 +137,10 @@ def _rational_rows(kind: str, n: int, q: int) -> list[dict]:
 
 
 def _even_rows(n: int, e: int) -> list[dict]:
-    space = space_for("so-even", n, e)
+    from . import classical as cl
+    from . import oracle as orc
+
+    space = cl.space_for("so-even", n, e)
     try:
         reports = orc.all_nilpotent_orbits(space, classify=False)
     except ValueError:
@@ -187,11 +187,13 @@ def _cmd_orbits(args) -> int:
 
 
 def _read_matrix(path: str, type_flag: str | None, e: int):
+    from .classical import dual_from_json
+
     try:
         with open(path) as f:
             text = f.read()
         if text.lstrip().startswith("{"):
-            return cl.dual_from_json(json.loads(text))
+            return dual_from_json(json.loads(text))
         return _read_grid(text, type_flag, e)
     except OSError as exc:
         raise BadRequest(f"cannot read matrix file {path}: {exc}")
@@ -201,6 +203,11 @@ def _read_matrix(path: str, type_flag: str | None, e: int):
 
 
 def _read_grid(text: str, type_flag: str | None, e: int):
+    import numpy as np
+
+    from .classical import space_for
+    from .finite_field import field_for
+
     if type_flag is None:
         raise BadRequest("plain matrix files need --type")
     field = field_for(e)
@@ -222,6 +229,10 @@ def _read_grid(text: str, type_flag: str | None, e: int):
 
 
 def _cmd_classify(args) -> int:
+    from . import classical as cl
+    from . import form_modules as fm
+    from . import odd_split as od
+
     e = 1 if args.q == "2" else 2
     space, X = _read_matrix(args.matrix, args.type, e)
     report: dict = {"kind": space.kind, "n": space.n, "q": space.field.q,
@@ -253,31 +264,36 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_label(kind: str, text: str):
-    """A valid label of rank >= 1: a block tuple (sp) or an OddLabel (so-odd).
+    """A valid label of rank 1..LIST_CAP: a block tuple (sp) or an OddLabel
+    (so-odd).
 
     A decorated label must be canonical: "d" only at splitting positions.
+    The rank cap bounds every command's work before any of it starts.
     """
     try:
         if kind == "sp":
-            label = fm.parse_blocks(text)
-            valid = fm.validate_blocks(label, kind="sp")
+            label = cb.parse_blocks(text)
+            valid = cb.validate_blocks(label, kind="sp")
         else:
-            label = od.parse_label(text)
+            label = cb.parse_label(text)
             valid = (cb.oodd_pair_valid(*label.pair())
-                     and fm.validate_blocks(label.blocks, kind="orth"))
+                     and cb.validate_blocks(label.blocks, kind="orth"))
     except ValueError as exc:
         raise BadRequest(str(exc))
     if not valid:
         raise BadRequest(f"invalid {kind} label {text!r}")
-    if _label_rank(label) < 1:
+    rank = _label_rank(label)
+    if rank < 1:
         raise BadRequest(f"label {text!r} has rank 0; ranks must be >= 1")
     if kind == "sp":
-        blocks, free = label, fm.split_positions(label)
+        blocks, free = label, cb.split_positions(label)
     else:
-        blocks, free = label.blocks, od.split_positions(label.m, label.blocks)
+        blocks, free = label.blocks, cb.odd_split_positions(label.m, label.blocks)
     if any(b.eps == "d" and i not in free for i, b in enumerate(blocks)):
         raise BadRequest(f"label {text!r} is not canonical: \"d\" may only "
                          f"sit at its splitting positions {free} (0-based)")
+    if rank > LIST_CAP:
+        raise SizeBound(f"labels stop at rank {LIST_CAP}; {text!r} has rank {rank}")
     return label
 
 
@@ -286,15 +302,15 @@ def _matrix_tokens(field, M) -> list[list[str]]:
 
 
 def _cmd_normal_form(args) -> int:
-    e = 1 if args.q == "2" else 2
-    field = field_for(e)
+    from . import form_modules as fm
+    from . import odd_split as od
+    from .finite_field import field_for
+
+    field = field_for(1 if args.q == "2" else 2)
     label = _parse_label(args.type, args.label)
-    if _label_rank(label) > LIST_CAP:
-        raise SizeBound(f"normal forms stop at rank {LIST_CAP}; "
-                        f"{args.label!r} has rank {_label_rank(label)}")
     if args.type == "sp":
         mod, X = fm.build_normal_form(label, field)
-        out = {"kind": "sp", "q": field.q, "label": fm.format_blocks(label),
+        out = {"kind": "sp", "q": field.q, "label": cb.format_blocks(label),
                "dim": mod.dim,
                "gram": _matrix_tokens(field, mod.gram),
                "op": _matrix_tokens(field, mod.op),
@@ -306,7 +322,7 @@ def _cmd_normal_form(args) -> int:
                              f"got {args.label!r}")
         space, X = od.odd_witness(label, field)
         out = {"kind": "so-odd", "q": field.q,
-               "label": od.format_label(label), "dim": space.d,
+               "label": cb.format_label(label), "dim": space.d,
                "functional": _matrix_tokens(field, X)}
     if args.format == "json":
         print(json.dumps(out, indent=2))
@@ -341,7 +357,9 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = vf.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    from . import verify as vf
+
+    suites = SUITES if args.suite == "all" else (args.suite,)
     results = vf.run(suites, max_n=args.max_n)
     if args.format == "json":
         print(json.dumps({
@@ -405,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the acceptance suites")
     pv.add_argument("--suite", default="all",
-                    choices=["all"] + list(vf.SUITE_NAMES))
+                    choices=("all",) + SUITES)
     pv.add_argument("--max-n", type=int, default=None,
                     help="cap the check ranges; default runs each check's "
                          "full documented range")

@@ -17,10 +17,17 @@ union onto all partition pairs of total n.
 
 Partitions are stored as tuples with trailing zeros stripped; zero-padded
 forms compare equal everywhere.
+
+The label types live here too: BlockLabel for one block of a symbol and
+OddLabel for a chain length plus complement blocks, with the decorated
+label sets, their text forms and their JSON forms.  This layer is pure
+Python, so commands that only read and print labels build no matrix.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -258,3 +265,189 @@ def format_pair(pair: Pair, odd: bool = False) -> str:
 
 def format_symp_symbol(blocks) -> str:
     return "".join(f"({m})^2_{l}" for m, l in blocks)
+
+
+# ----------------------------------------------------------------------
+# block labels
+
+
+@dataclass(frozen=True, order=True)
+class BlockLabel:
+    """One block: chain length m, level l, rational decoration eps.
+
+    eps is None for closed-field labels, "0" or "d" for rational ones.
+    validate_blocks checks the ranges of form_modules' standard blocks.
+    """
+
+    m: int
+    l: int
+    eps: str | None = None
+
+
+def _block_range_ok(b: BlockLabel, kind: str) -> bool:
+    if b.m < 1:
+        return False
+    if kind == "orth":
+        if b.eps == "d" and 2 * b.l <= b.m:
+            # At 2l = m the decorated recipe rebuilds the (m, l+1)
+            # module, so the boundary level carries no "d" variant.
+            return False
+        return (b.m + 1) // 2 <= b.l <= b.m
+    if b.eps == "d":
+        return 2 * b.l >= b.m and b.l < b.m
+    return b.m // 2 <= b.l <= b.m
+
+
+def validate_blocks(blocks, kind: str = "sp") -> bool:
+    """Ranges, decoration consistency, and the three monotonicity chains."""
+    blocks = tuple(blocks)
+    if kind not in ("sp", "orth"):
+        raise ValueError(f"kind must be sp or orth, got {kind!r}")
+    decorated = [b.eps is not None for b in blocks]
+    if any(decorated) and not all(decorated):
+        return False
+    if not all(b.eps in (None, "0", "d") for b in blocks):
+        return False
+    if not all(_block_range_ok(b, kind) for b in blocks):
+        return False
+    return all(a.m >= b.m and a.l >= b.l and a.m - a.l >= b.m - b.l
+               for a, b in zip(blocks, blocks[1:]))
+
+
+def split_positions(blocks) -> list[int]:
+    """0-based block positions where a rational label may carry "d": the
+    splitting indices of the label's partition pair."""
+    return symp_split_indices(symp_symbol_to_pair([(b.m, b.l) for b in blocks]))
+
+
+def decorations(closed, free):
+    """The labels that decorate `closed` with "0" or "d" at each position of
+    `free` and "0" everywhere else.
+
+    "0" comes before "d" and the rightmost free position changes fastest;
+    orbit tables and the first match of classify_orth_fq follow this order.
+    """
+    for choice in product(("0", "d"), repeat=len(free)):
+        eps = dict(zip(free, choice))
+        yield tuple(BlockLabel(b.m, b.l, eps.get(i, "0"))
+                    for i, b in enumerate(closed))
+
+
+def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
+    """Canonical decorated symbols of total size n, 2^k per closed symbol.
+
+    These are exactly the candidate sets classify_fq scans, so their count
+    over all closed symbols is p2(n).
+    """
+    out = []
+    for pair in symp_pairs(n):
+        closed = tuple(BlockLabel(m, l) for m, l in symp_pair_to_symbol(pair))
+        out += decorations(closed, split_positions(closed))
+    return out
+
+
+_BLOCK_RE = re.compile(r"\((\d+)\)\^2_(\d+)(?::([0d]))?")
+
+
+def format_blocks(blocks) -> str:
+    out = []
+    for b in blocks:
+        tail = f":{b.eps}" if b.eps is not None else ""
+        out.append(f"({b.m})^2_{b.l}{tail}")
+    return " ".join(out)
+
+
+def parse_blocks(text: str) -> tuple[BlockLabel, ...]:
+    out = []
+    for tok in text.split():
+        m = _BLOCK_RE.fullmatch(tok)
+        if not m:
+            raise ValueError(f"bad block token {tok!r}")
+        out.append(BlockLabel(int(m.group(1)), int(m.group(2)), m.group(3)))
+    return tuple(out)
+
+
+def blocks_to_json(blocks) -> dict:
+    return {"blocks": [{"m": b.m, "l": b.l, "eps": b.eps} for b in blocks]}
+
+
+# ----------------------------------------------------------------------
+# odd orthogonal labels: chain length plus complement blocks
+
+
+@dataclass(frozen=True)
+class OddLabel:
+    """Chain length plus the complement's block label."""
+
+    m: int
+    blocks: tuple[BlockLabel, ...]
+
+    def pair(self):
+        nu = strip_zeros((self.m,) + tuple(b.m - b.l for b in self.blocks))
+        mu = strip_zeros(tuple(b.l for b in self.blocks))
+        return nu, mu
+
+    def eps(self):
+        return tuple(b.eps for b in self.blocks)
+
+    def closed(self) -> "OddLabel":
+        return OddLabel(self.m, tuple(BlockLabel(b.m, b.l) for b in self.blocks))
+
+
+def odd_split_positions(m: int, blocks) -> list[int]:
+    "0-based complement block positions where the decoration is free."
+    nu = strip_zeros((m,) + tuple(b.m - b.l for b in blocks))
+    mu = strip_zeros(tuple(b.l for b in blocks))
+    return [i - 1 for i in oodd_split_indices((nu, mu))]
+
+
+def pair_to_label(pair) -> OddLabel:
+    """Closed label, all decorations "0", with the given pair's shape.
+
+    The first entry of nu is the chain length; the remaining entries pair
+    with mu as complement block co-levels and levels.
+    """
+    nu, mu = pair
+    if not oodd_pair_valid(nu, mu):
+        raise ValueError(f"not an odd orthogonal label: {pair}")
+    nu, mu = strip_zeros(nu), strip_zeros(mu)
+    m = nu[0] if nu else 0
+    co = list(nu[1:]) + [0] * (len(mu) - len(nu) + 1)
+    blocks = tuple(BlockLabel(k + l, l, "0") for k, l in zip(co, mu))
+    return OddLabel(m, blocks)
+
+
+def rational_labels(n: int) -> list[OddLabel]:
+    "Canonical decorated labels of total size n, 2^k per admissible pair."
+    out = []
+    for pair in oodd_pairs(n):
+        base = pair_to_label(pair)
+        free = odd_split_positions(base.m, base.blocks)
+        out += [OddLabel(base.m, blocks)
+                for blocks in decorations(base.blocks, free)]
+    return out
+
+
+def format_label(label: OddLabel) -> str:
+    "Text form m=<chain>; <blocks>, with - for an empty complement."
+    blocks = format_blocks(label.blocks) if label.blocks else "-"
+    return f"m={label.m}; {blocks}"
+
+
+def parse_label(text: str) -> OddLabel:
+    "Inverse of format_label."
+    head, _, rest = text.partition(";")
+    head = head.strip()
+    if not head.startswith("m="):
+        raise ValueError(f"bad odd label {text!r}")
+    m = int(head[2:])
+    rest = rest.strip()
+    blocks = () if rest in ("", "-") else parse_blocks(rest)
+    return OddLabel(m, blocks)
+
+
+def label_to_json(label: OddLabel) -> dict:
+    nu, mu = label.pair()
+    return {"m": label.m,
+            "pair": {"nu": list(nu), "mu": list(mu)},
+            "eps": [b.eps for b in label.blocks]}

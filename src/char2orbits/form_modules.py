@@ -35,86 +35,21 @@ algebra with no search.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 
-from . import combinatorics as cb
 from . import isometry as iso
 from . import linalg as la
 from .classical import Space, module_endomorphism
+from .combinatorics import (BlockLabel, decorations, split_positions,
+                            validate_blocks)
+# the label layer lives in combinatorics; benchmarks/workloads.py still
+# reads these names through this module
+from .combinatorics import format_blocks, parse_blocks, rational_symbols  # noqa: F401
 from .finite_field import Field
 
 
 class ClassificationError(ValueError):
     """No canonical representative matched the module."""
-
-
-@dataclass(frozen=True, order=True)
-class BlockLabel:
-    """One block: chain length m, level l, rational decoration eps.
-
-    eps is None for closed-field labels, "0" or "d" for rational ones.
-    """
-
-    m: int
-    l: int
-    eps: str | None = None
-
-    def closed(self) -> "BlockLabel":
-        return BlockLabel(self.m, self.l)
-
-
-def _block_range_ok(b: BlockLabel, kind: str) -> bool:
-    if b.m < 1:
-        return False
-    if kind == "orth":
-        if b.eps == "d" and 2 * b.l <= b.m:
-            # At 2l = m the decorated recipe rebuilds the (m, l+1)
-            # module, so the boundary level carries no "d" variant.
-            return False
-        return (b.m + 1) // 2 <= b.l <= b.m
-    if b.eps == "d":
-        return 2 * b.l >= b.m and b.l < b.m
-    return b.m // 2 <= b.l <= b.m
-
-
-def validate_blocks(blocks, kind: str = "sp") -> bool:
-    """Ranges, decoration consistency, and the three monotonicity chains."""
-    blocks = tuple(blocks)
-    if kind not in ("sp", "orth"):
-        raise ValueError(f"kind must be sp or orth, got {kind!r}")
-    decorated = [b.eps is not None for b in blocks]
-    if any(decorated) and not all(decorated):
-        return False
-    if not all(b.eps in (None, "0", "d") for b in blocks):
-        return False
-    if not all(_block_range_ok(b, kind) for b in blocks):
-        return False
-    return all(a.m >= b.m and a.l >= b.l and a.m - a.l >= b.m - b.l
-               for a, b in zip(blocks, blocks[1:]))
-
-
-def split_positions(blocks) -> list[int]:
-    """0-based block positions where a rational label may carry "d": the
-    splitting indices of the label's partition pair."""
-    pairs = [(b.m, b.l) for b in blocks]
-    return cb.symp_split_indices(cb.symp_symbol_to_pair(pairs))
-
-
-def decorations(closed, free):
-    """The labels that decorate `closed` with "0" or "d" at each position of
-    `free` and "0" everywhere else.
-
-    "0" comes before "d" and the rightmost free position changes fastest;
-    orbit tables and the first match of classify_orth_fq follow this order.
-    """
-    for choice in product(("0", "d"), repeat=len(free)):
-        eps = dict(zip(free, choice))
-        yield tuple(BlockLabel(b.m, b.l, eps.get(i, "0"))
-                    for i, b in enumerate(closed))
 
 
 # ----------------------------------------------------------------------
@@ -380,45 +315,3 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
             return cand
     raise ClassificationError(
         f"no decoration of {closed} matches the module")
-
-
-def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
-    """Canonical decorated symbols of total size n, 2^k per closed symbol.
-
-    These are exactly the candidate sets classify_fq scans, so their count
-    over all closed symbols is p2(n).
-    """
-    out = []
-    for pair in cb.symp_pairs(n):
-        closed = tuple(BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
-        out += decorations(closed, split_positions(closed))
-    return out
-
-
-# ----------------------------------------------------------------------
-# text and JSON forms
-
-
-_BLOCK_RE = re.compile(r"\((\d+)\)\^2_(\d+)(?::([0d]))?")
-
-
-def format_blocks(blocks) -> str:
-    out = []
-    for b in blocks:
-        tail = f":{b.eps}" if b.eps is not None else ""
-        out.append(f"({b.m})^2_{b.l}{tail}")
-    return " ".join(out)
-
-
-def parse_blocks(text: str) -> tuple[BlockLabel, ...]:
-    out = []
-    for tok in text.split():
-        m = _BLOCK_RE.fullmatch(tok)
-        if not m:
-            raise ValueError(f"bad block token {tok!r}")
-        out.append(BlockLabel(int(m.group(1)), int(m.group(2)), m.group(3)))
-    return tuple(out)
-
-
-def blocks_to_json(blocks) -> dict:
-    return {"blocks": [{"m": b.m, "l": b.l, "eps": b.eps} for b in blocks]}

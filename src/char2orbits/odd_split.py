@@ -22,15 +22,14 @@ block with co-level above m is clipped up to co-level m, a block with
 level above m absorbs its decoration, and adjacent blocks whose levels
 together exceed the leading size swap decorations freely.  The canonical
 representative has "d" only at splitting positions of the associated
-partition pair.  An exhaustive whole-space isometry search
-(odd_label_by_search) provides the same answer independently; the tests
-compare the two.
+partition pair.  The tests hold this against an exhaustive whole-space
+isometry search (odd_label_by_search in tests/module_search.py), which
+finds the same label independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -38,12 +37,13 @@ from . import combinatorics as cb
 from . import isometry as iso
 from . import linalg as la
 from .classical import Space, alternating_gram
+from .combinatorics import BlockLabel, OddLabel, validate_blocks
+# the label layer lives in combinatorics; benchmarks/workloads.py still
+# reads these names through this module
+from .combinatorics import format_label, parse_label, rational_labels  # noqa: F401
 from .finite_field import Field
-from .form_modules import (BlockLabel, ClassificationError, FormModule,
-                           build_normal_form, classify_closed,
-                           classify_orth_fq, decorations, validate_blocks,
-                           format_blocks as fm_format_blocks,
-                           parse_blocks as fm_parse_blocks)
+from .form_modules import (ClassificationError, FormModule,
+                           build_normal_form, classify_orth_fq)
 
 
 class SplitError(ValueError):
@@ -59,25 +59,6 @@ class OddSplit:
     dual: list[np.ndarray]
     complement: np.ndarray
     module: FormModule | None
-
-
-@dataclass(frozen=True)
-class OddLabel:
-    """Chain length plus the complement's block label."""
-
-    m: int
-    blocks: tuple[BlockLabel, ...]
-
-    def pair(self):
-        nu = cb.strip_zeros((self.m,) + tuple(b.m - b.l for b in self.blocks))
-        mu = cb.strip_zeros(tuple(b.l for b in self.blocks))
-        return nu, mu
-
-    def eps(self):
-        return tuple(b.eps for b in self.blocks)
-
-    def closed(self) -> "OddLabel":
-        return OddLabel(self.m, tuple(b.closed() for b in self.blocks))
 
 
 # ----------------------------------------------------------------------
@@ -203,19 +184,12 @@ def _clip(m: int, blocks):
     return tuple(out)
 
 
-def split_positions(m: int, blocks) -> list[int]:
-    "0-based complement block positions where the decoration is free."
-    nu = cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks))
-    mu = cb.strip_zeros(tuple(b.l for b in blocks))
-    return [i - 1 for i in cb.oodd_split_indices((nu, mu))]
-
-
 def _is_canonical(m: int, blocks) -> bool:
     if not cb.oodd_pair_valid(
             cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks)),
             cb.strip_zeros(tuple(b.l for b in blocks))):
         return False
-    free = set(split_positions(m, blocks))
+    free = set(cb.odd_split_positions(m, blocks))
     return all(b.eps == "0" for i, b in enumerate(blocks) if i not in free)
 
 
@@ -251,8 +225,8 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
     clipping and the equivalence moves walk its orbit, and the unique
     reachable label that is an admissible pair with decorations only at
     splitting positions is canonical.  A walk that reaches none or several
-    raises ClassificationError; odd_label_by_search is the independent
-    check the tests hold this against.
+    raises ClassificationError; the tests' exhaustive search
+    (module_search.odd_label_by_search) is the independent check.
     """
     raw = classify_orth_fq(split.module) if split.module is not None else ()
     start = _clip(split.m, raw)
@@ -277,76 +251,6 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
     if not cb.oodd_pair_valid(*lab.pair()):
         raise ClassificationError(f"label {lab} is not an admissible pair")
     return lab
-
-
-def pair_to_label(pair) -> OddLabel:
-    """Closed label, all decorations "0", with the given pair's shape.
-
-    The first entry of nu is the chain length; the remaining entries pair
-    with mu as complement block co-levels and levels.
-    """
-    nu, mu = pair
-    if not cb.oodd_pair_valid(nu, mu):
-        raise ValueError(f"not an odd orthogonal label: {pair}")
-    nu, mu = cb.strip_zeros(nu), cb.strip_zeros(mu)
-    m = nu[0] if nu else 0
-    co = list(nu[1:]) + [0] * (len(mu) - len(nu) + 1)
-    blocks = tuple(BlockLabel(k + l, l, "0") for k, l in zip(co, mu))
-    return OddLabel(m, blocks)
-
-
-def rational_labels(n: int) -> list[OddLabel]:
-    "Canonical decorated labels of total size n, 2^k per admissible pair."
-    out = []
-    for pair in cb.oodd_pairs(n):
-        base = pair_to_label(pair)
-        free = split_positions(base.m, base.blocks)
-        out += [OddLabel(base.m, blocks)
-                for blocks in decorations(base.blocks, free)]
-    return out
-
-
-def _canonical_candidates(m: int, sizes) -> list[OddLabel]:
-    "Every canonical label with the given chain length and block sizes."
-    out = []
-    ranges = [range((k + 1) // 2, k + 1) for k in sizes]
-    for levels in product(*ranges):
-        base = tuple(BlockLabel(k, l) for k, l in zip(sizes, levels))
-        if not validate_blocks(base, kind="orth"):
-            continue
-        if not cb.oodd_pair_valid(
-                cb.strip_zeros((m,) + tuple(k - l for k, l in zip(sizes, levels))),
-                cb.strip_zeros(levels)):
-            continue
-        out += [OddLabel(m, blocks)
-                for blocks in decorations(base, split_positions(m, base))]
-    return out
-
-
-def odd_label_by_search(split: OddSplit) -> OddLabel:
-    """The label found by exhaustive whole-space isometry search.
-
-    The chain length and the complement's block sizes are invariants;
-    every canonical label with that shape is realized by a witness
-    functional and tested against the input, and exactly one must match.
-    """
-    sizes = tuple(b.m for b in classify_closed(split.module)) \
-        if split.module is not None else ()
-    space, F = split.space, split.space.field
-    G_in = alternating_gram(space, split.X)
-    quad_std = np.diagonal(space.B).copy()
-    matches = []
-    for cand in _canonical_candidates(split.m, sizes):
-        _, Xc = odd_witness(cand, F)
-        Gc = alternating_gram(space, Xc)
-        M = iso.find_space_map(F, [(space.S, space.S), (G_in, Gc)],
-                               quad_std, quad_std)
-        if M is not None:
-            matches.append(cand)
-    if len(matches) != 1:
-        raise ClassificationError(
-            f"expected exactly one canonical representative, got {matches}")
-    return matches[0]
 
 
 # ----------------------------------------------------------------------
@@ -435,32 +339,3 @@ def _functional_from_alternating(space: Space, Y: np.ndarray) -> np.ndarray:
     out = alternating_gram(space, X)
     assert np.array_equal(out, Y), "block solve must reproduce the Gram"
     return X
-
-
-# ----------------------------------------------------------------------
-# JSON form
-
-
-def format_label(label: OddLabel) -> str:
-    "Text form m=<chain>; <blocks>, with - for an empty complement."
-    blocks = fm_format_blocks(label.blocks) if label.blocks else "-"
-    return f"m={label.m}; {blocks}"
-
-
-def parse_label(text: str) -> OddLabel:
-    "Inverse of format_label."
-    head, _, rest = text.partition(";")
-    head = head.strip()
-    if not head.startswith("m="):
-        raise ValueError(f"bad odd label {text!r}")
-    m = int(head[2:])
-    rest = rest.strip()
-    blocks = () if rest in ("", "-") else fm_parse_blocks(rest)
-    return OddLabel(m, blocks)
-
-
-def label_to_json(label: OddLabel) -> dict:
-    nu, mu = label.pair()
-    return {"m": label.m,
-            "pair": {"nu": list(nu), "mu": list(mu)},
-            "eps": [b.eps for b in label.blocks]}

@@ -58,8 +58,6 @@ class CheckResult:
         return f"{mark} {self.suite}/{self.name} ({self.seconds:.2f}s) {self.detail}"
 
 
-SUITE_NAMES = ("combinatorics", "sp", "so-odd", "so-even", "centralizers")
-
 _census_memo: dict[tuple[str, int, int], list] = {}
 
 
@@ -114,8 +112,8 @@ def _ck_splitting_sum(max_n):
 def _ck_rational_enumerations(max_n):
     top = 8 if max_n is None else max(1, min(max_n, 8))
     for n in range(1, top + 1):
-        syms = fm.rational_symbols(n)
-        labs = od.rational_labels(n)
+        syms = cb.rational_symbols(n)
+        labs = cb.rational_labels(n)
         if not (len(syms) == cb.p2(n) == len(labs)):
             return False, f"n={n}: {len(syms)} symbols / {len(labs)} labels != p2(n)"
         if len(set(syms)) != len(syms) or len(set(labs)) != len(labs):
@@ -183,7 +181,7 @@ def _ck_sp_round_trips(max_n):
     closed = 0
     for n in range(1, top + 1):
         for pair in cb.symp_pairs(n):
-            blocks = tuple(fm.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
+            blocks = tuple(cb.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
             for e in (1, 2) if n <= 3 else (1,):
                 mod, _ = fm.build_normal_form(blocks, field_for(e))
                 if fm.classify_closed(mod) != blocks:
@@ -191,7 +189,7 @@ def _ck_sp_round_trips(max_n):
                 closed += 1
     deco = 0
     for n in range(1, min(top, 2) + 1):
-        for sym in fm.rational_symbols(n):
+        for sym in cb.rational_symbols(n):
             for e in (1, 2):
                 mod, _ = fm.build_normal_form(sym, field_for(e))
                 if fm.classify_fq(mod) != sym:
@@ -206,7 +204,7 @@ def _ck_sp_chi_pattern(max_n):
     tried = 0
     for m in range(1, top + 1):
         for l in range(m // 2, m + 1):
-            mod, _ = fm.build_normal_form((fm.BlockLabel(m, l),), field_for(1))
+            mod, _ = fm.build_normal_form((cb.BlockLabel(m, l),), field_for(1))
             for k in range(2 * m + 1):
                 if fm.index_chi(mod, k) != max(0, min(k - m + l, l)):
                     return False, f"chi mismatch at block ({m},{l}), power {k}"
@@ -220,7 +218,7 @@ def _ck_sp_radical_invariance(max_n):
     for n, e, blocks in ((2, 1, ((2, 1, "0"),)), (2, 1, ((1, 1, "0"), (1, 1, "0"))),
                          (1, 2, ((1, 1, "0"),))):
         space = space_for("sp", n, e)
-        labs = tuple(fm.BlockLabel(*b) for b in blocks)
+        labs = tuple(cb.BlockLabel(*b) for b in blocks)
         _, X0 = fm.build_normal_form(labs, space.field)
         rad = space.trace_radical_basis()
         for _ in range(34):
@@ -264,7 +262,7 @@ def _ck_oodd_class_splitting(max_n):
             key = (r.label.m, tuple((b.m, b.l) for b in r.label.blocks))
             by_closed[key] = by_closed.get(key, 0) + 1
         for pair in cb.oodd_pairs(n):
-            base = od.pair_to_label(pair)
+            base = cb.pair_to_label(pair)
             key = (base.m, tuple((b.m, b.l) for b in base.blocks))
             want = 2 ** cb.oodd_split_k(pair)
             if by_closed.pop(key, 0) != want:
@@ -299,7 +297,7 @@ def _ck_oodd_round_trips(max_n):
     closed = 0
     for n in range(1, top + 1):
         for pair in cb.oodd_pairs(n):
-            lab = od.pair_to_label(pair)
+            lab = cb.pair_to_label(pair)
             for e in (1, 2) if n <= 2 else (1,):
                 space, X = od.odd_witness(lab, field_for(e))
                 split = od.split_odd_functional(space, X)
@@ -308,7 +306,7 @@ def _ck_oodd_round_trips(max_n):
                 closed += 1
     deco = 0
     for n in range(1, min(top, 2) + 1):
-        for lab in od.rational_labels(n):
+        for lab in cb.rational_labels(n):
             for e in (1, 2):
                 space, X = od.odd_witness(lab, field_for(e))
                 if od.rational_odd_label(od.split_odd_functional(space, X)) != lab:
@@ -323,7 +321,7 @@ def _ck_orth_chi_pattern(max_n):
     tried = 0
     for m in range(1, top + 1):
         for l in range((m + 1) // 2, m + 1):
-            mod, _ = fm.build_normal_form((fm.BlockLabel(m, l),), field_for(1),
+            mod, _ = fm.build_normal_form((cb.BlockLabel(m, l),), field_for(1),
                                           kind="orth")
             for k in range(2 * m + 1):
                 if fm.index_chi(mod, k) != max(0, min(k - m + l, l)):
@@ -336,7 +334,7 @@ def _ck_series_identities(max_n):
     rng = np.random.default_rng(97)
     rounds = 0
     for kind, blocks in (("sp", ((3, 2), (2, 1))), ("orth", ((3, 2), (1, 1)))):
-        labs = tuple(fm.BlockLabel(m, l) for m, l in blocks)
+        labs = tuple(cb.BlockLabel(m, l) for m, l in blocks)
         for e in (1, 2):
             F = field_for(e)
             mod, _ = fm.build_normal_form(labs, F, kind=kind)
@@ -492,7 +490,7 @@ def _ck_chain_z_exact(max_n):
     for m, e in cases:
         F = field_for(e)
         q = F.q
-        space, X = od.odd_witness(od.OddLabel(m, ()), F)
+        space, X = od.odd_witness(cb.OddLabel(m, ()), F)
         G = cl.alternating_gram(space, X)
         quad = np.diagonal(space.B).copy()
         counted = iso.count_space_maps(F, [(space.S, space.S), (G, G)],
@@ -502,7 +500,7 @@ def _ck_chain_z_exact(max_n):
     for n, e in [(1, 1), (1, 2)] + ([(2, 1)] if cap >= 2 else []):
         want = cz.chain_z_order(n, 2 ** e)
         got = [r.stabilizer_order for r in census("so-odd", n, e)
-               if r.label == od.OddLabel(n, ())]
+               if r.label == cb.OddLabel(n, ())]
         if got != [want]:
             return False, f"census chain stabilizer o({2 * n + 1}, F_{2 ** e}): {got}"
     return True, (f"|Z| = q^m exactly for chains, counted both by isometry "
@@ -594,6 +592,7 @@ SUITES = {
         ("chain-c-claimed", _ck_chain_c_claimed),
     ),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(suite: str, max_n: int | None = None) -> list[CheckResult]:

@@ -1,19 +1,25 @@
-"""Exhaustive module-isometry search: the tests' reference for the rational
+"""Exhaustive isometry searches: the tests' reference for the rational
 classifiers, which decide decorations by Arf invariants instead.
 
 A module map is pinned down by the images of the generators of the normal
-form's operator chains; the search places one image per generator.
+form's operator chains; the search places one image per generator.  An odd
+orthogonal functional is labelled by searching the whole space for a map
+onto the witness of each canonical label with its shape.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
+from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import isometry as iso
 from char2orbits import linalg as la
+from char2orbits import odd_split as od
+from char2orbits.classical import alternating_gram
 
 
 class ModuleForms(NamedTuple):
@@ -153,3 +159,50 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
 
     descend(0)
     return found[0] if found else None
+
+
+# ----------------------------------------------------------------------
+# odd orthogonal labels by whole-space search
+
+
+def _canonical_candidates(m: int, sizes) -> list[cb.OddLabel]:
+    "Every canonical label with the given chain length and block sizes."
+    out = []
+    ranges = [range((k + 1) // 2, k + 1) for k in sizes]
+    for levels in product(*ranges):
+        base = tuple(cb.BlockLabel(k, l) for k, l in zip(sizes, levels))
+        if not cb.validate_blocks(base, kind="orth"):
+            continue
+        if not cb.oodd_pair_valid(
+                cb.strip_zeros((m,) + tuple(k - l for k, l in zip(sizes, levels))),
+                cb.strip_zeros(levels)):
+            continue
+        out += [cb.OddLabel(m, blocks) for blocks in
+                cb.decorations(base, cb.odd_split_positions(m, base))]
+    return out
+
+
+def odd_label_by_search(split: od.OddSplit) -> cb.OddLabel:
+    """The label found by exhaustive whole-space isometry search.
+
+    The chain length and the complement's block sizes are invariants;
+    every canonical label with that shape is realized by a witness
+    functional and tested against the input, and exactly one must match.
+    """
+    sizes = tuple(b.m for b in fm.classify_closed(split.module)) \
+        if split.module is not None else ()
+    space, F = split.space, split.space.field
+    G_in = alternating_gram(space, split.X)
+    quad_std = np.diagonal(space.B).copy()
+    matches = []
+    for cand in _canonical_candidates(split.m, sizes):
+        _, Xc = od.odd_witness(cand, F)
+        Gc = alternating_gram(space, Xc)
+        M = iso.find_space_map(F, [(space.S, space.S), (G_in, Gc)],
+                               quad_std, quad_std)
+        if M is not None:
+            matches.append(cand)
+    if len(matches) != 1:
+        raise fm.ClassificationError(
+            f"expected exactly one canonical representative, got {matches}")
+    return matches[0]

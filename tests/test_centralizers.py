@@ -9,7 +9,7 @@ from char2orbits import isometry as iso
 from char2orbits import linalg as la
 from char2orbits import odd_split as od
 from char2orbits.finite_field import field_for
-from char2orbits.form_modules import BlockLabel
+from char2orbits.combinatorics import BlockLabel
 
 
 def symbols(n):
@@ -121,7 +121,7 @@ def test_orbit_report_rows():
     assert {k: row[k] for k in keys} == {"dim_z": 4, "comp_rank": 1,
                                          "component_group": "(Z/2)^1",
                                          "dim_orbit": 6}
-    row = cli._label_row("so-odd", od.pair_to_label(((), (1, 1))))
+    row = cli._label_row("so-odd", cb.pair_to_label(((), (1, 1))))
     assert row["dim_z"] == 10 and row["dim_orbit"] == 0
 
 
@@ -147,7 +147,7 @@ def test_chain_z_order_matches_the_census_stabilizers():
 @pytest.mark.parametrize("m,e", [(1, 1), (2, 1), (1, 2)])
 def test_chain_z_order_matches_the_counted_stabilizer(m, e):
     F = field_for(e)
-    space, X = od.odd_witness(od.OddLabel(m, ()), F)
+    space, X = od.odd_witness(cb.OddLabel(m, ()), F)
     G = cl.alternating_gram(space, X)
     quad = np.diagonal(space.B).copy()
     got = iso.count_space_maps(F, [(space.S, space.S), (G, G)], quad, quad)

@@ -9,6 +9,7 @@ import pytest
 
 from char2orbits import classical as cl
 from char2orbits import cli
+from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import odd_split as od
 from char2orbits.classical import space_for
@@ -133,7 +134,7 @@ def test_orbits_csv_and_json_agree(capsys):
 
 
 def test_classify_symplectic_witness(capsys, tmp_path):
-    label = (fm.BlockLabel(2, 1, "d"),)
+    label = (cb.BlockLabel(2, 1, "d"),)
     _, X = fm.build_normal_form(label, F2)
     path = write_grid(tmp_path / "w.txt", X)
     rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
@@ -147,7 +148,7 @@ def test_classify_symplectic_witness(capsys, tmp_path):
 
 def test_classify_json_file_is_self_describing(capsys, tmp_path):
     space = space_for("so-odd", 2, 1)
-    label = od.OddLabel(1, (od.BlockLabel(1, 1, "0"),))
+    label = cb.OddLabel(1, (cb.BlockLabel(1, 1, "0"),))
     _, X = od.odd_witness(label, F2)
     path = tmp_path / "w.json"
     path.write_text(json.dumps(cl.dual_to_json(space, X)))
@@ -283,6 +284,11 @@ def test_normal_form_rejects_invalid_label(capsys):
     ("centralizer", "so-odd", "m=0; (2)^2_2:d", 2, []),
     ("normal-form", "sp", "(2)^2_1:d (2)^2_1:0", 2, []),
     ("centralizer", "sp", "(2)^2_1:d (2)^2_1:0", 2, []),
+    # ranks above the listing cap: 4^7260 and 4^(10^12) are never formed
+    pytest.param("centralizer", "sp", " ".join(["(1)^2_0"] * 60), 3,
+                 ["--format", "table"], id="centralizer-sp-60-blocks-table"),
+    ("centralizer", "so-odd", "m=1000000000000; -", 3, []),
+    ("centralizer", "so-odd", "m=13; -", 3, []),
 ])
 def test_unservable_label_is_one_line(capsys, command, kind, label, code,
                                       extra):
@@ -314,6 +320,29 @@ def test_closed_stdout_ends_quietly():
         err = p.stderr.read()
         assert p.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_label_commands_leave_numpy_unimported():
+    # orbits (sp, so-odd) and centralizer read and print labels only, so
+    # neither they nor the package import may pull in numpy
+    argvs = [["orbits", "--type", kind, "--n", "3", "--q", q]
+             for kind in ("sp", "so-odd") for q in ("closed", "2")]
+    argvs += [["centralizer", "--type", "sp", "--label", "(2)^2_1:d"],
+              ["centralizer", "--type", "so-odd", "--label", "m=1; (1)^2_1:d"]]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import char2orbits",
+        "assert 'numpy' not in sys.modules, 'import char2orbits'",
+        "from char2orbits import cli",
+        f"for argv in {argvs!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
 
 
 def test_centralizer_reports_match_library(capsys):

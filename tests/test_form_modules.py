@@ -20,16 +20,16 @@ rng = np.random.default_rng(23)
 
 def labels(*pairs, eps=None):
     if eps is None:
-        return tuple(fm.BlockLabel(m, l) for m, l in pairs)
-    return tuple(fm.BlockLabel(m, l, e) for (m, l), e in zip(pairs, eps))
+        return tuple(cb.BlockLabel(m, l) for m, l in pairs)
+    return tuple(cb.BlockLabel(m, l, e) for (m, l), e in zip(pairs, eps))
 
 
 def pair_to_blocks(pair):
-    return tuple(fm.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
+    return tuple(cb.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
 
 
 def single(m, l, eps=None, field=F2, kind="sp"):
-    mod, _ = fm.build_normal_form((fm.BlockLabel(m, l, eps),), field, kind=kind)
+    mod, _ = fm.build_normal_form((cb.BlockLabel(m, l, eps),), field, kind=kind)
     return mod
 
 
@@ -48,36 +48,36 @@ def direct_sum(a, b):
 
 
 def test_validate_rejects_bad_ranges_and_orders():
-    assert fm.validate_blocks(labels((2, 1), (1, 0)))
-    assert not fm.validate_blocks(labels((2, 0)))          # l < floor(m/2)
-    assert not fm.validate_blocks(labels((1, 2)))          # l > m
-    assert not fm.validate_blocks(labels((1, 1), (2, 1)))  # m increasing
-    assert not fm.validate_blocks(labels((2, 1), (2, 2)))  # l increasing
-    assert not fm.validate_blocks(labels((3, 3), (2, 1)))  # co-level increasing
+    assert cb.validate_blocks(labels((2, 1), (1, 0)))
+    assert not cb.validate_blocks(labels((2, 0)))          # l < floor(m/2)
+    assert not cb.validate_blocks(labels((1, 2)))          # l > m
+    assert not cb.validate_blocks(labels((1, 1), (2, 1)))  # m increasing
+    assert not cb.validate_blocks(labels((2, 1), (2, 2)))  # l increasing
+    assert not cb.validate_blocks(labels((3, 3), (2, 1)))  # co-level increasing
     # mixed decorated/undecorated is rejected
-    assert not fm.validate_blocks(
-        (fm.BlockLabel(2, 1, "0"), fm.BlockLabel(1, 1)))
+    assert not cb.validate_blocks(
+        (cb.BlockLabel(2, 1, "0"), cb.BlockLabel(1, 1)))
     # delta needs 2l >= m and l < m
-    assert fm.validate_blocks(labels((2, 1), eps=["d"]))
-    assert not fm.validate_blocks(labels((2, 2), eps=["d"]))
-    assert not fm.validate_blocks(labels((3, 1), eps=["d"]))
+    assert cb.validate_blocks(labels((2, 1), eps=["d"]))
+    assert not cb.validate_blocks(labels((2, 2), eps=["d"]))
+    assert not cb.validate_blocks(labels((3, 1), eps=["d"]))
     # orth range starts at floor((m+1)/2)
-    assert fm.validate_blocks(labels((2, 1)), kind="orth")
-    assert not fm.validate_blocks(labels((3, 1)), kind="orth")
-    assert fm.validate_blocks(labels((3, 2)), kind="orth")
+    assert cb.validate_blocks(labels((2, 1)), kind="orth")
+    assert not cb.validate_blocks(labels((3, 1)), kind="orth")
+    assert cb.validate_blocks(labels((3, 2)), kind="orth")
     # the orth decoration needs 2l > m
-    assert fm.validate_blocks(labels((2, 2), eps=["d"]), kind="orth")
-    assert fm.validate_blocks(labels((3, 2), eps=["d"]), kind="orth")
-    assert not fm.validate_blocks(labels((2, 1), eps=["d"]), kind="orth")
-    assert not fm.validate_blocks(labels((4, 2), eps=["d"]), kind="orth")
+    assert cb.validate_blocks(labels((2, 2), eps=["d"]), kind="orth")
+    assert cb.validate_blocks(labels((3, 2), eps=["d"]), kind="orth")
+    assert not cb.validate_blocks(labels((2, 1), eps=["d"]), kind="orth")
+    assert not cb.validate_blocks(labels((4, 2), eps=["d"]), kind="orth")
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_split_positions_agree_with_pair_language(n):
     for pair in cb.symp_pairs(n):
         blocks = pair_to_blocks(pair)
-        assert fm.split_positions(blocks) == cb.symp_split_indices(pair)
-        assert len(fm.split_positions(blocks)) == cb.symp_split_k(pair)
+        assert cb.split_positions(blocks) == cb.symp_split_indices(pair)
+        assert len(cb.split_positions(blocks)) == cb.symp_split_k(pair)
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_trivial_functional_classifies_to_level_zero_blocks():
         space = cl.space_for("sp", n)
         mod = fm.build_module(space, la.zeros(2 * n, 2 * n))
         assert fm.classify_closed(mod) == tuple(
-            fm.BlockLabel(1, 0) for _ in range(n))
+            cb.BlockLabel(1, 0) for _ in range(n))
 
 
 def test_build_module_rejects_non_nilpotent():
@@ -303,7 +303,7 @@ def test_orth_boundary_decoration_rebuilds_the_higher_level(field):
 def test_rational_label_is_constant_on_random_conjugates(field, n):
     gen = np.random.default_rng(n)
     space = cl.Space("sp", n, field)
-    for blocks in fm.rational_symbols(n):
+    for blocks in cb.rational_symbols(n):
         _, X = fm.build_normal_form(blocks, field)
         Y = cl.coadjoint(space, cl.random_group_element(space, gen), X)
         assert fm.classify_fq(fm.build_module(space, Y)) == blocks
@@ -358,7 +358,7 @@ def test_arf_invariant_separates_the_canonical_sp_decorations(field):
     for n in range(1, 6):
         for pair in cb.symp_pairs(n):
             closed = pair_to_blocks(pair)
-            cands = list(fm.decorations(closed, fm.split_positions(closed)))
+            cands = list(cb.decorations(closed, cb.split_positions(closed)))
             invs = {fm.arf_invariant(fm.build_normal_form(c, field)[0])
                     for c in cands}
             assert len(invs) == len(cands), closed
@@ -369,7 +369,7 @@ def closed_orth_labels(K):
     for sizes in cb.partitions(K):
         for levels in product(*[range((m + 1) // 2, m + 1) for m in sizes]):
             blocks = labels(*zip(sizes, levels))
-            if fm.validate_blocks(blocks, kind="orth"):
+            if cb.validate_blocks(blocks, kind="orth"):
                 yield blocks
 
 
@@ -378,8 +378,8 @@ def closed_orth_labels(K):
 def test_arf_invariant_is_complete_on_orth_decorations(field, K):
     pairs = 0
     for closed in closed_orth_labels(K):
-        cands = [c for c in fm.decorations(closed, range(len(closed)))
-                 if fm.validate_blocks(c, kind="orth")]
+        cands = [c for c in cb.decorations(closed, range(len(closed)))
+                 if cb.validate_blocks(c, kind="orth")]
         mods = [fm.build_normal_form(c, field, kind="orth")[0] for c in cands]
         for (a, ma), (b, mb) in combinations(zip(cands, mods), 2):
             same = fm.arf_invariant(ma) == fm.arf_invariant(mb)
@@ -394,39 +394,39 @@ def test_arf_invariant_is_complete_on_orth_decorations(field, K):
 
 def test_text_round_trip():
     blocks = labels((3, 2), (2, 1), eps=["0", "d"])
-    txt = fm.format_blocks(blocks)
+    txt = cb.format_blocks(blocks)
     assert txt == "(3)^2_2:0 (2)^2_1:d"
-    assert fm.parse_blocks(txt) == blocks
+    assert cb.parse_blocks(txt) == blocks
     closed = labels((2, 1), (1, 0))
-    assert fm.parse_blocks(fm.format_blocks(closed)) == closed
-    assert fm.parse_blocks("") == ()
+    assert cb.parse_blocks(cb.format_blocks(closed)) == closed
+    assert cb.parse_blocks("") == ()
 
 
 def test_json_round_trip():
     blocks = labels((2, 1), (2, 1), eps=["0", "d"])
-    obj = json.loads(json.dumps(fm.blocks_to_json(blocks)))
+    obj = json.loads(json.dumps(cb.blocks_to_json(blocks)))
     assert obj == {"blocks": [{"m": 2, "l": 1, "eps": "0"},
                               {"m": 2, "l": 1, "eps": "d"}]}
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
-        fm.parse_blocks("(2)^3_1")
+        cb.parse_blocks("(2)^3_1")
     with pytest.raises(ValueError):
-        fm.parse_blocks("(2)^2_1:x")
+        cb.parse_blocks("(2)^2_1:x")
 
 
 def test_rational_symbols_count_is_partition_number():
     for n in range(1, 7):
-        syms = fm.rational_symbols(n)
+        syms = cb.rational_symbols(n)
         assert len(syms) == cb.p2(n)
         assert len(set(syms)) == len(syms)
         for sym in syms:
-            assert fm.validate_blocks(sym, kind="sp")
+            assert cb.validate_blocks(sym, kind="sp")
             assert sum(b.m for b in sym) == n
 
 
 def test_rational_symbols_n2_lists_all_five():
-    texts = sorted(fm.format_blocks(s) for s in fm.rational_symbols(2))
+    texts = sorted(cb.format_blocks(s) for s in cb.rational_symbols(2))
     assert texts == ["(1)^2_0:0 (1)^2_0:0", "(1)^2_1:0 (1)^2_1:0",
                      "(2)^2_1:0", "(2)^2_1:d", "(2)^2_2:0"]

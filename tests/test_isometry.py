@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import module_search as ms
+from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import isometry as iso
 from char2orbits import linalg as la
@@ -12,7 +13,7 @@ F4 = field_for(2)
 
 
 def normal_form(m, l, eps=None, field=F2, kind="sp"):
-    blocks = (fm.BlockLabel(m, l, eps),)
+    blocks = (cb.BlockLabel(m, l, eps),)
     mod, _ = fm.build_normal_form(blocks, field, kind=kind)
     return mod, ms.normal_form_generators(blocks)
 
@@ -145,7 +146,7 @@ def test_module_of_a_translated_functional_is_isometric():
 
     rng = np.random.default_rng(7)
     space = cl.space_for("sp", 2)
-    blocks = (fm.BlockLabel(2, 1, "d"),)
+    blocks = (cb.BlockLabel(2, 1, "d"),)
     nf, X = fm.build_normal_form(blocks, F2)
     gens = ms.normal_form_generators(blocks)
     for _ in range(5):

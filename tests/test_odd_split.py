@@ -7,15 +7,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+import module_search as ms
 from char2orbits import combinatorics as cb
 from char2orbits import linalg as la
 from char2orbits import odd_split as od
 from char2orbits.classical import (alternating_gram, coadjoint,
                                    is_nilpotent_functional,
                                    random_group_element, space_for)
+from char2orbits.combinatorics import BlockLabel
 from char2orbits.finite_field import Field
-from char2orbits.form_modules import (BlockLabel, ClassificationError,
-                                      classify_closed)
+from char2orbits.form_modules import classify_closed
 
 F2 = Field(1)
 F4 = Field(2)
@@ -34,7 +35,7 @@ def canonical_labels(n):
             eps = ["0"] * len(base)
             for pos, c in zip(free, choice):
                 eps[pos] = c
-            out.append(od.OddLabel(m, tuple(
+            out.append(cb.OddLabel(m, tuple(
                 BlockLabel(b.m, b.l, e) for b, e in zip(base, eps))))
     return out
 
@@ -71,7 +72,7 @@ def test_zero_functional_has_empty_chain_and_trivial_blocks():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pure_chain_witness_has_no_complement(n):
-    lab = od.OddLabel(n, ())
+    lab = cb.OddLabel(n, ())
     space, X = od.odd_witness(lab, F2)
     s = od.split_odd_functional(space, X)
     assert s.m == n
@@ -114,8 +115,8 @@ def test_split_success_is_the_nilpotency_criterion(e):
 def test_exhaustive_o3_census_over_f2():
     labels, failed = census(space_for("so-odd", 1))
     assert failed == 4
-    chain = od.OddLabel(1, ())
-    trivial = od.OddLabel(0, (BlockLabel(1, 1, "0"),))
+    chain = cb.OddLabel(1, ())
+    trivial = cb.OddLabel(0, (BlockLabel(1, 1, "0"),))
     assert labels == {chain: 3, trivial: 1}
 
 
@@ -124,18 +125,18 @@ def test_exhaustive_o5_census_over_f2():
     assert failed == 1024 - 256
     assert set(labels) == set(canonical_labels(2))
     sizes = {lab: cnt for lab, cnt in labels.items()}
-    assert sizes[od.OddLabel(2, ())] == 180
-    assert sizes[od.OddLabel(0, (BlockLabel(1, 1, "0"), BlockLabel(1, 1, "0")))] == 1
-    assert sizes[od.OddLabel(1, (BlockLabel(1, 1, "d"),))] == 15
-    assert sizes[od.OddLabel(1, (BlockLabel(1, 1, "0"),))] == 45
-    assert sizes[od.OddLabel(0, (BlockLabel(2, 2, "0"),))] == 15
+    assert sizes[cb.OddLabel(2, ())] == 180
+    assert sizes[cb.OddLabel(0, (BlockLabel(1, 1, "0"), BlockLabel(1, 1, "0")))] == 1
+    assert sizes[cb.OddLabel(1, (BlockLabel(1, 1, "d"),))] == 15
+    assert sizes[cb.OddLabel(1, (BlockLabel(1, 1, "0"),))] == 45
+    assert sizes[cb.OddLabel(0, (BlockLabel(2, 2, "0"),))] == 15
 
 
 def test_exhaustive_o3_census_over_f4():
     labels, failed = census(space_for("so-odd", 1, e=2))
     assert failed == 64 - 16
-    assert labels == {od.OddLabel(1, ()): 15,
-                      od.OddLabel(0, (BlockLabel(1, 1, "0"),)): 1}
+    assert labels == {cb.OddLabel(1, ()): 15,
+                      cb.OddLabel(0, (BlockLabel(1, 1, "0"),)): 1}
 
 
 def test_every_borel_vanishing_functional_splits():
@@ -156,7 +157,7 @@ def test_every_borel_vanishing_functional_splits():
 @pytest.mark.parametrize("e", [1, 2])
 def test_chain_is_exactly_translated_by_the_group(e):
     F = Field(e)
-    lab = od.OddLabel(1, (BlockLabel(1, 1, "d"),))
+    lab = cb.OddLabel(1, (BlockLabel(1, 1, "d"),))
     space, X = od.odd_witness(lab, F)
     base = od.split_odd_functional(space, X)
     rng = np.random.default_rng(11)
@@ -181,7 +182,7 @@ def test_empty_chain_is_the_radical_line():
 
 
 def test_dual_chain_satisfies_the_pairing_relations():
-    space, X = od.odd_witness(od.OddLabel(2, (BlockLabel(1, 1, "0"),)), F2)
+    space, X = od.odd_witness(cb.OddLabel(2, (BlockLabel(1, 1, "0"),)), F2)
     s = od.split_odd_functional(space, X)
     G = alternating_gram(space, X)
     for i, v in enumerate(s.chain):
@@ -213,63 +214,63 @@ def test_witness_round_trip_for_every_small_label(e, max_n):
 def test_rational_label_is_constant_on_random_conjugates(e, n):
     F = Field(e)
     gen = np.random.default_rng(n)
-    for lab in od.rational_labels(n):
+    for lab in cb.rational_labels(n):
         space, X = od.odd_witness(lab, F)
         Y = coadjoint(space, random_group_element(space, gen), X)
         assert od.rational_odd_label(od.split_odd_functional(space, Y)) == lab
 
 
 def test_bigger_decorated_round_trips():
-    for lab in [od.OddLabel(1, (BlockLabel(2, 1, "0"), BlockLabel(1, 1, "d"))),
-                od.OddLabel(1, (BlockLabel(3, 2, "0"),))]:
+    for lab in [cb.OddLabel(1, (BlockLabel(2, 1, "0"), BlockLabel(1, 1, "d"))),
+                cb.OddLabel(1, (BlockLabel(3, 2, "0"),))]:
         space, X = od.odd_witness(lab, F2)
         assert od.rational_odd_label(od.split_odd_functional(space, X)) == lab
 
 
 def test_decorations_above_the_chain_length_drop():
     # a decorated block whose level exceeds the chain length flips alone
-    space, X = od.odd_witness(od.OddLabel(1, (BlockLabel(3, 2, "d"),)), F2)
+    space, X = od.odd_witness(cb.OddLabel(1, (BlockLabel(3, 2, "d"),)), F2)
     got = od.rational_odd_label(od.split_odd_functional(space, X))
-    assert got == od.OddLabel(1, (BlockLabel(3, 2, "0"),))
+    assert got == cb.OddLabel(1, (BlockLabel(3, 2, "0"),))
 
 
 def test_decorations_within_the_chain_length_stay():
-    lab = od.OddLabel(1, (BlockLabel(3, 2, "d"), BlockLabel(1, 1, "d")))
+    lab = cb.OddLabel(1, (BlockLabel(3, 2, "d"), BlockLabel(1, 1, "d")))
     space, X = od.odd_witness(lab, F2)
     got = od.rational_odd_label(od.split_odd_functional(space, X))
-    assert got == od.OddLabel(1, (BlockLabel(3, 2, "0"), BlockLabel(1, 1, "d")))
+    assert got == cb.OddLabel(1, (BlockLabel(3, 2, "0"), BlockLabel(1, 1, "d")))
 
 
 def test_high_co_level_blocks_clip_to_the_chain_length():
-    space, X = od.odd_witness(od.OddLabel(0, (BlockLabel(3, 2, "d"),)), F2)
+    space, X = od.odd_witness(cb.OddLabel(0, (BlockLabel(3, 2, "d"),)), F2)
     s = od.split_odd_functional(space, X)
     lab = od.rational_odd_label(s)
-    assert lab == od.OddLabel(0, (BlockLabel(3, 3, "0"),))
-    assert od.odd_label_by_search(s) == lab
+    assert lab == cb.OddLabel(0, (BlockLabel(3, 3, "0"),))
+    assert ms.odd_label_by_search(s) == lab
 
 
 def test_decoration_moves_collapse_non_canonical_starts():
     # o(5): both decorations on the two singleton blocks absorb to plain
     for eps in [("d", "d"), ("0", "d"), ("d", "0")]:
-        lab = od.OddLabel(0, (BlockLabel(1, 1, eps[0]), BlockLabel(1, 1, eps[1])))
+        lab = cb.OddLabel(0, (BlockLabel(1, 1, eps[0]), BlockLabel(1, 1, eps[1])))
         space, X = od.odd_witness(lab, F2)
         got = od.rational_odd_label(od.split_odd_functional(space, X))
-        assert got == od.OddLabel(0, (BlockLabel(1, 1, "0"), BlockLabel(1, 1, "0")))
+        assert got == cb.OddLabel(0, (BlockLabel(1, 1, "0"), BlockLabel(1, 1, "0")))
 
 
 def test_moves_agree_with_the_isometry_search():
     for lab in canonical_labels(2):
         space, X = od.odd_witness(lab, F2)
         s = od.split_odd_functional(space, X)
-        assert od.odd_label_by_search(s) == od.rational_odd_label(s) == lab
+        assert ms.odd_label_by_search(s) == od.rational_odd_label(s) == lab
 
 
 @pytest.mark.parametrize("e", [1, 2])
 def test_label_is_invariant_under_translation(e):
     F = Field(e)
     rng = np.random.default_rng(17 + e)
-    labs = [od.OddLabel(1, (BlockLabel(1, 1, "d"),)),
-            od.OddLabel(0, (BlockLabel(2, 2, "0"),))]
+    labs = [cb.OddLabel(1, (BlockLabel(1, 1, "d"),)),
+            cb.OddLabel(0, (BlockLabel(2, 2, "0"),))]
     for lab in labs:
         space, X = od.odd_witness(lab, F)
         for _ in range(2):
@@ -293,7 +294,7 @@ def test_witness_bytes_are_pinned():
     count = 0
     for F in (F2, F4):
         for n in range(1, 5):
-            for lab in od.rational_labels(n):
+            for lab in cb.rational_labels(n):
                 _, X = od.odd_witness(lab, F)
                 h.update(X.tobytes())
                 count += 1
@@ -303,7 +304,7 @@ def test_witness_bytes_are_pinned():
 
 
 def test_nine_decorated_blocks_embed_without_search():
-    lab = od.OddLabel(0, (BlockLabel(1, 1, "d"),) * 9)
+    lab = cb.OddLabel(0, (BlockLabel(1, 1, "d"),) * 9)
     space, X = od.odd_witness(lab, F4)
     s = od.split_odd_functional(space, X)
     assert s.m == 0
@@ -312,43 +313,43 @@ def test_nine_decorated_blocks_embed_without_search():
 
 def test_witness_requires_decorations():
     with pytest.raises(ValueError):
-        od.odd_witness(od.OddLabel(1, (BlockLabel(1, 1),)), F2)
+        od.odd_witness(cb.OddLabel(1, (BlockLabel(1, 1),)), F2)
 
 
 def test_label_json_round_trip():
-    labs = [od.OddLabel(2, ()),
-            od.OddLabel(0, (BlockLabel(1, 1, "0"), BlockLabel(1, 1, "0"))),
-            od.OddLabel(0, (BlockLabel(2, 2, "d"), BlockLabel(1, 1, "0")))]
+    labs = [cb.OddLabel(2, ()),
+            cb.OddLabel(0, (BlockLabel(1, 1, "0"), BlockLabel(1, 1, "0"))),
+            cb.OddLabel(0, (BlockLabel(2, 2, "d"), BlockLabel(1, 1, "0")))]
     want = [{"m": 2, "pair": {"nu": [2], "mu": []}, "eps": []},
             {"m": 0, "pair": {"nu": [], "mu": [1, 1]}, "eps": ["0", "0"]},
             {"m": 0, "pair": {"nu": [], "mu": [2, 1]}, "eps": ["d", "0"]}]
     for lab, obj in zip(labs, want):
-        assert json.loads(json.dumps(od.label_to_json(lab))) == obj
+        assert json.loads(json.dumps(cb.label_to_json(lab))) == obj
 
 
 def test_pair_to_label_round_trips_the_pair():
     for n in range(1, 7):
         for pair in cb.oodd_pairs(n):
-            lab = od.pair_to_label(pair)
+            lab = cb.pair_to_label(pair)
             assert lab.pair() == tuple(map(tuple, pair))
             assert all(b.eps == "0" for b in lab.blocks)
     with pytest.raises(ValueError):
-        od.pair_to_label(((1, 2), ()))
+        cb.pair_to_label(((1, 2), ()))
 
 
 def test_rational_labels_count_is_partition_number():
     for n in range(1, 7):
-        labs = od.rational_labels(n)
+        labs = cb.rational_labels(n)
         assert len(labs) == cb.p2(n)
         assert len(set(labs)) == len(labs)
 
 
 def test_label_text_round_trip():
-    labs = [od.OddLabel(3, ()),
-            od.OddLabel(0, (BlockLabel(2, 2, "0"),)),
-            od.OddLabel(2, (BlockLabel(2, 1, "d"), BlockLabel(1, 1, "0")))]
+    labs = [cb.OddLabel(3, ()),
+            cb.OddLabel(0, (BlockLabel(2, 2, "0"),)),
+            cb.OddLabel(2, (BlockLabel(2, 1, "d"), BlockLabel(1, 1, "0")))]
     for lab in labs:
-        assert od.parse_label(od.format_label(lab)) == lab
-    assert od.format_label(labs[0]) == "m=3; -"
+        assert cb.parse_label(cb.format_label(lab)) == lab
+    assert cb.format_label(labs[0]) == "m=3; -"
     with pytest.raises(ValueError):
-        od.parse_label("chain=3; -")
+        cb.parse_label("chain=3; -")

@@ -6,9 +6,7 @@ import pytest
 from char2orbits import centralizers as cz
 from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
-from char2orbits import form_modules as fm
 from char2orbits import linalg as la
-from char2orbits import odd_split as od
 from char2orbits import oracle as orc
 from char2orbits.classical import space_for
 from char2orbits.finite_field import field_for
@@ -18,8 +16,8 @@ F2 = field_for(1)
 
 def labels(*pairs, eps=None):
     if eps is None:
-        return tuple(fm.BlockLabel(m, l) for m, l in pairs)
-    return tuple(fm.BlockLabel(m, l, e) for (m, l), e in zip(pairs, eps))
+        return tuple(cb.BlockLabel(m, l) for m, l in pairs)
+    return tuple(cb.BlockLabel(m, l, e) for (m, l), e in zip(pairs, eps))
 
 
 # ----------------------------------------------------------------------
@@ -199,12 +197,12 @@ def test_o5_census_matches_the_frozen_sizes():
     space = space_for("so-odd", 2)
     reports = orc.all_nilpotent_orbits(space)
     got = {r.label: r.orbit_size for r in reports}
-    B = fm.BlockLabel
-    want = {od.OddLabel(0, (B(1, 1, "0"), B(1, 1, "0"))): 1,
-            od.OddLabel(0, (B(2, 2, "0"),)): 15,
-            od.OddLabel(1, (B(1, 1, "0"),)): 45,
-            od.OddLabel(1, (B(1, 1, "d"),)): 15,
-            od.OddLabel(2, ()): 180}
+    B = cb.BlockLabel
+    want = {cb.OddLabel(0, (B(1, 1, "0"), B(1, 1, "0"))): 1,
+            cb.OddLabel(0, (B(2, 2, "0"),)): 15,
+            cb.OddLabel(1, (B(1, 1, "0"),)): 45,
+            cb.OddLabel(1, (B(1, 1, "d"),)): 15,
+            cb.OddLabel(2, ()): 180}
     assert got == want
     for r in reports:
         assert r.orbit_size * r.stabilizer_order == 720
