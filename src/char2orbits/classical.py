@@ -18,7 +18,10 @@ the algebra agree.  The calculus attached to a functional:
     Gram of the functional's bilinear form.
 
 All of these are representative-independent, which the tests check by
-perturbing X along the trace radical.
+perturbing X along the trace radical.  functional_from_gram solves
+X^t S + S X = A in every kind (for sp, with the quadratic values diag(S X)
+prescribed too), so one solve builds the symplectic normal forms, the odd
+witnesses and algebra_to_dual, the inverse of the so-even bijection.
 
 Nilpotency of a functional is defined through a fixed Borel subalgebra: the
 functionals vanishing on it form the dual nilpotent cone's seed set.  The
@@ -26,7 +29,8 @@ Borel here is the triangular intersection in flag order: reorder the basis so
 the pairing becomes antidiagonal (first half, defective vector if any, second
 half reversed), and keep the algebra elements that are upper triangular in
 that order.  Triangularity in the rough standard order is a strictly smaller
-space for n >= 2 and is not a Borel.
+space for n >= 2 and is not a Borel.  The criterion form of nilpotency needs
+the odd split and lives in odd_split (is_nilpotent_functional).
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ class Space:
         self._radical: np.ndarray | None = None
         self._radical_rref: tuple[np.ndarray, list[int]] | None = None
         self._pairing_rows: np.ndarray | None = None
-        self._theta_matrix: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Space({self.kind}, n={self.n}, {self.field.header()})"
@@ -156,23 +159,26 @@ class Space:
     def dual_equal(self, X: np.ndarray, Y: np.ndarray) -> bool:
         return self.pairing_vector(X) == self.pairing_vector(Y)
 
+    def _pairing_matrix(self) -> np.ndarray:
+        "Rows b^t of the algebra basis, flattened: X -> tr(X b) row by row."
+        if self._pairing_rows is None:
+            self._pairing_rows = np.stack(
+                [b.T.reshape(-1) for b in self.lie_basis()])
+        return self._pairing_rows
+
     def dual_from_values(self, values) -> np.ndarray:
         "Some representative X whose pairing_vector equals `values`."
         vals = np.asarray(values, dtype=np.uint8)
         if vals.shape != (self.dim_algebra,):
             raise ValueError("need one value per algebra basis element")
-        if self._pairing_rows is None:
-            self._pairing_rows = np.stack(
-                [b.T.reshape(-1) for b in self.lie_basis()])
-        X = la.solve(self.field, self._pairing_rows, vals)
+        X = la.solve(self.field, self._pairing_matrix(), vals)
         assert X is not None, "the trace pairing must be onto"
         return X.reshape(self.d, self.d)
 
     def trace_radical_basis(self) -> np.ndarray:
         "Matrices pairing to zero with the whole algebra; shape (r, d, d)."
         if self._radical is None:
-            rows = np.stack([b.T.reshape(-1) for b in self.lie_basis()])
-            K = la.kernel_basis(_F2, rows)
+            K = la.kernel_basis(_F2, self._pairing_matrix())
             self._radical = K.reshape(-1, self.d, self.d)
         return self._radical
 
@@ -308,10 +314,20 @@ def alternating_gram(space: Space, X: np.ndarray) -> np.ndarray:
     return la.mat_mul(F, X.T, space.S) ^ la.mat_mul(F, space.S, X)
 
 
-def dual_to_algebra(space: Space, X: np.ndarray) -> np.ndarray:
-    "The even-orthogonal bijection from functionals to algebra elements."
-    assert space.kind == "so-even"
-    return module_endomorphism(space, X)
+def functional_from_gram(F: Field, S: np.ndarray, A: np.ndarray,
+                         quad=None) -> np.ndarray:
+    """X = S (triu(A, 1) + diag(quad)), a solution of X^t S + S X = A.
+
+    Valid for the S of every kind: S^2 is the identity except at the odd
+    radical slot, whose row the strict upper triangle leaves empty.  For
+    sp, quad prescribes diag(S X), the functional's quadratic values.
+    """
+    if not np.array_equal(A, A.T) or np.diagonal(A).any():
+        raise ValueError("the Gram must be alternating")
+    M = np.triu(A, k=1)
+    if quad is not None:
+        M[np.diag_indices(len(M))] = quad
+    return la.mat_mul(F, S, M)
 
 
 def algebra_coords(space: Space, T: np.ndarray) -> np.ndarray:
@@ -325,59 +341,31 @@ def algebra_coords(space: Space, T: np.ndarray) -> np.ndarray:
 
 def in_algebra(space: Space, T: np.ndarray) -> bool:
     F = space.field
-    M = la.mat_mul(F, T.T, space.S) ^ la.mat_mul(F, space.S, T)
-    if M.any():
+    TS = la.mat_mul(F, T.T, space.S)  # S T is its transpose
+    if (TS ^ TS.T).any() or (space.kind != "sp" and np.diagonal(TS).any()):
         return False
-    if space.kind != "sp":
-        TS = la.mat_mul(F, T.T, space.S)
-        if np.diagonal(TS).any():
-            return False
-    if space.kind == "so-odd" and la.mat_trace(F, T):
-        return False
-    return True
+    return not (space.kind == "so-odd" and la.mat_trace(F, T))
 
 
 def algebra_to_dual(space: Space, T: np.ndarray) -> np.ndarray:
-    "Inverse of dual_to_algebra: some X with X + S X^t S = T."
+    """Inverse of module_endomorphism on so-even: some X with X + S X^t S = T.
+
+    S X + X^t S = S T, so X is the functional with Gram S T.
+    """
     assert space.kind == "so-even"
     if not in_algebra(space, T):
         raise ValueError("matrix is not in the algebra")
-    F = space.field
-    d = space.d
-    if space._theta_matrix is None:
-        L = np.zeros((d * d, d * d), dtype=np.uint8)
-        for a in range(d):
-            for b in range(d):
-                E = la.zeros(d, d)
-                E[a, b] = 1
-                img = E ^ np.outer(space.S[:, b], space.S[a, :])
-                L[:, a * d + b] = img.reshape(-1)
-        space._theta_matrix = L
-    x = la.solve(F, space._theta_matrix, np.asarray(T, dtype=np.uint8).reshape(-1))
-    assert x is not None, "the even-kind dual map must be onto the algebra"
-    return x.reshape(d, d)
+    return functional_from_gram(space.field, space.S,
+                                la.mat_mul(space.field, space.S, T))
 
 
 # ----------------------------------------------------------------------
-# nilpotency
+# the Borel
 
 
 def borel_pairing(space: Space, X: np.ndarray) -> tuple[int, ...]:
     "Values of the functional on the Borel basis."
     return _pairings(space.borel_basis(), X)
-
-
-def is_nilpotent_functional(space: Space, X: np.ndarray) -> bool:
-    """Criterion form of nilpotency (the orbit-meets-cone definition is in
-    the oracle; their agreement is an acceptance check)."""
-    if space.kind in ("sp", "so-even"):
-        return la.is_nilpotent(space.field, module_endomorphism(space, X))
-    from .odd_split import SplitError, split_odd_functional
-    try:
-        split_odd_functional(space, X)
-        return True
-    except SplitError:
-        return False
 
 
 # ----------------------------------------------------------------------

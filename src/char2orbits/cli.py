@@ -63,6 +63,22 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> None:
         print("  ".join(r[c].ljust(widths[c]) for c in columns))
 
 
+def _print_record(out: dict, fmt: str) -> None:
+    "One record: JSON, or key: value lines with matrix rows indented."
+    if fmt == "json":
+        print(json.dumps(out, indent=2))
+        return
+    for key, val in out.items():
+        if isinstance(val, list) and val and isinstance(val[0], list):
+            print(f"{key}:")
+            for row in val:
+                print("  " + " ".join(row))
+        elif isinstance(val, list):
+            print(f"{key}: " + " ".join(val))
+        else:
+            print(f"{key}: {val}")
+
+
 # ----------------------------------------------------------------------
 # orbits
 
@@ -229,33 +245,27 @@ def _read_grid(text: str, type_flag: str | None, e: int):
 
 
 def _cmd_classify(args) -> int:
-    from . import classical as cl
-    from . import form_modules as fm
     from . import odd_split as od
 
     e = 1 if args.q == "2" else 2
     space, X = _read_matrix(args.matrix, args.type, e)
     report: dict = {"kind": space.kind, "n": space.n, "q": space.field.q,
-                    "nilpotent": cl.is_nilpotent_functional(space, X)}
+                    "nilpotent": od.is_nilpotent_functional(space, X)}
     if not report["nilpotent"]:
-        print(json.dumps(report, indent=2))
+        _print_record(report, "json")
         return 4
-    if space.kind == "sp":
-        label = fm.classify_fq(fm.build_module(space, X))
-    elif space.kind == "so-odd":
-        label = od.rational_odd_label(od.split_odd_functional(space, X))
-    else:
+    label = od.rational_label(space, X)
+    if label is None:
         report.update({
             "label": None,
             "note": "the even orthogonal family carries no label theory "
                     "here; nilpotence was decided by matrix transport"})
-        print(json.dumps(report, indent=2))
-        return 0
-    row = _label_row(space.kind, label)
-    report.update(_pick(row, "label", "label_json", "closed_label"))
-    report["centralizer"] = _pick(row, "dim_z", "comp_rank",
-                                  "component_group", "dim_orbit")
-    print(json.dumps(report, indent=2))
+    else:
+        row = _label_row(space.kind, label)
+        report.update(_pick(row, "label", "label_json", "closed_label"))
+        report["centralizer"] = _pick(row, "dim_z", "comp_rank",
+                                      "component_group", "dim_orbit")
+    _print_record(report, "json")
     return 0
 
 
@@ -324,18 +334,7 @@ def _cmd_normal_form(args) -> int:
         out = {"kind": "so-odd", "q": field.q,
                "label": cb.format_label(label), "dim": space.d,
                "functional": _matrix_tokens(field, X)}
-    if args.format == "json":
-        print(json.dumps(out, indent=2))
-    else:
-        for key, val in out.items():
-            if isinstance(val, list) and val and isinstance(val[0], list):
-                print(f"{key}:")
-                for row in val:
-                    print("  " + " ".join(row))
-            elif isinstance(val, list):
-                print(f"{key}: " + " ".join(val))
-            else:
-                print(f"{key}: {val}")
+    _print_record(out, args.format)
     return 0
 
 
@@ -344,11 +343,7 @@ def _cmd_centralizer(args) -> int:
     out = {"kind": args.type,
            **_pick(row, "label", "dim_z", "comp_rank", "component_group",
                    "dim_orbit", "points_leading_q2", "points_leading_q4")}
-    if args.format == "json":
-        print(json.dumps(out, indent=2))
-    else:
-        for key, val in out.items():
-            print(f"{key}: {val}")
+    _print_record(out, args.format)
     return 0
 
 

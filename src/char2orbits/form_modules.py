@@ -39,7 +39,7 @@ import numpy as np
 
 from . import isometry as iso
 from . import linalg as la
-from .classical import Space, module_endomorphism
+from .classical import Space, functional_from_gram, module_endomorphism
 from .combinatorics import (BlockLabel, decorations, split_positions,
                             validate_blocks)
 # the label layer lives in combinatorics; benchmarks/workloads.py still
@@ -233,8 +233,9 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
     reversed (T^i v2 at K + off_b + m-1-i), so the pairing Gram is the
     standard [[0, I], [I, 0]].  The quadratic values put 1 at the first
     chain's level slot and, for "d" blocks, delta on the second chain.
-    The witness X satisfies: M the unique matrix with M + M^t = S T and
-    diag(M) the quadratic values, X = S M.
+    The witness X is classical.functional_from_gram of the shifted pairing
+    S T with those quadratic values: its module endomorphism is T and
+    diag(S X) is quad.
     """
     blocks = tuple(blocks)
     if not validate_blocks(blocks, kind=kind):
@@ -261,10 +262,7 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
     mod = FormModule(kind, field, S, T, quad)
     if kind != "sp":
         return mod, None
-    M = np.triu(la.mat_mul(field, S, T), k=1)
-    M[np.arange(d), np.arange(d)] = quad
-    X = la.mat_mul(field, S, M)
-    return mod, X
+    return mod, functional_from_gram(field, S, la.mat_mul(field, S, T), quad)
 
 
 # ----------------------------------------------------------------------

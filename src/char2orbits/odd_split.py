@@ -25,6 +25,9 @@ representative has "d" only at splitting positions of the associated
 partition pair.  The tests hold this against an exhaustive whole-space
 isometry search (odd_label_by_search in tests/module_search.py), which
 finds the same label independently.
+
+As the lowest module that sees both classifiers, this one also holds the
+entry points for every kind: is_nilpotent_functional and rational_label.
 """
 
 from __future__ import annotations
@@ -36,14 +39,15 @@ import numpy as np
 from . import combinatorics as cb
 from . import isometry as iso
 from . import linalg as la
-from .classical import Space, alternating_gram
+from .classical import (Space, alternating_gram, functional_from_gram,
+                        module_endomorphism)
 from .combinatorics import BlockLabel, OddLabel, validate_blocks
 # the label layer lives in combinatorics; benchmarks/workloads.py still
 # reads these names through this module
 from .combinatorics import format_label, parse_label, rational_labels  # noqa: F401
 from .finite_field import Field
-from .form_modules import (ClassificationError, FormModule,
-                           build_normal_form, classify_orth_fq)
+from .form_modules import (ClassificationError, FormModule, build_module,
+                           build_normal_form, classify_fq, classify_orth_fq)
 
 
 class SplitError(ValueError):
@@ -247,10 +251,7 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
         raise ClassificationError(
             f"moves from {start} reach {len(canonical)} canonical labels "
             f"{canonical}, not one")
-    lab = OddLabel(split.m, canonical[0])
-    if not cb.oodd_pair_valid(*lab.pair()):
-        raise ClassificationError(f"label {lab} is not an admissible pair")
-    return lab
+    return OddLabel(split.m, canonical[0])
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +269,8 @@ def odd_witness(label: OddLabel, field: Field):
     Both level slots of a decorated block carry a value, so the partner
     corrections would pair them to 1 + delta; the second-chain level slot
     goes instead to the partner coordinate plus sqrt(delta) times e_2n.
-    The functional comes out of the transported alternating Gram by the
-    triangular block solve.
+    The functional comes out of the transported alternating Gram by
+    classical.functional_from_gram.
     """
     m, blocks = label.m, tuple(label.blocks)
     if any(b.eps is None for b in blocks):
@@ -321,21 +322,32 @@ def odd_witness(label: OddLabel, field: Field):
 
     Ci = la.inverse(field, C)
     Y = la.mat_mul(field, la.mat_mul(field, Ci.T, Gx), Ci)
-    X = _functional_from_alternating(space, Y)
-    return space, X
+    return space, functional_from_gram(field, space.S, Y)
 
 
-def _functional_from_alternating(space: Space, Y: np.ndarray) -> np.ndarray:
-    "Solve X^t S + S X = Y for the standard odd S by triangular blocks."
-    n, F = space.n, space.field
-    if not np.array_equal(Y, Y.T) or np.diagonal(Y).any():
-        raise ValueError("the Gram must be alternating")
-    X = la.zeros(space.d, space.d)
-    X[n:2 * n, 0:n] = np.triu(Y[0:n, 0:n], k=1)          # pairs inside the top
-    X[0:n, n:2 * n] = np.triu(Y[n:2 * n, n:2 * n], k=1)  # pairs inside the middle
-    X[n:2 * n, n:2 * n] = Y[0:n, n:2 * n]
-    X[0:n, 2 * n:] = Y[n:2 * n, 2 * n:]
-    X[n:2 * n, 2 * n:] = Y[0:n, 2 * n:]
-    out = alternating_gram(space, X)
-    assert np.array_equal(out, Y), "block solve must reproduce the Gram"
-    return X
+# ----------------------------------------------------------------------
+# one entry point for every kind
+
+
+def is_nilpotent_functional(space: Space, X: np.ndarray) -> bool:
+    """Criterion form of nilpotency: a nilpotent module endomorphism for sp
+    and so-even, a split with nilpotent complement operator for so-odd (the
+    orbit-meets-cone definition is in the oracle; their agreement is an
+    acceptance check)."""
+    if space.kind != "so-odd":
+        return la.is_nilpotent(space.field, module_endomorphism(space, X))
+    try:
+        split_odd_functional(space, X)
+        return True
+    except SplitError:
+        return False
+
+
+def rational_label(space: Space, X: np.ndarray):
+    """Rational label of a nilpotent functional: a block tuple for sp, an
+    OddLabel for so-odd, None for so-even, which has no label theory here."""
+    if space.kind == "sp":
+        return classify_fq(build_module(space, X))
+    if space.kind == "so-odd":
+        return rational_odd_label(split_odd_functional(space, X))
+    return None

@@ -13,7 +13,8 @@ single-bit keys; min-label propagation over the permutations then names
 every orbit by its least key.  The same engine partitions the algebra
 under conjugation, with keys read as coefficient vectors.  Permutations
 are built over at most POINT_LIMIT keys.  Each nilpotent orbit is
-reported with its size, stabilizer order, and classifier label.
+reported with its size, stabilizer order, and the label odd_split's
+rational_label gives its representative.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import centralizers as cz
 from . import classical as cl
-from . import form_modules as fm
 from . import linalg as la
 from . import odd_split as od
 from .finite_field import Field
@@ -81,28 +81,19 @@ _group_memo: dict = {}
 
 
 def _transvections(space: cl.Space) -> list:
+    "The distinct transvections of the space, in vector order."
     F = space.field
-    out = []
-    seen = set()
+    unique: dict[bytes, np.ndarray] = {}
     for v in _vectors(F.q, space.d):
         if not v.any():
             continue
         if space.kind == "sp":
-            for c in range(1, F.q):
-                t = cl.symplectic_transvection(space, v, c)
-                b = t.tobytes()
-                if b not in seen:
-                    seen.add(b)
-                    out.append(t)
+            ts = [cl.symplectic_transvection(space, v, c) for c in range(1, F.q)]
         else:
-            if space.alpha(v) == 0:
-                continue
-            t = cl.orthogonal_transvection(space, v)
-            b = t.tobytes()
-            if b not in seen:
-                seen.add(b)
-                out.append(t)
-    return out
+            ts = [cl.orthogonal_transvection(space, v)] if space.alpha(v) else []
+        for t in ts:
+            unique.setdefault(t.tobytes(), t)
+    return list(unique.values())
 
 
 def _vectors(q: int, d: int):
@@ -229,14 +220,6 @@ def coadjoint_orbit(space: cl.Space, X: np.ndarray,
             for k in members}
 
 
-def _classify(space: cl.Space, X: np.ndarray):
-    if space.kind == "sp":
-        return fm.classify_fq(fm.build_module(space, X))
-    if space.kind == "so-odd":
-        return od.rational_odd_label(od.split_odd_functional(space, X))
-    return None
-
-
 def all_nilpotent_orbits(space: cl.Space,
                          group: FiniteGroup | None = None,
                          classify: bool = True) -> list[OrbitReport]:
@@ -261,7 +244,7 @@ def all_nilpotent_orbits(space: cl.Space,
             representative=rep,
             orbit_size=size,
             stabilizer_order=group.order // size,
-            label=_classify(space, rep) if classify else None))
+            label=od.rational_label(space, rep) if classify else None))
     reports.sort(key=lambda r: (r.orbit_size, str(r.label)))
     return reports
 

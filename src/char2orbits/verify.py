@@ -7,6 +7,8 @@ range, and where the first mismatch sits if there is one.  The suites are
   sp              symplectic oracle censuses, class splitting, classifier
                   against orbits, normal-form round trips, properties
   so-odd          the same program for the odd orthogonal family
+                  (the oracle-counts, class-splitting, classifier-vs-orbits
+                  and chi-pattern checks are one body each, taking the kind)
   so-even         transport between functionals and matrices, orbit count
                   agreement, the invariant pairing on the algebra
   centralizers    dimension and component formulas against point counts,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import log2
 
@@ -122,58 +125,95 @@ def _ck_rational_enumerations(max_n):
 
 
 # ----------------------------------------------------------------------
-# symplectic suite
+# checks shared by the symplectic and odd orthogonal suites
 
 
-def _ck_sp_oracle_counts(max_n):
+def _group_name(kind: str, n: int) -> str:
+    return f"sp({2 * n})" if kind == "sp" else f"o({2 * n + 1})"
+
+
+def _ck_oracle_counts(kind, max_n):
     cap = _oracle_cap(max_n)
     got = []
     for n in range(1, cap + 1):
-        reports = census("sp", n, 1)
+        name = _group_name(kind, n)
+        reports = census(kind, n, 1)
         if len(reports) != cb.p2(n):
-            return False, f"sp(2*{n}, F_2): {len(reports)} orbits, wanted p2({n})"
+            return False, f"{name} over F_2: {len(reports)} orbits, wanted p2({n})"
         order = cz.group_order(n, 2)
         for r in reports:
             if r.orbit_size * r.stabilizer_order != order:
-                return False, f"sp(2*{n}): orbit {r.label} fails orbit-stabilizer"
-        got.append(f"sp({2 * n})->{len(reports)}")
+                return False, f"{name}: orbit {r.label} fails orbit-stabilizer"
+        got.append(f"{name}->{len(reports)}")
     return True, "exhaustive F_2 counts match p2(n): " + ", ".join(got)
 
 
-def _ck_sp_class_splitting(max_n):
+def _ck_class_splitting(kind, max_n):
     cap = _oracle_cap(max_n)
+    pairs, split_k = ((cb.symp_pairs, cb.symp_split_k) if kind == "sp"
+                      else (cb.oodd_pairs, cb.oodd_split_k))
     for n in range(1, cap + 1):
-        by_closed: dict = {}
-        for r in census("sp", n, 1):
-            closed = tuple((b.m, b.l) for b in r.label)
-            by_closed[closed] = by_closed.get(closed, 0) + 1
-        for pair in cb.symp_pairs(n):
-            closed = cb.symp_pair_to_symbol(pair)
-            want = 2 ** cb.symp_split_k(pair)
-            if by_closed.pop(closed, 0) != want:
-                return False, f"closed class {closed} does not split into {want}"
-        if by_closed:
-            return False, f"stray closed classes {sorted(by_closed)}"
+        got: dict = {}
+        for r in census(kind, n, 1):
+            pair = (cb.symp_symbol_to_pair([(b.m, b.l) for b in r.label])
+                    if kind == "sp" else r.label.pair())
+            got[pair] = got.get(pair, 0) + 1
+        want = {pair: 2 ** split_k(pair) for pair in pairs(n)}
+        if got != want:
+            return False, (f"{_group_name(kind, n)}: orbits per partition "
+                           f"pair {got}, wanted 2^k {want}")
     return True, f"every closed class splits into exactly 2^k F_2-orbits (n<={cap})"
 
 
-def _ck_sp_classifier_vs_orbits(max_n):
+def _ck_classifier_vs_orbits(kind, max_n):
     cap = _oracle_cap(max_n)
     members = 0
     for n in range(1, cap + 1):
-        space = space_for("sp", n)
+        name = _group_name(kind, n)
+        space = space_for(kind, n)
         group = orc.enumerate_group(space)
-        reports = census("sp", n, 1)
+        reports = census(kind, n, 1)
         if len({r.label for r in reports}) != len(reports):
-            return False, f"sp(2*{n}): distinct orbits share a label"
+            return False, f"{name}: distinct orbits share a label"
         for r in reports:
             orbit = orc.coadjoint_orbit(space, r.representative, group)
             for Y in orbit.values():
-                if fm.classify_fq(fm.build_module(space, Y)) != r.label:
-                    return False, f"sp(2*{n}): member of {r.label} classifies differently"
+                if od.rational_label(space, Y) != r.label:
+                    return False, f"{name}: member of {r.label} classifies differently"
             members += len(orbit)
     return True, (f"label equality agrees with orbit equality on all "
                   f"{members} nilpotent functionals (n<={cap})")
+
+
+def _ck_chi_pattern(kind, max_n):
+    "kind is the form-module kind: sp, or orth for the odd complement."
+    top = 5 if max_n is None else max(1, min(max_n, 5))
+    lowest = 0 if kind == "sp" else 1
+    tried = 0
+    for m in range(1, top + 1):
+        for l in range((m + lowest) // 2, m + 1):
+            mod, _ = fm.build_normal_form((cb.BlockLabel(m, l),), field_for(1),
+                                          kind=kind)
+            for k in range(2 * m + 1):
+                if fm.index_chi(mod, k) != max(0, min(k - m + l, l)):
+                    return False, f"chi mismatch at {kind} block ({m},{l}), power {k}"
+            tried += 1
+    blocks = "single blocks" if kind == "sp" else "orth blocks"
+    return True, f"chi of {tried} {blocks} follows max(0, min(k-m+l, l))"
+
+
+_ck_sp_oracle_counts = partial(_ck_oracle_counts, "sp")
+_ck_sp_class_splitting = partial(_ck_class_splitting, "sp")
+_ck_sp_classifier_vs_orbits = partial(_ck_classifier_vs_orbits, "sp")
+_ck_sp_chi_pattern = partial(_ck_chi_pattern, "sp")
+_ck_oodd_oracle_counts = partial(_ck_oracle_counts, "so-odd")
+_ck_oodd_class_splitting = partial(_ck_class_splitting, "so-odd")
+_ck_oodd_classifier_vs_orbits = partial(_ck_classifier_vs_orbits, "so-odd")
+_ck_orth_chi_pattern = partial(_ck_chi_pattern, "orth")
+
+
+# ----------------------------------------------------------------------
+# symplectic suite
 
 
 def _ck_sp_round_trips(max_n):
@@ -197,19 +237,6 @@ def _ck_sp_round_trips(max_n):
                 deco += 1
     return True, (f"{closed} closed (n<={top}) and {deco} decorated (n<=2) "
                   f"normal forms classify back to their labels")
-
-
-def _ck_sp_chi_pattern(max_n):
-    top = 5 if max_n is None else max(1, min(max_n, 5))
-    tried = 0
-    for m in range(1, top + 1):
-        for l in range(m // 2, m + 1):
-            mod, _ = fm.build_normal_form((cb.BlockLabel(m, l),), field_for(1))
-            for k in range(2 * m + 1):
-                if fm.index_chi(mod, k) != max(0, min(k - m + l, l)):
-                    return False, f"chi mismatch at block ({m},{l}), power {k}"
-            tried += 1
-    return True, f"chi of {tried} single blocks follows max(0, min(k-m+l, l))"
 
 
 def _ck_sp_radical_invariance(max_n):
@@ -239,59 +266,6 @@ def _ck_sp_radical_invariance(max_n):
 # odd orthogonal suite
 
 
-def _ck_oodd_oracle_counts(max_n):
-    cap = _oracle_cap(max_n)
-    got = []
-    for n in range(1, cap + 1):
-        reports = census("so-odd", n, 1)
-        if len(reports) != cb.p2(n):
-            return False, f"o({2 * n + 1}, F_2): {len(reports)} orbits, wanted p2({n})"
-        order = cz.group_order(n, 2)
-        for r in reports:
-            if r.orbit_size * r.stabilizer_order != order:
-                return False, f"o({2 * n + 1}): orbit {r.label} fails orbit-stabilizer"
-        got.append(f"o({2 * n + 1})->{len(reports)}")
-    return True, "exhaustive F_2 counts match p2(n): " + ", ".join(got)
-
-
-def _ck_oodd_class_splitting(max_n):
-    cap = _oracle_cap(max_n)
-    for n in range(1, cap + 1):
-        by_closed: dict = {}
-        for r in census("so-odd", n, 1):
-            key = (r.label.m, tuple((b.m, b.l) for b in r.label.blocks))
-            by_closed[key] = by_closed.get(key, 0) + 1
-        for pair in cb.oodd_pairs(n):
-            base = cb.pair_to_label(pair)
-            key = (base.m, tuple((b.m, b.l) for b in base.blocks))
-            want = 2 ** cb.oodd_split_k(pair)
-            if by_closed.pop(key, 0) != want:
-                return False, f"closed class {key} does not split into {want}"
-        if by_closed:
-            return False, f"stray closed classes {sorted(by_closed)}"
-    return True, f"every closed class splits into exactly 2^k F_2-orbits (n<={cap})"
-
-
-def _ck_oodd_classifier_vs_orbits(max_n):
-    cap = _oracle_cap(max_n)
-    members = 0
-    for n in range(1, cap + 1):
-        space = space_for("so-odd", n)
-        group = orc.enumerate_group(space)
-        reports = census("so-odd", n, 1)
-        if len({r.label for r in reports}) != len(reports):
-            return False, f"o({2 * n + 1}): distinct orbits share a label"
-        for r in reports:
-            orbit = orc.coadjoint_orbit(space, r.representative, group)
-            for Y in orbit.values():
-                lab = od.rational_odd_label(od.split_odd_functional(space, Y))
-                if lab != r.label:
-                    return False, f"o({2 * n + 1}): member of {r.label} classifies differently"
-            members += len(orbit)
-    return True, (f"label equality agrees with orbit equality on all "
-                  f"{members} nilpotent functionals (n<={cap})")
-
-
 def _ck_oodd_round_trips(max_n):
     top = 5 if max_n is None else max(1, min(max_n, 5))
     closed = 0
@@ -299,35 +273,18 @@ def _ck_oodd_round_trips(max_n):
         for pair in cb.oodd_pairs(n):
             lab = cb.pair_to_label(pair)
             for e in (1, 2) if n <= 2 else (1,):
-                space, X = od.odd_witness(lab, field_for(e))
-                split = od.split_odd_functional(space, X)
-                if od.rational_odd_label(split) != lab:
+                if od.rational_label(*od.odd_witness(lab, field_for(e))) != lab:
                     return False, f"round trip fails at {lab} over GF({2 ** e})"
                 closed += 1
     deco = 0
     for n in range(1, min(top, 2) + 1):
         for lab in cb.rational_labels(n):
             for e in (1, 2):
-                space, X = od.odd_witness(lab, field_for(e))
-                if od.rational_odd_label(od.split_odd_functional(space, X)) != lab:
+                if od.rational_label(*od.odd_witness(lab, field_for(e))) != lab:
                     return False, f"decorated round trip fails at {lab} over GF({2 ** e})"
                 deco += 1
     return True, (f"{closed} closed (n<={top}) and {deco} decorated (n<=2) "
                   f"witnesses split back to their labels")
-
-
-def _ck_orth_chi_pattern(max_n):
-    top = 5 if max_n is None else max(1, min(max_n, 5))
-    tried = 0
-    for m in range(1, top + 1):
-        for l in range((m + 1) // 2, m + 1):
-            mod, _ = fm.build_normal_form((cb.BlockLabel(m, l),), field_for(1),
-                                          kind="orth")
-            for k in range(2 * m + 1):
-                if fm.index_chi(mod, k) != max(0, min(k - m + l, l)):
-                    return False, f"chi mismatch at orth block ({m},{l}), power {k}"
-            tried += 1
-    return True, f"chi of {tried} orth blocks follows max(0, min(k-m+l, l))"
 
 
 def _ck_series_identities(max_n):
@@ -393,7 +350,7 @@ def _ck_theta_transport(max_n):
     images = set()
     for idx in range(q ** dim):
         X = space.dual_from_values(orc.key_values(space, idx))
-        T = cl.dual_to_algebra(space, X)
+        T = cl.module_endomorphism(space, X)
         if not cl.in_algebra(space, T):
             return False, "transport image leaves the algebra"
         images.add(T.tobytes())
@@ -408,8 +365,8 @@ def _ck_theta_transport(max_n):
         g = cl.random_group_element(space, rng)
         idx = int(rng.integers(0, q ** dim))
         X = space.dual_from_values(orc.key_values(space, idx))
-        left = cl.dual_to_algebra(space, cl.coadjoint(space, g, X))
-        right = la.mat_mul(F, la.mat_mul(F, g, cl.dual_to_algebra(space, X)),
+        left = cl.module_endomorphism(space, cl.coadjoint(space, g, X))
+        right = la.mat_mul(F, la.mat_mul(F, g, cl.module_endomorphism(space, X)),
                            la.inverse(F, g))
         if not np.array_equal(left, right):
             return False, "transport is not equivariant"

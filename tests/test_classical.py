@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from char2orbits import classical as cl
 from char2orbits import linalg as la
+from char2orbits import odd_split as od
 from char2orbits.finite_field import field_for
 
 rng = np.random.default_rng(41)
@@ -199,21 +202,21 @@ def test_odd_calculus_well_defined(n, e):
         assert not np.diagonal(G1).any()
 
 
-def test_even_theta_bijection_exhaustive():
-    so = cl.space_for("so-even", 2)
+@pytest.mark.parametrize("e", [1, 2])
+def test_even_theta_bijection_exhaustive(e):
+    so = cl.Space("so-even", 2, field_for(e))
     F = so.field
     basis = so.lie_basis()
     seen = set()
-    for mask in range(2 ** len(basis)):
+    for coeffs in product(range(F.q), repeat=len(basis)):
         T = la.zeros(so.d, so.d)
-        for k in range(len(basis)):
-            if mask >> k & 1:
-                T ^= basis[k]
+        for c, b in zip(coeffs, basis):
+            T ^= la.scale(F, c, b)
         X = cl.algebra_to_dual(so, T)
-        back = cl.dual_to_algebra(so, X)
+        back = cl.module_endomorphism(so, X)
         assert np.array_equal(back, T)
         seen.add(T.tobytes())
-    assert len(seen) == 2 ** len(basis)
+    assert len(seen) == F.q ** len(basis)
     with pytest.raises(ValueError):
         bad = la.identity(4)
         bad[0, 1] = 1
@@ -226,10 +229,30 @@ def test_even_theta_equivariance():
     for _ in range(100):
         X = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
         g = cl.random_group_element(so, rng)
-        lhs = cl.dual_to_algebra(so, cl.coadjoint(so, g, X))
-        rhs = la.mat_mul(F, la.mat_mul(F, g, cl.dual_to_algebra(so, X)),
+        lhs = cl.module_endomorphism(so, cl.coadjoint(so, g, X))
+        rhs = la.mat_mul(F, la.mat_mul(F, g, cl.module_endomorphism(so, X)),
                          la.inverse(F, g))
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("kind", cl.KINDS)
+@pytest.mark.parametrize("e", [1, 2])
+def test_functional_from_gram_inverts_the_gram_map(kind, e):
+    space = cl.Space(kind, 2, field_for(e))
+    F, S = space.field, space.S
+    gen = np.random.default_rng(11)
+    for _ in range(30):
+        X = gen.integers(0, F.q, size=(space.d, space.d), dtype=np.uint8)
+        A = la.mat_mul(F, X.T, S) ^ la.mat_mul(F, S, X)
+        # the sp Gram forgets the quadratic values diag(S X); the
+        # orthogonal trace radical absorbs them
+        quad = np.diagonal(la.mat_mul(F, S, X)) if kind == "sp" else None
+        Y = cl.functional_from_gram(F, S, A, quad)
+        assert space.dual_equal(Y, X)
+    A = la.zeros(space.d, space.d)
+    A[0, 0] = 1
+    with pytest.raises(ValueError):
+        cl.functional_from_gram(F, S, A)
 
 
 def test_canonical_rep():
@@ -286,19 +309,19 @@ def test_vanishes_on_borel():
 
 def test_nilpotency_criterion_sp():
     sp = cl.space_for("sp", 2)
-    assert cl.is_nilpotent_functional(sp, la.zeros(4, 4))
+    assert od.is_nilpotent_functional(sp, la.zeros(4, 4))
     # diagonal regular X has invertible module endomorphism: not nilpotent
     X = np.diag(np.array([1, 0, 0, 0], dtype=np.uint8))
     T = cl.module_endomorphism(sp, X)
     assert T.any()
-    assert not cl.is_nilpotent_functional(sp, X)
+    assert not od.is_nilpotent_functional(sp, X)
 
 
 def test_nilpotency_criterion_even():
     so = cl.space_for("so-even", 2)
-    assert cl.is_nilpotent_functional(so, la.zeros(4, 4))
+    assert od.is_nilpotent_functional(so, la.zeros(4, 4))
     X = np.diag(np.array([1, 0, 0, 0], dtype=np.uint8))
-    assert not cl.is_nilpotent_functional(so, X)
+    assert not od.is_nilpotent_functional(so, X)
 
 
 # ----------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_classify_non_nilpotent_reports_and_exits_4(capsys, tmp_path):
                   [1, 1, 1, 0],
                   [0, 0, 1, 0],
                   [1, 0, 1, 1]], dtype=np.uint8)
-    assert not cl.is_nilpotent_functional(space_for("sp", 2, 1), X)
+    assert not od.is_nilpotent_functional(space_for("sp", 2, 1), X)
     path = write_grid(tmp_path / "n.txt", X)
     rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
     assert rc == 4

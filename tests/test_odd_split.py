@@ -12,7 +12,6 @@ from char2orbits import combinatorics as cb
 from char2orbits import linalg as la
 from char2orbits import odd_split as od
 from char2orbits.classical import (alternating_gram, coadjoint,
-                                   is_nilpotent_functional,
                                    random_group_element, space_for)
 from char2orbits.combinatorics import BlockLabel
 from char2orbits.finite_field import Field
@@ -109,7 +108,7 @@ def test_split_success_is_the_nilpotency_criterion(e):
             split_ok = True
         except od.SplitError:
             split_ok = False
-        assert split_ok == is_nilpotent_functional(sp, X)
+        assert split_ok == od.is_nilpotent_functional(sp, X)
 
 
 def test_exhaustive_o3_census_over_f2():

@@ -7,6 +7,7 @@ from char2orbits import centralizers as cz
 from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
 from char2orbits import linalg as la
+from char2orbits import odd_split as od
 from char2orbits import oracle as orc
 from char2orbits.classical import space_for
 from char2orbits.finite_field import field_for
@@ -245,7 +246,7 @@ def test_nilpotence_definition_matches_the_splitting_criterion(kind, n, e):
         nil_keys.update(orc.coadjoint_orbit(space, r.representative, grp))
     for idx in range(space.field.q ** space.dim_algebra):
         X = space.dual_from_values(orc.key_values(space, idx))
-        assert cl.is_nilpotent_functional(space, X) == (idx in nil_keys)
+        assert od.is_nilpotent_functional(space, X) == (idx in nil_keys)
 
 
 @pytest.mark.parametrize("kind,n,e", [("sp", 1, 1), ("so-odd", 1, 1),
@@ -271,7 +272,7 @@ def test_labels_are_constant_on_small_orbits():
         for r in reports:
             orbit = orc.coadjoint_orbit(space, r.representative, grp)
             for Y in orbit.values():
-                assert orc._classify(space, Y) == r.label
+                assert od.rational_label(space, Y) == r.label
 
 
 # ----------------------------------------------------------------------
