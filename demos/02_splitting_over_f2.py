@@ -51,4 +51,4 @@ print()
 for r in twins:
     mod, _ = fm.build_normal_form(r.label, space.field)
     print(f"  {cb.format_blocks(r.label)}: orbit size {r.orbit_size}, "
-          f"quadratic values on the standard basis {mod.quad.tolist()}")
+          f"quadratic values on the standard basis {mod.quad}")

@@ -33,7 +33,7 @@ for trial in range(5):
     Y = la.mat_mul(F, la.mat_mul(F, g, X), gi)
     for idx in rng.integers(0, len(rad), size=3):
         if rng.integers(0, 2):
-            Y = Y ^ rad[idx]
+            Y = la.add(Y, rad[idx])
     got = fm.classify_fq(fm.build_module(space, Y))
     print(f"  trial {trial}: classified as {cb.format_blocks(got)}")
     assert got == label

@@ -37,7 +37,7 @@ for _ in range(50):
     gi = la.inverse(F, g)
     left = cl.module_endomorphism(space, la.mat_mul(F, la.mat_mul(F, g, X), gi))
     right = la.mat_mul(F, la.mat_mul(F, g, cl.module_endomorphism(space, X)), gi)
-    assert np.array_equal(left, right)
+    assert left == right
 print("transport commutes with the group action (50 random checks)")
 
 # The transport also explains where the orthogonal Lie algebra lives:
@@ -46,5 +46,5 @@ print("transport commutes with the group action (50 random checks)")
 # makes dual and algebra interchangeable in the first place.
 
 G = cl.wedge_invariant_form(space)
-print(f"invariant form on the algebra: {G.shape[0]} x {G.shape[1]}, "
+print(f"invariant form on the algebra: {len(G)} x {len(G[0])}, "
       f"rank {la.rank(F, G)}")

@@ -3,7 +3,7 @@
 Submodules:
 
     finite_field    GF(2^e) arithmetic on int-encoded elements
-    linalg          dense matrices over GF(2^e) (numpy uint8 + lookup tables)
+    linalg          dense matrices over GF(2^e) (int row lists, packed rows)
     combinatorics   partition-pair labels, block and odd label types with
                     their text and JSON forms, counts, rational fanout
     classical       symplectic / orthogonal Lie algebras, Borels, dual spaces
@@ -15,8 +15,8 @@ Submodules:
     verify          acceptance checks runnable from the CLI or tests
     cli             command line front end
 
-Importing the package loads no submodule, and the label layer
-(combinatorics, centralizers) needs no numpy.
+Importing the package loads no submodule.  Only oracle (the exhaustive
+census) and verify import numpy; every other module is plain Python.
 """
 
 __version__ = "0.1.0"

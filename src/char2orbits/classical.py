@@ -9,7 +9,9 @@ Three kinds of space are supported, each with its standard forms:
 with beta the polarization B + B^t in the orthogonal kinds.  A functional on
 the Lie algebra is carried as any matrix X with xi(x) = tr(X x); two
 representatives are the same functional iff their pairings with a basis of
-the algebra agree.  The calculus attached to a functional:
+the algebra agree.  Matrices are linalg's lists of int rows; every
+function also takes numpy arrays, and the algebra and Borel bases are lists
+of 0/1 matrices.  The calculus attached to a functional:
 
   * module_endomorphism (sp, so-even): X + S X^t S, the endomorphism that
     turns the space into a module over the functional; for so-even this map
@@ -35,7 +37,8 @@ the odd split and lives in odd_split (is_nilpotent_functional).
 
 from __future__ import annotations
 
-import numpy as np
+from functools import reduce
+from operator import xor
 
 from . import linalg as la
 from .finite_field import Field, field_for
@@ -43,6 +46,10 @@ from .finite_field import Field, field_for
 KINDS = ("sp", "so-odd", "so-even")
 
 _F2 = field_for(1)
+
+
+def _dimension(kind: str, n: int) -> int:
+    return 2 * n + 1 if kind == "so-odd" else 2 * n
 
 
 class Space:
@@ -56,26 +63,21 @@ class Space:
         self.kind = kind
         self.n = n
         self.field = field
-        d = 2 * n + 1 if kind == "so-odd" else 2 * n
+        d = _dimension(kind, n)
         self.d = d
         B = la.zeros(d, d)
-        B[:n, n:2 * n] = la.identity(n)
+        for i in range(n):
+            B[i][n + i] = 1
         if kind == "so-odd":
-            B[2 * n, 2 * n] = 1
-        if kind == "sp":
-            self.B = None
-            S = la.zeros(d, d)
-            S[:n, n:] = la.identity(n)
-            S[n:, :n] = la.identity(n)
-            self.S = S
-        else:
-            self.B = B
-            self.S = B ^ B.T
-        self._lie: np.ndarray | None = None
-        self._borel: np.ndarray | None = None
-        self._radical: np.ndarray | None = None
-        self._radical_rref: tuple[np.ndarray, list[int]] | None = None
-        self._pairing_rows: np.ndarray | None = None
+            B[2 * n][2 * n] = 1
+        self.B = None if kind == "sp" else B
+        self.S = la.add(B, la.transpose(B))
+        self._lie: list | None = None
+        self._borel: list | None = None
+        self._radical: list | None = None
+        self._radical_rref: tuple | None = None
+        self._pairing_rows: list | None = None
+        self._selectors: dict[str, list] = {}
 
     def __repr__(self) -> str:
         return f"Space({self.kind}, n={self.n}, {self.field.header()})"
@@ -94,38 +96,36 @@ class Space:
     # ------------------------------------------------------------------
     # algebra and Borel bases (0/1 matrices, valid over every GF(2^e))
 
-    def _condition_rows(self, extra_zero_positions=()) -> np.ndarray:
+    def _condition_rows(self, extra_zero_positions=()) -> list[list[int]]:
         """Constraint matrix whose right kernel (in x-coordinates) is the
         algebra: rows for x^t S + S x = 0, plus alternating-diagonal and
         trace rows for the orthogonal kinds, plus forced-zero entries."""
         d, S = self.d, self.S
         ncond = d * d + (d if self.kind != "sp" else 0) \
             + (1 if self.kind == "so-odd" else 0) + len(extra_zero_positions)
-        cols = np.zeros((ncond, d * d), dtype=np.uint8)
+        rows = la.zeros(ncond, d * d)
         for a in range(d):
             for b in range(d):
                 var = a * d + b
-                C = la.zeros(d, d)
-                C[b, :] ^= S[a, :]
-                C[:, b] ^= S[:, a]
-                col = list(C.reshape(-1))
+                for j in range(d):
+                    rows[b * d + j][var] ^= S[a][j]
+                    rows[j * d + b][var] ^= S[j][a]
                 if self.kind != "sp":
-                    dg = [0] * d
-                    dg[b] = int(S[a, b])
-                    col += dg
-                if self.kind == "so-odd":
-                    col += [1 if a == b else 0]
-                col += [0] * len(extra_zero_positions)
-                cols[: len(col), var] = col
+                    rows[d * d + b][var] = S[a][b]
+                if self.kind == "so-odd" and a == b:
+                    rows[d * d + d][var] = 1
         for k, (i, j) in enumerate(extra_zero_positions):
-            cols[ncond - len(extra_zero_positions) + k, i * self.d + j] = 1
-        return cols
+            rows[ncond - len(extra_zero_positions) + k][i * d + j] = 1
+        return rows
 
-    def lie_basis(self) -> np.ndarray:
-        "Array of shape (dim, d, d); echelonized basis of the algebra."
+    def _basis(self, extra_zero_positions=()) -> list[list[list[int]]]:
+        K = la.kernel_basis(_F2, self._condition_rows(extra_zero_positions))
+        return [la.reshape(k, self.d) for k in K]
+
+    def lie_basis(self) -> list[list[list[int]]]:
+        "Echelonized basis of the algebra: a list of dim matrices."
         if self._lie is None:
-            K = la.kernel_basis(_F2, self._condition_rows())
-            self._lie = K.reshape(-1, self.d, self.d)
+            self._lie = self._basis()
         return self._lie
 
     @property
@@ -139,71 +139,73 @@ class Space:
             return list(range(n)) + [2 * n] + list(range(2 * n - 1, n - 1, -1))
         return list(range(n)) + list(range(2 * n - 1, n - 1, -1))
 
-    def borel_basis(self) -> np.ndarray:
+    def borel_basis(self) -> list[list[list[int]]]:
         "Algebra elements upper triangular in flag order."
         if self._borel is None:
             sigma = self.flag_order()
-            below = [(sigma[i], sigma[j])
-                     for i in range(self.d) for j in range(self.d) if i > j]
-            K = la.kernel_basis(_F2, self._condition_rows(tuple(below)))
-            self._borel = K.reshape(-1, self.d, self.d)
+            self._borel = self._basis(tuple(
+                (sigma[i], sigma[j])
+                for i in range(self.d) for j in range(self.d) if i > j))
         return self._borel
+
+    def _pairing_selectors(self, which: str) -> list[list[int]]:
+        """Per basis matrix b of the lie or borel basis, the flat positions
+        i d + j with b[j][i] = 1, so tr(X b) is the sum of X's entries there."""
+        if which not in self._selectors:
+            basis = self.lie_basis() if which == "lie" else self.borel_basis()
+            d = self.d
+            self._selectors[which] = [
+                [i * d + j for i in range(d) for j in range(d) if b[j][i]]
+                for b in basis]
+        return self._selectors[which]
 
     # ------------------------------------------------------------------
     # functionals: tr-pairing, radical, canonical representatives
 
-    def pairing_vector(self, X: np.ndarray) -> tuple[int, ...]:
+    def pairing_vector(self, X) -> tuple[int, ...]:
         "Values of the functional on the algebra basis."
-        return _pairings(self.lie_basis(), X)
+        return _pairings(self._pairing_selectors("lie"), X)
 
-    def dual_equal(self, X: np.ndarray, Y: np.ndarray) -> bool:
+    def dual_equal(self, X, Y) -> bool:
         return self.pairing_vector(X) == self.pairing_vector(Y)
 
-    def _pairing_matrix(self) -> np.ndarray:
+    def _pairing_matrix(self) -> list[list[int]]:
         "Rows b^t of the algebra basis, flattened: X -> tr(X b) row by row."
         if self._pairing_rows is None:
-            self._pairing_rows = np.stack(
-                [b.T.reshape(-1) for b in self.lie_basis()])
+            self._pairing_rows = [la.flatten(la.transpose(b))
+                                  for b in self.lie_basis()]
         return self._pairing_rows
 
-    def dual_from_values(self, values) -> np.ndarray:
+    def dual_from_values(self, values) -> list[list[int]]:
         "Some representative X whose pairing_vector equals `values`."
-        vals = np.asarray(values, dtype=np.uint8)
-        if vals.shape != (self.dim_algebra,):
+        vals = [int(v) for v in values]
+        if len(vals) != self.dim_algebra:
             raise ValueError("need one value per algebra basis element")
         X = la.solve(self.field, self._pairing_matrix(), vals)
         assert X is not None, "the trace pairing must be onto"
-        return X.reshape(self.d, self.d)
+        return la.reshape(X, self.d)
 
-    def trace_radical_basis(self) -> np.ndarray:
-        "Matrices pairing to zero with the whole algebra; shape (r, d, d)."
+    def trace_radical_basis(self) -> list[list[list[int]]]:
+        "Matrices pairing to zero with the whole algebra."
         if self._radical is None:
             K = la.kernel_basis(_F2, self._pairing_matrix())
-            self._radical = K.reshape(-1, self.d, self.d)
+            self._radical = [la.reshape(k, self.d) for k in K]
         return self._radical
 
-    def canonical_rep(self, X: np.ndarray) -> np.ndarray:
+    def canonical_rep(self, X) -> list[list[int]]:
         "The unique representative with zeros in the radical's pivot slots."
         if self._radical_rref is None:
-            flat = self.trace_radical_basis().reshape(-1, self.d * self.d)
-            self._radical_rref = la.rref(_F2, flat)
+            self._radical_rref = la.rref(
+                _F2, [la.flatten(R) for R in self.trace_radical_basis()])
         R, pivots = self._radical_rref
-        v = np.asarray(X, dtype=np.uint8).reshape(-1).copy()
-        MUL = self.field.mul_table
-        for i, p in enumerate(pivots):
-            if v[p]:
-                v ^= MUL[v[p], R[i]]
-        return v.reshape(self.d, self.d)
+        v = la.reduce_modulo(self.field, R, pivots, la.flatten(X))
+        return la.reshape(v, self.d)
 
 
-def _pairings(basis: np.ndarray, X: np.ndarray) -> tuple[int, ...]:
-    "Values tr(X b) for the 0/1 matrices b of the basis."
-    flat = np.asarray(X, dtype=np.uint8).reshape(-1)
-    out = []
-    for b in basis:
-        sel = flat[b.T.reshape(-1) == 1]
-        out.append(int(np.bitwise_xor.reduce(sel)) if sel.size else 0)
-    return tuple(out)
+def _pairings(selectors, X) -> tuple[int, ...]:
+    "Values tr(X b), each b given by the flat positions it selects."
+    at = la.flatten(X).__getitem__
+    return tuple(reduce(xor, map(at, sel), 0) for sel in selectors)
 
 
 def space_for(kind: str, n: int, e: int = 1) -> Space:
@@ -214,18 +216,19 @@ def space_for(kind: str, n: int, e: int = 1) -> Space:
 # group elements
 
 
-def preserves_form(space: Space, g: np.ndarray) -> bool:
+def preserves_form(space: Space, g) -> bool:
     F = space.field
     g = la.as_matrix(g)
-    if g.shape != (space.d, space.d):
+    if len(g) != space.d or any(len(r) != space.d for r in g):
         return False
+    gt = la.transpose(g)
     if space.kind == "sp":
-        return np.array_equal(la.mat_mul(F, la.mat_mul(F, g.T, space.S), g), space.S)
-    M = la.mat_mul(F, la.mat_mul(F, g.T, space.B), g) ^ space.B
-    return np.array_equal(M, M.T) and not np.diagonal(M).any()
+        return la.mat_mul(F, la.mat_mul(F, gt, space.S), g) == space.S
+    M = la.add(la.mat_mul(F, la.mat_mul(F, gt, space.B), g), space.B)
+    return M == la.transpose(M) and not any(M[i][i] for i in range(space.d))
 
 
-def coadjoint(space: Space, g: np.ndarray, X: np.ndarray) -> np.ndarray:
+def coadjoint(space: Space, g, X) -> list[list[int]]:
     "Representative of the functional moved by g: X -> g X g^{-1}."
     if not preserves_form(space, g):
         raise ValueError("g does not preserve the form")
@@ -233,44 +236,49 @@ def coadjoint(space: Space, g: np.ndarray, X: np.ndarray) -> np.ndarray:
     return la.mat_mul(F, la.mat_mul(F, g, X), la.inverse(F, g))
 
 
-def symplectic_transvection(space: Space, v, c: int) -> np.ndarray:
+def _rank_one_update(F: Field, u, w) -> list[list[int]]:
+    "The identity plus the outer product u w^t."
+    MUL = F.mul_table
+    t = la.identity(len(u))
+    for i, a in enumerate(u):
+        if a:
+            t[i] = [x ^ MUL[a][y] for x, y in zip(t[i], w)]
+    return t
+
+
+def symplectic_transvection(space: Space, v, c: int) -> list[list[int]]:
     "x -> x + c beta(x, v) v; in the group for every v and scalar c."
     assert space.kind == "sp"
     F = space.field
-    v = np.asarray(v, dtype=np.uint8)
-    Sv = la.mat_vec(F, space.S, v)
-    t = la.identity(space.d)
-    t ^= F.mul_table[la.scale(F, c, v)[:, None], Sv[None, :]]
-    return t
+    return _rank_one_update(F, la.scale(F, c, v), la.mat_vec(F, space.S, v))
 
 
-def orthogonal_transvection(space: Space, v) -> np.ndarray:
+def orthogonal_transvection(space: Space, v) -> list[list[int]]:
     "x -> x + (beta(x,v)/alpha(v)) v; needs alpha(v) != 0."
     assert space.kind != "sp"
     F = space.field
-    v = np.asarray(v, dtype=np.uint8)
     a = space.alpha(v)
     if a == 0:
         raise ValueError("transvection vector must have nonzero alpha")
-    Sv = la.mat_vec(F, space.S, v)
-    t = la.identity(space.d)
-    t ^= F.mul_table[la.scale(F, F.inv(a), v)[:, None], Sv[None, :]]
-    return t
+    return _rank_one_update(F, la.scale(F, F.inv(a), v),
+                            la.mat_vec(F, space.S, v))
 
 
-def pair_swap(space: Space) -> np.ndarray:
+def pair_swap(space: Space) -> list[list[int]]:
     "The swap (e_1, f_1) <-> (e_2, f_2) of the first two hyperbolic pairs."
     n = space.n
     perm = list(range(space.d))
     perm[0], perm[1], perm[n], perm[n + 1] = 1, 0, n + 1, n
-    return la.identity(space.d)[perm]
+    rows = la.identity(space.d)
+    return [rows[i] for i in perm]
 
 
-def random_group_element(space: Space, rng: np.random.Generator, steps: int = 8) -> np.ndarray:
+def random_group_element(space: Space, rng, steps: int = 8) -> list[list[int]]:
     """Product of random transvections (a group element, not uniformly drawn).
 
-    In the even orthogonal kind with n >= 2 each step is the pair swap with
-    probability 1/2, since reflections alone can miss a coset of the group.
+    rng is a numpy Generator.  In the even orthogonal kind with n >= 2 each
+    step is the pair swap with probability 1/2, since reflections alone can
+    miss a coset of the group.
     """
     F = space.field
     g = la.identity(space.d)
@@ -280,8 +288,8 @@ def random_group_element(space: Space, rng: np.random.Generator, steps: int = 8)
             g = la.mat_mul(F, g, pair_swap(space))
             done += 1
             continue
-        v = rng.integers(0, F.q, size=space.d, dtype=np.uint8)
-        if not v.any():
+        v = rng.integers(0, F.q, size=space.d, dtype="uint8").tolist()
+        if not any(v):
             continue
         if space.kind == "sp":
             c = int(rng.integers(1, F.q))
@@ -299,55 +307,65 @@ def random_group_element(space: Space, rng: np.random.Generator, steps: int = 8)
 # the calculus attached to a functional
 
 
-def module_endomorphism(space: Space, X: np.ndarray) -> np.ndarray:
+def module_endomorphism(space: Space, X) -> list[list[int]]:
     "X + S X^t S.  For sp and so-even; self-adjoint for the pairing."
     if space.kind == "so-odd":
         raise ValueError("no direct module endomorphism in the odd kind")
     F = space.field
-    return X ^ la.mat_mul(F, la.mat_mul(F, space.S, X.T), space.S)
+    return la.add(X, la.mat_mul(F, la.mat_mul(F, space.S, la.transpose(X)),
+                                space.S))
 
 
-def alternating_gram(space: Space, X: np.ndarray) -> np.ndarray:
+def alternating_gram(space: Space, X) -> list[list[int]]:
     "X^t S + S X: the alternating pairing matrix of an odd functional."
     assert space.kind == "so-odd"
     F = space.field
-    return la.mat_mul(F, X.T, space.S) ^ la.mat_mul(F, space.S, X)
+    return la.add(la.mat_mul(F, la.transpose(X), space.S),
+                  la.mat_mul(F, space.S, X))
 
 
-def functional_from_gram(F: Field, S: np.ndarray, A: np.ndarray,
-                         quad=None) -> np.ndarray:
+def is_alternating(A) -> bool:
+    "Symmetric with zero diagonal."
+    A = la.as_matrix(A)
+    return A == la.transpose(A) and not any(r[i] for i, r in enumerate(A))
+
+
+def functional_from_gram(F: Field, S, A, quad=None) -> list[list[int]]:
     """X = S (triu(A, 1) + diag(quad)), a solution of X^t S + S X = A.
 
     Valid for the S of every kind: S^2 is the identity except at the odd
     radical slot, whose row the strict upper triangle leaves empty.  For
     sp, quad prescribes diag(S X), the functional's quadratic values.
     """
-    if not np.array_equal(A, A.T) or np.diagonal(A).any():
+    A = la.as_matrix(A)
+    if not is_alternating(A):
         raise ValueError("the Gram must be alternating")
-    M = np.triu(A, k=1)
+    M = [[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(A)]
     if quad is not None:
-        M[np.diag_indices(len(M))] = quad
+        for i, x in enumerate(quad):
+            M[i][i] = int(x)
     return la.mat_mul(F, S, M)
 
 
-def algebra_coords(space: Space, T: np.ndarray) -> np.ndarray:
+def algebra_coords(space: Space, T) -> list[int]:
     "Coordinates of T in the lie_basis; raises if T is outside the algebra."
-    basis = space.lie_basis().reshape(-1, space.d * space.d)
-    c = la.solve(space.field, basis.T, np.asarray(T, dtype=np.uint8).reshape(-1))
+    basis = [la.flatten(b) for b in space.lie_basis()]
+    c = la.solve(space.field, la.transpose(basis), la.flatten(T))
     if c is None:
         raise ValueError("matrix is not in the algebra")
     return c
 
 
-def in_algebra(space: Space, T: np.ndarray) -> bool:
+def in_algebra(space: Space, T) -> bool:
     F = space.field
-    TS = la.mat_mul(F, T.T, space.S)  # S T is its transpose
-    if (TS ^ TS.T).any() or (space.kind != "sp" and np.diagonal(TS).any()):
+    TS = la.mat_mul(F, la.transpose(T), space.S)  # S T is its transpose
+    if TS != la.transpose(TS) or (space.kind != "sp"
+                                  and any(r[i] for i, r in enumerate(TS))):
         return False
     return not (space.kind == "so-odd" and la.mat_trace(F, T))
 
 
-def algebra_to_dual(space: Space, T: np.ndarray) -> np.ndarray:
+def algebra_to_dual(space: Space, T) -> list[list[int]]:
     """Inverse of module_endomorphism on so-even: some X with X + S X^t S = T.
 
     S X + X^t S = S T, so X is the functional with Gram S T.
@@ -363,16 +381,16 @@ def algebra_to_dual(space: Space, T: np.ndarray) -> np.ndarray:
 # the Borel
 
 
-def borel_pairing(space: Space, X: np.ndarray) -> tuple[int, ...]:
+def borel_pairing(space: Space, X) -> tuple[int, ...]:
     "Values of the functional on the Borel basis."
-    return _pairings(space.borel_basis(), X)
+    return _pairings(space._pairing_selectors("borel"), X)
 
 
 # ----------------------------------------------------------------------
 # invariant form on the even-orthogonal algebra (wedge construction)
 
 
-def wedge_invariant_form(space: Space) -> np.ndarray:
+def wedge_invariant_form(space: Space) -> list[list[int]]:
     """Gram matrix, in the lie_basis coordinates, of the invariant pairing
     on the even-orthogonal algebra.
 
@@ -385,23 +403,23 @@ def wedge_invariant_form(space: Space) -> np.ndarray:
     F = space.field
     d, S = space.d, space.S
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    Phi = np.zeros((d * d, len(pairs)), dtype=np.uint8)
-    for k, (i, j) in enumerate(pairs):
-        M = np.outer(la.identity(d)[j], S[i, :]) ^ np.outer(la.identity(d)[i], S[j, :])
-        Phi[:, k] = M.reshape(-1)
+    columns = []
+    for i, j in pairs:
+        M = la.zeros(d, d)
+        M[j] = list(S[i])
+        M[i] = [x ^ y for x, y in zip(M[i], S[j])]
+        columns.append(la.flatten(M))
+    Phi = la.transpose(columns)
     basis = space.lie_basis()
     assert la.rank(F, Phi) == len(pairs) == len(basis)
-    coords = []
+    W = []
     for b in basis:
-        w = la.solve(F, Phi, b.reshape(-1))
+        w = la.solve(F, Phi, la.flatten(b))
         assert w is not None
-        coords.append(w)
-    W = np.stack(coords)
-    Gw = la.zeros(len(pairs), len(pairs))
-    for a, (i, j) in enumerate(pairs):
-        for b, (p, q) in enumerate(pairs):
-            Gw[a, b] = F.mul(S[i, p], S[j, q]) ^ F.mul(S[i, q], S[j, p])
-    G = la.mat_mul(F, la.mat_mul(F, W, Gw), W.T)
+        W.append(w)
+    Gw = [[F.mul(S[i][p], S[j][q]) ^ F.mul(S[i][q], S[j][p]) for p, q in pairs]
+          for i, j in pairs]
+    G = la.mat_mul(F, la.mat_mul(F, W, Gw), la.transpose(W))
     assert la.rank(F, G) == len(basis)
     return G
 
@@ -410,19 +428,29 @@ def wedge_invariant_form(space: Space) -> np.ndarray:
 # JSON form of a functional
 
 
-def dual_to_json(space: Space, X: np.ndarray) -> dict:
-    toks = " ".join(space.field.format_element(int(x))
-                    for x in np.asarray(X, dtype=np.uint8).reshape(-1))
+def dual_to_json(space: Space, X) -> dict:
+    toks = " ".join(space.field.format_element(int(x)) for x in la.flatten(X))
     return {"kind": space.kind, "n": space.n,
             "field": space.field.header(), "X": toks}
 
 
-def dual_from_json(obj: dict) -> tuple[Space, np.ndarray]:
+def dual_from_json(obj: dict) -> tuple[Space, list[list[int]]]:
+    """The space and functional of dual_to_json's form.
+
+    Every field is checked, and the entry count of X against the kind and
+    rank, before any space is built, so a huge rank costs nothing.
+    """
     field = Field.from_header(obj["field"])
-    space = Space(obj["kind"], int(obj["n"]), field)
-    toks = obj["X"].split()
-    if len(toks) != space.d * space.d:
-        raise ValueError(f"X must have {space.d * space.d} entries")
-    X = np.array([field.parse_element(t) for t in toks],
-                 dtype=np.uint8).reshape(space.d, space.d)
-    return space, X
+    kind, n, text = obj["kind"], obj["n"], obj["X"]
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(text, str):
+        raise ValueError("X must be a string of hex entries")
+    toks = text.split()
+    d = _dimension(kind, n)
+    if len(toks) != d * d:
+        raise ValueError(f"X must have {d * d} entries, got {len(toks)}")
+    X = la.reshape([field.parse_element(t) for t in toks], d)
+    return Space(kind, n, field), X

@@ -10,11 +10,13 @@ Subcommands
 
 Exit codes: 0 success, 1 verification failure, 2 invalid request,
 3 size bounds exceeded, 4 classify input not nilpotent, 141 (128 + SIGPIPE)
-when the reader closes standard output early.
+when the reader closes standard output early.  Exits 2, 3 and 4 write one
+line to stderr; 4 still prints the classify report.
 
 Labels are pure combinatorics, so only combinatorics and centralizers load
-with this module; a command that builds matrices imports the numpy-backed
-modules inside its own function.
+with this module; a command that builds matrices imports the matrix layers
+inside its own function.  Those layers are plain Python: numpy loads only
+for the exhaustive census behind orbits --type so-even, and for verify.
 """
 
 from __future__ import annotations
@@ -219,8 +221,6 @@ def _read_matrix(path: str, type_flag: str | None, e: int):
 
 
 def _read_grid(text: str, type_flag: str | None, e: int):
-    import numpy as np
-
     from .classical import space_for
     from .finite_field import field_for
 
@@ -239,9 +239,7 @@ def _read_grid(text: str, type_flag: str | None, e: int):
     if n < 1:
         raise BadRequest("matrix is too small")
     space = space_for(type_flag, n, e)
-    X = np.array([[field.parse_element(t) for t in r] for r in rows],
-                 dtype=np.uint8)
-    return space, X
+    return space, [[field.parse_element(t) for t in r] for r in rows]
 
 
 def _cmd_classify(args) -> int:
@@ -253,6 +251,7 @@ def _cmd_classify(args) -> int:
                     "nilpotent": od.is_nilpotent_functional(space, X)}
     if not report["nilpotent"]:
         _print_record(report, "json")
+        print("the functional is not nilpotent", file=sys.stderr)
         return 4
     label = od.rational_label(space, X)
     if label is None:

@@ -21,8 +21,6 @@ Each modulus is re-checked for irreducibility at construction time.
 
 from __future__ import annotations
 
-import numpy as np
-
 DEFAULT_MODULUS = {
     1: 0b11,
     2: 0b111,
@@ -35,6 +33,8 @@ DEFAULT_MODULUS = {
 }
 
 MAX_DEGREE = 8
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def poly_degree(p: int) -> int:
@@ -82,8 +82,9 @@ class Field:
         self.e = e
         self.q = 1 << e
         self.modulus = modulus
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
+        self._mul_table: list[list[int]] | None = None
+        self._inv_table: list[int] | None = None
+        self._scale_bytes: list[bytes] | None = None
 
     # ------------------------------------------------------------------
     # scalar arithmetic
@@ -142,28 +143,31 @@ class Field:
         raise AssertionError("trace form identically zero")
 
     # ------------------------------------------------------------------
-    # numpy lookup tables (built lazily; used by the dense linear algebra)
+    # lookup tables (built lazily; used by the dense linear algebra)
 
     @property
-    def mul_table(self) -> np.ndarray:
+    def mul_table(self) -> list[list[int]]:
+        "mul_table[a][b] is the product a b."
         if self._mul_table is None:
-            t = np.zeros((self.q, self.q), dtype=np.uint8)
-            for a in range(self.q):
-                for b in range(a, self.q):
-                    p = self.mul(a, b)
-                    t[a, b] = p
-                    t[b, a] = p
-            self._mul_table = t
+            self._mul_table = [[self.mul(a, b) for b in range(self.q)]
+                               for a in range(self.q)]
         return self._mul_table
 
     @property
-    def inv_table(self) -> np.ndarray:
+    def inv_table(self) -> list[int]:
+        "inv_table[a] is the inverse of a, with 0 at 0."
         if self._inv_table is None:
-            t = np.zeros(self.q, dtype=np.uint8)
-            for a in range(1, self.q):
-                t[a] = self.inv(a)
-            self._inv_table = t
+            self._inv_table = [0] + [self.inv(a) for a in range(1, self.q)]
         return self._inv_table
+
+    @property
+    def scale_bytes(self) -> list[bytes]:
+        """bytes.translate tables: scale_bytes[c] maps each element byte a
+        to the byte c a, so it scales a row stored one byte per entry."""
+        if self._scale_bytes is None:
+            pad = bytes(256 - self.q)
+            self._scale_bytes = [bytes(row) + pad for row in self.mul_table]
+        return self._scale_bytes
 
     # ------------------------------------------------------------------
     # serialization
@@ -187,6 +191,9 @@ class Field:
         return format(a, "x")
 
     def parse_element(self, s: str) -> int:
+        "Lower- or upper-case hex digits only: no sign, prefix or spaces."
+        if not s or s.strip(_HEX_DIGITS):
+            raise ValueError(f"{s!r} is not a hex field element")
         a = int(s, 16)
         if not 0 <= a < self.q:
             raise ValueError(f"{s!r} is not an element of {self.header()}")

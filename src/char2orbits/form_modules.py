@@ -35,11 +35,10 @@ algebra with no search.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import isometry as iso
 from . import linalg as la
-from .classical import Space, functional_from_gram, module_endomorphism
+from .classical import (Space, functional_from_gram, is_alternating,
+                        module_endomorphism)
 from .combinatorics import (BlockLabel, decorations, split_positions,
                             validate_blocks)
 # the label layer lives in combinatorics; benchmarks/workloads.py still
@@ -66,40 +65,40 @@ class FormModule:
         self.field = field
         self.gram = la.as_matrix(gram)
         self.op = la.as_matrix(op)
-        self.quad = np.asarray(quad, dtype=np.uint8)
-        d = self.gram.shape[0]
-        if self.op.shape != (d, d) or self.quad.shape != (d,):
+        self.quad = [int(x) for x in quad]
+        d = len(self.gram)
+        if any(len(r) != d for r in self.gram + self.op) \
+                or len(self.op) != d or len(self.quad) != d:
             raise ValueError("component shapes disagree")
-        if not np.array_equal(self.gram, self.gram.T) or np.diagonal(self.gram).any():
+        if not is_alternating(self.gram):
             raise ValueError("pairing must be alternating")
         la.inverse(field, self.gram)  # nondegenerate, raises otherwise
         if not la.is_nilpotent(field, self.op):
             raise ValueError("operator must be nilpotent")
-        shifted = la.mat_mul(field, self.op.T, self.gram)
-        if not np.array_equal(shifted, shifted.T) or np.diagonal(shifted).any():
+        op_t = la.transpose(self.op)
+        shifted = la.mat_mul(field, op_t, self.gram)
+        if not is_alternating(shifted):
             raise ValueError("operator must be self-adjoint and isotropic-shifting")
-        if kind == "sp":
-            twice = la.mat_mul(field, self.op.T, shifted)
-            if not np.array_equal(twice, twice.T) or np.diagonal(twice).any():
-                raise ValueError("shifted pairing must vanish on (Tv, v)")
+        if kind == "sp" and not is_alternating(la.mat_mul(field, op_t, shifted)):
+            raise ValueError("shifted pairing must vanish on (Tv, v)")
         self._U = iso.quad_matrix(field, self.quad, self.polar_gram)
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return len(self.gram)
 
     @property
-    def polar_gram(self) -> np.ndarray:
+    def polar_gram(self) -> list[list[int]]:
         "Gram of the quadratic form's polarization."
         if self.kind == "sp":
-            return la.mat_mul(self.field, self.op.T, self.gram)
+            return la.mat_mul(self.field, la.transpose(self.op), self.gram)
         return self.gram
 
     def beta(self, v, w) -> int:
         return la.dot(self.field, v, la.mat_vec(self.field, self.gram, w))
 
 
-def build_module(space: Space, X: np.ndarray) -> FormModule:
+def build_module(space: Space, X) -> FormModule:
     """The form module of a nilpotent symplectic functional.
 
     Odd orthogonal functionals go through the odd split instead, which
@@ -111,8 +110,8 @@ def build_module(space: Space, X: np.ndarray) -> FormModule:
     T = module_endomorphism(space, X)
     if not la.is_nilpotent(F, T):
         raise ValueError("functional is not nilpotent")
-    quad = np.diagonal(la.mat_mul(F, space.S, X)).copy()
-    return FormModule("sp", F, space.S, T, quad)
+    SX = la.mat_mul(F, space.S, X)
+    return FormModule("sp", F, space.S, T, [r[i] for i, r in enumerate(SX)])
 
 
 # ----------------------------------------------------------------------
@@ -122,10 +121,9 @@ def build_module(space: Space, X: np.ndarray) -> FormModule:
 def phi_series(mod: FormModule, v, w) -> list[int]:
     "Coefficients beta(T^k v, w) for k = 0..dim."
     out = []
-    u = np.asarray(v, dtype=np.uint8)
     for _ in range(mod.dim + 1):
-        out.append(mod.beta(u, w))
-        u = la.mat_vec(mod.field, mod.op, u)
+        out.append(mod.beta(v, w))
+        v = la.mat_vec(mod.field, mod.op, v)
     return out
 
 
@@ -133,23 +131,22 @@ def xi_series(mod: FormModule, v, w) -> list[int]:
     "Coefficients of the shifted pairing beta(T^{k+1} v, w) for k = 0..dim."
     F = mod.field
     out = []
-    u = np.asarray(v, dtype=np.uint8)
     P = mod.polar_gram
     for _ in range(mod.dim + 1):
-        out.append(la.dot(F, u, la.mat_vec(F, P, w)))
-        u = la.mat_vec(F, mod.op, u)
+        out.append(la.dot(F, v, la.mat_vec(F, P, w)))
+        v = la.mat_vec(F, mod.op, v)
     return out
 
 
 def _power_forms(mod: FormModule, m: int, count: int):
     """Polar Gram and basis values of v -> quad(T^i v) on ker(T^m), for
     i = 0..count-1."""
-    F, P = mod.field, mod.polar_gram
+    F, P, op_t = mod.field, mod.polar_gram, la.transpose(mod.op)
     img = la.kernel_basis(F, la.mat_pow(F, mod.op, m))
     for _ in range(count):
-        yield (la.mat_mul(F, la.mat_mul(F, img, P), img.T),
+        yield (la.mat_mul(F, la.mat_mul(F, img, P), la.transpose(img)),
                iso.quad_values(F, mod._U, img))
-        img = la.mat_mul(F, img, mod.op.T)
+        img = la.mat_mul(F, img, op_t)
 
 
 def index_chi(mod: FormModule, m: int) -> int:
@@ -161,12 +158,12 @@ def index_chi(mod: FormModule, m: int) -> int:
     if not 0 <= m <= mod.dim:
         raise ValueError("power must lie between 0 and dim")
     for i, (pol, vals) in enumerate(_power_forms(mod, m, mod.dim + 1)):
-        if not vals.any() and not pol.any():
+        if not any(vals) and la.is_zero(pol):
             return i
     raise AssertionError("nilpotent operator must reach a vanishing power")
 
 
-def _arf_trace(F: Field, gram: np.ndarray, vals: np.ndarray) -> int | None:
+def _arf_trace(F: Field, gram, vals) -> int | None:
     """Absolute trace of the Arf invariant of a quadratic form, or None
     when the form does not vanish on its polar radical.
 
@@ -176,18 +173,29 @@ def _arf_trace(F: Field, gram: np.ndarray, vals: np.ndarray) -> int | None:
     v + polar(v, f) e + polar(v, e) f, which sends e and f themselves to 0.
     What is left spans the polar radical, on which the form is additive.
     """
-    A, q = gram.copy(), vals.copy()
+    A, q = la.as_matrix(gram), [int(x) for x in vals]
     mul = F.mul_table
     arf = 0
-    while A.any():
-        r, s = (int(x) for x in np.argwhere(A)[0])
-        c = int(F.inv_table[A[r, s]])
-        A[s], A[:, s], q[s] = mul[c, A[s]], mul[c, A[:, s]], mul[mul[c, c], q[s]]
-        arf ^= int(mul[q[r], q[s]])
-        a, b = A[:, s].copy(), A[:, r].copy()
-        q ^= mul[mul[a, a], q[r]] ^ mul[mul[b, b], q[s]] ^ mul[a, b]
-        A ^= mul[a[:, None], b[None, :]] ^ mul[b[:, None], a[None, :]]
-    return None if q.any() else F.trace(arf)
+    while True:
+        hit = next(((i, j) for i, row in enumerate(A)
+                    for j, x in enumerate(row) if x), None)
+        if hit is None:
+            break
+        r, s = hit
+        inv = F.inv_table[A[r][s]]
+        c = mul[inv]
+        A[s] = [c[x] for x in A[s]]
+        for row in A:
+            row[s] = c[row[s]]
+        q[s] = mul[c[inv]][q[s]]
+        arf ^= mul[q[r]][q[s]]
+        a, b = [row[s] for row in A], [row[r] for row in A]
+        qr, qs = mul[q[r]], mul[q[s]]
+        q = [x ^ qr[mul[i][i]] ^ qs[mul[j][j]] ^ mul[i][j]
+             for x, i, j in zip(q, a, b)]
+        A = [[x ^ mul[i][y] ^ mul[j][z] for x, y, z in zip(row, b, a)]
+             for row, i, j in zip(A, a, b)]
+    return None if any(q) else F.trace(arf)
 
 
 def arf_invariant(mod: FormModule) -> tuple:
@@ -240,25 +248,26 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
     blocks = tuple(blocks)
     if not validate_blocks(blocks, kind=kind):
         raise ValueError(f"invalid label {blocks} for kind {kind}")
-    offs = np.concatenate(([0], np.cumsum([b.m for b in blocks]))).astype(int)
-    K = int(offs[-1])
+    K = sum(b.m for b in blocks)
     d = 2 * K
     T = la.zeros(d, d)
-    quad = np.zeros(d, dtype=np.uint8)
+    quad = [0] * d
     delta = field.nonsplit_element()
-    for b, lab in enumerate(blocks):
-        m, o = lab.m, int(offs[b])
+    o = 0
+    for lab in blocks:
+        m = lab.m
         for i in range(m - 1):
-            T[o + i + 1, o + i] = 1          # first chain shifts down
-            T[K + o + i, K + o + i + 1] = 1  # second chain shifts up
+            T[o + i + 1][o + i] = 1          # first chain shifts down
+            T[K + o + i][K + o + i + 1] = 1  # second chain shifts up
         if lab.l >= 1:
             quad[o + lab.l - 1] = 1
         if lab.eps == "d":
             slot = lab.l if kind == "sp" else lab.l - 1
             quad[K + o + slot] ^= delta
+        o += m
     S = la.zeros(d, d)
-    S[:K, K:] = la.identity(K)
-    S[K:, :K] = la.identity(K)
+    for i in range(K):
+        S[i][K + i] = S[K + i][i] = 1
     mod = FormModule(kind, field, S, T, quad)
     if kind != "sp":
         return mod, None

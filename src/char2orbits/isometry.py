@@ -9,11 +9,11 @@ SearchTooLarge instead.  Nothing on the classification path searches (the
 rational classifiers compare Arf invariants); the space search is the
 reference oracle of the tests and of verify.  The quadratic-form helpers
 quad_matrix and quad_values also serve the form modules and the odd split.
+Grams, vectors and maps are linalg's int lists (numpy arrays are accepted
+as input), and each affine level is enumerated as a list of vectors.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import linalg as la
 from .finite_field import Field
@@ -25,43 +25,43 @@ class SearchTooLarge(RuntimeError):
     """An affine level would enumerate more candidates than the cap allows."""
 
 
-def quad_matrix(F: Field, quad, polar) -> np.ndarray:
+def quad_matrix(F: Field, quad, polar) -> list[list[int]]:
     """Upper-triangular matrix U with v^t U v the quadratic form."""
-    d = len(quad)
-    U = np.triu(np.asarray(polar, dtype=np.uint8), k=1)
-    U[np.arange(d), np.arange(d)] = np.asarray(quad, dtype=np.uint8)
+    U = la.as_matrix(polar)
+    for i, r in enumerate(U):
+        r[:i + 1] = [0] * i + [int(quad[i])]
     return U
 
 
-def quad_values(F: Field, U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def quad_values(F: Field, U, rows) -> list[int]:
     "Quadratic form of each row of `rows`."
-    if rows.shape[0] == 0:
-        return np.zeros(0, dtype=np.uint8)
-    t = la.mat_mul(F, rows, U)
-    prod = F.mul_table[t, rows]
-    return np.bitwise_xor.reduce(prod, axis=1)
+    rows = la.as_matrix(rows)
+    if not rows:
+        return []
+    return [la.dot(F, t, v) for t, v in zip(la.mat_mul(F, rows, U), rows)]
 
 
-def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> np.ndarray:
-    """All solutions of rows @ x = rhs, as an (N, d) array (N may be 0)."""
+def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> list[list[int]]:
+    """All solutions of rows @ x = rhs, as a list of vectors (maybe none).
+
+    The order is that of the coefficient tuples on the kernel basis, the
+    last coefficient running fastest.
+    """
     if len(rows):
-        A = np.stack(rows).astype(np.uint8)
-        b = np.asarray(rhs, dtype=np.uint8)
-        part = la.solve(F, A, b)
+        part = la.solve(F, rows, rhs)
         if part is None:
-            return np.zeros((0, d), dtype=np.uint8)
-        K = la.kernel_basis(F, A)
+            return []
+        K = la.kernel_basis(F, rows)
     else:
-        part = np.zeros(d, dtype=np.uint8)
+        part = [0] * d
         K = la.identity(d)
     k = len(K)
     if F.q ** k > cap:
         raise SearchTooLarge(f"affine level of size {F.q}^{k} exceeds cap {cap}")
-    out = np.tile(part, (F.q ** k, 1))
-    if k:
-        coeffs = np.indices((F.q,) * k, dtype=np.uint8).reshape(k, -1).T
-        for i in range(k):
-            out ^= F.mul_table[coeffs[:, i][:, None], K[i][None, :]]
+    out = [part]
+    for k in K:
+        multiples = [la.scale(F, c, k) for c in range(F.q)]
+        out = [[a ^ b for a, b in zip(x, m)] for x in out for m in multiples]
     return out
 
 
@@ -70,37 +70,37 @@ def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> np.ndarray:
 
 
 def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
-    pairings = [(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
-                for a, b in pairings]
-    d = pairings[0][0].shape[0]
+    pairings = [(la.as_matrix(a), la.as_matrix(b)) for a, b in pairings]
+    d = len(pairings[0][0])
     for Gs, Gd in pairings:
-        if Gs.shape != (d, d) or Gd.shape != (d, d):
-            raise ValueError("pairing Grams must all have equal dimension")
-    src_quad = np.asarray(src_quad, dtype=np.uint8)
+        for G in (Gs, Gd):
+            if len(G) != d or any(len(r) != d for r in G):
+                raise ValueError("pairing Grams must all have equal dimension")
+    src_quad = [int(x) for x in src_quad]
     U_dst = quad_matrix(F, dst_quad, pairings[0][1])
 
-    images: list[np.ndarray] = []
+    images: list[list[int]] = []
     state = {"count": 0, "found": None}
 
-    def admissible(i: int) -> np.ndarray:
+    def admissible(i: int) -> list[list[int]]:
         rows, rhs = [], []
         for Gs, Gd in pairings:
             for j in range(i):
                 rows.append(la.mat_vec(F, Gd, images[j]))
-                rhs.append(int(Gs[j, i]))
+                rhs.append(Gs[j][i])
         cand = _affine_candidates(F, rows, rhs, d, cap)
-        keep = quad_values(F, U_dst, cand) == src_quad[i]
-        return cand[keep]
+        return [y for y, a in zip(cand, quad_values(F, U_dst, cand))
+                if a == src_quad[i]]
 
     def descend(i: int) -> bool:
         if i == d:
-            M = np.stack(images, axis=1)
+            M = la.transpose(images)
             try:
                 la.inverse(F, M)
             except ValueError:
                 return False
             for Gs, Gd in pairings:
-                assert np.array_equal(la.mat_mul(F, la.mat_mul(F, M.T, Gd), M), Gs)
+                assert la.mat_mul(F, la.mat_mul(F, images, Gd), M) == Gs
             if want_count:
                 state["count"] += 1
                 return False

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import combinatorics as cb
 from . import isometry as iso
 from . import linalg as la
@@ -57,11 +55,11 @@ class SplitError(ValueError):
 @dataclass
 class OddSplit:
     space: Space
-    X: np.ndarray
+    X: list[list[int]]
     m: int
-    chain: list[np.ndarray]
-    dual: list[np.ndarray]
-    complement: np.ndarray
+    chain: list[list[int]]
+    dual: list[list[int]]
+    complement: list[list[int]]
     module: FormModule | None
 
 
@@ -69,21 +67,23 @@ class OddSplit:
 # the split itself
 
 
-def _chain_vectors(space: Space, G: np.ndarray):
+def _chain_vectors(space: Space, G):
     F, S, d = space.field, space.S, space.d
     for m in range(space.n + 1):
-        A = np.zeros(((m + 2) * d, (m + 1) * d), dtype=np.uint8)
+        A = la.zeros((m + 2) * d, (m + 1) * d)
         for i in range(m + 1):
-            A[i * d:(i + 1) * d, i * d:(i + 1) * d] = G
-            if i:
-                A[i * d:(i + 1) * d, (i - 1) * d:i * d] = S
-        A[(m + 1) * d:, m * d:] = S
+            for r in range(d):
+                A[i * d + r][i * d:(i + 1) * d] = G[r]
+                if i:
+                    A[i * d + r][(i - 1) * d:i * d] = S[r]
+        for r in range(d):
+            A[(m + 1) * d + r][m * d:] = S[r]
         K = la.kernel_basis(F, A)
         if len(K) == 0:
             continue
         if len(K) != 1:
             raise SplitError(f"chain solution space has dimension {len(K)}")
-        chain = [K[0][i * d:(i + 1) * d].copy() for i in range(m + 1)]
+        chain = [K[0][i * d:(i + 1) * d] for i in range(m + 1)]
         a_vm = space.alpha(chain[m])
         if a_vm == 0:
             raise SplitError("chain end has zero quadratic value")
@@ -98,18 +98,17 @@ def _alpha_fix(space: Space, v, v_m):
     a = space.alpha(v)
     if a == 0:
         return v
-    return v ^ la.scale(space.field, space.field.sqrt(a), v_m)
+    return [x ^ y for x, y in
+            zip(v, la.scale(space.field, space.field.sqrt(a), v_m))]
 
 
-def _dual_chain(space: Space, G: np.ndarray, chain):
+def _dual_chain(space: Space, G, chain):
     F, S = space.field, space.S
     m = len(chain) - 1
     if m == 0:
         return []
-    rows = np.stack([la.mat_vec(F, S, v) for v in chain[:m]])
-    rhs = np.zeros(m, dtype=np.uint8)
-    rhs[0] = 1
-    u = la.solve(F, rows, rhs)
+    rows = [la.mat_vec(F, S, v) for v in chain[:m]]
+    u = la.solve(F, rows, [1] + [0] * (m - 1))
     if u is None:
         raise SplitError("no dual vector pairs one with the chain start")
     dual = [_alpha_fix(space, u, chain[m])]
@@ -122,7 +121,7 @@ def _dual_chain(space: Space, G: np.ndarray, chain):
     return dual
 
 
-def split_odd_functional(space: Space, X: np.ndarray) -> OddSplit:
+def split_odd_functional(space: Space, X) -> OddSplit:
     """Chain, dual family, and complement module of an odd functional.
 
     Raises SplitError when any stage fails; succeeding with a nilpotent
@@ -145,27 +144,27 @@ def split_odd_functional(space: Space, X: np.ndarray) -> OddSplit:
     if m == 0:
         comp = la.identity(d)[:d - 1]
     else:
-        span = np.stack(chain + dual)
-        if la.rank(F, span) != 2 * m + 1:
+        if la.rank(F, chain + dual) != 2 * m + 1:
             raise SplitError("chain and dual family are dependent")
         rows = [la.mat_vec(F, S, v) for v in chain[:m]]
         rows += [la.mat_vec(F, S, u) for u in dual]
         rows.append(la.mat_vec(F, G, dual[m - 1]))
-        comp = la.kernel_basis(F, np.stack(rows))
+        comp = la.kernel_basis(F, rows)
         if len(comp) != d - (2 * m + 1):
             raise SplitError("complement has the wrong dimension")
 
     if len(comp) == 0:
         return OddSplit(space, X, m, chain, dual, comp, None)
-    Gw = la.mat_mul(F, la.mat_mul(F, comp, S), comp.T)
-    Gx = la.mat_mul(F, la.mat_mul(F, comp, G), comp.T)
+    comp_t = la.transpose(comp)
+    Gw = la.mat_mul(F, la.mat_mul(F, comp, S), comp_t)
+    Gx = la.mat_mul(F, la.mat_mul(F, comp, G), comp_t)
     try:
         T = la.mat_mul(F, la.inverse(F, Gw), Gx)
     except ValueError:
         raise SplitError("complement pairing is degenerate") from None
     if not la.is_nilpotent(F, T):
         raise SplitError("complement operator is not nilpotent")
-    quad = np.array([space.alpha(w) for w in comp], dtype=np.uint8)
+    quad = [space.alpha(w) for w in comp]
     try:
         module = FormModule("orth", F, Gw, T, quad)
     except ValueError as exc:
@@ -285,23 +284,25 @@ def odd_witness(label: OddLabel, field: Field):
 
     Gb = la.zeros(d, d)
     Gx = la.zeros(d, d)
-    quad = np.zeros(d, dtype=np.uint8)
+    quad = [0] * d
     # slots: v_0..v_m, u_0..u_{m-1}, then the complement normal form
     for i in range(m):
-        Gb[i, m + 1 + i] = Gb[m + 1 + i, i] = 1
-        Gx[i + 1, m + 1 + i] = Gx[m + 1 + i, i + 1] = 1
+        Gb[i][m + 1 + i] = Gb[m + 1 + i][i] = 1
+        Gx[i + 1][m + 1 + i] = Gx[m + 1 + i][i + 1] = 1
     quad[m] = 1
     if blocks:
         w, _ = build_normal_form(blocks, field, kind="orth")
-        Gb[o:, o:] = w.gram
-        Gx[o:, o:] = la.mat_mul(field, w.op.T, w.gram)
+        shifted = la.mat_mul(field, la.transpose(w.op), w.gram)
+        for r in range(2 * K):
+            Gb[o + r][o:] = w.gram[r]
+            Gx[o + r][o:] = shifted[r]
         quad[o:] = w.quad
 
     # column s of C is the image of slot s
     C = la.zeros(d, d)
     for i in range(m):
-        C[i, i] = C[n + i, m + 1 + i] = 1
-    C[2 * n, m] = 1
+        C[i][i] = C[n + i][m + 1 + i] = 1
+    C[2 * n][m] = 1
     second_levels, off = set(), 0
     for b in blocks:
         if b.eps == "d":
@@ -310,18 +311,19 @@ def odd_witness(label: OddLabel, field: Field):
     for a in range(2 * K):
         i, j = (m + a, n + m + a) if a < K else (n + m + a - K, m + a - K)
         if a in second_levels:
-            C[j, o + a] = 1
-            C[2 * n, o + a] = field.sqrt(quad[o + a])
+            C[j][o + a] = 1
+            C[2 * n][o + a] = field.sqrt(quad[o + a])
         else:
-            C[i, o + a] = 1
-            C[j, o + a] = quad[o + a]
-    assert np.array_equal(la.mat_mul(field, la.mat_mul(field, C.T, space.S), C),
-                          Gb), "the embedding must carry the model's pairing"
-    assert np.array_equal(iso.quad_values(field, space.B, C.T), quad), \
+            C[i][o + a] = 1
+            C[j][o + a] = quad[o + a]
+    C_t = la.transpose(C)
+    assert la.mat_mul(field, la.mat_mul(field, C_t, space.S), C) == Gb, \
+        "the embedding must carry the model's pairing"
+    assert iso.quad_values(field, space.B, C_t) == quad, \
         "the embedding must carry the model's quadratic values"
 
     Ci = la.inverse(field, C)
-    Y = la.mat_mul(field, la.mat_mul(field, Ci.T, Gx), Ci)
+    Y = la.mat_mul(field, la.mat_mul(field, la.transpose(Ci), Gx), Ci)
     return space, functional_from_gram(field, space.S, Y)
 
 
@@ -329,7 +331,7 @@ def odd_witness(label: OddLabel, field: Field):
 # one entry point for every kind
 
 
-def is_nilpotent_functional(space: Space, X: np.ndarray) -> bool:
+def is_nilpotent_functional(space: Space, X) -> bool:
     """Criterion form of nilpotency: a nilpotent module endomorphism for sp
     and so-even, a split with nilpotent complement operator for so-odd (the
     orbit-meets-cone definition is in the oracle; their agreement is an
@@ -343,7 +345,7 @@ def is_nilpotent_functional(space: Space, X: np.ndarray) -> bool:
         return False
 
 
-def rational_label(space: Space, X: np.ndarray):
+def rational_label(space: Space, X):
     """Rational label of a nilpotent functional: a block tuple for sp, an
     OddLabel for so-odd, None for so-even, which has no label theory here."""
     if space.kind == "sp":

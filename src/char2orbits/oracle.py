@@ -44,7 +44,7 @@ class FiniteGroup:
 
 @dataclass
 class OrbitReport:
-    representative: np.ndarray
+    representative: list
     orbit_size: int
     stabilizer_order: int
     label: object = None
@@ -61,16 +61,15 @@ def _pack(values, e: int) -> int:
     return key
 
 
-def functional_key(space: cl.Space, X: np.ndarray) -> int:
+def functional_key(space: cl.Space, X) -> int:
     "The functional as one integer: packed values on the algebra basis."
     return _pack(space.pairing_vector(X), space.field.e)
 
 
-def key_values(space: cl.Space, key: int) -> np.ndarray:
+def key_values(space: cl.Space, key: int) -> list[int]:
     e = space.field.e
     mask = (1 << e) - 1
-    return np.array([(key >> (e * i)) & mask
-                     for i in range(space.dim_algebra)], dtype=np.uint8)
+    return [(key >> (e * i)) & mask for i in range(space.dim_algebra)]
 
 
 # ----------------------------------------------------------------------
@@ -83,26 +82,25 @@ _group_memo: dict = {}
 def _transvections(space: cl.Space) -> list:
     "The distinct transvections of the space, in vector order."
     F = space.field
-    unique: dict[bytes, np.ndarray] = {}
+    unique: dict[tuple, list] = {}
     for v in _vectors(F.q, space.d):
-        if not v.any():
+        if not any(v):
             continue
         if space.kind == "sp":
             ts = [cl.symplectic_transvection(space, v, c) for c in range(1, F.q)]
         else:
             ts = [cl.orthogonal_transvection(space, v)] if space.alpha(v) else []
         for t in ts:
-            unique.setdefault(t.tobytes(), t)
+            unique.setdefault(tuple(map(tuple, t)), t)
     return list(unique.values())
 
 
 def _vectors(q: int, d: int):
     for idx in range(q ** d):
-        vec = np.zeros(d, dtype=np.uint8)
-        rem = idx
-        for k in range(d):
-            rem, digit = divmod(rem, q)
-            vec[k] = digit
+        vec = []
+        for _ in range(d):
+            idx, digit = divmod(idx, q)
+            vec.append(digit)
         yield vec
 
 
@@ -134,19 +132,19 @@ def enumerate_group(space: cl.Space) -> FiniteGroup:
 # the orbit engine
 
 
-def _functional(space: cl.Space, key: int) -> np.ndarray:
+def _functional(space: cl.Space, key: int) -> list:
     return space.dual_from_values(key_values(space, key))
 
 
-def _algebra_element(space: cl.Space, key: int) -> np.ndarray:
+def _algebra_element(space: cl.Space, key: int) -> list:
     F = space.field
     T = la.zeros(space.d, space.d)
     for c, b in zip(key_values(space, key), space.lie_basis()):
-        T ^= la.scale(F, int(c), b)
+        T = la.add(T, la.scale(F, int(c), b))
     return T
 
 
-def _algebra_key(space: cl.Space, T: np.ndarray) -> int:
+def _algebra_key(space: cl.Space, T) -> int:
     return _pack(cl.algebra_coords(space, T), space.field.e)
 
 
@@ -211,8 +209,8 @@ def _orbits(space: cl.Space, group: FiniteGroup | None,
     return group, group._labels[action]
 
 
-def coadjoint_orbit(space: cl.Space, X: np.ndarray,
-                    group: FiniteGroup) -> dict[int, np.ndarray]:
+def coadjoint_orbit(space: cl.Space, X,
+                    group: FiniteGroup) -> dict[int, list]:
     "Orbit of the functional: key -> canonical representative matrix."
     _, labels = _orbits(space, group, "coadjoint")
     members = np.flatnonzero(labels == labels[functional_key(space, X)])

@@ -251,12 +251,12 @@ def _ck_sp_radical_invariance(max_n):
         for _ in range(34):
             g = cl.random_group_element(space, rng)
             X = cl.coadjoint(space, g, X0)
-            R = np.zeros_like(X)
+            R = la.zeros(space.d, space.d)
             for r in rad:
                 if rng.integers(0, 2):
-                    R ^= r
-            a, b = fm.build_module(space, X), fm.build_module(space, X ^ R)
-            if not (np.array_equal(a.op, b.op) and np.array_equal(a.quad, b.quad)):
+                    R = la.add(R, r)
+            a, b = fm.build_module(space, X), fm.build_module(space, la.add(X, R))
+            if not (a.op == b.op and a.quad == b.quad):
                 return False, f"module data moved under a radical shift at {labs}"
             rounds += 1
     return True, f"operator and quadratic data unchanged in {rounds} radical shifts"
@@ -320,15 +320,15 @@ def _ck_odd_split_invariance(max_n):
         for _ in range(20):
             g = cl.random_group_element(space, rng)
             X = cl.coadjoint(space, g, r.representative)
-            R = np.zeros_like(X)
+            R = la.zeros(space.d, space.d)
             for b in rad:
                 if rng.integers(0, 2):
-                    R ^= b
-            if not np.array_equal(cl.alternating_gram(space, X),
-                                  cl.alternating_gram(space, X ^ R)):
+                    R = la.add(R, b)
+            shifted = la.add(X, R)
+            if cl.alternating_gram(space, X) != cl.alternating_gram(space, shifted):
                 return False, f"alternating form moved under a radical shift at {r.label}"
             s1 = od.split_odd_functional(space, X)
-            s2 = od.split_odd_functional(space, X ^ R)
+            s2 = od.split_odd_functional(space, shifted)
             if s1.m != s2.m or od.rational_odd_label(s1) != od.rational_odd_label(s2):
                 return False, f"split outcome moved under a radical shift at {r.label}"
             rounds += 1
@@ -353,7 +353,7 @@ def _ck_theta_transport(max_n):
         T = cl.module_endomorphism(space, X)
         if not cl.in_algebra(space, T):
             return False, "transport image leaves the algebra"
-        images.add(T.tobytes())
+        images.add(tuple(map(tuple, T)))
         if not space.dual_equal(cl.algebra_to_dual(space, T), X):
             return False, "transport round trip fails"
         if la.is_nilpotent(F, T) != (idx in nil_keys):
@@ -368,7 +368,7 @@ def _ck_theta_transport(max_n):
         left = cl.module_endomorphism(space, cl.coadjoint(space, g, X))
         right = la.mat_mul(F, la.mat_mul(F, g, cl.module_endomorphism(space, X)),
                            la.inverse(F, g))
-        if not np.array_equal(left, right):
+        if left != right:
             return False, "transport is not equivariant"
     return True, (f"bijective, equivariant, nilpotence-preserving transport on "
                   f"all {q ** dim} functionals of o({2 * cap}, F_2)")
@@ -398,13 +398,13 @@ def _ck_wedge_form(max_n):
         g = cl.random_group_element(space, rng)
         gi = la.inverse(F, g)
         picks = rng.integers(0, 2, size=(2, len(basis))).astype(np.uint8)
-        a = np.zeros_like(basis[0])
-        b = np.zeros_like(basis[0])
+        a = la.zeros(space.d, space.d)
+        b = la.zeros(space.d, space.d)
         for i, (ca, cbit) in enumerate(zip(picks[0], picks[1])):
             if ca:
-                a ^= basis[i]
+                a = la.add(a, basis[i])
             if cbit:
-                b ^= basis[i]
+                b = la.add(b, basis[i])
         val = int(la.dot(F, cl.algebra_coords(space, a),
                          la.mat_vec(F, G, cl.algebra_coords(space, b))))
         ga = la.mat_mul(F, la.mat_mul(F, g, a), gi)
@@ -449,7 +449,7 @@ def _ck_chain_z_exact(max_n):
         q = F.q
         space, X = od.odd_witness(cb.OddLabel(m, ()), F)
         G = cl.alternating_gram(space, X)
-        quad = np.diagonal(space.B).copy()
+        quad = [r[i] for i, r in enumerate(space.B)]
         counted = iso.count_space_maps(F, [(space.S, space.S), (G, G)],
                                        quad, quad)
         if counted != cz.chain_z_order(m, q):
@@ -464,19 +464,20 @@ def _ck_chain_z_exact(max_n):
                   f"search (m<={cases[-1][0]}) and by census stabilizers")
 
 
-def _commutant_basis(d: int, e: int) -> np.ndarray:
+def _commutant_basis(d: int, e: int) -> list:
     "Basis rows of the matrices commuting with the length-d nilpotent chain."
     F = field_for(e)
-    J = np.zeros((d, d), dtype=np.uint8)
+    J = la.zeros(d, d)
     for i in range(d - 1):
-        J[i + 1, i] = 1
-    A = np.zeros((d * d, d * d), dtype=np.uint8)
+        J[i + 1][i] = 1
+    columns = []
     for a in range(d):
         for b in range(d):
             E = la.zeros(d, d)
-            E[a, b] = 1
-            A[:, a * d + b] = (la.mat_mul(F, E, J) ^ la.mat_mul(F, J, E)).reshape(-1)
-    return la.kernel_basis(F, A)
+            E[a][b] = 1
+            columns.append(la.flatten(la.add(la.mat_mul(F, E, J),
+                                             la.mat_mul(F, J, E))))
+    return la.kernel_basis(F, la.transpose(columns))
 
 
 def _commutant_unit_count(d: int, e: int) -> int:
@@ -485,10 +486,10 @@ def _commutant_unit_count(d: int, e: int) -> int:
     K = _commutant_basis(d, e)
     count = 0
     for coeffs in product(range(F.q), repeat=len(K)):
-        M = np.zeros((d, d), dtype=np.uint8)
+        M = la.zeros(d, d)
         for c, v in zip(coeffs, K):
             if c:
-                M ^= la.scale(F, c, v).reshape(d, d)
+                M = la.add(M, la.reshape(la.scale(F, c, v), d))
         if la.rank(F, M) == d:
             count += 1
     return count

@@ -12,8 +12,6 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-import numpy as np
-
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import isometry as iso
@@ -31,10 +29,10 @@ class ModuleForms(NamedTuple):
     polar  Gram matrix of the quadratic form's polarization
     """
 
-    gram: np.ndarray
-    op: np.ndarray
-    quad: np.ndarray
-    polar: np.ndarray
+    gram: list
+    op: list
+    quad: list
+    polar: list
 
 
 def forms(mod: fm.FormModule) -> ModuleForms:
@@ -48,7 +46,7 @@ def normal_form_generators(blocks):
     gens, o = [], 0
     for lab in blocks:
         for idx in (o, K + o + lab.m - 1):
-            v = np.zeros(2 * K, dtype=np.uint8)
+            v = [0] * (2 * K)
             v[idx] = 1
             gens.append((v, lab.m))
         o += lab.m
@@ -74,12 +72,12 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
     quadratic values along its operator chain; every affine level is
     enumerated in full, so None means no map exists.
     """
-    d = src.gram.shape[0]
-    if dst.gram.shape[0] != d:
+    d = len(src.gram)
+    if len(dst.gram) != d:
         raise ValueError("modules must have equal dimension")
     for mf in (src, dst):
-        if not np.array_equal(la.mat_mul(F, mf.op.T, mf.gram),
-                              la.mat_mul(F, mf.gram, mf.op)):
+        if la.mat_mul(F, la.transpose(mf.op), mf.gram) != \
+                la.mat_mul(F, mf.gram, mf.op):
             raise ValueError("operator must be self-adjoint for the pairing")
     try:
         la.inverse(F, src.gram)
@@ -95,14 +93,13 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
 
     chains = []
     for v, h in gens:
-        v = np.asarray(v, dtype=np.uint8)
-        chain = [v]
+        chain = [list(v)]
         for _ in range(h - 1):
             chain.append(la.mat_vec(F, src.op, chain[-1]))
-        if la.mat_vec(F, src.op, chain[-1]).any():
+        if any(la.mat_vec(F, src.op, chain[-1])):
             raise ValueError("generator height does not match the operator")
         chains.append(chain)
-    basis_src = np.stack([w for c in chains for w in c], axis=1)
+    basis_src = la.transpose([w for c in chains for w in c])
     inv_src = la.inverse(F, basis_src)  # raises if the set does not generate
 
     def pair(v, w):
@@ -114,10 +111,10 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
         for k in range(heights[b]):
             if pair(chain[k], chain[0]):
                 raise ValueError("pairing does not vanish along a generator chain")
-    alpha = [iso.quad_values(F, U_src, np.stack(c)) for c in chains]
+    alpha = [iso.quad_values(F, U_src, c) for c in chains]
 
-    M_rows = [la.mat_mul(F, P[k].T, dst.gram) for k in range(maxh)]
-    images: list[np.ndarray] = []
+    M_rows = [la.mat_mul(F, la.transpose(P[k]), dst.gram) for k in range(maxh)]
+    images: list[list[int]] = []
     found = []
 
     def descend(b: int) -> bool:
@@ -128,15 +125,14 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
                 for _ in range(h):
                     cols.append(w)
                     w = la.mat_vec(F, dst.op, w)
-            M = la.mat_mul(F, np.stack(cols, axis=1), inv_src)
-            assert np.array_equal(
-                la.mat_mul(F, la.mat_mul(F, M.T, dst.gram), M), src.gram)
-            assert np.array_equal(
-                la.mat_mul(F, dst.op, M), la.mat_mul(F, M, src.op))
-            assert np.array_equal(
-                la.mat_mul(F, la.mat_mul(F, M.T, dst.polar), M), src.polar)
-            assert np.array_equal(iso.quad_values(F, U_dst, M.T),
-                                  np.asarray(src.quad, dtype=np.uint8))
+            M = la.mat_mul(F, la.transpose(cols), inv_src)
+            M_t = la.transpose(M)
+            assert la.mat_mul(F, la.mat_mul(F, M_t, dst.gram), M) == \
+                la.as_matrix(src.gram)
+            assert la.mat_mul(F, dst.op, M) == la.mat_mul(F, M, src.op)
+            assert la.mat_mul(F, la.mat_mul(F, M_t, dst.polar), M) == \
+                la.as_matrix(src.polar)
+            assert iso.quad_values(F, U_dst, M_t) == [int(x) for x in src.quad]
             found.append(M)
             return True
         h = heights[b]
@@ -146,11 +142,11 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
                 rows.append(la.mat_vec(F, M_rows[k], images[j]))
                 rhs.append(series[b][j][k])
         cand = iso._affine_candidates(F, rows, rhs, d, cap)
-        keep = np.ones(len(cand), dtype=bool)
         for k in range(h):
-            vals = iso.quad_values(F, U_dst, la.mat_mul(F, cand, P[k].T))
-            keep &= vals == alpha[b][k]
-        for y in cand[keep]:
+            vals = iso.quad_values(F, U_dst,
+                                   la.mat_mul(F, cand, la.transpose(P[k])))
+            cand = [y for y, a in zip(cand, vals) if a == alpha[b][k]]
+        for y in cand:
             images.append(y)
             if descend(b + 1):
                 return True
@@ -193,7 +189,7 @@ def odd_label_by_search(split: od.OddSplit) -> cb.OddLabel:
         if split.module is not None else ()
     space, F = split.space, split.space.field
     G_in = alternating_gram(space, split.X)
-    quad_std = np.diagonal(space.B).copy()
+    quad_std = [r[i] for i, r in enumerate(space.B)]
     matches = []
     for cand in _canonical_candidates(split.m, sizes):
         _, Xc = od.odd_witness(cand, F)

@@ -149,7 +149,7 @@ def test_chain_z_order_matches_the_counted_stabilizer(m, e):
     F = field_for(e)
     space, X = od.odd_witness(cb.OddLabel(m, ()), F)
     G = cl.alternating_gram(space, X)
-    quad = np.diagonal(space.B).copy()
+    quad = [r[i] for i, r in enumerate(space.B)]
     got = iso.count_space_maps(F, [(space.S, space.S), (G, G)], quad, quad)
     assert got == cz.chain_z_order(m, 2 ** e)
 
@@ -161,19 +161,20 @@ def test_chain_isometry_order_counts_commutant_units(m, e):
     d = 2 * m + 1
     T = la.zeros(d, d)
     for i in range(d - 1):
-        T[i + 1, i] = 1
+        T[i + 1][i] = 1
     cols = []
     for k in range(d * d):
         E = la.zeros(d, d)
-        E[divmod(k, d)] = 1
-        cols.append((la.mat_mul(F, T, E) ^ la.mat_mul(F, E, T)).ravel())
-    commutant = la.kernel_basis(F, np.stack(cols, axis=1))
+        i, j = divmod(k, d)
+        E[i][j] = 1
+        cols.append(la.flatten(la.add(la.mat_mul(F, T, E), la.mat_mul(F, E, T))))
+    commutant = la.kernel_basis(F, la.transpose(cols))
     assert len(commutant) == d
     units = 0
     for coeffs in np.ndindex(*([q] * d)):
         g = la.zeros(d, d)
         for c, v in zip(coeffs, commutant):
-            g ^= la.scale(F, c, v.reshape(d, d))
+            g = la.add(g, la.scale(F, c, la.reshape(v, d)))
         if la.rank(F, g) == d:
             units += 1
     assert units == cz.chain_isometry_order(m, q) == (q - 1) * q ** (2 * m)

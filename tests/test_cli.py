@@ -174,9 +174,10 @@ def test_classify_non_nilpotent_reports_and_exits_4(capsys, tmp_path):
                   [1, 0, 1, 1]], dtype=np.uint8)
     assert not od.is_nilpotent_functional(space_for("sp", 2, 1), X)
     path = write_grid(tmp_path / "n.txt", X)
-    rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
+    rc, out, err = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
     assert rc == 4
     assert json.loads(out)["nilpotent"] is False
+    assert len(err.splitlines()) == 1
 
 
 def test_classify_plain_grid_needs_type(capsys, tmp_path):
@@ -205,6 +206,14 @@ def test_classify_missing_file(capsys):
     ("gf512.json", json.dumps({"kind": "sp", "n": 1,
                                "field": "GF(2^9)/1000010001", "X": "0 1 1 0"}),
      []),
+    # a rank of 100000 would make a 200000 x 200000 space; X is checked first
+    ("huge_n.json", json.dumps({"kind": "sp", "n": 100000,
+                                "field": "GF(2^1)/11", "X": "0"}), []),
+    ("float_n.json", json.dumps({"kind": "sp", "n": 1.9,
+                                 "field": "GF(2^1)/11", "X": "0 1 1 0"}), []),
+    ("bool_n.json", json.dumps({"kind": "sp", "n": True,
+                                "field": "GF(2^1)/11", "X": "0 1 1 0"}), []),
+    ("prefixed.txt", "0 0x1\n1 0\n", ["--type", "sp"]),
 ])
 def test_classify_malformed_input_is_one_line(capsys, tmp_path, name, text,
                                               extra):
@@ -322,27 +331,91 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
-def test_label_commands_leave_numpy_unimported():
-    # orbits (sp, so-odd) and centralizer read and print labels only, so
-    # neither they nor the package import may pull in numpy
-    argvs = [["orbits", "--type", kind, "--n", "3", "--q", q]
-             for kind in ("sp", "so-odd") for q in ("closed", "2")]
-    argvs += [["centralizer", "--type", "sp", "--label", "(2)^2_1:d"],
-              ["centralizer", "--type", "so-odd", "--label", "m=1; (1)^2_1:d"]]
-    script = "\n".join([
-        "import contextlib, io, sys",
-        "import char2orbits",
-        "assert 'numpy' not in sys.modules, 'import char2orbits'",
+def _command_script(argvs, numpy_absent):
+    """Python source running cli.main on each (argv, exit code) pair, and
+    asserting numpy stays unimported (or, when absent, is never needed)."""
+    lines = ["import contextlib, io, sys"]
+    if numpy_absent:
+        lines.append("sys.modules['numpy'] = None")
+    else:
+        lines += ["import char2orbits",
+                  "assert 'numpy' not in sys.modules, 'import char2orbits'"]
+    lines += [
         "from char2orbits import cli",
-        f"for argv in {argvs!r}:",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        assert cli.main(argv) == 0, argv",
-        "    assert 'numpy' not in sys.modules, argv",
-    ])
+        f"for argv, code in {argvs!r}:",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        got = cli.main(argv)",
+        "    assert got == code, (argv, got, err.getvalue())",
+    ]
+    if not numpy_absent:
+        lines.append("    assert 'numpy' not in sys.modules, argv")
+    return "\n".join(lines)
+
+
+def _numpy_free_commands(tmp_path):
+    """orbits (sp, so-odd), centralizer, normal-form and classify, with the
+    exit code each must give: none of them needs numpy."""
+    argvs = [(["orbits", "--type", kind, "--n", "3", "--q", q], 0)
+             for kind in ("sp", "so-odd") for q in ("closed", "2")]
+    argvs += [(["centralizer", "--type", "sp", "--label", "(2)^2_1:d"], 0),
+              (["centralizer", "--type", "so-odd", "--label", "m=1; (1)^2_1:d"], 0)]
+    for kind, label in (("sp", "(2)^2_1:d (1)^2_0:0"), ("so-odd", "m=1; (1)^2_1:d")):
+        for q, fmt in (("2", "json"), ("4", "table")):
+            argvs.append((["normal-form", "--type", kind, "--label", label,
+                           "--q", q, "--format", fmt], 0))
+    F4 = field_for(2)
+    sp_label = (cb.BlockLabel(2, 1, "d"), cb.BlockLabel(1, 0, "0"))
+    inputs = {
+        "sp": (space_for("sp", 3, 2), fm.build_normal_form(sp_label, F4)[1]),
+        "so-odd": od.odd_witness(cb.parse_label("m=1; (1)^2_1:d"), F4),
+        "so-even": (space_for("so-even", 2, 2), np.zeros((4, 4), dtype=np.uint8)),
+    }
+    for kind, (space, X) in inputs.items():
+        grid = write_grid(tmp_path / f"{kind}.txt", X)
+        doc = tmp_path / f"{kind}.json"
+        doc.write_text(json.dumps(cl.dual_to_json(space, X)))
+        argvs.append((["classify", "--matrix", grid, "--type", kind, "--q", "4"], 0))
+        argvs.append((["classify", "--matrix", str(doc)], 0))
+    X = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 1, 0], [1, 0, 1, 1]]
+    argvs.append((["classify", "--matrix", write_grid(tmp_path / "n.txt", X),
+                   "--type", "sp"], 4))
+    # the three malformed inputs of the benchmark's session
+    for name, text, extra in (
+            ("bad_hex.txt", "0 1 0 0\n1 0 0 0\n0 0 0 z\n0 0 1 0\n", ["--type", "sp"]),
+            ("no_x.json", json.dumps({"kind": "sp", "n": 1,
+                                      "field": "GF(2^1)/11"}), []),
+            ("gf512.json", json.dumps({"kind": "sp", "n": 1,
+                                       "field": "GF(2^9)/1000010001",
+                                       "X": "0 1 1 0"}), [])):
+        (tmp_path / name).write_text(text)
+        argvs.append((["classify", "--matrix", str(tmp_path / name)] + extra, 2))
+    return argvs
+
+
+def test_label_commands_leave_numpy_unimported(tmp_path):
+    # the label commands read and print labels, and the matrix commands
+    # run on the plain-Python matrix layers: none may pull in numpy
+    script = _command_script(_numpy_free_commands(tmp_path), numpy_absent=False)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     p = subprocess.run([sys.executable, "-c", script], env=env,
-                       capture_output=True, text=True, timeout=60)
+                       capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
+
+
+def test_commands_run_with_numpy_absent(tmp_path):
+    # with numpy made unimportable, the same commands still succeed
+    script = _command_script(_numpy_free_commands(tmp_path), numpy_absent=True)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    # and the commands that do need numpy say so instead of passing
+    script = _command_script([(["verify", "--suite", "combinatorics"], 0)],
+                             numpy_absent=True)
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode != 0 and "numpy" in p.stderr
 
 
 def test_centralizer_reports_match_library(capsys):

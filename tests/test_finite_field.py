@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from char2orbits.finite_field import Field, field_for, is_irreducible, poly_mod
@@ -79,10 +78,12 @@ def test_inv_table_matches_scalar(e):
 def test_mul_table_matches_scalar():
     F = field_for(4)
     t = F.mul_table
-    assert t.dtype == np.uint8
+    assert len(t) == F.q and all(len(row) == F.q for row in t)
     for a in range(F.q):
         for b in range(F.q):
-            assert t[a, b] == F.mul(a, b)
+            assert t[a][b] == F.mul(a, b)
+            # the translate table scales the byte b by a
+            assert bytes([b]).translate(F.scale_bytes[a]) == bytes([t[a][b]])
 
 
 # ----------------------------------------------------------------------
@@ -186,3 +187,13 @@ def test_element_text_round_trip():
         assert F.parse_element(F.format_element(a)) == a
     with pytest.raises(ValueError):
         F.parse_element("100")  # 256 is out of range
+    assert F.parse_element("A5") == F.parse_element("a5") == 0xA5
+
+
+@pytest.mark.parametrize("text", ["0x1", "+1", "-0", " 1", "1 ", "1_0", "",
+                                  "\u0661", "g"])
+def test_element_text_takes_hex_digits_only(text):
+    # int(s, 16) alone would accept the prefix, the signs, the underscore,
+    # the padding and the Arabic-Indic digit
+    with pytest.raises(ValueError):
+        field_for(8).parse_element(text)

@@ -36,11 +36,9 @@ def single(m, l, eps=None, field=F2, kind="sp"):
 def direct_sum(a, b):
     "The orthogonal direct sum of two modules of one kind over one field."
     def diag(x, y):
-        out = la.zeros(len(x) + len(y), len(x) + len(y))
-        out[:len(x), :len(x)], out[len(x):, len(x):] = x, y
-        return out
+        return [r + [0] * len(y) for r in x] + [[0] * len(x) + r for r in y]
     return fm.FormModule(a.kind, a.field, diag(a.gram, b.gram),
-                         diag(a.op, b.op), np.concatenate([a.quad, b.quad]))
+                         diag(a.op, b.op), a.quad + b.quad)
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +123,8 @@ def test_closed_round_trip(field, n):
         # the witness functional reproduces the module on the nose
         space = cl.Space("sp", mod.dim // 2, field)
         again = fm.build_module(space, X)
-        assert np.array_equal(again.op, mod.op)
-        assert np.array_equal(again.quad, mod.quad)
+        assert again.op == mod.op
+        assert again.quad == mod.quad
 
 
 def test_symbol_counts_at_small_rank():
@@ -165,7 +163,7 @@ def test_orth_trivial_module_forces_level_one():
     # quad zero on the basis but beta nonzero: the polar check keeps the
     # level at 1, not 0
     mod = single(1, 1, kind="orth")
-    assert np.count_nonzero(mod.quad) == 1
+    assert sum(map(bool, mod.quad)) == 1
     plain, _ = fm.build_normal_form(labels((1, 1)), F2, kind="orth")
     z = fm.FormModule("orth", F2, plain.gram, plain.op,
                       np.zeros(2, dtype=np.uint8))
@@ -328,8 +326,9 @@ def test_arf_trace_matches_the_zero_count(e, dim):
         gram = A ^ A.T
         vals = gen.integers(0, q, size=dim, dtype=np.uint8)
         vals[gen.random(dim) < 0.4] = 0
-        zero = iso.quad_values(F, iso.quad_matrix(F, vals, gram), vecs) == 0
-        radical = ~la.mat_mul(F, vecs, gram).any(axis=1)
+        zero = np.array(
+            iso.quad_values(F, iso.quad_matrix(F, vals, gram), vecs)) == 0
+        radical = ~np.array(la.mat_mul(F, vecs, gram)).any(axis=1)
         got = fm._arf_trace(F, gram, vals)
         if not zero[radical].all():
             assert got is None

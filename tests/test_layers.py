@@ -42,3 +42,23 @@ def test_imports_point_down(module):
     below = set(ORDER[:ORDER.index(module)])
     upward = package_imports(PACKAGE / f"{module}.py") - below
     assert not upward, f"{module} imports {sorted(upward)} from its layer or above"
+
+
+# numpy serves the census's key arrays and permutations, and verify's
+# seeded draws; every other module runs on plain Python
+NUMPY_USERS = {"oracle", "verify"}
+
+
+def imports_numpy(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                 else [])
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_only_the_census_and_verify_import_numpy(module):
+    assert imports_numpy(PACKAGE / f"{module}.py") == (module in NUMPY_USERS)

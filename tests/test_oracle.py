@@ -33,8 +33,14 @@ SERVED = [("sp", 1, 1, 6), ("sp", 1, 2, 60), ("sp", 2, 1, 720),
 
 def batch_mul(F, A, B):
     "Matrix products over GF(2^e), broadcast over leading axes."
+    mul = np.array(F.mul_table, dtype=np.uint8)
     return np.bitwise_xor.reduce(
-        F.mul_table[A[..., :, :, None], B[..., None, :, :]], axis=-2)
+        mul[A[..., :, :, None], B[..., None, :, :]], axis=-2)
+
+
+def key(g):
+    "A matrix as hashable bytes, one per entry."
+    return np.asarray(g, dtype=np.uint8).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,10 +53,11 @@ def filter_scan(kind, n, e):
     G = digits.astype(np.uint8).reshape(-1, d, d)
     GT = np.swapaxes(G, 1, 2)
     if kind == "sp":
-        keep = (batch_mul(F, batch_mul(F, GT, space.S), G)
-                == space.S).all(axis=(1, 2))
+        S = np.array(space.S, dtype=np.uint8)
+        keep = (batch_mul(F, batch_mul(F, GT, S), G) == S).all(axis=(1, 2))
     else:
-        M = batch_mul(F, batch_mul(F, GT, space.B), G) ^ space.B
+        B = np.array(space.B, dtype=np.uint8)
+        M = batch_mul(F, batch_mul(F, GT, B), G) ^ B
         keep = ((M == np.swapaxes(M, 1, 2)).all(axis=(1, 2))
                 & ~np.diagonal(M, axis1=1, axis2=2).any(axis=1))
     return G[keep]
@@ -59,14 +66,14 @@ def filter_scan(kind, n, e):
 def closure(F, gens):
     "The group the matrices generate, as a set of bytes."
     ident = la.identity(len(gens[0]))
-    seen = {ident.tobytes()}
+    seen = {key(ident)}
     frontier = [ident]
     while frontier:
         g = frontier.pop()
         for h in gens:
             gh = la.mat_mul(F, g, h)
-            if gh.tobytes() not in seen:
-                seen.add(gh.tobytes())
+            if key(gh) not in seen:
+                seen.add(key(gh))
                 frontier.append(gh)
     return frozenset(seen)
 
@@ -80,11 +87,13 @@ def generator_closure(kind, n, e):
 def conjugate_keys(space, G, X):
     "functional_key of g X g^-1 for every g in G, in order."
     F = space.field
-    G_inv = np.stack([la.inverse(F, g) for g in G])
+    G_inv = np.array([la.inverse(F, g) for g in G], dtype=np.uint8)
+    X = np.asarray(X, dtype=np.uint8)
     Y = batch_mul(F, batch_mul(F, G, X), G_inv).reshape(len(G), -1)
     keys = np.zeros(len(G), dtype=np.int64)
     for i, b in enumerate(space.lie_basis()):
-        vals = np.bitwise_xor.reduce(Y[:, b.T.reshape(-1) == 1], axis=1)
+        sel = np.array(b).T.reshape(-1) == 1
+        vals = np.bitwise_xor.reduce(Y[:, sel], axis=1)
         keys |= vals.astype(np.int64) << (F.e * i)
     return keys
 
@@ -120,7 +129,7 @@ def test_every_filter_element_preserves_the_form():
         space = space_for(kind, n, e)
         scanned = filter_scan(kind, n, e)
         assert all(cl.preserves_form(space, g) for g in scanned)
-        assert generator_closure(kind, n, e) == {g.tobytes() for g in scanned}
+        assert generator_closure(kind, n, e) == {key(g) for g in scanned}
 
 
 def test_generator_closures_reach_the_formula_order():
@@ -132,7 +141,7 @@ def test_generator_closures_reach_the_formula_order():
 def test_even_reflections_alone_stop_at_index_two():
     space = space_for("so-even", 2)
     gens = orc.enumerate_group(space).generators
-    refl = [g for g in gens if la.rank(F2, g ^ la.identity(4)) == 1]
+    refl = [g for g in gens if la.rank(F2, la.add(g, la.identity(4))) == 1]
     assert len(refl) == len(gens) - 1
     assert len(closure(F2, refl)) == 36
 
@@ -140,12 +149,12 @@ def test_even_reflections_alone_stop_at_index_two():
 def test_random_even_elements_reach_both_cosets():
     space = space_for("so-even", 2)
     gens = orc.enumerate_group(space).generators
-    refl = [g for g in gens if la.rank(F2, g ^ la.identity(4)) == 1]
+    refl = [g for g in gens if la.rank(F2, la.add(g, la.identity(4))) == 1]
     half = closure(F2, refl)
     rng = np.random.default_rng(0)
     draws = [cl.random_group_element(space, rng) for _ in range(300)]
-    assert all(g.tobytes() in generator_closure("so-even", 2, 1) for g in draws)
-    inside = sum(g.tobytes() in half for g in draws)
+    assert all(key(g) in generator_closure("so-even", 2, 1) for g in draws)
+    inside = sum(key(g) in half for g in draws)
     assert 0 < inside < len(draws)
 
 
