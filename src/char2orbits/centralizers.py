@@ -14,8 +14,6 @@ has q^m points, and the full isometry group of the chain module has
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import combinatorics as cb
 
 
@@ -24,14 +22,22 @@ def _symbol_pairs(blocks) -> list[tuple[int, int]]:
             for b in blocks]
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
-    dim_z: int
-    comp_rank: int
+class CentralizerReport(cb._FrozenRecord):
+    __slots__ = ("dim_z", "comp_rank")
 
-    def __post_init__(self):
-        if self.dim_z < 0 or self.comp_rank < 0:
+    def __init__(self, dim_z: int, comp_rank: int):
+        if dim_z < 0 or comp_rank < 0:
             raise ValueError("negative centralizer data")
+        object.__setattr__(self, "dim_z", dim_z)
+        object.__setattr__(self, "comp_rank", comp_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim_z, self.comp_rank) == (other.dim_z, other.comp_rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim_z, self.comp_rank))
 
     def point_count_leading(self, q: int) -> int:
         "Leading term of |Z(F_q)|; exact up to lower order in q."

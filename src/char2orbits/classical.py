@@ -435,10 +435,16 @@ def dual_to_json(space: Space, X) -> dict:
 
 
 def dual_from_json(obj: dict) -> tuple[Space, list[list[int]]]:
-    """The space and functional of dual_to_json's form.
+    "The space and functional of dual_to_json's form."
+    kind, n, field, X = dual_parts_from_json(obj)
+    return Space(kind, n, field), X
+
+
+def dual_parts_from_json(obj: dict) -> tuple[str, int, Field, list[list[int]]]:
+    """The kind, rank, field and functional of dual_to_json's form.
 
     Every field is checked, and the entry count of X against the kind and
-    rank, before any space is built, so a huge rank costs nothing.
+    rank, and no space is built, so a huge rank costs nothing.
     """
     field = Field.from_header(obj["field"])
     kind, n, text = obj["kind"], obj["n"], obj["X"]
@@ -453,4 +459,4 @@ def dual_from_json(obj: dict) -> tuple[Space, list[list[int]]]:
     if len(toks) != d * d:
         raise ValueError(f"X must have {d * d} entries, got {len(toks)}")
     X = la.reshape([field.parse_element(t) for t in toks], d)
-    return Space(kind, n, field), X
+    return kind, n, field, X

@@ -13,16 +13,22 @@ Exit codes: 0 success, 1 verification failure, 2 invalid request,
 when the reader closes standard output early.  Exits 2, 3 and 4 write one
 line to stderr; 4 still prints the classify report.
 
+Every command does bounded work: orbit tables, labels and classify
+inputs stop at rank LIST_CAP (exit 3, checked before any space is built).
+
 Labels are pure combinatorics, so only combinatorics and centralizers load
-with this module; a command that builds matrices imports the matrix layers
-inside its own function.  Those layers are plain Python: numpy loads only
-for the exhaustive census behind orbits --type so-even, and for verify.
+with this module, and neither needs more of the standard library than
+argparse and json.  A command imports the layers it runs inside its own
+function: normal-form --type sp never loads odd_split, csv loads only for
+--format csv, and only verify loads the exhaustive search in isometry,
+the reference its checks compare against.  The matrix layers are plain
+Python: numpy loads only for the exhaustive census behind orbits --type
+so-even, and for verify.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -53,6 +59,8 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, meta: dict) -> None:
         return
     flat = [{c: str(r[c]) for c in columns} for r in rows]
     if fmt == "csv":
+        import csv
+
         w = csv.writer(sys.stdout)
         w.writerow(columns)
         for r in flat:
@@ -204,20 +212,30 @@ def _cmd_orbits(args) -> int:
 # classify
 
 
+def _rank_bound(n: int) -> SizeBound:
+    """The classify rank cap.  Both input forms check it once the input is
+    well formed and before any space is built."""
+    return SizeBound(f"classify stops at rank {LIST_CAP}; "
+                     f"the matrix file gives n = {n}")
+
+
 def _read_matrix(path: str, type_flag: str | None, e: int):
-    from .classical import dual_from_json
+    from .classical import Space, dual_parts_from_json
 
     try:
         with open(path) as f:
             text = f.read()
-        if text.lstrip().startswith("{"):
-            return dual_from_json(json.loads(text))
-        return _read_grid(text, type_flag, e)
+        if not text.lstrip().startswith("{"):
+            return _read_grid(text, type_flag, e)
+        kind, n, field, X = dual_parts_from_json(json.loads(text))
     except OSError as exc:
         raise BadRequest(f"cannot read matrix file {path}: {exc}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BadRequest(f"malformed matrix file {path}: "
                          f"{type(exc).__name__}: {exc}")
+    if n > LIST_CAP:
+        raise _rank_bound(n)
+    return Space(kind, n, field), X
 
 
 def _read_grid(text: str, type_flag: str | None, e: int):
@@ -238,8 +256,10 @@ def _read_grid(text: str, type_flag: str | None, e: int):
     n = d // 2
     if n < 1:
         raise BadRequest("matrix is too small")
-    space = space_for(type_flag, n, e)
-    return space, [[field.parse_element(t) for t in r] for r in rows]
+    X = [[field.parse_element(t) for t in r] for r in rows]
+    if n > LIST_CAP:
+        raise _rank_bound(n)
+    return space_for(type_flag, n, e), X
 
 
 def _cmd_classify(args) -> int:
@@ -311,13 +331,13 @@ def _matrix_tokens(field, M) -> list[list[str]]:
 
 
 def _cmd_normal_form(args) -> int:
-    from . import form_modules as fm
-    from . import odd_split as od
     from .finite_field import field_for
 
     field = field_for(1 if args.q == "2" else 2)
     label = _parse_label(args.type, args.label)
     if args.type == "sp":
+        from . import form_modules as fm
+
         mod, X = fm.build_normal_form(label, field)
         out = {"kind": "sp", "q": field.q, "label": cb.format_blocks(label),
                "dim": mod.dim,
@@ -329,6 +349,8 @@ def _cmd_normal_form(args) -> int:
         if None in label.eps():
             raise BadRequest(f"so-odd witnesses need a decorated label, "
                              f"got {args.label!r}")
+        from . import odd_split as od
+
         space, X = od.odd_witness(label, field)
         out = {"kind": "so-odd", "q": field.q,
                "label": cb.format_label(label), "dim": space.d,

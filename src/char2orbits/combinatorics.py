@@ -22,13 +22,19 @@ The label types live here too: BlockLabel for one block of a symbol and
 OddLabel for a chain length plus complement blocks, with the decorated
 label sets, their text forms and their JSON forms.  This layer is pure
 Python, so commands that only read and print labels build no matrix.
+
+The package's small records (these two labels, the centralizer report,
+the odd split, the oracle's group and orbit reports, verify's check
+results) are plain __slots__ classes on the _Record base below: no
+generated code, so a command-line process compiles no inspect or ast
+machinery to start.  Each record spells out its field tuple in == and
+hash.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -271,17 +277,71 @@ def format_symp_symbol(blocks) -> str:
 # block labels
 
 
-@dataclass(frozen=True, order=True)
-class BlockLabel:
+class _Record:
+    """Slots-only record: repr, pickle and copy read the fields generically.
+
+    Fields are the __slots__ in order; a slot named with a leading
+    underscore stays out of the repr.  A record never equals an object of
+    another class: each subclass writes == (and, when frozen, hash) on its
+    own explicit field tuple, several times faster than a loop over slots.
+    The label classes write their repr out too.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__
+                         if not f.startswith("_"))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class _FrozenRecord(_Record):
+    "A record whose fields are set once, in __init__, via object.__setattr__."
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class BlockLabel(_FrozenRecord):
     """One block: chain length m, level l, rational decoration eps.
 
     eps is None for closed-field labels, "0" or "d" for rational ones.
     validate_blocks checks the ranges of form_modules' standard blocks.
+    Labels order by (m, l, eps).
     """
 
-    m: int
-    l: int
-    eps: str | None = None
+    __slots__ = ("m", "l", "eps")
+
+    def __init__(self, m: int, l: int, eps: str | None = None):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "eps", eps)
+
+    def __repr__(self) -> str:
+        # census reports sort by this text, so it is written out, not looped
+        return f"BlockLabel(m={self.m!r}, l={self.l!r}, eps={self.eps!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.l, self.eps) == (other.m, other.l, other.eps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.l, self.eps))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.l, self.eps) < (other.m, other.l, other.eps)
+        return NotImplemented
 
 
 def _block_range_ok(b: BlockLabel, kind: str) -> bool:
@@ -375,12 +435,25 @@ def blocks_to_json(blocks) -> dict:
 # odd orthogonal labels: chain length plus complement blocks
 
 
-@dataclass(frozen=True)
-class OddLabel:
+class OddLabel(_FrozenRecord):
     """Chain length plus the complement's block label."""
 
-    m: int
-    blocks: tuple[BlockLabel, ...]
+    __slots__ = ("m", "blocks")
+
+    def __init__(self, m: int, blocks: tuple[BlockLabel, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __repr__(self) -> str:
+        return f"OddLabel(m={self.m!r}, blocks={self.blocks!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.blocks) == (other.m, other.blocks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.blocks))
 
     def pair(self):
         nu = strip_zeros((self.m,) + tuple(b.m - b.l for b in self.blocks))

@@ -35,7 +35,6 @@ algebra with no search.
 
 from __future__ import annotations
 
-from . import isometry as iso
 from . import linalg as la
 from .classical import (Space, functional_from_gram, is_alternating,
                         module_endomorphism)
@@ -81,7 +80,7 @@ class FormModule:
             raise ValueError("operator must be self-adjoint and isotropic-shifting")
         if kind == "sp" and not is_alternating(la.mat_mul(field, op_t, shifted)):
             raise ValueError("shifted pairing must vanish on (Tv, v)")
-        self._U = iso.quad_matrix(field, self.quad, self.polar_gram)
+        self._U = la.quad_matrix(field, self.quad, self.polar_gram)
 
     @property
     def dim(self) -> int:
@@ -145,7 +144,7 @@ def _power_forms(mod: FormModule, m: int, count: int):
     img = la.kernel_basis(F, la.mat_pow(F, mod.op, m))
     for _ in range(count):
         yield (la.mat_mul(F, la.mat_mul(F, img, P), la.transpose(img)),
-               iso.quad_values(F, mod._U, img))
+               la.quad_values(F, mod._U, img))
         img = la.mat_mul(F, img, op_t)
 
 

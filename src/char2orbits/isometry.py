@@ -2,15 +2,17 @@
 
 A space map places one basis image per level: each image is constrained
 linearly by the pairings against the images already placed, then filtered
-by its quadratic value.  The search is exact: every affine solution set is
-enumerated in full, so a ``None`` answer means no map exists, and
-count_space_maps visits every leaf; a level larger than LEVEL_CAP raises
-SearchTooLarge instead.  Nothing on the classification path searches (the
-rational classifiers compare Arf invariants); the space search is the
-reference oracle of the tests and of verify.  The quadratic-form helpers
-quad_matrix and quad_values also serve the form modules and the odd split.
-Grams, vectors and maps are linalg's int lists (numpy arrays are accepted
-as input), and each affine level is enumerated as a list of vectors.
+by its quadratic value.  The rows of those constraints, each pairing's
+Gram applied to an image, are computed once, when the image is placed.
+The search is exact: every affine solution set is enumerated in full, so
+a ``None`` answer means no map exists, and count_space_maps visits every
+leaf; a level larger than LEVEL_CAP raises SearchTooLarge instead.
+
+Only verify and the tests import this module: the rational classifiers
+compare Arf invariants and the odd witness is built by rule, so the space
+search serves as their reference oracle.  Grams, vectors and
+maps are linalg's int lists (numpy arrays are accepted as input), and
+each affine level is enumerated as a list of vectors.
 """
 
 from __future__ import annotations
@@ -23,22 +25,6 @@ LEVEL_CAP = 1 << 19
 
 class SearchTooLarge(RuntimeError):
     """An affine level would enumerate more candidates than the cap allows."""
-
-
-def quad_matrix(F: Field, quad, polar) -> list[list[int]]:
-    """Upper-triangular matrix U with v^t U v the quadratic form."""
-    U = la.as_matrix(polar)
-    for i, r in enumerate(U):
-        r[:i + 1] = [0] * i + [int(quad[i])]
-    return U
-
-
-def quad_values(F: Field, U, rows) -> list[int]:
-    "Quadratic form of each row of `rows`."
-    rows = la.as_matrix(rows)
-    if not rows:
-        return []
-    return [la.dot(F, t, v) for t, v in zip(la.mat_mul(F, rows, U), rows)]
 
 
 def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> list[list[int]]:
@@ -77,19 +63,18 @@ def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
             if len(G) != d or any(len(r) != d for r in G):
                 raise ValueError("pairing Grams must all have equal dimension")
     src_quad = [int(x) for x in src_quad]
-    U_dst = quad_matrix(F, dst_quad, pairings[0][1])
+    U_dst = la.quad_matrix(F, dst_quad, pairings[0][1])
 
     images: list[list[int]] = []
+    # placed[p][j] is the destination Gram of pairing p applied to images[j]
+    placed: list[list[list[int]]] = [[] for _ in pairings]
     state = {"count": 0, "found": None}
 
     def admissible(i: int) -> list[list[int]]:
-        rows, rhs = [], []
-        for Gs, Gd in pairings:
-            for j in range(i):
-                rows.append(la.mat_vec(F, Gd, images[j]))
-                rhs.append(Gs[j][i])
+        rows = [r for rows_p in placed for r in rows_p]
+        rhs = [Gs[j][i] for Gs, _ in pairings for j in range(i)]
         cand = _affine_candidates(F, rows, rhs, d, cap)
-        return [y for y, a in zip(cand, quad_values(F, U_dst, cand))
+        return [y for y, a in zip(cand, la.quad_values(F, U_dst, cand))
                 if a == src_quad[i]]
 
     def descend(i: int) -> bool:
@@ -108,9 +93,13 @@ def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
             return True
         for y in admissible(i):
             images.append(y)
+            for rows_p, (_, Gd) in zip(placed, pairings):
+                rows_p.append(la.mat_vec(F, Gd, y))
             if descend(i + 1):
                 return True
             images.pop()
+            for rows_p in placed:
+                rows_p.pop()
         return False
 
     descend(0)

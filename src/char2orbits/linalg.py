@@ -10,7 +10,9 @@ Inside, a row packs into one Python int with one byte per entry (entry j in
 byte j): XOR adds two rows, and bytes.translate with the field's
 scale_bytes table scales one.  One Gaussian elimination on packed rows,
 _eliminate, serves rref, rank, kernel_basis, solve and inverse over every
-field.
+field.  quad_matrix and quad_values evaluate a quadratic form given by its
+basis values and polar Gram; the form modules, the odd split and the
+isometry search share them.
 """
 
 from __future__ import annotations
@@ -328,3 +330,24 @@ def jordan_partition(F: Field, A) -> list[int]:
     parts.sort(reverse=True)
     assert sum(parts) == n
     return parts
+
+
+# ----------------------------------------------------------------------
+# quadratic forms
+
+
+def quad_matrix(F: Field, quad, polar) -> list[list[int]]:
+    """Upper-triangular matrix U with v^t U v the quadratic form that takes
+    the values `quad` on the basis and polarizes to `polar`."""
+    U = as_matrix(polar)
+    for i, r in enumerate(U):
+        r[:i + 1] = [0] * i + [int(quad[i])]
+    return U
+
+
+def quad_values(F: Field, U, rows) -> list[int]:
+    "Quadratic form v^t U v of each row v of `rows`."
+    rows = as_matrix(rows)
+    if not rows:
+        return []
+    return [dot(F, t, v) for t, v in zip(mat_mul(F, rows, U), rows)]

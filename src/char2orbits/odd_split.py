@@ -32,10 +32,7 @@ entry points for every kind: is_nilpotent_functional and rational_label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import combinatorics as cb
-from . import isometry as iso
 from . import linalg as la
 from .classical import (Space, alternating_gram, functional_from_gram,
                         module_endomorphism)
@@ -52,15 +49,31 @@ class SplitError(ValueError):
     """The functional does not split as a nilpotent one must."""
 
 
-@dataclass
-class OddSplit:
-    space: Space
-    X: list[list[int]]
-    m: int
-    chain: list[list[int]]
-    dual: list[list[int]]
-    complement: list[list[int]]
-    module: FormModule | None
+class OddSplit(cb._Record):
+    """The functional X on space, its chain part (chain v_0..v_m and dual
+    u_0..u_{m-1}), the complement basis and its orth module (None when the
+    complement is zero)."""
+
+    __slots__ = ("space", "X", "m", "chain", "dual", "complement", "module")
+
+    def __init__(self, space: Space, X: list[list[int]], m: int,
+                 chain: list[list[int]], dual: list[list[int]],
+                 complement: list[list[int]], module: FormModule | None):
+        self.space = space
+        self.X = X
+        self.m = m
+        self.chain = chain
+        self.dual = dual
+        self.complement = complement
+        self.module = module
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.space, self.X, self.m, self.chain, self.dual,
+                     self.complement, self.module)
+                    == (other.space, other.X, other.m, other.chain,
+                        other.dual, other.complement, other.module))
+        return NotImplemented
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +332,7 @@ def odd_witness(label: OddLabel, field: Field):
     C_t = la.transpose(C)
     assert la.mat_mul(field, la.mat_mul(field, C_t, space.S), C) == Gb, \
         "the embedding must carry the model's pairing"
-    assert iso.quad_values(field, space.B, C_t) == quad, \
+    assert la.quad_values(field, space.B, C_t) == quad, \
         "the embedding must carry the model's quadratic values"
 
     Ci = la.inverse(field, C)

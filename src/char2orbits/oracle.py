@@ -19,12 +19,11 @@ rational_label gives its representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from . import centralizers as cz
 from . import classical as cl
+from . import combinatorics as cb
 from . import linalg as la
 from . import odd_split as od
 from .finite_field import Field
@@ -32,22 +31,46 @@ from .finite_field import Field
 POINT_LIMIT = 1 << 10
 
 
-@dataclass
-class FiniteGroup:
-    kind: str
-    n: int
-    field: Field
-    generators: list
-    order: int
-    _labels: dict = dc_field(default_factory=dict, repr=False)
+class FiniteGroup(cb._Record):
+    """Generators and formula order; _labels memoizes _orbits per action."""
+
+    __slots__ = ("kind", "n", "field", "generators", "order", "_labels")
+
+    def __init__(self, kind: str, n: int, field: Field, generators: list,
+                 order: int, _labels: dict | None = None):
+        self.kind = kind
+        self.n = n
+        self.field = field
+        self.generators = generators
+        self.order = order
+        self._labels = {} if _labels is None else _labels
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.n, self.field, self.generators,
+                     self.order, self._labels)
+                    == (other.kind, other.n, other.field, other.generators,
+                        other.order, other._labels))
+        return NotImplemented
 
 
-@dataclass
-class OrbitReport:
-    representative: list
-    orbit_size: int
-    stabilizer_order: int
-    label: object = None
+class OrbitReport(cb._Record):
+    __slots__ = ("representative", "orbit_size", "stabilizer_order", "label")
+
+    def __init__(self, representative: list, orbit_size: int,
+                 stabilizer_order: int, label: object = None):
+        self.representative = representative
+        self.orbit_size = orbit_size
+        self.stabilizer_order = stabilizer_order
+        self.label = label
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.representative, self.orbit_size,
+                     self.stabilizer_order, self.label)
+                    == (other.representative, other.orbit_size,
+                        other.stabilizer_order, other.label))
+        return NotImplemented
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ claim survives as stated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from math import log2
@@ -48,13 +47,28 @@ from .classical import space_for
 from .finite_field import field_for
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    seconds: float
-    detail: str
+class CheckResult(cb._FrozenRecord):
+    __slots__ = ("suite", "name", "passed", "seconds", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, seconds: float,
+                 detail: str):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.suite, self.name, self.passed, self.seconds,
+                     self.detail)
+                    == (other.suite, other.name, other.passed, other.seconds,
+                        other.detail))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.suite, self.name, self.passed, self.seconds,
+                     self.detail))
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

@@ -88,8 +88,8 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
     P = [la.identity(d)]
     for _ in range(maxh):
         P.append(la.mat_mul(F, dst.op, P[-1]))
-    U_src = iso.quad_matrix(F, src.quad, src.polar)
-    U_dst = iso.quad_matrix(F, dst.quad, dst.polar)
+    U_src = la.quad_matrix(F, src.quad, src.polar)
+    U_dst = la.quad_matrix(F, dst.quad, dst.polar)
 
     chains = []
     for v, h in gens:
@@ -111,7 +111,7 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
         for k in range(heights[b]):
             if pair(chain[k], chain[0]):
                 raise ValueError("pairing does not vanish along a generator chain")
-    alpha = [iso.quad_values(F, U_src, c) for c in chains]
+    alpha = [la.quad_values(F, U_src, c) for c in chains]
 
     M_rows = [la.mat_mul(F, la.transpose(P[k]), dst.gram) for k in range(maxh)]
     images: list[list[int]] = []
@@ -132,7 +132,7 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
             assert la.mat_mul(F, dst.op, M) == la.mat_mul(F, M, src.op)
             assert la.mat_mul(F, la.mat_mul(F, M_t, dst.polar), M) == \
                 la.as_matrix(src.polar)
-            assert iso.quad_values(F, U_dst, M_t) == [int(x) for x in src.quad]
+            assert la.quad_values(F, U_dst, M_t) == [int(x) for x in src.quad]
             found.append(M)
             return True
         h = heights[b]
@@ -143,7 +143,7 @@ def find_module_map(F, src: ModuleForms, gens, dst: ModuleForms,
                 rhs.append(series[b][j][k])
         cand = iso._affine_candidates(F, rows, rhs, d, cap)
         for k in range(h):
-            vals = iso.quad_values(F, U_dst,
+            vals = la.quad_values(F, U_dst,
                                    la.mat_mul(F, cand, la.transpose(P[k])))
             cand = [y for y, a in zip(cand, vals) if a == alpha[b][k]]
         for y in cand:

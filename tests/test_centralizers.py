@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -179,3 +182,26 @@ def test_chain_isometry_order_counts_commutant_units(m, e):
             units += 1
     assert units == cz.chain_isometry_order(m, q) == (q - 1) * q ** (2 * m)
     assert units != q ** d
+
+
+# ----------------------------------------------------------------------
+# the report record
+
+
+def test_centralizer_report_record():
+    a, b = cz.CentralizerReport(4, 1), cz.symp_report([(2, 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != cz.CentralizerReport(4, 0) and a != (4, 1)
+    assert repr(a) == "CentralizerReport(dim_z=4, comp_rank=1)"
+    for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(other) is cz.CentralizerReport and other == a
+    with pytest.raises(AttributeError):
+        a.dim_z = 5
+    with pytest.raises(AttributeError):
+        a.comp_rank = 0
+
+
+@pytest.mark.parametrize("dim_z,comp_rank", [(-1, 0), (0, -1)])
+def test_centralizer_report_rejects_negatives(dim_z, comp_rank):
+    with pytest.raises(ValueError):
+        cz.CentralizerReport(dim_z, comp_rank)

@@ -316,6 +316,30 @@ def test_classify_zero_functional_of_sp20(capsys, tmp_path):
     assert json.loads(out)["label"] == " ".join(["(1)^2_0:0"] * 10)
 
 
+@pytest.mark.parametrize("name,kind", [("sp26.txt", "sp"), ("so27.txt", "so-odd"),
+                                       ("sp26.json", "sp"), ("so27.json", "so-odd")])
+def test_classify_rank_cap(capsys, tmp_path, monkeypatch, name, kind):
+    # rank 13 is one past LIST_CAP: exit 3 before any space is built
+    def no_space(*args, **kwargs):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(cl, "Space", no_space)
+    d = 27 if kind == "so-odd" else 26
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps({"kind": kind, "n": 13,
+                                    "field": "GF(2^1)/11",
+                                    "X": " ".join(["0"] * d * d)}))
+        extra = []
+    else:
+        write_grid(path, np.zeros((d, d), dtype=np.uint8))
+        extra = ["--type", kind]
+    rc, out, err = run(capsys, ["classify", "--matrix", str(path)] + extra)
+    assert (rc, out) == (3, "")
+    assert err == f"classify stops at rank {cli.LIST_CAP}; " \
+                  f"the matrix file gives n = 13\n"
+
+
 def test_closed_stdout_ends_quietly():
     # the table is larger than the pipe buffer, so the writer meets the
     # closed pipe and must end with 128 + SIGPIPE and nothing on stderr

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -179,3 +181,69 @@ def test_pair_text_round_trip():
 
 def test_symbol_text():
     assert co.format_symp_symbol(((2, 1), (1, 0))) == "(2)^2_1(1)^2_0"
+
+
+# ----------------------------------------------------------------------
+# label records
+
+
+def test_block_label_equality_hash_and_order():
+    a, b = co.BlockLabel(2, 1, "0"), co.BlockLabel(2, 1, "0")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != co.BlockLabel(2, 1, "d") and a != co.BlockLabel(2, 1)
+    assert co.BlockLabel(1, 1) == co.BlockLabel(1, 1, None)
+    assert co.BlockLabel(1, 1) != (1, 1, None)
+    assert (1, 1, None) != co.BlockLabel(1, 1)
+    labels = [co.BlockLabel(2, 1, "d"), co.BlockLabel(1, 1, "0"),
+              co.BlockLabel(2, 1, "0"), co.BlockLabel(2, 2, "0")]
+    assert sorted(labels) == [co.BlockLabel(1, 1, "0"), co.BlockLabel(2, 1, "0"),
+                              co.BlockLabel(2, 1, "d"), co.BlockLabel(2, 2, "0")]
+    assert co.BlockLabel(1, 1, "0") < co.BlockLabel(1, 1, "d") <= co.BlockLabel(1, 1, "d")
+    assert co.BlockLabel(2, 0, "0") > co.BlockLabel(1, 1, "0") >= co.BlockLabel(1, 1, "0")
+    with pytest.raises(TypeError):
+        co.BlockLabel(1, 1) < (1, 1, None)
+
+
+def test_odd_label_equality_and_hash():
+    blocks = (co.BlockLabel(1, 1, "0"),)
+    a, b = co.OddLabel(1, blocks), co.OddLabel(1, tuple(blocks))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != co.OddLabel(1, (co.BlockLabel(1, 1, "d"),))
+    assert a != co.OddLabel(2, blocks) and a != (1, blocks)
+
+
+def test_label_repr_is_exact():
+    # census reports sort by str(label), so this text is part of the output
+    assert repr(co.BlockLabel(2, 1, "0")) == "BlockLabel(m=2, l=1, eps='0')"
+    assert repr(co.BlockLabel(2, 1)) == "BlockLabel(m=2, l=1, eps=None)"
+    assert str((co.BlockLabel(1, 1, "d"),)) == "(BlockLabel(m=1, l=1, eps='d'),)"
+    assert (repr(co.OddLabel(1, (co.BlockLabel(1, 1, "0"),)))
+            == "OddLabel(m=1, blocks=(BlockLabel(m=1, l=1, eps='0'),))")
+    assert repr(co.OddLabel(0, ())) == "OddLabel(m=0, blocks=())"
+
+
+@pytest.mark.parametrize("label,fields", [
+    (co.BlockLabel(2, 1, "d"), ("m", "l", "eps")),
+    (co.OddLabel(1, (co.BlockLabel(2, 1, "0"),)), ("m", "blocks")),
+])
+def test_label_records_are_frozen(label, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(label, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(label, name)
+    with pytest.raises(AttributeError):
+        label.other = 0
+
+
+@pytest.mark.parametrize("label", [
+    co.BlockLabel(2, 1, "d"),
+    co.BlockLabel(1, 0),
+    co.OddLabel(1, (co.BlockLabel(2, 1, "0"),)),
+])
+def test_label_records_survive_pickle_and_copy(label):
+    for other in (pickle.loads(pickle.dumps(label)), copy.copy(label),
+                  copy.deepcopy(label)):
+        assert type(other) is type(label)
+        assert other == label and hash(other) == hash(label)
+        assert repr(other) == repr(label)

@@ -8,7 +8,6 @@ import module_search as ms
 from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
-from char2orbits import isometry as iso
 from char2orbits import linalg as la
 from char2orbits.finite_field import field_for
 
@@ -327,7 +326,7 @@ def test_arf_trace_matches_the_zero_count(e, dim):
         vals = gen.integers(0, q, size=dim, dtype=np.uint8)
         vals[gen.random(dim) < 0.4] = 0
         zero = np.array(
-            iso.quad_values(F, iso.quad_matrix(F, vals, gram), vecs)) == 0
+            la.quad_values(F, la.quad_matrix(F, vals, gram), vecs)) == 0
         radical = ~np.array(la.mat_mul(F, vecs, gram)).any(axis=1)
         got = fm._arf_trace(F, gram, vals)
         if not zero[radical].all():

@@ -2,9 +2,16 @@
 
 The scan reads every import statement of every module, those inside
 functions included, so a deferred import cannot hide an upward edge.
+The same scan keeps numpy, dataclasses and the exhaustive search off the
+modules that need none of them, and one subprocess per command kind
+checks what a command-line process really loads.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,21 +51,81 @@ def test_imports_point_down(module):
     assert not upward, f"{module} imports {sorted(upward)} from its layer or above"
 
 
+def absolute_imports(path: Path) -> set[str]:
+    "Top-level names of the absolute imports of a source file, at any depth."
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 # numpy serves the census's key arrays and permutations, and verify's
 # seeded draws; every other module runs on plain Python
 NUMPY_USERS = {"oracle", "verify"}
 
 
-def imports_numpy(path: Path) -> bool:
-    for node in ast.walk(ast.parse(path.read_text())):
-        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
-                 else [])
-        if any(n == "numpy" or n.startswith("numpy.") for n in names):
-            return True
-    return False
+@pytest.mark.parametrize("module", ORDER)
+def test_only_the_census_and_verify_import_numpy(module):
+    imports = absolute_imports(PACKAGE / f"{module}.py")
+    assert ("numpy" in imports) == (module in NUMPY_USERS)
 
 
 @pytest.mark.parametrize("module", ORDER)
-def test_only_the_census_and_verify_import_numpy(module):
-    assert imports_numpy(PACKAGE / f"{module}.py") == (module in NUMPY_USERS)
+def test_no_module_imports_dataclasses(module):
+    # its import pulls in inspect, ast and dis: milliseconds per process
+    assert "dataclasses" not in absolute_imports(PACKAGE / f"{module}.py")
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_only_verify_imports_the_exhaustive_search(module):
+    imports = package_imports(PACKAGE / f"{module}.py")
+    assert ("isometry" in imports) == (module == "verify")
+
+
+# ----------------------------------------------------------------------
+# the cold path: what one command-line process loads
+
+# runs cli.main on its arguments with stdout discarded, then writes the
+# exit code and the loaded module names to stderr as one JSON line
+PROBE = """import json, os, sys
+from char2orbits.cli import main
+stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
+code = main(sys.argv[1:])
+sys.stdout = stdout
+sys.stderr.write(json.dumps([code, sorted(sys.modules)]))
+"""
+COLD = {"dataclasses", "inspect", "csv", "char2orbits.isometry"}
+# numpy, which the so-even census and verify need, loads inspect itself
+COMMANDS = [
+    (["orbits", "--type", "sp", "--n", "2"], COLD),
+    (["orbits", "--type", "so-odd", "--n", "2", "--q", "4", "--format", "csv"],
+     COLD - {"csv"}),
+    (["orbits", "--type", "so-even", "--n", "1", "--q", "2"],
+     COLD - {"inspect"}),
+    (["centralizer", "--type", "sp", "--label", "(2)^2_1:d"], COLD),
+    (["normal-form", "--type", "sp", "--label", "(2)^2_1:d"],
+     COLD | {"char2orbits.odd_split"}),
+    (["normal-form", "--type", "so-odd", "--label", "m=1; (1)^2_1:d"], COLD),
+    (["classify", "--type", "sp", "--matrix"], COLD),
+    (["classify", "--type", "so-odd", "--q", "4", "--matrix"], COLD),
+    (["verify", "--suite", "combinatorics"], {"dataclasses", "csv"}),
+]
+
+
+@pytest.mark.parametrize("argv,absent", COMMANDS,
+                         ids=[" ".join(a[:3]) for a, _ in COMMANDS])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    if argv[0] == "classify":
+        d = 5 if "so-odd" in argv else 4
+        grid = tmp_path / "zero.txt"
+        grid.write_text("\n".join(" ".join("0" * d) for _ in range(d)))
+        argv = argv + [str(grid)]
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", PROBE] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(done.stderr.splitlines()[-1])
+    assert code == 0
+    assert not absent & set(modules), sorted(absent & set(modules))
