@@ -434,12 +434,6 @@ def dual_to_json(space: Space, X) -> dict:
             "field": space.field.header(), "X": toks}
 
 
-def dual_from_json(obj: dict) -> tuple[Space, list[list[int]]]:
-    "The space and functional of dual_to_json's form."
-    kind, n, field, X = dual_parts_from_json(obj)
-    return Space(kind, n, field), X
-
-
 def dual_parts_from_json(obj: dict) -> tuple[str, int, Field, list[list[int]]]:
     """The kind, rank, field and functional of dual_to_json's form.
 

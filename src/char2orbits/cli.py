@@ -11,7 +11,8 @@ Subcommands
 Exit codes: 0 success, 1 verification failure, 2 invalid request,
 3 size bounds exceeded, 4 classify input not nilpotent, 141 (128 + SIGPIPE)
 when the reader closes standard output early.  Exits 2, 3 and 4 write one
-line to stderr; 4 still prints the classify report.
+line to stderr, argparse usage errors included; 4 still prints the classify
+report.
 
 Every command does bounded work: orbit tables, labels and classify
 inputs stop at rank LIST_CAP (exit 3, checked before any space is built).
@@ -251,7 +252,7 @@ def _read_grid(text: str, type_flag: str | None, e: int):
         raise BadRequest(f"matrix must be square, got {d} lines")
     want_odd = type_flag == "so-odd"
     if d % 2 != want_odd:
-        raise BadRequest(f"{type_flag} needs a {'odd' if want_odd else 'even'}"
+        raise BadRequest(f"{type_flag} needs an {'odd' if want_odd else 'even'}"
                          f"-dimensional matrix, got {d}")
     n = d // 2
     if n < 1:
@@ -396,8 +397,17 @@ def _cmd_verify(args) -> int:
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line, "<prog>: error: <message>", and
+    exit 2, as for every other invalid request; --help is unchanged.
+    Subcommand parsers inherit the class, so their prog names the command."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="char2orbits",
         description="Nilpotent coadjoint orbits of classical groups in "
                     "characteristic two")

@@ -28,12 +28,17 @@ module without choosing a basis.  The rational decorations are Arf classes
 in F_q/(x^2 + x): for each Jordan size m and power i, the form
 v -> quad(T^i v) on ker(T^m) either fails to vanish on its polar radical or
 descends to a nondegenerate form whose Arf invariant has an absolute trace.
-arf_invariant collects these, and the rational classifiers compare them
-with the candidates' normal forms, so classification is polynomial linear
-algebra with no search.
+Each module computes these power forms once.  arf_invariant collects them,
+and the rational classifiers compare them with their candidates' invariants.
+A normal form is the orthogonal sum of its blocks, so its invariant combines
+cached per-block tables: None where any block gives None, else the sum of
+the block traces mod 2.  Classification is polynomial linear algebra with no
+search, and it builds no candidate normal form.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import linalg as la
 from .classical import (Space, functional_from_gram, is_alternating,
@@ -55,7 +60,11 @@ class ClassificationError(ValueError):
 
 
 class FormModule:
-    """Pairing Gram, nilpotent self-adjoint operator, quadratic values."""
+    """Pairing Gram, nilpotent self-adjoint operator, quadratic values.
+
+    The components are read as given at construction; the power-form data
+    the classifiers read is computed from them once, on first use.
+    """
 
     def __init__(self, kind: str, field: Field, gram, op, quad):
         if kind not in ("sp", "orth"):
@@ -81,6 +90,7 @@ class FormModule:
         if kind == "sp" and not is_alternating(la.mat_mul(field, op_t, shifted)):
             raise ValueError("shifted pairing must vanish on (Tv, v)")
         self._U = la.quad_matrix(field, self.quad, self.polar_gram)
+        self._powers = None
 
     @property
     def dim(self) -> int:
@@ -197,17 +207,31 @@ def _arf_trace(F: Field, gram, vals) -> int | None:
     return None if any(q) else F.trace(arf)
 
 
+def _power_table(mod: FormModule) -> tuple[list[int], dict]:
+    """The operator's Jordan partition and, for each distinct size m, the
+    pairs (vanishes identically, _arf_trace) of v -> quad(T^i v) on
+    ker(T^m) for 0 <= i <= m; computed once per module."""
+    if mod._powers is None:
+        F = mod.field
+        parts = la.jordan_partition(F, mod.op)
+        mod._powers = parts, {
+            m: tuple((not any(vals) and la.is_zero(pol), _arf_trace(F, pol, vals))
+                     for pol, vals in _power_forms(mod, m, m + 1))
+            for m in sorted(set(parts))}
+    return mod._powers
+
+
 def arf_invariant(mod: FormModule) -> tuple:
     """Arf data of v -> quad(T^i v) on ker(T^m), for every Jordan size m
     and 0 <= i <= m: None where the form does not vanish on its polar
     radical, else the absolute trace of its Arf invariant.
 
     Isometric modules have equal invariants, and the rational classifiers
-    rely on the converse among the decorations of one closed label.
+    rely on the converse among the decorations of one closed label.  The
+    data is additive over orthogonal sums (None absorbs), which is how the
+    classifiers get their candidates' invariants from per-block tables.
     """
-    sizes = sorted(set(la.jordan_partition(mod.field, mod.op)))
-    return tuple(_arf_trace(mod.field, pol, vals) for m in sizes
-                 for pol, vals in _power_forms(mod, m, m + 1))
+    return tuple(t for row in _power_table(mod)[1].values() for _, t in row)
 
 
 # ----------------------------------------------------------------------
@@ -215,14 +239,21 @@ def arf_invariant(mod: FormModule) -> tuple:
 
 
 def classify_closed(mod: FormModule) -> tuple[BlockLabel, ...]:
-    """Blocks (m_i, chi(m_i)) from the doubled operator partition."""
-    parts = la.jordan_partition(mod.field, mod.op)
+    """Blocks (m_i, chi(m_i)) from the doubled operator partition.
+
+    chi(m) is the first power whose form vanishes identically on ker(T^m),
+    read off the module's power table; it is at most m, since T^m kills
+    ker(T^m).
+    """
+    parts, powers = _power_table(mod)
     if len(parts) % 2:
         raise ValueError("operator partition is not doubled")
     for a, b in zip(parts[0::2], parts[1::2]):
         if a != b:
             raise ValueError("operator partition is not doubled")
-    blocks = tuple(BlockLabel(m, index_chi(mod, m)) for m in parts[0::2])
+    chi = {m: next(i for i, (zero, _) in enumerate(row) if zero)
+           for m, row in powers.items()}
+    blocks = tuple(BlockLabel(m, chi[m]) for m in parts[0::2])
     if not validate_blocks(blocks, kind=mod.kind):
         raise ValueError(f"classification produced an invalid label {blocks}")
     return blocks
@@ -277,24 +308,43 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
 # rational classification
 
 
-def _normal_form_invariant(blocks, mod: FormModule) -> tuple:
-    "Arf invariant of the normal form of `blocks` in the kind of `mod`."
-    return arf_invariant(build_normal_form(blocks, mod.field, kind=mod.kind)[0])
+@lru_cache(maxsize=None)
+def _block_table(kind: str, field: Field, block: BlockLabel, m: int) -> tuple:
+    """Arf data of the one-block normal form of `block` at Jordan size m,
+    for i = 0..m.  The label universe (m <= 12) bounds the cache."""
+    mod = build_normal_form((block,), field, kind=kind)[0]
+    return tuple(_arf_trace(field, pol, vals)
+                 for pol, vals in _power_forms(mod, m, m + 1))
+
+
+def _label_invariant(blocks, kind: str, field: Field) -> tuple:
+    """arf_invariant of the normal form of `blocks`, combined from the
+    per-block tables at the label's sizes; an invalid label raises
+    ValueError, as build_normal_form does."""
+    blocks = tuple(blocks)
+    if not validate_blocks(blocks, kind=kind):
+        raise ValueError(f"invalid label {blocks} for kind {kind}")
+    out = []
+    for m in sorted({b.m for b in blocks}):
+        rows = [_block_table(kind, field, b, m) for b in blocks]
+        out += [None if None in col else sum(col) % 2 for col in zip(*rows)]
+    return tuple(out)
 
 
 def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """Decorated label of a symplectic module over its own field.
 
     The closed label fixes everything except a "0"/"d" choice at each
-    splitting position; the canonical representative whose Arf invariant
-    equals the module's decides those, and exactly one must match.
+    splitting position; the candidate whose Arf invariant (read from the
+    per-block tables) equals the module's decides those, and exactly one
+    must match.
     """
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
     closed = classify_closed(mod)
     inv = arf_invariant(mod)
     matches = [cand for cand in decorations(closed, split_positions(closed))
-               if _normal_form_invariant(cand, mod) == inv]
+               if _label_invariant(cand, mod.kind, mod.field) == inv]
     if len(matches) != 1:
         raise ClassificationError(
             f"expected exactly one canonical match, got {len(matches)} "
@@ -306,18 +356,18 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """Decorated label of an orthogonal module over its own field.
 
     All 2^s decorations of the closed label are scanned in a fixed order
-    ("0" before "d", rightmost position fastest) and the first one whose
-    Arf invariant equals the module's is returned, which collapses fused
-    decorations deterministically.
+    ("0" before "d", rightmost position fastest) and the first valid one
+    whose Arf invariant (read from the per-block tables) equals the
+    module's is returned, which collapses fused decorations
+    deterministically.
     """
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
     closed = classify_closed(mod)
     inv = arf_invariant(mod)
     for cand in decorations(closed, range(len(closed))):
-        if not validate_blocks(cand, kind="orth"):
-            continue
-        if _normal_form_invariant(cand, mod) == inv:
+        if validate_blocks(cand, kind="orth") \
+                and _label_invariant(cand, "orth", mod.field) == inv:
             return cand
     raise ClassificationError(
         f"no decoration of {closed} matches the module")

@@ -1,5 +1,7 @@
-"""Exhaustive isometry searches: the tests' reference for the rational
-classifiers, which decide decorations by Arf invariants instead.
+"""The tests' references for the rational classifiers: exhaustive isometry
+searches, and the scans that compare a module's Arf invariant with each
+candidate's whole normal form, which the classifiers replace by per-block
+tables.
 
 A module map is pinned down by the images of the generators of the normal
 form's operator chains; the search places one image per generator.  An odd
@@ -202,3 +204,47 @@ def odd_label_by_search(split: od.OddSplit) -> cb.OddLabel:
         raise fm.ClassificationError(
             f"expected exactly one canonical representative, got {matches}")
     return matches[0]
+
+
+# ----------------------------------------------------------------------
+# rational labels by scanning whole candidate normal forms
+
+
+def power_form_invariant(mod: fm.FormModule) -> tuple:
+    "fm.arf_invariant, walking the power forms afresh."
+    sizes = sorted(set(la.jordan_partition(mod.field, mod.op)))
+    return tuple(fm._arf_trace(mod.field, pol, vals) for m in sizes
+                 for pol, vals in fm._power_forms(mod, m, m + 1))
+
+
+def normal_form_invariant(blocks, kind: str, field) -> tuple:
+    "Arf invariant of the whole normal form of `blocks`."
+    return power_form_invariant(fm.build_normal_form(blocks, field, kind=kind)[0])
+
+
+def closed_by_index_chi(mod: fm.FormModule) -> tuple:
+    "The closed label, each level a fresh fm.index_chi walk."
+    parts = la.jordan_partition(mod.field, mod.op)
+    return tuple(cb.BlockLabel(m, fm.index_chi(mod, m)) for m in parts[0::2])
+
+
+def classify_fq_by_scan(mod: fm.FormModule) -> tuple:
+    "The one canonical candidate whose normal form's invariant is the module's."
+    closed = closed_by_index_chi(mod)
+    inv = power_form_invariant(mod)
+    matches = [cand for cand in cb.decorations(closed, cb.split_positions(closed))
+               if normal_form_invariant(cand, "sp", mod.field) == inv]
+    if len(matches) != 1:
+        raise fm.ClassificationError(f"expected one match, got {matches}")
+    return matches[0]
+
+
+def classify_orth_fq_by_scan(mod: fm.FormModule) -> tuple:
+    "The first valid decoration whose normal form's invariant is the module's."
+    closed = closed_by_index_chi(mod)
+    inv = power_form_invariant(mod)
+    for cand in cb.decorations(closed, range(len(closed))):
+        if cb.validate_blocks(cand, kind="orth") \
+                and normal_form_invariant(cand, "orth", mod.field) == inv:
+            return cand
+    raise fm.ClassificationError(f"no decoration of {closed} matches")

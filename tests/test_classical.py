@@ -333,13 +333,14 @@ def test_dual_json_round_trip(kind, n, e):
     space = cl.Space(kind, n, field_for(e))
     X = rng.integers(0, space.field.q, size=(space.d, space.d), dtype=np.uint8)
     obj = cl.dual_to_json(space, X)
-    space2, X2 = cl.dual_from_json(obj)
+    parts = cl.dual_parts_from_json(obj)
+    space2, X2 = cl.Space(*parts[:3]), parts[3]
     assert space2.kind == space.kind and space2.n == space.n
     assert space2.field == space.field
     assert X2 == X.tolist()
     with pytest.raises(ValueError):
-        cl.dual_from_json({"kind": kind, "n": n,
-                           "field": space.field.header(), "X": "0 1"})
+        cl.dual_parts_from_json({"kind": kind, "n": n,
+                                 "field": space.field.header(), "X": "0 1"})
 
 
 @pytest.mark.parametrize("change,message", [
@@ -358,4 +359,4 @@ def test_dual_from_json_checks_before_building(monkeypatch, change, message):
     obj = {"kind": "sp", "n": 2, "field": "GF(2^1)/11", "X": " ".join("0" * 16)}
     monkeypatch.setattr(cl, "Space", None)
     with pytest.raises(ValueError, match=message):
-        cl.dual_from_json({**obj, **change})
+        cl.dual_parts_from_json({**obj, **change})

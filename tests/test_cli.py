@@ -111,6 +111,35 @@ def test_orbits_rejects_bad_rank_and_bad_q(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,prog", [
+    ([], "char2orbits"),
+    (["classify"], "char2orbits classify"),
+    (["classify", "--matrix", "m.txt", "--q", "3"], "char2orbits classify"),
+    (["centralizer", "--q", "4"], "char2orbits centralizer"),
+    (["verify", "--max-n", "x"], "char2orbits verify"),
+    (["orbits", "--type", "gl", "--n", "2"], "char2orbits orbits"),
+    (["normal-form", "--type", "sp", "--label", "(1)^2_0:0", "extra\nline"],
+     "char2orbits"),
+    (["nonsense"], "char2orbits"),
+])
+def test_usage_errors_are_one_line(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{prog}: error: ")
+
+
+def test_help_keeps_its_usage_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: char2orbits classify")
+    assert len(out.splitlines()) > 1
+
+
 def test_orbits_output_is_deterministic(capsys):
     argv = ["orbits", "--type", "so-odd", "--n", "3", "--q", "2",
             "--format", "csv"]
@@ -189,8 +218,9 @@ def test_classify_plain_grid_needs_type(capsys, tmp_path):
 
 def test_classify_dimension_parity_mismatch(capsys, tmp_path):
     path = write_grid(tmp_path / "z.txt", np.zeros((4, 4), dtype=np.uint8))
-    rc, _, _ = run(capsys, ["classify", "--matrix", path, "--type", "so-odd"])
+    rc, _, err = run(capsys, ["classify", "--matrix", path, "--type", "so-odd"])
     assert rc == 2
+    assert "so-odd needs an odd-dimensional matrix, got 4" in err
 
 
 def test_classify_missing_file(capsys):

@@ -9,6 +9,7 @@ from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import linalg as la
+from char2orbits import odd_split as od
 from char2orbits.finite_field import field_for
 
 F2 = field_for(1)
@@ -384,6 +385,85 @@ def test_arf_invariant_is_complete_on_orth_decorations(field, K):
             assert same == ms.matches_normal_form(mb, a), (a, b)
             pairs += 1
     assert pairs == {1: 1, 2: 7}[K]
+
+
+# ----------------------------------------------------------------------
+# per-block Arf tables against whole normal forms
+
+
+def valid_decorations(closed, kind):
+    return [c for c in cb.decorations(closed, range(len(closed)))
+            if cb.validate_blocks(c, kind=kind)]
+
+
+TABLE_RANKS = [(F2, n) for n in range(1, 9)] + [(F4, n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("field,n", TABLE_RANKS)
+def test_block_tables_give_the_normal_form_invariant(field, n):
+    cases = [("sp", c) for c in cb.rational_symbols(n)]
+    cases += [("orth", c) for closed in closed_orth_labels(n)
+              for c in valid_decorations(closed, "orth")]
+    for kind, blocks in cases:
+        mod = fm.build_normal_form(blocks, field, kind=kind)[0]
+        assert fm._label_invariant(blocks, kind, field) == \
+            fm.arf_invariant(mod), blocks
+
+
+def test_block_tables_refuse_an_invalid_label():
+    with pytest.raises(ValueError, match="invalid label"):
+        fm._label_invariant(labels((2, 2), eps=["d"]), "sp", F2)
+    with pytest.raises(ValueError, match="invalid label"):
+        fm._label_invariant(labels((2, 1), eps=["d"]), "orth", F2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_classify_closed_reads_chi_off_the_power_table(n):
+    for kind, labs in (("sp", map(pair_to_blocks, cb.symp_pairs(n))),
+                       ("orth", closed_orth_labels(n))):
+        for closed in labs:
+            mod = fm.build_normal_form(closed, F2, kind=kind)[0]
+            assert fm.classify_closed(mod) == ms.closed_by_index_chi(mod) \
+                == closed
+
+
+def test_classification_walks_the_power_forms_once(monkeypatch):
+    blocks = labels((3, 2), (2, 1), (1, 0), eps=["0", "d", "0"])
+    nf = fm.build_normal_form(blocks, F4)[0]
+    fm.classify_fq(nf)  # fills the block tables, so only mod walks below
+    mod = fm.FormModule("sp", F4, nf.gram, nf.op, nf.quad)
+    walked = []
+    real = fm._power_forms
+    monkeypatch.setattr(fm, "_power_forms", lambda mod, m, count: (
+        walked.append(m), real(mod, m, count))[1])
+    assert fm.classify_fq(mod) == blocks
+    assert fm.arf_invariant(mod) == fm.arf_invariant(nf)
+    assert walked == [1, 2, 3]  # once per distinct Jordan size
+    assert fm.arf_invariant(mod) == ms.power_form_invariant(mod)
+
+
+@pytest.mark.parametrize("field", [F2, F4])
+def test_classifiers_match_the_normal_form_scan(field):
+    gen = np.random.default_rng(31)
+    for n in range(1, 6):
+        space = cl.Space("sp", n, field)
+        for blocks in cb.rational_symbols(n):
+            nf, X = fm.build_normal_form(blocks, field)
+            Y = cl.coadjoint(space, cl.random_group_element(space, gen), X)
+            for mod in (nf, fm.build_module(space, Y)):
+                assert fm.classify_fq(mod) == ms.classify_fq_by_scan(mod) \
+                    == blocks
+        for closed in closed_orth_labels(n):
+            for blocks in valid_decorations(closed, "orth"):
+                nf = fm.build_normal_form(blocks, field, kind="orth")[0]
+                assert fm.classify_orth_fq(nf) == ms.classify_orth_fq_by_scan(nf)
+        for lab in cb.rational_labels(n):
+            osp, X = od.odd_witness(lab, field)
+            Y = cl.coadjoint(osp, cl.random_group_element(osp, gen), X)
+            mod = od.split_odd_functional(osp, Y).module
+            if mod is not None:
+                assert fm.classify_orth_fq(mod) == \
+                    ms.classify_orth_fq_by_scan(mod)
 
 
 # ----------------------------------------------------------------------
