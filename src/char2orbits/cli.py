@@ -460,6 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if [] in vars(args).values():
+        # argparse reads "--label=--" as an empty list of values
+        print("an option's value is '--'", file=sys.stderr)
+        return 2
     max_n = getattr(args, "max_n", None)
     if getattr(args, "n", 1) < 1 or (max_n is not None and max_n < 1):
         print("ranks must be >= 1", file=sys.stderr)

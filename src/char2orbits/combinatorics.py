@@ -385,7 +385,8 @@ def decorations(closed, free):
     `free` and "0" everywhere else.
 
     "0" comes before "d" and the rightmost free position changes fastest;
-    orbit tables and the first match of classify_orth_fq follow this order.
+    orbit tables follow this order, and so does the first match that
+    classify_orth_fq returns.
     """
     for choice in product(("0", "d"), repeat=len(free)):
         eps = dict(zip(free, choice))
@@ -396,8 +397,8 @@ def decorations(closed, free):
 def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
     """Canonical decorated symbols of total size n, 2^k per closed symbol.
 
-    These are exactly the candidate sets classify_fq scans, so their count
-    over all closed symbols is p2(n).
+    These are exactly the labels classify_fq decides between, so their
+    count over all closed symbols is p2(n).
     """
     out = []
     for pair in symp_pairs(n):
@@ -406,7 +407,8 @@ def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
     return out
 
 
-_BLOCK_RE = re.compile(r"\((\d+)\)\^2_(\d+)(?::([0d]))?")
+# numbers are ASCII digits only, as format_blocks and format_label write them
+_BLOCK_RE = re.compile(r"\(([0-9]+)\)\^2_([0-9]+)(?::([0d]))?")
 
 
 def format_blocks(blocks) -> str:
@@ -510,13 +512,12 @@ def format_label(label: OddLabel) -> str:
 def parse_label(text: str) -> OddLabel:
     "Inverse of format_label."
     head, _, rest = text.partition(";")
-    head = head.strip()
-    if not head.startswith("m="):
+    head = re.fullmatch(r"m=([0-9]+)", head.strip())
+    if not head:
         raise ValueError(f"bad odd label {text!r}")
-    m = int(head[2:])
     rest = rest.strip()
     blocks = () if rest in ("", "-") else parse_blocks(rest)
-    return OddLabel(m, blocks)
+    return OddLabel(int(head.group(1)), blocks)
 
 
 def label_to_json(label: OddLabel) -> dict:

@@ -28,12 +28,14 @@ module without choosing a basis.  The rational decorations are Arf classes
 in F_q/(x^2 + x): for each Jordan size m and power i, the form
 v -> quad(T^i v) on ker(T^m) either fails to vanish on its polar radical or
 descends to a nondegenerate form whose Arf invariant has an absolute trace.
-Each module computes these power forms once.  arf_invariant collects them,
-and the rational classifiers compare them with their candidates' invariants.
-A normal form is the orthogonal sum of its blocks, so its invariant combines
-cached per-block tables: None where any block gives None, else the sum of
-the block traces mod 2.  Classification is polynomial linear algebra with no
-search, and it builds no candidate normal form.
+Each module computes these power forms once, and arf_invariant collects
+them.  A normal form is the orthogonal sum of its blocks, so its invariant
+combines cached per-block tables: None where any block gives None, else the
+sum of the block traces mod 2.  A block's None pattern does not depend on
+its decoration, so over one closed label the invariant is affine over F_2
+in the decoration vector, and both rational classifiers decide every
+decoration by one reduction over F_2 (_decorate).  Classification is
+polynomial linear algebra with no search and no scan of decorations.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from functools import lru_cache
 from . import linalg as la
 from .classical import (Space, functional_from_gram, is_alternating,
                         module_endomorphism)
-from .combinatorics import (BlockLabel, decorations, split_positions,
+from .combinatorics import (BlockLabel, _block_range_ok, split_positions,
                             validate_blocks)
 # the label layer lives in combinatorics; benchmarks/workloads.py still
 # reads these names through this module
 from .combinatorics import format_blocks, parse_blocks, rational_symbols  # noqa: F401
-from .finite_field import Field
+from .finite_field import Field, field_for
 
 
 class ClassificationError(ValueError):
@@ -331,43 +333,70 @@ def _label_invariant(blocks, kind: str, field: Field) -> tuple:
     return tuple(out)
 
 
+def _decorate(closed, free, kind: str, field: Field, inv) -> tuple:
+    """The decorations of `closed` ("d" or "0" at each position of `free`,
+    "0" elsewhere) whose invariant is `inv`: the first in
+    combinatorics.decorations order, or None, and how many there are.
+
+    The invariant is affine in the decoration vector eps:
+    inv(eps) = inv(0) + D eps off the None pattern, column p of D being
+    inv(one "d" at p) - inv(0).  The matches are a solution of
+    D eps = inv - inv(0) plus the kernel of D; reducing the solution by
+    the kernel's RREF clears every pivot, which makes it the first.
+    """
+    def label(ds):
+        return tuple(BlockLabel(b.m, b.l, "d" if i in ds else "0")
+                     for i, b in enumerate(closed))
+
+    F2 = field_for(1)
+    base = _label_invariant(label(()), kind, field)
+    if [x is None for x in inv] != [x is None for x in base]:
+        return None, 0
+    rows = [i for i, x in enumerate(base) if x is not None]
+    cols = [_label_invariant(label((p,)), kind, field) for p in free]
+    D = [[c[i] ^ base[i] for c in cols] for i in rows]
+    eps = la.solve(F2, D, [inv[i] ^ base[i] for i in rows])
+    if eps is None:
+        return None, 0
+    K = la.kernel_basis(F2, D)
+    eps = la.reduce_modulo(F2, *la.rref(F2, K), eps)
+    return label({p for p, x in zip(free, eps) if x}), 2 ** len(K)
+
+
 def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """Decorated label of a symplectic module over its own field.
 
     The closed label fixes everything except a "0"/"d" choice at each
-    splitting position; the candidate whose Arf invariant (read from the
-    per-block tables) equals the module's decides those, and exactly one
-    must match.
+    splitting position; exactly one of those decorations may have the
+    module's Arf invariant, and one F_2 solve finds it.
     """
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
     closed = classify_closed(mod)
-    inv = arf_invariant(mod)
-    matches = [cand for cand in decorations(closed, split_positions(closed))
-               if _label_invariant(cand, mod.kind, mod.field) == inv]
-    if len(matches) != 1:
+    label, count = _decorate(closed, split_positions(closed), "sp",
+                             mod.field, arf_invariant(mod))
+    if count != 1:
         raise ClassificationError(
-            f"expected exactly one canonical match, got {len(matches)} "
+            f"expected exactly one canonical match, got {count} "
             f"for closed label {closed}")
-    return matches[0]
+    return label
 
 
 def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """Decorated label of an orthogonal module over its own field.
 
-    All 2^s decorations of the closed label are scanned in a fixed order
-    ("0" before "d", rightmost position fastest) and the first valid one
-    whose Arf invariant (read from the per-block tables) equals the
-    module's is returned, which collapses fused decorations
-    deterministically.
+    "d" may sit on every block that admits it (2l > m).  Of the decorations
+    with the module's Arf invariant, one F_2 solve finds the first in a
+    fixed order ("0" before "d", rightmost position fastest), which
+    collapses fused decorations deterministically.
     """
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
     closed = classify_closed(mod)
-    inv = arf_invariant(mod)
-    for cand in decorations(closed, range(len(closed))):
-        if validate_blocks(cand, kind="orth") \
-                and _label_invariant(cand, "orth", mod.field) == inv:
-            return cand
-    raise ClassificationError(
-        f"no decoration of {closed} matches the module")
+    free = [i for i, b in enumerate(closed)
+            if _block_range_ok(BlockLabel(b.m, b.l, "d"), "orth")]
+    label, _ = _decorate(closed, free, "orth", mod.field, arf_invariant(mod))
+    if label is None:
+        raise ClassificationError(
+            f"no decoration of {closed} matches the module")
+    return label

@@ -5,8 +5,8 @@ linearly by the pairings against the images already placed, then filtered
 by its quadratic value.  The rows of those constraints, each pairing's
 Gram applied to an image, are computed once, when the image is placed.
 The search is exact: every affine solution set is enumerated in full, so
-a ``None`` answer means no map exists, and count_space_maps visits every
-leaf; a level larger than LEVEL_CAP raises SearchTooLarge instead.
+space_maps yields every map and count_space_maps counts them; a level
+larger than LEVEL_CAP raises SearchTooLarge instead.
 
 Only verify and the tests import this module: the rational classifiers
 compare Arf invariants and the odd witness is built by rule, so the space
@@ -55,7 +55,13 @@ def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> list[list[int]]
 # space maps: one basis image per level, several pairings at once
 
 
-def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
+def space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP):
+    """Yield every basis-image map matching each pairing in `pairings` plus
+    the quadratic values.
+
+    Each entry of `pairings` is (source Gram, destination Gram); the
+    quadratic form polarizes to the first pairing.
+    """
     pairings = [(la.as_matrix(a), la.as_matrix(b)) for a, b in pairings]
     d = len(pairings[0][0])
     for Gs, Gd in pairings:
@@ -68,7 +74,6 @@ def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
     images: list[list[int]] = []
     # placed[p][j] is the destination Gram of pairing p applied to images[j]
     placed: list[list[list[int]]] = [[] for _ in pairings]
-    state = {"count": 0, "found": None}
 
     def admissible(i: int) -> list[list[int]]:
         rows = [r for rows_p in placed for r in rows_p]
@@ -77,46 +82,28 @@ def _space_search(F, pairings, src_quad, dst_quad, cap, want_count):
         return [y for y, a in zip(cand, la.quad_values(F, U_dst, cand))
                 if a == src_quad[i]]
 
-    def descend(i: int) -> bool:
+    def descend(i: int):
         if i == d:
             M = la.transpose(images)
             try:
                 la.inverse(F, M)
             except ValueError:
-                return False
+                return
             for Gs, Gd in pairings:
                 assert la.mat_mul(F, la.mat_mul(F, images, Gd), M) == Gs
-            if want_count:
-                state["count"] += 1
-                return False
-            state["found"] = M
-            return True
+            yield M
+            return
         for y in admissible(i):
             images.append(y)
             for rows_p, (_, Gd) in zip(placed, pairings):
                 rows_p.append(la.mat_vec(F, Gd, y))
-            if descend(i + 1):
-                return True
+            yield from descend(i + 1)
             images.pop()
             for rows_p in placed:
                 rows_p.pop()
-        return False
 
-    descend(0)
-    return state["count"] if want_count else state["found"]
-
-
-def find_space_map(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP):
-    """A basis-image map matching every pairing in `pairings` plus the
-    quadratic values, or None.
-
-    Each entry of `pairings` is (source Gram, destination Gram); the
-    quadratic form polarizes to the first pairing.
-    """
-    return _space_search(F, pairings, src_quad, dst_quad, cap,
-                         want_count=False)
+    yield from descend(0)
 
 
 def count_space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP) -> int:
-    return _space_search(F, pairings, src_quad, dst_quad, cap,
-                         want_count=True)
+    return sum(1 for _ in space_maps(F, pairings, src_quad, dst_quad, cap))

@@ -19,12 +19,14 @@ The rational label of a nilpotent functional is the chain length m plus
 the decorated block label of W, which classify_orth_fq reads off Arf
 invariants with no search, normalized across the whole module: a
 block with co-level above m is clipped up to co-level m, a block with
-level above m absorbs its decoration, and adjacent blocks whose levels
-together exceed the leading size swap decorations freely.  The canonical
-representative has "d" only at splitting positions of the associated
-partition pair.  The tests hold this against an exhaustive whole-space
-isometry search (odd_label_by_search in tests/module_search.py), which
-finds the same label independently.
+level above m absorbs its decoration, and two blocks whose levels
+together exceed the leading size flip decorations in tandem.  These moves
+are fixed vectors over F_2, so the labels they reach form a coset of
+their span, and one reduction picks its canonical member, which has "d"
+only at splitting positions of the associated partition pair.  The tests
+hold this against a walk over the moves (odd_label_by_walk) and an
+exhaustive whole-space isometry search (odd_label_by_search), both in
+tests/module_search.py.
 
 As the lowest module that sees both classifiers, this one also holds the
 entry points for every kind: is_nilpotent_functional and rational_label.
@@ -40,7 +42,7 @@ from .combinatorics import BlockLabel, OddLabel, validate_blocks
 # the label layer lives in combinatorics; benchmarks/workloads.py still
 # reads these names through this module
 from .combinatorics import format_label, parse_label, rational_labels  # noqa: F401
-from .finite_field import Field
+from .finite_field import Field, field_for
 from .form_modules import (ClassificationError, FormModule, build_module,
                            build_normal_form, classify_fq, classify_orth_fq)
 
@@ -200,70 +202,44 @@ def _clip(m: int, blocks):
     return tuple(out)
 
 
-def _is_canonical(m: int, blocks) -> bool:
-    if not cb.oodd_pair_valid(
-            cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks)),
-            cb.strip_zeros(tuple(b.l for b in blocks))):
-        return False
-    free = set(cb.odd_split_positions(m, blocks))
-    return all(b.eps == "0" for i, b in enumerate(blocks) if i not in free)
-
-
-def _neighbor_states(m: int, blocks):
-    """Labels one decoration move away, at fixed levels.
-
-    Two moves preserve the class once no co-level exceeds the chain
-    length: a block whose level exceeds the chain length flips its
-    decoration alone, and any two blocks whose levels together exceed
-    the left one's size flip in tandem.  A decoration on a block whose
-    level stays within the chain length cannot move by itself.
-    """
-    def flip(b):
-        return BlockLabel(b.m, b.l, "d" if b.eps == "0" else "0")
-
-    out = []
-    for i, b in enumerate(blocks):
-        if b.l > m:
-            out.append(blocks[:i] + (flip(b),) + blocks[i + 1:])
-    for i in range(len(blocks) - 1):
-        for j in range(i + 1, len(blocks)):
-            if blocks[i].l + blocks[j].l > blocks[i].m:
-                out.append(blocks[:i] + (flip(blocks[i]),)
-                           + blocks[i + 1:j] + (flip(blocks[j]),)
-                           + blocks[j + 1:])
-    return [s for s in out if validate_blocks(s, kind="orth")]
-
-
 def rational_odd_label(split: OddSplit) -> OddLabel:
     """Canonical decorated label of a nilpotent odd functional.
 
-    The complement's decorated label is one representative of the class;
-    clipping and the equivalence moves walk its orbit, and the unique
-    reachable label that is an admissible pair with decorations only at
-    splitting positions is canonical.  A walk that reaches none or several
-    raises ClassificationError; the tests' exhaustive search
-    (module_search.odd_label_by_search) is the independent check.
+    Clipping fixes the levels of the complement's label, and the class is
+    the coset through it of the span of the decoration moves that touch
+    only blocks that admit "d".  Its canonical member, "d" only at
+    splitting positions, is the clipped label reduced by the moves' RREF
+    with the other positions ordered first.  A coset with none or several
+    such members, or levels that form no admissible pair, raises
+    ClassificationError.
     """
+    m, F2 = split.m, field_for(1)
     raw = classify_orth_fq(split.module) if split.module is not None else ()
-    start = _clip(split.m, raw)
+    start = _clip(m, raw)
     if not validate_blocks(start, kind="orth"):
         raise ClassificationError(f"clipped label {start} is invalid")
-    seen = {start}
-    frontier = [start]
-    canonical = []
-    while frontier:
-        cur = frontier.pop()
-        if _is_canonical(split.m, cur):
-            canonical.append(cur)
-        for nxt in _neighbor_states(split.m, cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(canonical) != 1:
+    free = cb.odd_split_positions(m, start)
+    order = [i for i in range(len(start)) if i not in free] + free
+    fixed = len(order) - len(free)
+    can_d = {i for i, b in enumerate(start)
+             if cb._block_range_ok(BlockLabel(b.m, b.l, "d"), "orth")}
+    moves = [{i} for i, b in enumerate(start) if b.l > m]
+    moves += [{i, j} for i in range(len(start)) for j in range(i + 1, len(start))
+              if start[i].l + start[j].l > start[i].m]
+    R, pivots = la.rref(F2, [[int(i in mv) for i in order]
+                             for mv in moves if mv <= can_d])
+    eps = la.reduce_modulo(F2, R, pivots,
+                           [int(start[i].eps == "d") for i in order])
+    if any(eps[:fixed]) or not cb.oodd_pair_valid(*OddLabel(m, start).pair()):
+        count = 0
+    else:
+        count = 2 ** sum(p >= fixed for p in pivots)
+    if count != 1:
         raise ClassificationError(
-            f"moves from {start} reach {len(canonical)} canonical labels "
-            f"{canonical}, not one")
-    return OddLabel(split.m, canonical[0])
+            f"moves from {start} reach {count} canonical labels, not one")
+    ds = {i for i, x in zip(order, eps) if x}
+    return OddLabel(m, tuple(BlockLabel(b.m, b.l, "d" if i in ds else "0")
+                             for i, b in enumerate(start)))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The tests' references for the rational classifiers: exhaustive isometry
-searches, and the scans that compare a module's Arf invariant with each
-candidate's whole normal form, which the classifiers replace by per-block
+searches, the walk over the odd label's decoration moves, and the scans
+that compare a module's Arf invariant with each candidate's whole normal
+form, which the classifiers replace by one F_2 reduction over per-block
 tables.
 
 A module map is pinned down by the images of the generators of the normal
@@ -196,14 +197,91 @@ def odd_label_by_search(split: od.OddSplit) -> cb.OddLabel:
     for cand in _canonical_candidates(split.m, sizes):
         _, Xc = od.odd_witness(cand, F)
         Gc = alternating_gram(space, Xc)
-        M = iso.find_space_map(F, [(space.S, space.S), (G_in, Gc)],
-                               quad_std, quad_std)
+        M = next(iso.space_maps(F, [(space.S, space.S), (G_in, Gc)],
+                                quad_std, quad_std), None)
         if M is not None:
             matches.append(cand)
     if len(matches) != 1:
         raise fm.ClassificationError(
             f"expected exactly one canonical representative, got {matches}")
     return matches[0]
+
+
+# ----------------------------------------------------------------------
+# odd orthogonal labels by walking the decoration moves
+
+
+def _clip(m: int, blocks):
+    "Raise levels so no co-level exceeds the chain length."
+    out = []
+    for b in blocks:
+        if b.m - b.l > m:
+            out.append(cb.BlockLabel(b.m, b.m - m, "0"))
+        else:
+            out.append(b)
+    return tuple(out)
+
+
+def _is_canonical(m: int, blocks) -> bool:
+    if not cb.oodd_pair_valid(
+            cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks)),
+            cb.strip_zeros(tuple(b.l for b in blocks))):
+        return False
+    free = set(cb.odd_split_positions(m, blocks))
+    return all(b.eps == "0" for i, b in enumerate(blocks) if i not in free)
+
+
+def _neighbor_states(m: int, blocks):
+    """Labels one decoration move away, at fixed levels.
+
+    Two moves preserve the class once no co-level exceeds the chain
+    length: a block whose level exceeds the chain length flips its
+    decoration alone, and any two blocks whose levels together exceed
+    the left one's size flip in tandem.  A decoration on a block whose
+    level stays within the chain length cannot move by itself.
+    """
+    def flip(b):
+        return cb.BlockLabel(b.m, b.l, "d" if b.eps == "0" else "0")
+
+    out = []
+    for i, b in enumerate(blocks):
+        if b.l > m:
+            out.append(blocks[:i] + (flip(b),) + blocks[i + 1:])
+    for i in range(len(blocks) - 1):
+        for j in range(i + 1, len(blocks)):
+            if blocks[i].l + blocks[j].l > blocks[i].m:
+                out.append(blocks[:i] + (flip(blocks[i]),)
+                           + blocks[i + 1:j] + (flip(blocks[j]),)
+                           + blocks[j + 1:])
+    return [s for s in out if cb.validate_blocks(s, kind="orth")]
+
+
+def odd_label_by_walk(m: int, raw) -> cb.OddLabel:
+    """The canonical label reached by a breadth-first walk over the moves.
+
+    `raw` is the complement's decorated label as classify_orth_fq gives
+    it; the walk visits every label the moves reach from its clipping, and
+    exactly one of them must be canonical.
+    """
+    start = _clip(m, tuple(raw))
+    if not cb.validate_blocks(start, kind="orth"):
+        raise fm.ClassificationError(f"clipped label {start} is invalid")
+    seen = {start}
+    frontier = [start]
+    canonical = []
+    while frontier:
+        cur = frontier.pop()
+        if _is_canonical(m, cur):
+            canonical.append(cur)
+        for nxt in _neighbor_states(m, cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    if len(canonical) != 1:
+        raise fm.ClassificationError(
+            f"moves from {start} reach {len(canonical)} canonical labels "
+            f"{canonical}, not one")
+    return cb.OddLabel(m, canonical[0])
 
 
 # ----------------------------------------------------------------------

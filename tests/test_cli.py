@@ -337,6 +337,35 @@ def test_unservable_label_is_one_line(capsys, command, kind, label, code,
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "--type", "sp", "--label=--"],
+    ["normal-form", "--type", "so-odd", "--label=--"],
+    ["classify", "--matrix=--"],
+    ["orbits", "--type", "sp", "--n=--"],
+    ["orbits", "--type", "sp", "--n", "2", "--q=--"],
+    ["verify", "--max-n=--"],
+])
+def test_option_value_dashes_exit_2(capsys, argv):
+    # argparse hands "--opt=--" over as an empty list, not as text
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["centralizer", "normal-form"])
+@pytest.mark.parametrize("kind,label", [
+    ("so-odd", "m=1_0; -"),
+    ("so-odd", "m=+2; -"),
+    ("so-odd", "m=\uff12; -"),
+    ("sp", "(\u0662)^2_\u0661:d"),
+])
+def test_label_numbers_other_than_ascii_digits_exit_2(capsys, command, kind,
+                                                      label):
+    rc, out, err = run(capsys, [command, "--type", kind, "--label", label])
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_classify_zero_functional_of_sp20(capsys, tmp_path):
     # T = 0 makes every vector a search candidate; the Arf invariants need
     # no search, so the zero functional labels at any rank

@@ -39,6 +39,7 @@ LABEL_TEXT = st.one_of(st.text(alphabet=ALPHABET, max_size=40), _SHAPED, _ODD)
        text=LABEL_TEXT)
 @example(command="centralizer", kind="sp", fmt="table",
          text=" ".join(["(1)^2_0"] * 60))
+@example(command="centralizer", kind="so-odd", fmt="json", text="--")
 def test_label_text_keeps_the_exit_contract(command, kind, fmt, text):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -183,6 +183,19 @@ def test_symbol_text():
     assert co.format_symp_symbol(((2, 1), (1, 0))) == "(2)^2_1(1)^2_0"
 
 
+@pytest.mark.parametrize("parse,text", [
+    (co.parse_label, "m=1_0; -"),
+    (co.parse_label, "m=+2; -"),
+    (co.parse_label, "m=\uff12; -"),
+    (co.parse_blocks, "(\u0662)^2_\u0661:d"),
+    (co.parse_blocks, "(2)^2_\uff11"),
+])
+def test_label_numbers_are_ascii_digits(parse, text):
+    # int() would read these as 10, 2, 2, (2)^2_1 and (2)^2_1
+    with pytest.raises(ValueError):
+        parse(text)
+
+
 # ----------------------------------------------------------------------
 # label records
 

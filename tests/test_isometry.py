@@ -105,10 +105,10 @@ def test_split_and_nonsplit_quadratic_planes_are_not_isometric():
     S = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     split = np.zeros(2, dtype=np.uint8)
     nonsplit = np.array([1, 1], dtype=np.uint8)  # x^2 + xy + y^2 over F2
-    assert iso.find_space_map(F2, [(S, S)], split, nonsplit) is None
-    assert iso.find_space_map(F2, [(S, S)], nonsplit, split) is None
+    assert next(iso.space_maps(F2, [(S, S)], split, nonsplit), None) is None
+    assert next(iso.space_maps(F2, [(S, S)], nonsplit, split), None) is None
     # and each is isometric to itself
-    assert iso.find_space_map(F2, [(S, S)], nonsplit, nonsplit) is not None
+    assert next(iso.space_maps(F2, [(S, S)], nonsplit, nonsplit), None) is not None
 
 
 def test_singular_maps_are_not_counted():

@@ -9,6 +9,7 @@ import pytest
 
 import module_search as ms
 from char2orbits import combinatorics as cb
+from char2orbits import form_modules as fm
 from char2orbits import linalg as la
 from char2orbits import odd_split as od
 from char2orbits.classical import (alternating_gram, coadjoint,
@@ -263,6 +264,48 @@ def test_moves_agree_with_the_isometry_search():
         space, X = od.odd_witness(lab, F2)
         s = od.split_odd_functional(space, X)
         assert ms.odd_label_by_search(s) == od.rational_odd_label(s) == lab
+
+
+def orth_complements(k, top=None):
+    "Every valid decorated orth block tuple of total size k."
+    top = k if top is None else top
+    if k == 0:
+        yield ()
+        return
+    for size in range(min(k, top), 0, -1):
+        for rest in orth_complements(k - size, size):
+            for l, eps in product(range((size + 1) // 2, size + 1), "0d"):
+                blocks = (BlockLabel(size, l, eps),) + rest
+                if cb.validate_blocks(blocks, kind="orth"):
+                    yield blocks
+
+
+def test_coset_reduction_matches_the_walk():
+    # every chain length m and valid decorated complement with n <= 6: the
+    # walk starts from the complement itself, the reduction from what
+    # classify_orth_fq reads off its normal form
+    cases = [(m, raw) for k in range(7) for raw in orth_complements(k)
+             for m in range(7 - k) if m + k]
+    assert len(cases) == 732
+    for m, raw in cases:
+        module = fm.build_normal_form(raw, F2, kind="orth")[0] if raw else None
+        split = od.OddSplit(None, None, m, [], [], [], module)
+        try:
+            want = ms.odd_label_by_walk(m, raw)
+        except fm.ClassificationError:
+            with pytest.raises(fm.ClassificationError):
+                od.rational_odd_label(split)
+            continue
+        assert od.rational_odd_label(split) == want, (m, raw)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_paired_singletons_classify_at_the_rank_cap(n):
+    # every pair of blocks flips in tandem: a walk visits 2^n labels
+    lab = cb.OddLabel(0, (BlockLabel(1, 1, "0"),) * n)
+    space, X = od.odd_witness(lab, F2)
+    Y = coadjoint(space, random_group_element(space, np.random.default_rng(n)), X)
+    assert od.rational_odd_label(od.split_odd_functional(space, Y)) == lab
 
 
 @pytest.mark.parametrize("e", [1, 2])
