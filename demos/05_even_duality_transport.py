@@ -32,7 +32,7 @@ assert adjoint == len(reports)
 
 rng = np.random.default_rng(11)
 for _ in range(50):
-    X = rng.integers(0, 2, size=(space.d, space.d), dtype=np.uint8)
+    X = rng.integers(0, 2, size=(space.d, space.d), dtype=np.uint8).tolist()
     g = random_group_element(space, rng)
     gi = la.inverse(F, g)
     left = cl.module_endomorphism(space, la.mat_mul(F, la.mat_mul(F, g, X), gi))

@@ -4,8 +4,8 @@ The stabilizer Z of a nilpotent functional under the coadjoint action is
 determined up to these invariants by the orbit label alone: its dimension,
 the rank of its component group (an elementary abelian 2-group), and the
 leading term 2^rank q^dim of its F_q point count.  Labels enter in symbol
-form for the symplectic case and in pair form (nu with its leading chain
-entry, mu) for the odd orthogonal case.
+form, a list of (m, l) pairs, for the symplectic case and in pair form (nu
+with its leading chain entry, mu) for the odd orthogonal case.
 
 The pure chain of odd dimension 2m+1 admits exact counts: its stabilizer
 has q^m points, and the full isometry group of the chain module has
@@ -15,11 +15,6 @@ has q^m points, and the full isometry group of the chain module has
 from __future__ import annotations
 
 from . import combinatorics as cb
-
-
-def _symbol_pairs(blocks) -> list[tuple[int, int]]:
-    return [(b.m, b.l) if isinstance(b, cb.BlockLabel) else (int(b[0]), int(b[1]))
-            for b in blocks]
 
 
 class CentralizerReport(cb._FrozenRecord):
@@ -51,24 +46,22 @@ class CentralizerReport(cb._FrozenRecord):
 # symplectic formulas
 
 
-def dim_z_symp(blocks) -> int:
+def dim_z_symp(pairs) -> int:
     "Sum of (4i - 1) m_i - 2 l_i over the symbol, i starting at 1."
-    pairs = _symbol_pairs(blocks)
     if not cb.symp_symbol_valid(pairs):
         raise ValueError(f"not a symplectic symbol: {pairs}")
     return sum((4 * i - 1) * m - 2 * l for i, (m, l) in enumerate(pairs, 1))
 
 
-def comp_rank_symp(blocks) -> int:
+def comp_rank_symp(pairs) -> int:
     "Number of splitting positions of the symbol's partition pair."
-    pairs = _symbol_pairs(blocks)
     if not cb.symp_symbol_valid(pairs):
         raise ValueError(f"not a symplectic symbol: {pairs}")
     return cb.symp_split_k(cb.symp_symbol_to_pair(pairs))
 
 
-def symp_report(blocks) -> CentralizerReport:
-    return CentralizerReport(dim_z_symp(blocks), comp_rank_symp(blocks))
+def symp_report(pairs) -> CentralizerReport:
+    return CentralizerReport(dim_z_symp(pairs), comp_rank_symp(pairs))
 
 
 # ----------------------------------------------------------------------

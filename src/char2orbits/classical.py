@@ -9,9 +9,9 @@ Three kinds of space are supported, each with its standard forms:
 with beta the polarization B + B^t in the orthogonal kinds.  A functional on
 the Lie algebra is carried as any matrix X with xi(x) = tr(X x); two
 representatives are the same functional iff their pairings with a basis of
-the algebra agree.  Matrices are linalg's lists of int rows; every
-function also takes numpy arrays, and the algebra and Borel bases are lists
-of 0/1 matrices.  The calculus attached to a functional:
+the algebra agree.  Matrices are linalg's lists of int rows, and the
+algebra and Borel bases are lists of 0/1 matrices.  The calculus attached
+to a functional:
 
   * module_endomorphism (sp, so-even): X + S X^t S, the endomorphism that
     turns the space into a module over the functional; for so-even this map
@@ -178,10 +178,9 @@ class Space:
 
     def dual_from_values(self, values) -> list[list[int]]:
         "Some representative X whose pairing_vector equals `values`."
-        vals = [int(v) for v in values]
-        if len(vals) != self.dim_algebra:
+        if len(values) != self.dim_algebra:
             raise ValueError("need one value per algebra basis element")
-        X = la.solve(self.field, self._pairing_matrix(), vals)
+        X = la.solve(self.field, self._pairing_matrix(), values)
         assert X is not None, "the trace pairing must be onto"
         return la.reshape(X, self.d)
 
@@ -218,7 +217,6 @@ def space_for(kind: str, n: int, e: int = 1) -> Space:
 
 def preserves_form(space: Space, g) -> bool:
     F = space.field
-    g = la.as_matrix(g)
     if len(g) != space.d or any(len(r) != space.d for r in g):
         return False
     gt = la.transpose(g)
@@ -273,8 +271,9 @@ def pair_swap(space: Space) -> list[list[int]]:
     return [rows[i] for i in perm]
 
 
-def random_group_element(space: Space, rng, steps: int = 8) -> list[list[int]]:
-    """Product of random transvections (a group element, not uniformly drawn).
+def random_group_element(space: Space, rng) -> list[list[int]]:
+    """Product of 8 random transvections (a group element, not uniformly
+    drawn).
 
     rng is a numpy Generator.  In the even orthogonal kind with n >= 2 each
     step is the pair swap with probability 1/2, since reflections alone can
@@ -283,7 +282,7 @@ def random_group_element(space: Space, rng, steps: int = 8) -> list[list[int]]:
     F = space.field
     g = la.identity(space.d)
     done = 0
-    while done < steps:
+    while done < 8:
         if space.kind == "so-even" and space.n >= 2 and rng.integers(0, 2):
             g = la.mat_mul(F, g, pair_swap(space))
             done += 1
@@ -326,7 +325,6 @@ def alternating_gram(space: Space, X) -> list[list[int]]:
 
 def is_alternating(A) -> bool:
     "Symmetric with zero diagonal."
-    A = la.as_matrix(A)
     return A == la.transpose(A) and not any(r[i] for i, r in enumerate(A))
 
 
@@ -337,13 +335,12 @@ def functional_from_gram(F: Field, S, A, quad=None) -> list[list[int]]:
     radical slot, whose row the strict upper triangle leaves empty.  For
     sp, quad prescribes diag(S X), the functional's quadratic values.
     """
-    A = la.as_matrix(A)
     if not is_alternating(A):
         raise ValueError("the Gram must be alternating")
     M = [[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(A)]
     if quad is not None:
         for i, x in enumerate(quad):
-            M[i][i] = int(x)
+            M[i][i] = x
     return la.mat_mul(F, S, M)
 
 
@@ -429,7 +426,7 @@ def wedge_invariant_form(space: Space) -> list[list[int]]:
 
 
 def dual_to_json(space: Space, X) -> dict:
-    toks = " ".join(space.field.format_element(int(x)) for x in la.flatten(X))
+    toks = " ".join(space.field.format_element(x) for x in la.flatten(X))
     return {"kind": space.kind, "n": space.n,
             "field": space.field.header(), "X": toks}
 

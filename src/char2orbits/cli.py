@@ -328,7 +328,7 @@ def _parse_label(kind: str, text: str):
 
 
 def _matrix_tokens(field, M) -> list[list[str]]:
-    return [[field.format_element(int(x)) for x in row] for row in M]
+    return [[field.format_element(x) for x in row] for row in M]
 
 
 def _cmd_normal_form(args) -> int:
@@ -344,7 +344,7 @@ def _cmd_normal_form(args) -> int:
                "dim": mod.dim,
                "gram": _matrix_tokens(field, mod.gram),
                "op": _matrix_tokens(field, mod.op),
-               "quad": [field.format_element(int(x)) for x in mod.quad],
+               "quad": [field.format_element(x) for x in mod.quad],
                "functional": _matrix_tokens(field, X)}
     else:
         if None in label.eps():

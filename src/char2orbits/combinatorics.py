@@ -27,8 +27,9 @@ The package's small records (these two labels, the centralizer report,
 the odd split, the oracle's group and orbit reports, verify's check
 results) are plain __slots__ classes on the _Record base below: no
 generated code, so a command-line process compiles no inspect or ast
-machinery to start.  Each record spells out its field tuple in == and
-hash.
+machinery to start.  The records that are compared (the labels and the
+centralizer report) spell out their field tuple in == and hash; the rest
+compare by identity.
 """
 
 from __future__ import annotations
@@ -281,10 +282,10 @@ class _Record:
     """Slots-only record: repr, pickle and copy read the fields generically.
 
     Fields are the __slots__ in order; a slot named with a leading
-    underscore stays out of the repr.  A record never equals an object of
-    another class: each subclass writes == (and, when frozen, hash) on its
-    own explicit field tuple, several times faster than a loop over slots.
-    The label classes write their repr out too.
+    underscore stays out of the repr.  Records compare by identity unless
+    a subclass writes == (and, when frozen, hash) on its own explicit field
+    tuple, several times faster than a loop over slots; only the records
+    that are compared do.  The label classes write their repr out too.
     """
 
     __slots__ = ()

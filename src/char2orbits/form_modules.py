@@ -75,7 +75,7 @@ class FormModule:
         self.field = field
         self.gram = la.as_matrix(gram)
         self.op = la.as_matrix(op)
-        self.quad = [int(x) for x in quad]
+        self.quad = list(quad)
         d = len(self.gram)
         if any(len(r) != d for r in self.gram + self.op) \
                 or len(self.op) != d or len(self.quad) != d:
@@ -184,7 +184,7 @@ def _arf_trace(F: Field, gram, vals) -> int | None:
     v + polar(v, f) e + polar(v, e) f, which sends e and f themselves to 0.
     What is left spans the polar radical, on which the form is additive.
     """
-    A, q = la.as_matrix(gram), [int(x) for x in vals]
+    A, q = la.as_matrix(gram), list(vals)
     mul = F.mul_table
     arf = 0
     while True:

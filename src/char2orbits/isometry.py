@@ -11,8 +11,8 @@ larger than LEVEL_CAP raises SearchTooLarge instead.
 Only verify and the tests import this module: the rational classifiers
 compare Arf invariants and the odd witness is built by rule, so the space
 search serves as their reference oracle.  Grams, vectors and
-maps are linalg's int lists (numpy arrays are accepted as input), and
-each affine level is enumerated as a list of vectors.
+maps are linalg's int lists, and each affine level is enumerated as a
+list of vectors.
 """
 
 from __future__ import annotations
@@ -55,20 +55,18 @@ def _affine_candidates(F: Field, rows, rhs, d: int, cap: int) -> list[list[int]]
 # space maps: one basis image per level, several pairings at once
 
 
-def space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP):
+def space_maps(F, pairings, src_quad, dst_quad):
     """Yield every basis-image map matching each pairing in `pairings` plus
     the quadratic values.
 
     Each entry of `pairings` is (source Gram, destination Gram); the
     quadratic form polarizes to the first pairing.
     """
-    pairings = [(la.as_matrix(a), la.as_matrix(b)) for a, b in pairings]
     d = len(pairings[0][0])
     for Gs, Gd in pairings:
         for G in (Gs, Gd):
             if len(G) != d or any(len(r) != d for r in G):
                 raise ValueError("pairing Grams must all have equal dimension")
-    src_quad = [int(x) for x in src_quad]
     U_dst = la.quad_matrix(F, dst_quad, pairings[0][1])
 
     images: list[list[int]] = []
@@ -78,7 +76,7 @@ def space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP):
     def admissible(i: int) -> list[list[int]]:
         rows = [r for rows_p in placed for r in rows_p]
         rhs = [Gs[j][i] for Gs, _ in pairings for j in range(i)]
-        cand = _affine_candidates(F, rows, rhs, d, cap)
+        cand = _affine_candidates(F, rows, rhs, d, LEVEL_CAP)
         return [y for y, a in zip(cand, la.quad_values(F, U_dst, cand))
                 if a == src_quad[i]]
 
@@ -105,5 +103,5 @@ def space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP):
     yield from descend(0)
 
 
-def count_space_maps(F, pairings, src_quad, dst_quad, cap=LEVEL_CAP) -> int:
-    return sum(1 for _ in space_maps(F, pairings, src_quad, dst_quad, cap))
+def count_space_maps(F, pairings, src_quad, dst_quad) -> int:
+    return sum(1 for _ in space_maps(F, pairings, src_quad, dst_quad))

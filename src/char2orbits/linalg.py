@@ -1,10 +1,8 @@
 """Dense linear algebra over GF(2^e).
 
-A matrix is a list of rows and a vector a list, of field element codes
-(see finite_field).  Every function also accepts any sequence of int rows,
-numpy uint8 arrays included, and returns fresh lists.  A row list with no
-rows records no width and counts as zero columns; a numpy array keeps its
-shape.
+A matrix is a list of rows and a vector a list, of int field element
+codes (see finite_field); every function returns fresh lists.  A row list
+with no rows records no width and counts as zero columns.
 
 Inside, a row packs into one Python int with one byte per entry (entry j in
 byte j): XOR adds two rows, and bytes.translate with the field's
@@ -24,21 +22,6 @@ from operator import getitem, xor
 from .finite_field import Field
 
 
-def _rows(A):
-    "A as a sequence of int rows, converting numpy arrays."
-    if type(A) is list and (not A or type(A[0]) is list):
-        return A
-    if hasattr(A, "tolist"):
-        return A.tolist()
-    if len(A) and hasattr(A[0], "tolist"):
-        return [r.tolist() for r in A]
-    return A
-
-
-def _vec(v):
-    return v.tolist() if hasattr(v, "tolist") else v
-
-
 def _pack(row) -> int:
     return int.from_bytes(bytes(row), "little")
 
@@ -47,16 +30,14 @@ def _unpack(r: int, n: int) -> list[int]:
     return list(r.to_bytes(n, "little"))
 
 
-def _width(A, rows) -> int:
-    "Column count; a numpy array keeps it even without rows."
-    if rows:
-        return len(rows[0])
-    return A.shape[-1] if hasattr(A, "shape") else 0
+def _width(A) -> int:
+    "Column count; a row list with no rows has none."
+    return len(A[0]) if A else 0
 
 
 def as_matrix(A) -> list[list[int]]:
-    "A fresh list of int rows from any row sequence."
-    return [list(r) for r in _rows(A)]
+    "A fresh copy of the rows of A."
+    return [list(r) for r in A]
 
 
 def identity(n: int) -> list[list[int]]:
@@ -71,45 +52,43 @@ def zeros(m: int, n: int) -> list[list[int]]:
 
 
 def transpose(A) -> list[list[int]]:
-    return [list(c) for c in zip(*_rows(A))]
+    return [list(c) for c in zip(*A)]
 
 
 def add(A, B) -> list[list[int]]:
     "A + B, entrywise XOR."
-    return [[a ^ b for a, b in zip(r, s)] for r, s in zip(_rows(A), _rows(B))]
+    return [[a ^ b for a, b in zip(r, s)] for r, s in zip(A, B)]
 
 
 def flatten(A) -> list[int]:
     "The entries of A row by row."
-    return [x for r in _rows(A) for x in r]
+    return [x for r in A for x in r]
 
 
 def reshape(v, d: int) -> list[list[int]]:
     "The d-column matrix whose rows are consecutive slices of v."
-    v = _vec(v)
-    return [list(v[i:i + d]) for i in range(0, len(v), d)]
+    return [v[i:i + d] for i in range(0, len(v), d)]
 
 
 def mat_mul(F: Field, A, B) -> list[list[int]]:
     """A B.  Row i of the product is the sum of A[i][j] B[j] over packed
     rows of B: over F_2 the rows A[i] selects, else each row scaled by
     translating its bytes."""
-    rows_a, rows_b = _rows(A), _rows(B)
-    k = len(rows_b)
-    if rows_a and len(rows_a[0]) != k:
-        raise ValueError(f"inner dimensions {len(rows_a[0])} and {k} differ")
-    n = _width(B, rows_b)
+    k = len(B)
+    if A and len(A[0]) != k:
+        raise ValueError(f"inner dimensions {len(A[0])} and {k} differ")
+    n = _width(B)
     if k == 0 or n == 0:
-        return zeros(len(rows_a), n)
+        return zeros(len(A), n)
     fb = int.from_bytes
     if F.q == 2:
-        packed = [fb(bytes(r), "little") for r in rows_b]
+        packed = [fb(bytes(r), "little") for r in B]
         return [list(reduce(xor, compress(packed, a), 0).to_bytes(n, "little"))
-                for a in rows_a]
+                for a in A]
     tables = F.scale_bytes
-    packed = [bytes(r) for r in rows_b]
+    packed = [bytes(r) for r in B]
     out = []
-    for a in rows_a:
+    for a in A:
         acc = 0
         for c, b in zip(a, packed):
             if c:
@@ -120,26 +99,24 @@ def mat_mul(F: Field, A, B) -> list[list[int]]:
 
 def mat_vec(F: Field, A, v) -> list[int]:
     MUL = F.mul_table
-    cols = [MUL[x] for x in _vec(v)]
-    return [reduce(xor, map(getitem, cols, r), 0) for r in _rows(A)]
+    cols = [MUL[x] for x in v]
+    return [reduce(xor, map(getitem, cols, r), 0) for r in A]
 
 
 def dot(F: Field, v, w) -> int:
     MUL = F.mul_table
-    return reduce(xor, map(getitem, [MUL[x] for x in _vec(v)], _vec(w)), 0)
+    return reduce(xor, map(getitem, [MUL[x] for x in v], w), 0)
 
 
 def scale(F: Field, c: int, A):
     "c A, for a vector or a matrix."
-    A = _rows(A)
-    if len(A) and hasattr(A[0], "__len__"):
+    if A and type(A[0]) is list:
         return [scale(F, c, r) for r in A]
     row = F.mul_table[c]
     return [row[x] for x in A]
 
 
 def mat_pow(F: Field, A, k: int) -> list[list[int]]:
-    A = _rows(A)
     n = len(A)
     assert all(len(r) == n for r in A)
     R = identity(n)
@@ -154,12 +131,12 @@ def mat_pow(F: Field, A, k: int) -> list[list[int]]:
 
 
 def mat_trace(F: Field, A) -> int:
-    return reduce(xor, (r[i] for i, r in enumerate(_rows(A))), 0)
+    return reduce(xor, (r[i] for i, r in enumerate(A)), 0)
 
 
 def is_zero(A) -> bool:
     "Whether every entry of the matrix is 0."
-    return not any(any(r) for r in _rows(A))
+    return not any(any(r) for r in A)
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +186,8 @@ def _eliminate(F: Field, rows: list[int], cols: int, width: int) -> list[int]:
 
 def rref(F: Field, A) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    rows = _rows(A)
-    n = _width(A, rows)
-    packed = [_pack(r) for r in rows]
+    n = _width(A)
+    packed = [_pack(r) for r in A]
     pivots = _eliminate(F, packed, n, n)
     return [_unpack(r, n) for r in packed], pivots
 
@@ -221,8 +197,8 @@ def reduce_modulo(F: Field, R, pivots, v) -> list[int]:
     `pivots`) that clears v at every pivot: the canonical coset member."""
     n = len(v)
     tables = F.scale_bytes
-    x = _pack(_vec(v))
-    for r, p in zip(_rows(R), pivots):
+    x = _pack(v)
+    for r, p in zip(R, pivots):
         a = x >> 8 * p & 255
         if a:
             x ^= int.from_bytes(bytes(r).translate(tables[a]), "little")
@@ -230,9 +206,8 @@ def reduce_modulo(F: Field, R, pivots, v) -> list[int]:
 
 
 def rank(F: Field, A) -> int:
-    rows = _rows(A)
-    n = _width(A, rows)
-    return len(_eliminate(F, [_pack(r) for r in rows], n, n))
+    n = _width(A)
+    return len(_eliminate(F, [_pack(r) for r in A], n, n))
 
 
 def kernel_basis(F: Field, A) -> list[list[int]]:
@@ -242,9 +217,8 @@ def kernel_basis(F: Field, A) -> list[list[int]]:
     column of the RREF into the pivot slots.  The result is itself in echelon
     form with respect to the free columns, so callers get a stable answer.
     """
-    rows = _rows(A)
-    n = _width(A, rows)
-    packed = [_pack(r) for r in rows]
+    n = _width(A)
+    packed = [_pack(r) for r in A]
     pivots = _eliminate(F, packed, n, n)
     pivset = set(pivots)
     out = []
@@ -262,12 +236,11 @@ def kernel_basis(F: Field, A) -> list[list[int]]:
 
 def solve(F: Field, A, b) -> list[int] | None:
     """One solution of A x = b with free coordinates 0, or None."""
-    rows, b = _rows(A), _vec(b)
-    n = _width(A, rows)
-    if len(b) != len(rows):
-        raise ValueError(f"{len(rows)} equations but {len(b)} right-hand sides")
+    n = _width(A)
+    if len(b) != len(A):
+        raise ValueError(f"{len(A)} equations but {len(b)} right-hand sides")
     sh = 8 * n
-    packed = [_pack(r) | y << sh for r, y in zip(rows, b)]
+    packed = [_pack(r) | y << sh for r, y in zip(A, b)]
     pivots = _eliminate(F, packed, n + 1, n + 1)
     if pivots and pivots[-1] == n:
         return None
@@ -278,12 +251,11 @@ def solve(F: Field, A, b) -> list[int] | None:
 
 
 def inverse(F: Field, A) -> list[list[int]]:
-    rows = _rows(A)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(A)
+    if any(len(r) != n for r in A):
         raise ValueError("only square matrices have inverses")
     sh = 8 * n
-    packed = [_pack(r) | 1 << (sh + 8 * i) for i, r in enumerate(rows)]
+    packed = [_pack(r) | 1 << (sh + 8 * i) for i, r in enumerate(A)]
     if len(_eliminate(F, packed, n, 2 * n)) != n:
         raise ValueError("matrix is singular")
     return [_unpack(r >> sh, n) for r in packed]
@@ -294,10 +266,9 @@ def inverse(F: Field, A) -> list[list[int]]:
 
 
 def is_nilpotent(F: Field, A) -> bool:
-    B = _rows(A)
-    n = len(B)
-    assert all(len(r) == n for r in B)
-    e = 1
+    n = len(A)
+    assert all(len(r) == n for r in A)
+    B, e = A, 1
     while e < n:
         B = mat_mul(F, B, B)
         e *= 2
@@ -310,7 +281,6 @@ def jordan_partition(F: Field, A) -> list[int]:
     The number of blocks of size exactly m is
     rank(A^(m-1)) - 2 rank(A^m) + rank(A^(m+1)).
     """
-    A = _rows(A)
     n = len(A)
     if not is_nilpotent(F, A):
         raise ValueError("matrix is not nilpotent")
@@ -341,13 +311,12 @@ def quad_matrix(F: Field, quad, polar) -> list[list[int]]:
     the values `quad` on the basis and polarizes to `polar`."""
     U = as_matrix(polar)
     for i, r in enumerate(U):
-        r[:i + 1] = [0] * i + [int(quad[i])]
+        r[:i + 1] = [0] * i + [quad[i]]
     return U
 
 
 def quad_values(F: Field, U, rows) -> list[int]:
     "Quadratic form v^t U v of each row v of `rows`."
-    rows = as_matrix(rows)
     if not rows:
         return []
     return [dot(F, t, v) for t, v in zip(mat_mul(F, rows, U), rows)]

@@ -69,14 +69,6 @@ class OddSplit(cb._Record):
         self.complement = complement
         self.module = module
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.space, self.X, self.m, self.chain, self.dual,
-                     self.complement, self.module)
-                    == (other.space, other.X, other.m, other.chain,
-                        other.dual, other.complement, other.module))
-        return NotImplemented
-
 
 # ----------------------------------------------------------------------
 # the split itself

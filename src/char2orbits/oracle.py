@@ -45,14 +45,6 @@ class FiniteGroup(cb._Record):
         self.order = order
         self._labels = {} if _labels is None else _labels
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.n, self.field, self.generators,
-                     self.order, self._labels)
-                    == (other.kind, other.n, other.field, other.generators,
-                        other.order, other._labels))
-        return NotImplemented
-
 
 class OrbitReport(cb._Record):
     __slots__ = ("representative", "orbit_size", "stabilizer_order", "label")
@@ -64,14 +56,6 @@ class OrbitReport(cb._Record):
         self.stabilizer_order = stabilizer_order
         self.label = label
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.representative, self.orbit_size,
-                     self.stabilizer_order, self.label)
-                    == (other.representative, other.orbit_size,
-                        other.stabilizer_order, other.label))
-        return NotImplemented
-
 
 # ----------------------------------------------------------------------
 # value-vector keys
@@ -80,7 +64,7 @@ class OrbitReport(cb._Record):
 def _pack(values, e: int) -> int:
     key = 0
     for i, v in enumerate(values):
-        key |= int(v) << (e * i)
+        key |= v << (e * i)
     return key
 
 
@@ -163,7 +147,7 @@ def _algebra_element(space: cl.Space, key: int) -> list:
     F = space.field
     T = la.zeros(space.d, space.d)
     for c, b in zip(key_values(space, key), space.lie_basis()):
-        T = la.add(T, la.scale(F, int(c), b))
+        T = la.add(T, la.scale(F, c, b))
     return T
 
 

@@ -58,18 +58,6 @@ class CheckResult(cb._FrozenRecord):
         object.__setattr__(self, "seconds", seconds)
         object.__setattr__(self, "detail", detail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.suite, self.name, self.passed, self.seconds,
-                     self.detail)
-                    == (other.suite, other.name, other.passed, other.seconds,
-                        other.detail))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.suite, self.name, self.passed, self.seconds,
-                     self.detail))
-
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark} {self.suite}/{self.name} ({self.seconds:.2f}s) {self.detail}"
@@ -310,8 +298,8 @@ def _ck_series_identities(max_n):
             F = field_for(e)
             mod, _ = fm.build_normal_form(labs, F, kind=kind)
             for _ in range(25):
-                v = rng.integers(0, F.q, size=mod.dim, dtype=np.uint8)
-                w = rng.integers(0, F.q, size=mod.dim, dtype=np.uint8)
+                v = rng.integers(0, F.q, size=mod.dim, dtype=np.uint8).tolist()
+                w = rng.integers(0, F.q, size=mod.dim, dtype=np.uint8).tolist()
                 if fm.phi_series(mod, v, v) != [0] * (mod.dim + 1):
                     return False, f"self pairing series is nonzero ({kind}, GF({F.q}))"
                 # the polarization is the shifted pairing for sp modules
@@ -419,12 +407,12 @@ def _ck_wedge_form(max_n):
                 a = la.add(a, basis[i])
             if cbit:
                 b = la.add(b, basis[i])
-        val = int(la.dot(F, cl.algebra_coords(space, a),
-                         la.mat_vec(F, G, cl.algebra_coords(space, b))))
+        val = la.dot(F, cl.algebra_coords(space, a),
+                     la.mat_vec(F, G, cl.algebra_coords(space, b)))
         ga = la.mat_mul(F, la.mat_mul(F, g, a), gi)
         gb = la.mat_mul(F, la.mat_mul(F, g, b), gi)
-        moved = int(la.dot(F, cl.algebra_coords(space, ga),
-                           la.mat_vec(F, G, cl.algebra_coords(space, gb))))
+        moved = la.dot(F, cl.algebra_coords(space, ga),
+                       la.mat_vec(F, G, cl.algebra_coords(space, gb)))
         if val != moved:
             return False, "wedge pairing is not invariant"
     return True, (f"nondegenerate invariant pairing on o({2 * cap}), "
@@ -444,7 +432,7 @@ def _ck_dim_by_field_ratio(max_n):
             return False, f"{kind}: F_2 and F_4 orbit labels differ"
         for lab, s2 in by2.items():
             if kind == "sp":
-                dim = cz.symp_report(lab).dim_z
+                dim = cz.symp_report([(b.m, b.l) for b in lab]).dim_z
             else:
                 dim = cz.oodd_report(lab.pair()).dim_z
             if round(log2(by4[lab] / s2)) != dim:

@@ -11,6 +11,11 @@ from char2orbits.finite_field import field_for
 rng = np.random.default_rng(41)
 
 
+def random_matrix(gen, q, d):
+    "A d x d matrix of random GF(q) codes, as int row lists."
+    return gen.integers(0, q, size=(d, d), dtype=np.uint8).tolist()
+
+
 def all_vectors(F, d):
     out = np.zeros((F.q ** d, d), dtype=np.uint8)
     for i in range(F.q ** d):
@@ -18,7 +23,7 @@ def all_vectors(F, d):
         for j in range(d):
             out[i, j] = x % F.q
             x //= F.q
-    return out
+    return out.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +137,8 @@ def test_preserves_form_rejects():
 def test_coadjoint_is_group_action():
     sp = cl.space_for("sp", 2)
     F = sp.field
-    X = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
-    assert cl.coadjoint(sp, la.identity(4), X) == X.tolist()
+    X = random_matrix(rng, 2, 4)
+    assert cl.coadjoint(sp, la.identity(4), X) == X
     g = cl.random_group_element(sp, rng)
     h = cl.random_group_element(sp, rng)
     lhs = cl.coadjoint(sp, g, cl.coadjoint(sp, h, X))
@@ -150,7 +155,7 @@ def test_coadjoint_is_group_action():
 def test_coadjoint_respects_dual_equality():
     sp = cl.space_for("sp", 2)
     for _ in range(20):
-        X = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
+        X = random_matrix(rng, 2, 4)
         R = sp.trace_radical_basis()[rng.integers(len(sp.trace_radical_basis()))]
         g = cl.random_group_element(sp, rng)
         assert sp.dual_equal(cl.coadjoint(sp, g, X),
@@ -168,7 +173,7 @@ def test_sp_calculus_well_defined(kind, n, e):
     rad = sp.trace_radical_basis()
     vs = all_vectors(F, sp.d) if F.q ** sp.d <= 256 else None
     for _ in range(100):
-        X = rng.integers(0, F.q, size=(sp.d, sp.d), dtype=np.uint8)
+        X = random_matrix(rng, F.q, sp.d)
         R = la.scale(F, int(rng.integers(1, F.q)), rad[rng.integers(len(rad))])
         XR = la.add(X, R)
         assert cl.module_endomorphism(sp, X) == cl.module_endomorphism(sp, XR)
@@ -182,7 +187,7 @@ def test_sp_module_endomorphism_self_adjoint_and_alpha_compatible():
     sp = cl.space_for("sp", 2)
     F = sp.field
     for _ in range(30):
-        X = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
+        X = random_matrix(rng, 2, 4)
         T = cl.module_endomorphism(sp, X)
         assert la.mat_mul(F, la.transpose(T), sp.S) == la.mat_mul(F, sp.S, T)
         for v in all_vectors(F, 4):
@@ -195,7 +200,7 @@ def test_odd_calculus_well_defined(n, e):
     F = so.field
     rad = so.trace_radical_basis()
     for _ in range(100):
-        X = rng.integers(0, F.q, size=(so.d, so.d), dtype=np.uint8)
+        X = random_matrix(rng, F.q, so.d)
         R = la.scale(F, int(rng.integers(1, F.q)), rad[rng.integers(len(rad))])
         G1 = cl.alternating_gram(so, X)
         assert G1 == cl.alternating_gram(so, la.add(X, R))
@@ -227,7 +232,7 @@ def test_even_theta_equivariance():
     so = cl.space_for("so-even", 2)
     F = so.field
     for _ in range(100):
-        X = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
+        X = random_matrix(rng, 2, 4)
         g = cl.random_group_element(so, rng)
         lhs = cl.module_endomorphism(so, cl.coadjoint(so, g, X))
         rhs = la.mat_mul(F, la.mat_mul(F, g, cl.module_endomorphism(so, X)),
@@ -242,11 +247,12 @@ def test_functional_from_gram_inverts_the_gram_map(kind, e):
     F, S = space.field, space.S
     gen = np.random.default_rng(11)
     for _ in range(30):
-        X = gen.integers(0, F.q, size=(space.d, space.d), dtype=np.uint8)
-        A = la.add(la.mat_mul(F, X.T, S), la.mat_mul(F, S, X))
+        X = random_matrix(gen, F.q, space.d)
+        A = la.add(la.mat_mul(F, la.transpose(X), S), la.mat_mul(F, S, X))
         # the sp Gram forgets the quadratic values diag(S X); the
         # orthogonal trace radical absorbs them
-        quad = np.diagonal(la.mat_mul(F, S, X)) if kind == "sp" else None
+        SX = la.mat_mul(F, S, X)
+        quad = [r[i] for i, r in enumerate(SX)] if kind == "sp" else None
         Y = cl.functional_from_gram(F, S, A, quad)
         assert space.dual_equal(Y, X)
     A = la.zeros(space.d, space.d)
@@ -258,7 +264,7 @@ def test_functional_from_gram_inverts_the_gram_map(kind, e):
 def test_canonical_rep():
     sp = cl.space_for("sp", 2)
     for _ in range(30):
-        X = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
+        X = random_matrix(rng, 2, 4)
         R = sp.trace_radical_basis()[rng.integers(len(sp.trace_radical_basis()))]
         a = sp.canonical_rep(X)
         b = sp.canonical_rep(la.add(X, R))
@@ -311,7 +317,8 @@ def test_nilpotency_criterion_sp():
     sp = cl.space_for("sp", 2)
     assert od.is_nilpotent_functional(sp, la.zeros(4, 4))
     # diagonal regular X has invertible module endomorphism: not nilpotent
-    X = np.diag(np.array([1, 0, 0, 0], dtype=np.uint8))
+    X = la.zeros(4, 4)
+    X[0][0] = 1
     T = cl.module_endomorphism(sp, X)
     assert not la.is_zero(T)
     assert not od.is_nilpotent_functional(sp, X)
@@ -320,7 +327,8 @@ def test_nilpotency_criterion_sp():
 def test_nilpotency_criterion_even():
     so = cl.space_for("so-even", 2)
     assert od.is_nilpotent_functional(so, la.zeros(4, 4))
-    X = np.diag(np.array([1, 0, 0, 0], dtype=np.uint8))
+    X = la.zeros(4, 4)
+    X[0][0] = 1
     assert not od.is_nilpotent_functional(so, X)
 
 
@@ -331,13 +339,13 @@ def test_nilpotency_criterion_even():
 @pytest.mark.parametrize("kind,n,e", [("sp", 2, 1), ("so-odd", 1, 2), ("so-even", 2, 1)])
 def test_dual_json_round_trip(kind, n, e):
     space = cl.Space(kind, n, field_for(e))
-    X = rng.integers(0, space.field.q, size=(space.d, space.d), dtype=np.uint8)
+    X = random_matrix(rng, space.field.q, space.d)
     obj = cl.dual_to_json(space, X)
     parts = cl.dual_parts_from_json(obj)
     space2, X2 = cl.Space(*parts[:3]), parts[3]
     assert space2.kind == space.kind and space2.n == space.n
     assert space2.field == space.field
-    assert X2 == X.tolist()
+    assert X2 == X
     with pytest.raises(ValueError):
         cl.dual_parts_from_json({"kind": kind, "n": n,
                                  "field": space.field.header(), "X": "0 1"})

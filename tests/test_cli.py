@@ -4,13 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from char2orbits import classical as cl
 from char2orbits import cli
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
+from char2orbits import linalg as la
 from char2orbits import odd_split as od
 from char2orbits.classical import space_for
 from char2orbits.finite_field import field_for
@@ -190,17 +190,14 @@ def test_classify_json_file_is_self_describing(capsys, tmp_path):
 
 
 def test_classify_zero_matrix(capsys, tmp_path):
-    path = write_grid(tmp_path / "z.txt", np.zeros((4, 4), dtype=np.uint8))
+    path = write_grid(tmp_path / "z.txt", la.zeros(4, 4))
     rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
     assert rc == 0
     assert json.loads(out)["label"] == "(1)^2_0:0 (1)^2_0:0"
 
 
 def test_classify_non_nilpotent_reports_and_exits_4(capsys, tmp_path):
-    X = np.array([[0, 0, 0, 0],
-                  [1, 1, 1, 0],
-                  [0, 0, 1, 0],
-                  [1, 0, 1, 1]], dtype=np.uint8)
+    X = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 1, 0], [1, 0, 1, 1]]
     assert not od.is_nilpotent_functional(space_for("sp", 2, 1), X)
     path = write_grid(tmp_path / "n.txt", X)
     rc, out, err = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
@@ -210,14 +207,14 @@ def test_classify_non_nilpotent_reports_and_exits_4(capsys, tmp_path):
 
 
 def test_classify_plain_grid_needs_type(capsys, tmp_path):
-    path = write_grid(tmp_path / "z.txt", np.zeros((4, 4), dtype=np.uint8))
+    path = write_grid(tmp_path / "z.txt", la.zeros(4, 4))
     rc, _, err = run(capsys, ["classify", "--matrix", path])
     assert rc == 2
     assert "--type" in err
 
 
 def test_classify_dimension_parity_mismatch(capsys, tmp_path):
-    path = write_grid(tmp_path / "z.txt", np.zeros((4, 4), dtype=np.uint8))
+    path = write_grid(tmp_path / "z.txt", la.zeros(4, 4))
     rc, _, err = run(capsys, ["classify", "--matrix", path, "--type", "so-odd"])
     assert rc == 2
     assert "so-odd needs an odd-dimensional matrix, got 4" in err
@@ -256,7 +253,7 @@ def test_classify_malformed_input_is_one_line(capsys, tmp_path, name, text,
 
 
 def test_classify_so_even_decides_nilpotence_only(capsys, tmp_path):
-    path = write_grid(tmp_path / "z.txt", np.zeros((4, 4), dtype=np.uint8))
+    path = write_grid(tmp_path / "z.txt", la.zeros(4, 4))
     rc, out, _ = run(capsys, ["classify", "--matrix", path,
                               "--type", "so-even"])
     assert rc == 0
@@ -369,7 +366,7 @@ def test_label_numbers_other_than_ascii_digits_exit_2(capsys, command, kind,
 def test_classify_zero_functional_of_sp20(capsys, tmp_path):
     # T = 0 makes every vector a search candidate; the Arf invariants need
     # no search, so the zero functional labels at any rank
-    path = write_grid(tmp_path / "z20.txt", np.zeros((20, 20), dtype=np.uint8))
+    path = write_grid(tmp_path / "z20.txt", la.zeros(20, 20))
     rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
     assert rc == 0
     assert json.loads(out)["label"] == " ".join(["(1)^2_0:0"] * 10)
@@ -391,7 +388,7 @@ def test_classify_rank_cap(capsys, tmp_path, monkeypatch, name, kind):
                                     "X": " ".join(["0"] * d * d)}))
         extra = []
     else:
-        write_grid(path, np.zeros((d, d), dtype=np.uint8))
+        write_grid(path, la.zeros(d, d))
         extra = ["--type", kind]
     rc, out, err = run(capsys, ["classify", "--matrix", str(path)] + extra)
     assert (rc, out) == (3, "")
@@ -452,7 +449,7 @@ def _numpy_free_commands(tmp_path):
     inputs = {
         "sp": (space_for("sp", 3, 2), fm.build_normal_form(sp_label, F4)[1]),
         "so-odd": od.odd_witness(cb.parse_label("m=1; (1)^2_1:d"), F4),
-        "so-even": (space_for("so-even", 2, 2), np.zeros((4, 4), dtype=np.uint8)),
+        "so-even": (space_for("so-even", 2, 2), la.zeros(4, 4)),
     }
     for kind, (space, X) in inputs.items():
         grid = write_grid(tmp_path / f"{kind}.txt", X)

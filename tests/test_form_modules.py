@@ -147,9 +147,8 @@ def test_trivial_functional_classifies_to_level_zero_blocks():
 
 def test_build_module_rejects_non_nilpotent():
     space = cl.space_for("sp", 1)
-    X = np.array([[1, 0], [0, 0]], dtype=np.uint8)
     with pytest.raises(ValueError):
-        fm.build_module(space, X)
+        fm.build_module(space, [[1, 0], [0, 0]])
 
 
 def test_orth_round_trip_single_blocks():
@@ -165,8 +164,7 @@ def test_orth_trivial_module_forces_level_one():
     mod = single(1, 1, kind="orth")
     assert sum(map(bool, mod.quad)) == 1
     plain, _ = fm.build_normal_form(labels((1, 1)), F2, kind="orth")
-    z = fm.FormModule("orth", F2, plain.gram, plain.op,
-                      np.zeros(2, dtype=np.uint8))
+    z = fm.FormModule("orth", F2, plain.gram, plain.op, [0, 0])
     assert fm.classify_closed(z) == labels((1, 1))
 
 
@@ -178,8 +176,8 @@ def test_orth_trivial_module_forces_level_one():
 def test_series_identities_on_random_vectors(field):
     mod, _ = fm.build_normal_form(labels((3, 2), (2, 1)), field)
     for _ in range(100):
-        v = rng.integers(0, field.q, size=mod.dim, dtype=np.uint8)
-        w = rng.integers(0, field.q, size=mod.dim, dtype=np.uint8)
+        v = rng.integers(0, field.q, size=mod.dim, dtype=np.uint8).tolist()
+        w = rng.integers(0, field.q, size=mod.dim, dtype=np.uint8).tolist()
         # the self series vanishes identically
         assert fm.phi_series(mod, v, v) == [0] * (mod.dim + 1)
         # the shifted series is the plain series shifted by one slot
@@ -189,9 +187,9 @@ def test_series_identities_on_random_vectors(field):
 def test_series_of_the_generator_pair_is_an_indicator():
     m, l = 3, 2
     mod, _ = fm.build_normal_form(labels((m, l)), F2)
-    v1 = np.zeros(mod.dim, dtype=np.uint8)
+    v1 = [0] * mod.dim
     v1[0] = 1
-    v2 = np.zeros(mod.dim, dtype=np.uint8)
+    v2 = [0] * mod.dim
     v2[2 * m - 1] = 1
     series = fm.phi_series(mod, v1, v2)
     assert series == [1 if k == m - 1 else 0 for k in range(mod.dim + 1)]
@@ -320,20 +318,22 @@ def test_arf_trace_matches_the_zero_count(e, dim):
     q = F.q
     gen = np.random.default_rng(e)
     vecs = np.indices((q,) * dim).reshape(dim, -1).T.astype(np.uint8)
+    rows = vecs.tolist()
     for _ in range(60):
         A = np.triu(gen.integers(0, q, size=(dim, dim), dtype=np.uint8), 1)
         A[:, gen.random(dim) < 0.3] = 0
-        gram = A ^ A.T
+        gram = (A ^ A.T).tolist()
         vals = gen.integers(0, q, size=dim, dtype=np.uint8)
         vals[gen.random(dim) < 0.4] = 0
+        vals = vals.tolist()
         zero = np.array(
-            la.quad_values(F, la.quad_matrix(F, vals, gram), vecs)) == 0
-        radical = ~np.array(la.mat_mul(F, vecs, gram)).any(axis=1)
+            la.quad_values(F, la.quad_matrix(F, vals, gram), rows)) == 0
+        radical = ~np.array(la.mat_mul(F, rows, gram)).any(axis=1)
         got = fm._arf_trace(F, gram, vals)
         if not zero[radical].all():
             assert got is None
             continue
-        rho = la.rank(F, vecs[radical])
+        rho = la.rank(F, vecs[radical].tolist())
         r = (dim - rho) // 2
         split = q ** (2 * r - 1) + q ** r - q ** (r - 1)
         assert got == (0 if zero.sum() == q ** rho * split else 1)

@@ -71,15 +71,15 @@ def test_module_map_respects_quadratic_values_not_just_pairing():
 def test_degenerate_pairing_is_rejected():
     d = 2
     forms = ms.ModuleForms(la.zeros(d, d), la.zeros(d, d),
-                           np.zeros(d, dtype=np.uint8), la.zeros(d, d))
-    gens = [(np.array([1, 0], dtype=np.uint8), 1)]
+                           [0] * d, la.zeros(d, d))
+    gens = [([1, 0], 1)]
     with pytest.raises(ValueError):
         ms.find_module_map(F2, forms, gens, forms)
 
 
 def test_non_self_adjoint_operator_is_rejected():
     mod, gens = normal_form(1, 0)
-    bad = ms.ModuleForms(mod.gram, np.array([[0, 1], [0, 0]], dtype=np.uint8),
+    bad = ms.ModuleForms(mod.gram, [[0, 1], [0, 0]],
                          mod.quad, mod.polar_gram)
     with pytest.raises(ValueError):
         ms.find_module_map(F2, bad, gens, bad)
@@ -90,21 +90,21 @@ def test_non_self_adjoint_operator_is_rejected():
 
 
 def hyperbolic_plane(field):
-    S = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    S = [[0, 1], [1, 0]]
     return [(S, S)]
 
 
 def test_count_space_maps_split_quadratic_plane():
     # alpha(x, y) = xy over F2: identity and the swap
     pairs = hyperbolic_plane(F2)
-    q = np.zeros(2, dtype=np.uint8)
+    q = [0] * 2
     assert iso.count_space_maps(F2, pairs, q, q) == 2
 
 
 def test_split_and_nonsplit_quadratic_planes_are_not_isometric():
-    S = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    split = np.zeros(2, dtype=np.uint8)
-    nonsplit = np.array([1, 1], dtype=np.uint8)  # x^2 + xy + y^2 over F2
+    S = [[0, 1], [1, 0]]
+    split = [0] * 2
+    nonsplit = [1, 1]  # x^2 + xy + y^2 over F2
     assert next(iso.space_maps(F2, [(S, S)], split, nonsplit), None) is None
     assert next(iso.space_maps(F2, [(S, S)], nonsplit, split), None) is None
     # and each is isometric to itself
@@ -115,14 +115,14 @@ def test_singular_maps_are_not_counted():
     # zero pairing, zero quad in dimension 1: only the identity survives the
     # invertibility check even though both vectors satisfy the constraints
     Z = la.zeros(1, 1)
-    q = np.zeros(1, dtype=np.uint8)
+    q = [0] * 1
     assert iso.count_space_maps(F2, [(Z, Z)], q, q) == 1
 
 
 def test_two_pairings_constrain_jointly():
-    S = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    A = np.zeros((2, 2), dtype=np.uint8)
-    q = np.zeros(2, dtype=np.uint8)
+    S = [[0, 1], [1, 0]]
+    A = la.zeros(2, 2)
+    q = [0] * 2
     # a trivially-satisfied second pairing changes nothing
     assert iso.count_space_maps(F2, [(S, S), (A, A)], q, q) == 2
     # an unsatisfiable one kills everything
@@ -132,7 +132,7 @@ def test_two_pairings_constrain_jointly():
 def test_search_cap_guard():
     d = 12
     Z = la.zeros(d, d)
-    q = np.zeros(d, dtype=np.uint8)
+    q = [0] * d
     with pytest.raises(iso.SearchTooLarge):
         iso.count_space_maps(F4, [(Z, Z)], q, q)
 

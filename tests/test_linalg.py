@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 
@@ -9,46 +12,33 @@ rng = np.random.default_rng(20260814)
 
 
 def random_matrix(F, m, n):
-    return rng.integers(0, F.q, size=(m, n), dtype=np.uint8)
+    return rng.integers(0, F.q, size=(m, n), dtype=np.uint8).tolist()
 
 
 def naive_mul(F, A, B):
-    m, k = A.shape
-    _, n = B.shape
-    C = np.zeros((m, n), dtype=np.uint8)
-    for i in range(m):
-        for j in range(n):
-            s = 0
-            for t in range(k):
-                s ^= F.mul(int(A[i, t]), int(B[t, j]))
-            C[i, j] = s
-    return C
+    return [[reduce(xor, (F.mul(a, b[j]) for a, b in zip(r, B)), 0)
+             for j in range(len(B[0]))] for r in A]
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_mat_mul_against_naive(e):
     F = field_for(e)
     for _ in range(25):
-        m, k, n = rng.integers(1, 6, size=3)
+        m, k, n = rng.integers(1, 6, size=3).tolist()
         A = random_matrix(F, m, k)
         B = random_matrix(F, k, n)
-        got = la.mat_mul(F, A, B)
-        assert got == naive_mul(F, A, B).tolist()
-        assert la.mat_mul(F, A.tolist(), B.tolist()) == got
+        assert la.mat_mul(F, A, B) == naive_mul(F, A, B)
 
 
 def test_mat_mul_over_the_largest_field():
     F = field_for(8)
     A, B = random_matrix(F, 3, 4), random_matrix(F, 4, 2)
-    assert la.mat_mul(F, A, B) == naive_mul(F, A, B).tolist()
+    assert la.mat_mul(F, A, B) == naive_mul(F, A, B)
 
 
 def test_mat_mul_empty_inner():
-    # a numpy operand keeps its width without rows; a list has none
+    # a row list with no rows records no width
     F = field_for(2)
-    A = np.zeros((3, 0), dtype=np.uint8)
-    B = np.zeros((0, 4), dtype=np.uint8)
-    assert la.mat_mul(F, A, B) == la.zeros(3, 4)
     assert la.mat_mul(F, la.zeros(3, 0), la.zeros(0, 4)) == la.zeros(3, 0)
     with pytest.raises(ValueError):
         la.mat_mul(F, la.zeros(2, 3), la.zeros(2, 2))
@@ -59,7 +49,7 @@ def test_mat_mul_identity_and_associativity():
     A = random_matrix(F, 5, 5)
     B = random_matrix(F, 5, 5)
     C = random_matrix(F, 5, 5)
-    assert la.mat_mul(F, A, la.identity(5)) == A.tolist()
+    assert la.mat_mul(F, A, la.identity(5)) == A
     assert la.mat_mul(F, la.mat_mul(F, A, B), C) == \
         la.mat_mul(F, A, la.mat_mul(F, B, C))
 
@@ -80,8 +70,8 @@ def shapes():
 def low_rank(F, m, n):
     "A random m x n matrix of rank at most min(m, n) - 1, when that is >= 0."
     r = max(min(m, n) - 1, 0)
-    return ref.mat_mul(F, random_matrix(F, m, r).tolist(),
-                       random_matrix(F, r, n).tolist()) if r else \
+    return ref.mat_mul(F, random_matrix(F, m, r),
+                       random_matrix(F, r, n)) if r else \
         [[0] * n for _ in range(m)]
 
 
@@ -89,7 +79,7 @@ def low_rank(F, m, n):
 def test_elimination_matches_the_scalar_reference(e):
     F = field_for(e)
     for m, n in shapes():
-        for A in (random_matrix(F, m, n).tolist(), low_rank(F, m, n)):
+        for A in (random_matrix(F, m, n), low_rank(F, m, n)):
             R, pivots = ref.rref(F, A)
             assert la.rref(F, A) == (R, pivots)
             assert la.rank(F, A) == len(pivots)
@@ -114,6 +104,7 @@ def test_jordan_partition_matches_the_scalar_reference(e):
         # strictly upper triangular, conjugated: nilpotent of any type
         N = np.triu(random_matrix(F, n, n), 1)
         N[:, rng.random(n) < 0.4] = 0
+        N = N.tolist()
         g = random_matrix(F, n, n)
         while la.rank(F, g) < n:
             g = random_matrix(F, n, n)
@@ -143,7 +134,7 @@ def test_solve_round_trip(e):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 7))
         A = random_matrix(F, m, n)
-        x0 = rng.integers(0, F.q, size=n, dtype=np.uint8)
+        x0 = rng.integers(0, F.q, size=n, dtype=np.uint8).tolist()
         b = la.mat_vec(F, A, x0)
         x = la.solve(F, A, b)
         assert x is not None
@@ -152,8 +143,7 @@ def test_solve_round_trip(e):
 
 def test_solve_inconsistent():
     F = field_for(2)
-    A = la.as_matrix([[1, 1], [1, 1]])
-    assert la.solve(F, A, np.array([1, 0], dtype=np.uint8)) is None
+    assert la.solve(F, [[1, 1], [1, 1]], [1, 0]) is None
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -182,7 +172,7 @@ def test_rref_is_canonical():
     g = random_matrix(F, 5, 5)
     while la.rank(F, g) < 5:
         g = random_matrix(F, 5, 5)
-    R2, p2 = la.rref(F, la.mat_mul(F, g, A[perm]))
+    R2, p2 = la.rref(F, la.mat_mul(F, g, [A[i] for i in perm]))
     assert p1 == p2
     assert R1 == R2
 

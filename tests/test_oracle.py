@@ -1,3 +1,4 @@
+import copy
 import functools
 
 import numpy as np
@@ -45,7 +46,8 @@ def key(g):
 
 @functools.lru_cache(maxsize=None)
 def filter_scan(kind, n, e):
-    "Every form-preserving matrix, found by scanning all q^(d*d) of them."
+    """Every form-preserving matrix, found by scanning all q^(d*d) of them,
+    as int row lists."""
     space = space_for(kind, n, e)
     F, d = space.field, space.d
     idx = np.arange(F.q ** (d * d))
@@ -60,7 +62,7 @@ def filter_scan(kind, n, e):
         M = batch_mul(F, batch_mul(F, GT, B), G) ^ B
         keep = ((M == np.swapaxes(M, 1, 2)).all(axis=(1, 2))
                 & ~np.diagonal(M, axis1=1, axis2=2).any(axis=1))
-    return G[keep]
+    return G[keep].tolist()
 
 
 def closure(F, gens):
@@ -88,7 +90,7 @@ def conjugate_keys(space, G, X):
     "functional_key of g X g^-1 for every g in G, in order."
     F = space.field
     G_inv = np.array([la.inverse(F, g) for g in G], dtype=np.uint8)
-    X = np.asarray(X, dtype=np.uint8)
+    G, X = np.asarray(G, dtype=np.uint8), np.asarray(X, dtype=np.uint8)
     Y = batch_mul(F, batch_mul(F, G, X), G_inv).reshape(len(G), -1)
     keys = np.zeros(len(G), dtype=np.int64)
     for i, b in enumerate(space.lie_basis()):
@@ -108,6 +110,18 @@ def test_group_orders_filter_mode():
                              ("sp", 1, 2, 60)]:
         assert len(filter_scan(kind, n, e)) == want
         assert orc.enumerate_group(space_for(kind, n, e)).order == want
+
+
+def test_groups_with_memoized_labels_compare_without_raising():
+    # the label memo holds numpy arrays, which == cannot reduce to a bool;
+    # groups are records that compare by identity
+    space = space_for("sp", 1)
+    group = orc.enumerate_group(space)
+    orc.all_nilpotent_orbits(space, group)
+    twin = copy.deepcopy(group)
+    assert group._labels and twin._labels
+    assert group == group
+    assert group != twin
 
 
 def test_group_orders_match_the_product_formula():
