@@ -28,8 +28,12 @@ module without choosing a basis.  The rational decorations are Arf classes
 in F_q/(x^2 + x): for each Jordan size m and power i, the form
 v -> quad(T^i v) on ker(T^m) either fails to vanish on its polar radical or
 descends to a nondegenerate form whose Arf invariant has an absolute trace.
-Each module computes these power forms once, and arf_invariant collects
-them.  A normal form is the orthogonal sum of its blocks, so its invariant
+All of it comes from the powers of T: each module builds its power ladder
+T^0..T^k once (linalg.power_ladder, which is also its nilpotency check),
+reads its Jordan type off the ladder's ranks, and takes ker(T^m) from the
+stored T^m.  The power forms are computed from the ladder once per module,
+each from one product img U img^t, and arf_invariant collects them.  A
+normal form is the orthogonal sum of its blocks, so its invariant
 combines cached per-block tables: None where any block gives None, else the
 sum of the block traces mod 2.  A block's None pattern does not depend on
 its decoration, so over one closed label the invariant is affine over F_2
@@ -57,6 +61,10 @@ class ClassificationError(ValueError):
     """No canonical representative matched the module."""
 
 
+class NotNilpotentError(ValueError):
+    """The module's operator is not nilpotent."""
+
+
 # ----------------------------------------------------------------------
 # the module container
 
@@ -64,8 +72,11 @@ class ClassificationError(ValueError):
 class FormModule:
     """Pairing Gram, nilpotent self-adjoint operator, quadratic values.
 
-    The components are read as given at construction; the power-form data
-    the classifiers read is computed from them once, on first use.
+    The components are read as given at construction, which also builds
+    the operator's power ladder once: `powers` holds T^0..T^k (T^k = 0),
+    `partition` the Jordan type read off their ranks, and `polar_gram` the
+    Gram of the quadratic form's polarization.  The power-form data the
+    classifiers read is computed from the ladder once, on first use.
     """
 
     def __init__(self, kind: str, field: Field, gram, op, quad):
@@ -83,27 +94,24 @@ class FormModule:
         if not is_alternating(self.gram):
             raise ValueError("pairing must be alternating")
         la.inverse(field, self.gram)  # nondegenerate, raises otherwise
-        if not la.is_nilpotent(field, self.op):
-            raise ValueError("operator must be nilpotent")
+        ladder = la.power_ladder(field, self.op)
+        if ladder is None:
+            raise NotNilpotentError("operator must be nilpotent")
+        self.powers, ranks = ladder
+        self.partition = la.ladder_partition(ranks)
         op_t = la.transpose(self.op)
         shifted = la.mat_mul(field, op_t, self.gram)
         if not is_alternating(shifted):
             raise ValueError("operator must be self-adjoint and isotropic-shifting")
         if kind == "sp" and not is_alternating(la.mat_mul(field, op_t, shifted)):
             raise ValueError("shifted pairing must vanish on (Tv, v)")
+        self.polar_gram = shifted if kind == "sp" else self.gram
         self._U = la.quad_matrix(field, self.quad, self.polar_gram)
-        self._powers = None
+        self._table = None
 
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-    @property
-    def polar_gram(self) -> list[list[int]]:
-        "Gram of the quadratic form's polarization."
-        if self.kind == "sp":
-            return la.mat_mul(self.field, la.transpose(self.op), self.gram)
-        return self.gram
 
     def beta(self, v, w) -> int:
         return la.dot(self.field, v, la.mat_vec(self.field, self.gram, w))
@@ -118,11 +126,12 @@ def build_module(space: Space, X) -> FormModule:
     if space.kind != "sp":
         raise ValueError("direct module construction needs a symplectic space")
     F = space.field
-    T = module_endomorphism(space, X)
-    if not la.is_nilpotent(F, T):
-        raise ValueError("functional is not nilpotent")
     SX = la.mat_mul(F, space.S, X)
-    return FormModule("sp", F, space.S, T, [r[i] for i, r in enumerate(SX)])
+    try:
+        return FormModule("sp", F, space.S, module_endomorphism(space, X),
+                          [r[i] for i, r in enumerate(SX)])
+    except NotNilpotentError:
+        raise ValueError("functional is not nilpotent") from None
 
 
 # ----------------------------------------------------------------------
@@ -151,12 +160,23 @@ def xi_series(mod: FormModule, v, w) -> list[int]:
 
 def _power_forms(mod: FormModule, m: int, count: int):
     """Polar Gram and basis values of v -> quad(T^i v) on ker(T^m), for
-    i = 0..count-1."""
-    F, P, op_t = mod.field, mod.polar_gram, la.transpose(mod.op)
-    img = la.kernel_basis(F, la.mat_pow(F, mod.op, m))
+    i = 0..count-1.
+
+    With the rows of `img` the images T^i v of a basis of ker(T^m) and U
+    the upper-triangular matrix of quad, M = img U img^t gives both: the
+    polar Gram is M + M^t and the values are the diagonal of M.  Once the
+    image is zero, so is every later form.
+    """
+    F, op_t = mod.field, la.transpose(mod.op)
+    img = la.kernel_basis(F, mod.powers[min(m, len(mod.powers) - 1)])
+    k = len(img)
     for _ in range(count):
-        yield (la.mat_mul(F, la.mat_mul(F, img, P), la.transpose(img)),
-               la.quad_values(F, mod._U, img))
+        if la.is_zero(img):
+            yield la.zeros(k, k), [0] * k
+            continue
+        M = la.mat_mul(F, la.mat_mul(F, img, mod._U), la.transpose(img))
+        yield ([[a ^ b for a, b in zip(r, c)] for r, c in zip(M, zip(*M))],
+               [r[i] for i, r in enumerate(M)])
         img = la.mat_mul(F, img, op_t)
 
 
@@ -209,18 +229,17 @@ def _arf_trace(F: Field, gram, vals) -> int | None:
     return None if any(q) else F.trace(arf)
 
 
-def _power_table(mod: FormModule) -> tuple[list[int], dict]:
-    """The operator's Jordan partition and, for each distinct size m, the
-    pairs (vanishes identically, _arf_trace) of v -> quad(T^i v) on
-    ker(T^m) for 0 <= i <= m; computed once per module."""
-    if mod._powers is None:
+def _power_table(mod: FormModule) -> dict:
+    """For each distinct Jordan size m, the pairs (vanishes identically,
+    _arf_trace) of v -> quad(T^i v) on ker(T^m) for 0 <= i <= m; computed
+    once per module."""
+    if mod._table is None:
         F = mod.field
-        parts = la.jordan_partition(F, mod.op)
-        mod._powers = parts, {
+        mod._table = {
             m: tuple((not any(vals) and la.is_zero(pol), _arf_trace(F, pol, vals))
                      for pol, vals in _power_forms(mod, m, m + 1))
-            for m in sorted(set(parts))}
-    return mod._powers
+            for m in sorted(set(mod.partition))}
+    return mod._table
 
 
 def arf_invariant(mod: FormModule) -> tuple:
@@ -233,7 +252,7 @@ def arf_invariant(mod: FormModule) -> tuple:
     data is additive over orthogonal sums (None absorbs), which is how the
     classifiers get their candidates' invariants from per-block tables.
     """
-    return tuple(t for row in _power_table(mod)[1].values() for _, t in row)
+    return tuple(t for row in _power_table(mod).values() for _, t in row)
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +266,7 @@ def classify_closed(mod: FormModule) -> tuple[BlockLabel, ...]:
     read off the module's power table; it is at most m, since T^m kills
     ker(T^m).
     """
-    parts, powers = _power_table(mod)
+    parts, powers = mod.partition, _power_table(mod)
     if len(parts) % 2:
         raise ValueError("operator partition is not doubled")
     for a, b in zip(parts[0::2], parts[1::2]):

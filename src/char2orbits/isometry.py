@@ -4,9 +4,12 @@ A space map places one basis image per level: each image is constrained
 linearly by the pairings against the images already placed, then filtered
 by its quadratic value.  The rows of those constraints, each pairing's
 Gram applied to an image, are computed once, when the image is placed.
-The search is exact: every affine solution set is enumerated in full, so
-space_maps yields every map and count_space_maps counts them; a level
-larger than LEVEL_CAP raises SearchTooLarge instead.
+A basis vector in the radical of a source Gram must map into the radical
+of the destination Gram, which prunes the levels of degenerate pairings
+and loses no invertible map.  The search is exact: every affine solution
+set is enumerated in full, so space_maps yields every map and
+count_space_maps counts them; a level larger than LEVEL_CAP raises
+SearchTooLarge instead.
 
 Only verify and the tests import this module: the rational classifiers
 compare Arf invariants and the odd witness is built by rule, so the space
@@ -68,14 +71,19 @@ def space_maps(F, pairings, src_quad, dst_quad):
             if len(G) != d or any(len(r) != d for r in G):
                 raise ValueError("pairing Grams must all have equal dimension")
     U_dst = la.quad_matrix(F, dst_quad, pairings[0][1])
+    # an invertible map carries each source Gram's radical into the
+    # destination's, so a zero column i of Gs asks Gd y_i = 0
+    radical = [[r for Gs, Gd in pairings if not any(row[i] for row in Gs)
+                for r in Gd] for i in range(d)]
 
     images: list[list[int]] = []
     # placed[p][j] is the destination Gram of pairing p applied to images[j]
     placed: list[list[list[int]]] = [[] for _ in pairings]
 
     def admissible(i: int) -> list[list[int]]:
-        rows = [r for rows_p in placed for r in rows_p]
+        rows = [r for rows_p in placed for r in rows_p] + radical[i]
         rhs = [Gs[j][i] for Gs, _ in pairings for j in range(i)]
+        rhs += [0] * len(radical[i])
         cand = _affine_candidates(F, rows, rhs, d, LEVEL_CAP)
         return [y for y, a in zip(cand, la.quad_values(F, U_dst, cand))
                 if a == src_quad[i]]

@@ -8,9 +8,12 @@ Inside, a row packs into one Python int with one byte per entry (entry j in
 byte j): XOR adds two rows, and bytes.translate with the field's
 scale_bytes table scales one.  One Gaussian elimination on packed rows,
 _eliminate, serves rref, rank, kernel_basis, solve and inverse over every
-field.  quad_matrix and quad_values evaluate a quadratic form given by its
-basis values and polar Gram; the form modules, the odd split and the
-isometry search share them.
+field.  power_ladder computes the powers A^0..A^k of a nilpotent matrix
+and their ranks in one pass, which is also its nilpotency test; the Jordan
+type is read off those ranks (ladder_partition), and a form module keeps
+the whole ladder.  quad_matrix and quad_values evaluate a quadratic form
+given by its basis values and polar Gram; the form modules, the odd split
+and the isometry search share them.
 """
 
 from __future__ import annotations
@@ -114,20 +117,6 @@ def scale(F: Field, c: int, A):
         return [scale(F, c, r) for r in A]
     row = F.mul_table[c]
     return [row[x] for x in A]
-
-
-def mat_pow(F: Field, A, k: int) -> list[list[int]]:
-    n = len(A)
-    assert all(len(r) == n for r in A)
-    R = identity(n)
-    P = A
-    while k:
-        if k & 1:
-            R = mat_mul(F, R, P)
-        k >>= 1
-        if k:
-            P = mat_mul(F, P, P)
-    return R
 
 
 def mat_trace(F: Field, A) -> int:
@@ -275,31 +264,48 @@ def is_nilpotent(F: Field, A) -> bool:
     return is_zero(B)
 
 
-def jordan_partition(F: Field, A) -> list[int]:
-    """Jordan block sizes of a nilpotent matrix, largest first.
+def power_ladder(F: Field, A):
+    """The powers A^0..A^k of a square matrix and their ranks, k its
+    nilpotency index (A^k = 0 != A^(k-1)); None when A is not nilpotent.
+
+    Ranks of powers fall until they stay put, and once a rank repeats the
+    powers keep it, so a repeat above 0 settles that A is not nilpotent.
+    """
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise ValueError("only square matrices have powers")
+    powers, ranks = [identity(n)], [n]
+    P = as_matrix(A)
+    while ranks[-1]:
+        r = rank(F, P)
+        if r == ranks[-1]:
+            return None
+        powers.append(P)
+        ranks.append(r)
+        if r:
+            P = mat_mul(F, P, A)
+    return powers, ranks
+
+
+def ladder_partition(ranks) -> list[int]:
+    """Jordan block sizes, largest first, from the ranks of A^0..A^k.
 
     The number of blocks of size exactly m is
     rank(A^(m-1)) - 2 rank(A^m) + rank(A^(m+1)).
     """
-    n = len(A)
-    if not is_nilpotent(F, A):
-        raise ValueError("matrix is not nilpotent")
-    ranks = [n]
-    P = A
-    while True:
-        r = rank(F, P)
-        ranks.append(r)
-        if r == 0:
-            break
-        P = mat_mul(F, P, A)
-    ranks.append(0)
+    r = list(ranks) + [0]
     parts: list[int] = []
-    for m in range(1, len(ranks) - 1):
-        mult = ranks[m - 1] - 2 * ranks[m] + ranks[m + 1]
-        parts.extend([m] * mult)
-    parts.sort(reverse=True)
-    assert sum(parts) == n
+    for m in range(len(r) - 2, 0, -1):
+        parts += [m] * (r[m - 1] - 2 * r[m] + r[m + 1])
     return parts
+
+
+def jordan_partition(F: Field, A) -> list[int]:
+    "Jordan block sizes of a nilpotent matrix, largest first."
+    ladder = power_ladder(F, A)
+    if ladder is None:
+        raise ValueError("matrix is not nilpotent")
+    return ladder_partition(ladder[1])
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,17 @@ Gram G.  The split finds the minimal m for which the pencil system
 
     G v_0 = 0,   G v_i = S v_{i-1} (1 <= i <= m),   S v_m = 0
 
-has a solution; the solution space at that m is one-dimensional and the
-chain is normalized so the ambient quadratic form takes value 1 on v_m
-(which spans the radical of the pairing).  A dual family u_0..u_{m-1} is
-solved next, and the complement W of the resulting (2m+1)-dimensional
-chain part is cut out by 2m+1 pairing conditions.  W carries a
-nondegenerate pairing, the transfer operator T with beta(Tw, w') the
-functional's form, and the ambient quadratic values: an orth form module.
-The functional is nilpotent exactly when the split goes through with T
-nilpotent; every structural failure raises SplitError.
+has a solution; it grows the space of possible chain ends one length at
+a time rather than solving the system afresh for each m.  The solution
+space at that m is one-dimensional, and the chain is normalized so the
+ambient quadratic form takes value 1 on v_m (which spans the radical of
+the pairing).  A dual family u_0..u_{m-1} is solved next, and the
+complement W of the resulting (2m+1)-dimensional chain part is cut out by
+2m+1 pairing conditions.  W carries a nondegenerate pairing, the transfer
+operator T with beta(Tw, w') the functional's form, and the ambient
+quadratic values: an orth form module.  The functional is nilpotent
+exactly when the split goes through with T nilpotent; every structural
+failure raises SplitError.
 
 The rational label of a nilpotent functional is the chain length m plus
 the decorated block label of W, which classify_orth_fq reads off Arf
@@ -43,8 +45,9 @@ from .combinatorics import BlockLabel, OddLabel, validate_blocks
 # reads these names through this module
 from .combinatorics import format_label, parse_label, rational_labels  # noqa: F401
 from .finite_field import Field, field_for
-from .form_modules import (ClassificationError, FormModule, build_module,
-                           build_normal_form, classify_fq, classify_orth_fq)
+from .form_modules import (ClassificationError, FormModule, NotNilpotentError,
+                           build_module, build_normal_form, classify_fq,
+                           classify_orth_fq)
 
 
 class SplitError(ValueError):
@@ -75,28 +78,38 @@ class OddSplit(cb._Record):
 
 
 def _chain_vectors(space: Space, G):
-    F, S, d = space.field, space.S, space.d
+    """The least m with a pencil chain v_0..v_m, and that chain normalized.
+
+    The ends v_m of the chains that satisfy every equation but S v_m = 0
+    form a space E_m: E_0 = ker G and E_(m+1) = {w : G w in S E_m}.  One
+    kernel of [S E_m^t | G], in the unknowns (c, w), gives both: its
+    vectors with w = 0 are the combinations c of E_m's basis with
+    S E_m^t c = 0, and the w parts of the others are a basis of E_(m+1).
+    The first m with such a c is the chain length.  There two chains with one end differ by a shorter chain that
+    ends in ker S, so each chain is fixed by its end, and the solution
+    space has the dimension of those c.  Each basis end carries its chain,
+    flattened, so the chain needs no solve.
+    """
+    F, S_t, d = space.field, la.transpose(space.S), space.d
+    ends = la.kernel_basis(F, G)
+    chains = [list(e) for e in ends]
     for m in range(space.n + 1):
-        A = la.zeros((m + 2) * d, (m + 1) * d)
-        for i in range(m + 1):
-            for r in range(d):
-                A[i * d + r][i * d:(i + 1) * d] = G[r]
-                if i:
-                    A[i * d + r][(i - 1) * d:i * d] = S[r]
-        for r in range(d):
-            A[(m + 1) * d + r][m * d:] = S[r]
-        K = la.kernel_basis(F, A)
-        if len(K) == 0:
-            continue
-        if len(K) != 1:
-            raise SplitError(f"chain solution space has dimension {len(K)}")
-        chain = [K[0][i * d:(i + 1) * d] for i in range(m + 1)]
-        a_vm = space.alpha(chain[m])
-        if a_vm == 0:
-            raise SplitError("chain end has zero quadratic value")
-        scale = F.sqrt(F.inv(a_vm))
-        chain = [la.scale(F, scale, v) for v in chain]
-        return m, chain
+        k = len(ends)
+        SE = la.transpose(la.mat_mul(F, ends, S_t))
+        K = la.kernel_basis(F, [b + g for b, g in zip(SE, G)])
+        C = [x[:k] for x in K if not any(x[k:])]
+        if C:
+            if len(C) != 1:
+                raise SplitError(f"chain solution space has dimension {len(C)}")
+            chain = la.reshape(la.mat_mul(F, C, chains)[0], d)
+            a_vm = space.alpha(chain[m])
+            if a_vm == 0:
+                raise SplitError("chain end has zero quadratic value")
+            scale = F.sqrt(F.inv(a_vm))
+            return m, [la.scale(F, scale, v) for v in chain]
+        chains = [c + x[k:] for c, x in
+                  zip(la.mat_mul(F, [x[:k] for x in K], chains), K)]
+        ends = [x[k:] for x in K]
     raise SplitError("no pencil chain of any admissible length")
 
 
@@ -169,11 +182,11 @@ def split_odd_functional(space: Space, X) -> OddSplit:
         T = la.mat_mul(F, la.inverse(F, Gw), Gx)
     except ValueError:
         raise SplitError("complement pairing is degenerate") from None
-    if not la.is_nilpotent(F, T):
-        raise SplitError("complement operator is not nilpotent")
     quad = [space.alpha(w) for w in comp]
     try:
         module = FormModule("orth", F, Gw, T, quad)
+    except NotNilpotentError:
+        raise SplitError("complement operator is not nilpotent") from None
     except ValueError as exc:
         raise SplitError(f"complement is not a form module: {exc}") from None
     return OddSplit(space, X, m, chain, dual, comp, module)

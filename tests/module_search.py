@@ -1,8 +1,9 @@
 """The tests' references for the rational classifiers: exhaustive isometry
-searches, the walk over the odd label's decoration moves, and the scans
-that compare a module's Arf invariant with each candidate's whole normal
-form, which the classifiers replace by one F_2 reduction over per-block
-tables.
+searches, the walk over the odd label's decoration moves, the power forms
+by the polar Gram, the odd split's chain by one block system per length,
+and the scans that compare a module's Arf invariant
+with each candidate's whole normal form, which the classifiers replace by
+one F_2 reduction over per-block tables.
 
 A module map is pinned down by the images of the generators of the normal
 form's operator chains; the search places one image per generator.  An odd
@@ -207,6 +208,34 @@ def odd_label_by_search(split: od.OddSplit) -> cb.OddLabel:
     return matches[0]
 
 
+def chain_by_block_system(space, G):
+    """od._chain_vectors by one pencil system per trial length m: the
+    ((m+2)d) x ((m+1)d) block system G v_0 = 0, G v_i = S v_(i-1),
+    S v_m = 0 in the unknowns v_0..v_m, solved afresh for each m."""
+    F, S, d = space.field, space.S, space.d
+    for m in range(space.n + 1):
+        A = la.zeros((m + 2) * d, (m + 1) * d)
+        for i in range(m + 1):
+            for r in range(d):
+                A[i * d + r][i * d:(i + 1) * d] = G[r]
+                if i:
+                    A[i * d + r][(i - 1) * d:i * d] = S[r]
+        for r in range(d):
+            A[(m + 1) * d + r][m * d:] = S[r]
+        K = la.kernel_basis(F, A)
+        if len(K) == 0:
+            continue
+        if len(K) != 1:
+            raise od.SplitError(f"chain solution space has dimension {len(K)}")
+        chain = [K[0][i * d:(i + 1) * d] for i in range(m + 1)]
+        a_vm = space.alpha(chain[m])
+        if a_vm == 0:
+            raise od.SplitError("chain end has zero quadratic value")
+        scale = F.sqrt(F.inv(a_vm))
+        return m, [la.scale(F, scale, v) for v in chain]
+    raise od.SplitError("no pencil chain of any admissible length")
+
+
 # ----------------------------------------------------------------------
 # odd orthogonal labels by walking the decoration moves
 
@@ -286,6 +315,22 @@ def odd_label_by_walk(m: int, raw) -> cb.OddLabel:
 
 # ----------------------------------------------------------------------
 # rational labels by scanning whole candidate normal forms
+
+
+def power_forms_by_polar(mod: fm.FormModule, m: int, count: int):
+    """fm._power_forms by the polar Gram: img P img^t and quad_values on
+    the images of a basis of ker(T^m), with P, U and T^m built afresh."""
+    F, op_t = mod.field, la.transpose(mod.op)
+    P = la.mat_mul(F, op_t, mod.gram) if mod.kind == "sp" else mod.gram
+    U = la.quad_matrix(F, mod.quad, P)
+    Tm = la.identity(mod.dim)
+    for _ in range(m):
+        Tm = la.mat_mul(F, Tm, mod.op)
+    img = la.kernel_basis(F, Tm)
+    for _ in range(count):
+        yield (la.mat_mul(F, la.mat_mul(F, img, P), la.transpose(img)),
+               la.quad_values(F, U, img))
+        img = la.mat_mul(F, img, op_t)
 
 
 def power_form_invariant(mod: fm.FormModule) -> tuple:

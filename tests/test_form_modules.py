@@ -147,8 +147,11 @@ def test_trivial_functional_classifies_to_level_zero_blocks():
 
 def test_build_module_rejects_non_nilpotent():
     space = cl.space_for("sp", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^functional is not nilpotent$"):
         fm.build_module(space, [[1, 0], [0, 0]])
+    plain = single(2, 1)
+    with pytest.raises(fm.NotNilpotentError, match="^operator must be nilpotent$"):
+        fm.FormModule("sp", F2, plain.gram, la.identity(4), plain.quad)
 
 
 def test_orth_round_trip_single_blocks():
@@ -440,6 +443,22 @@ def test_classification_walks_the_power_forms_once(monkeypatch):
     assert fm.arf_invariant(mod) == fm.arf_invariant(nf)
     assert walked == [1, 2, 3]  # once per distinct Jordan size
     assert fm.arf_invariant(mod) == ms.power_form_invariant(mod)
+
+
+@pytest.mark.parametrize("field", [F2, F4])
+def test_power_forms_match_the_polar_formula(field):
+    for n in range(1, 6):
+        cases = [("sp", c) for c in cb.rational_symbols(n)]
+        cases += [("orth", c) for closed in closed_orth_labels(n)
+                  for c in valid_decorations(closed, "orth")]
+        for kind, blocks in cases:
+            mod = fm.build_normal_form(blocks, field, kind=kind)[0]
+            for m in sorted({0, mod.dim} | set(mod.partition)):
+                got = list(fm._power_forms(mod, m, m + 2))
+                assert got == list(ms.power_forms_by_polar(mod, m, m + 2)), \
+                    (blocks, m)
+                img = la.kernel_basis(field, mod.powers[min(m, len(mod.powers) - 1)])
+                assert got[0][1] == la.quad_values(field, mod._U, img)
 
 
 @pytest.mark.parametrize("field", [F2, F4])

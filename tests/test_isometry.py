@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,31 @@ def test_two_pairings_constrain_jointly():
     assert iso.count_space_maps(F2, [(S, S), (A, A)], q, q) == 2
     # an unsatisfiable one kills everything
     assert iso.count_space_maps(F2, [(S, S), (S, A)], q, q) == 0
+
+
+def test_degenerate_pairings_match_brute_force_over_gl3():
+    # alternating Grams in dimension 3 all have a radical, so every level
+    # whose source column is zero is pruned to the destination's radical
+    S = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    g = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    moved = la.mat_mul(F2, la.mat_mul(F2, la.transpose(g), S), g)
+    Z = la.zeros(3, 3)
+    gl3 = [M for M in (la.reshape(list(bits), 3)
+                       for bits in product(range(2), repeat=9))
+           if la.rank(F2, M) == 3]
+    assert len(gl3) == 168
+    found = 0
+    for pairings in ([(S, S)], [(S, moved)], [(moved, S), (Z, Z)], [(Z, Z)]):
+        for src, dst in product(product(range(2), repeat=3), repeat=2):
+            U = la.quad_matrix(F2, list(dst), pairings[0][1])
+            want = sorted(M for M in gl3 if all(
+                la.mat_mul(F2, la.mat_mul(F2, la.transpose(M), Gd), M) == Gs
+                for Gs, Gd in pairings)
+                and la.quad_values(F2, U, la.transpose(M)) == list(src))
+            got = sorted(iso.space_maps(F2, pairings, list(src), list(dst)))
+            assert got == want, (pairings, src, dst)
+            found += len(got)
+    assert found > 168
 
 
 def test_search_cap_guard():

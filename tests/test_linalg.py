@@ -99,8 +99,7 @@ def test_elimination_matches_the_scalar_reference(e):
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_jordan_partition_matches_the_scalar_reference(e):
     F = field_for(e)
-    for _ in range(30):
-        n = int(rng.integers(0, 8))
+    for n in [0] + [int(x) for x in rng.integers(0, 8, size=30)]:
         # strictly upper triangular, conjugated: nilpotent of any type
         N = np.triu(random_matrix(F, n, n), 1)
         N[:, rng.random(n) < 0.4] = 0
@@ -110,6 +109,14 @@ def test_jordan_partition_matches_the_scalar_reference(e):
             g = random_matrix(F, n, n)
         A = la.mat_mul(F, la.mat_mul(F, g, N), la.inverse(F, g))
         assert la.jordan_partition(F, A) == ref.jordan_partition(F, A)
+        # the ladder: A^0..A^k by products, their ranks, stopping at A^k = 0
+        powers, ranks = la.power_ladder(F, A)
+        assert powers[0] == la.identity(n)
+        for P, Q in zip(powers, powers[1:]):
+            assert Q == ref.mat_mul(F, P, A)
+        assert ranks == [ref.rank(F, P) for P in powers]
+        assert ranks[-1] == 0 and 0 not in ranks[:-1]
+        assert la.ladder_partition(ranks) == ref.jordan_partition(F, A)
 
 
 @pytest.mark.parametrize("e", [1, 2, 4])
@@ -217,16 +224,22 @@ def test_jordan_partition(parts, e):
 
 def test_not_nilpotent():
     F = field_for(2)
-    assert not la.is_nilpotent(F, la.identity(3))
-    with pytest.raises(ValueError):
-        la.jordan_partition(F, la.identity(3))
+    g = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]  # unipotent, not the identity
+    blocks = direct_sum(jordan_block(3), la.identity(1))  # ranks 4, 3, 2, 1, 1
+    for A in (la.identity(3), g, blocks):
+        assert not la.is_nilpotent(F, A)
+        assert la.power_ladder(F, A) is None
+        with pytest.raises(ValueError, match="not nilpotent"):
+            la.jordan_partition(F, A)
 
 
-def test_mat_pow_and_trace():
+def test_power_ladder_and_trace():
     F = field_for(2)
     J = jordan_block(4)
-    assert la.mat_pow(F, J, 0) == la.identity(4)
-    assert not la.is_zero(la.mat_pow(F, J, 3))
-    assert la.is_zero(la.mat_pow(F, J, 4))
+    powers, ranks = la.power_ladder(F, J)
+    assert powers[0] == la.identity(4) and powers[1] == J
+    assert not la.is_zero(powers[3])
+    assert la.is_zero(powers[4]) and len(powers) == 5
+    assert ranks == [4, 3, 2, 1, 0]
     assert la.mat_trace(F, la.identity(3)) == 1
     assert la.mat_trace(F, la.identity(4)) == 0

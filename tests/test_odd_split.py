@@ -90,7 +90,8 @@ def test_split_rejects_other_kinds():
 def test_non_nilpotent_functional_fails_to_split():
     sp = space_for("so-odd", 1)
     semisimple = sp.dual_from_values([1, 0, 0])
-    with pytest.raises(od.SplitError, match="not nilpotent"):
+    with pytest.raises(od.SplitError,
+                       match="^complement operator is not nilpotent$"):
         od.split_odd_functional(sp, semisimple)
     mixed = sp.dual_from_values([0, 1, 1])
     with pytest.raises(od.SplitError, match="quadratic value"):
@@ -219,6 +220,38 @@ def test_rational_label_is_constant_on_random_conjugates(e, n):
         space, X = od.odd_witness(lab, F)
         Y = coadjoint(space, random_group_element(space, gen), X)
         assert od.rational_odd_label(od.split_odd_functional(space, Y)) == lab
+
+
+def chain_or_error(chain_search, space, G):
+    try:
+        return chain_search(space, G)
+    except od.SplitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("F", [F2, F4])
+def test_chain_search_matches_the_block_system(F):
+    gen = np.random.default_rng(17)
+    cases = [od.odd_witness(lab, F) for n in range(1, 7)
+             for lab in cb.rational_labels(n)]
+    cases.append(od.odd_witness(cb.parse_label("m=12; -"), F))
+    seen = set()
+    for space, X in cases:
+        Y = coadjoint(space, random_group_element(space, gen), X)
+        G = alternating_gram(space, Y)
+        got = od._chain_vectors(space, G)
+        assert got == ms.chain_by_block_system(space, G)
+        seen.add(got[0])
+    assert seen == set(range(7)) | {12}
+    # any alternating G, of any rank: the same chain or the same error
+    for n in (1, 2, 3):
+        space = space_for("so-odd", n, F.e)
+        for _ in range(40):
+            U = np.triu(gen.integers(0, F.q, size=(space.d, space.d)), 1)
+            U[:, gen.random(space.d) < 0.5] = 0
+            G = (U ^ U.T).tolist()
+            assert chain_or_error(od._chain_vectors, space, G) == \
+                chain_or_error(ms.chain_by_block_system, space, G)
 
 
 def test_bigger_decorated_round_trips():
