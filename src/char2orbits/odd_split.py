@@ -85,10 +85,11 @@ def _chain_vectors(space: Space, G):
     kernel of [S E_m^t | G], in the unknowns (c, w), gives both: its
     vectors with w = 0 are the combinations c of E_m's basis with
     S E_m^t c = 0, and the w parts of the others are a basis of E_(m+1).
-    The first m with such a c is the chain length.  There two chains with one end differ by a shorter chain that
-    ends in ker S, so each chain is fixed by its end, and the solution
-    space has the dimension of those c.  Each basis end carries its chain,
-    flattened, so the chain needs no solve.
+    The first m with such a c is the chain length.  There two chains with
+    one end differ by a shorter chain that ends in ker S, so each chain is
+    fixed by its end, and the solution space has the dimension of those c.
+    Each basis end carries its chain, flattened, so the chain needs no
+    solve.
     """
     F, S_t, d = space.field, la.transpose(space.S), space.d
     ends = la.kernel_basis(F, G)

@@ -1,9 +1,9 @@
 """The tests' references for the rational classifiers: exhaustive isometry
 searches, the walk over the odd label's decoration moves, the power forms
 by the polar Gram, the odd split's chain by one block system per length,
-and the scans that compare a module's Arf invariant
-with each candidate's whole normal form, which the classifiers replace by
-one F_2 reduction over per-block tables.
+and the scans that compare a module's Arf invariant with each candidate's
+whole normal form, which the classifiers replace by one F_2 reduction over
+per-block tables.
 
 A module map is pinned down by the images of the generators of the normal
 form's operator chains; the search places one image per generator.  An odd

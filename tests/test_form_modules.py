@@ -150,7 +150,8 @@ def test_build_module_rejects_non_nilpotent():
     with pytest.raises(ValueError, match="^functional is not nilpotent$"):
         fm.build_module(space, [[1, 0], [0, 0]])
     plain = single(2, 1)
-    with pytest.raises(fm.NotNilpotentError, match="^operator must be nilpotent$"):
+    with pytest.raises(fm.NotNilpotentError,
+                       match="^operator must be nilpotent$"):
         fm.FormModule("sp", F2, plain.gram, la.identity(4), plain.quad)
 
 
@@ -457,7 +458,8 @@ def test_power_forms_match_the_polar_formula(field):
                 got = list(fm._power_forms(mod, m, m + 2))
                 assert got == list(ms.power_forms_by_polar(mod, m, m + 2)), \
                     (blocks, m)
-                img = la.kernel_basis(field, mod.powers[min(m, len(mod.powers) - 1)])
+                Tm = mod.powers[min(m, len(mod.powers) - 1)]
+                img = la.kernel_basis(field, Tm)
                 assert got[0][1] == la.quad_values(field, mod._U, img)
 
 
