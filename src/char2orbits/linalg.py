@@ -300,14 +300,6 @@ def ladder_partition(ranks) -> list[int]:
     return parts
 
 
-def jordan_partition(F: Field, A) -> list[int]:
-    "Jordan block sizes of a nilpotent matrix, largest first."
-    ladder = power_ladder(F, A)
-    if ladder is None:
-        raise ValueError("matrix is not nilpotent")
-    return ladder_partition(ladder[1])
-
-
 # ----------------------------------------------------------------------
 # quadratic forms
 

@@ -87,9 +87,10 @@ def _chain_vectors(space: Space, G):
     S E_m^t c = 0, and the w parts of the others are a basis of E_(m+1).
     The first m with such a c is the chain length.  There two chains with
     one end differ by a shorter chain that ends in ker S, so each chain is
-    fixed by its end, and the solution space has the dimension of those c.
-    Each basis end carries its chain, flattened, so the chain needs no
-    solve.
+    fixed by its end.  Its end lies in ker S, the radical line of the odd
+    space's pairing, so c is unique up to a scalar and the end has nonzero
+    quadratic value.  Each basis end carries its chain, flattened, so the
+    chain needs no solve.
     """
     F, S_t, d = space.field, la.transpose(space.S), space.d
     ends = la.kernel_basis(F, G)
@@ -100,13 +101,8 @@ def _chain_vectors(space: Space, G):
         K = la.kernel_basis(F, [b + g for b, g in zip(SE, G)])
         C = [x[:k] for x in K if not any(x[k:])]
         if C:
-            if len(C) != 1:
-                raise SplitError(f"chain solution space has dimension {len(C)}")
             chain = la.reshape(la.mat_mul(F, C, chains)[0], d)
-            a_vm = space.alpha(chain[m])
-            if a_vm == 0:
-                raise SplitError("chain end has zero quadratic value")
-            scale = F.sqrt(F.inv(a_vm))
+            scale = F.sqrt(F.inv(space.alpha(chain[m])))
             return m, [la.scale(F, scale, v) for v in chain]
         chains = [c + x[k:] for c, x in
                   zip(la.mat_mul(F, [x[:k] for x in K], chains), K)]

@@ -335,7 +335,7 @@ def power_forms_by_polar(mod: fm.FormModule, m: int, count: int):
 
 def power_form_invariant(mod: fm.FormModule) -> tuple:
     "fm.arf_invariant, walking the power forms afresh."
-    sizes = sorted(set(la.jordan_partition(mod.field, mod.op)))
+    sizes = sorted(set(mod.partition))
     return tuple(fm._arf_trace(mod.field, pol, vals) for m in sizes
                  for pol, vals in fm._power_forms(mod, m, m + 1))
 
@@ -347,7 +347,7 @@ def normal_form_invariant(blocks, kind: str, field) -> tuple:
 
 def closed_by_index_chi(mod: fm.FormModule) -> tuple:
     "The closed label, each level a fresh fm.index_chi walk."
-    parts = la.jordan_partition(mod.field, mod.op)
+    parts = mod.partition
     return tuple(cb.BlockLabel(m, fm.index_chi(mod, m)) for m in parts[0::2])
 
 
