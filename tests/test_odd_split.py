@@ -243,7 +243,8 @@ def test_chain_search_matches_the_block_system(F):
             U = np.triu(gen.integers(0, F.q, size=(space.d, space.d)), 1)
             U[:, gen.random(space.d) < 0.5] = 0
             G = (U ^ U.T).tolist()
-            assert od._chain_vectors(space, G) == ms.chain_by_block_system(space, G)
+            got = od._chain_vectors(space, G)
+            assert got == ms.chain_by_block_system(space, G)
 
 
 def test_bigger_decorated_round_trips():
