@@ -32,7 +32,8 @@ the pairing becomes antidiagonal (first half, defective vector if any, second
 half reversed), and keep the algebra elements that are upper triangular in
 that order.  Triangularity in the rough standard order is a strictly smaller
 space for n >= 2 and is not a Borel.  The criterion form of nilpotency needs
-the odd split and lives in odd_split (is_nilpotent_functional).
+the odd split and lives in odd_split (rational_label, which raises
+NotNilpotentError on a functional that is not nilpotent).
 """
 
 from __future__ import annotations

@@ -265,16 +265,19 @@ def _read_grid(text: str, type_flag: str | None, e: int):
 
 def _cmd_classify(args) -> int:
     from . import odd_split as od
+    from .form_modules import NotNilpotentError
 
     e = 1 if args.q == "2" else 2
     space, X = _read_matrix(args.matrix, args.type, e)
-    report: dict = {"kind": space.kind, "n": space.n, "q": space.field.q,
-                    "nilpotent": od.is_nilpotent_functional(space, X)}
-    if not report["nilpotent"]:
+    report: dict = {"kind": space.kind, "n": space.n, "q": space.field.q}
+    try:
+        label = od.rational_label(space, X)
+    except NotNilpotentError:
+        report["nilpotent"] = False
         _print_record(report, "json")
         print("the functional is not nilpotent", file=sys.stderr)
         return 4
-    label = od.rational_label(space, X)
+    report["nilpotent"] = True
     if label is None:
         report.update({
             "label": None,

@@ -97,16 +97,15 @@ def symp_pair_valid(mu, nu) -> bool:
     return all(nu[i] <= m[i] + 1 for i in range(len(nu)))
 
 
+def _valid_pairs(n: int, valid) -> list[Pair]:
+    "The partition pairs of total size n that valid accepts, sorted."
+    return sorted((x, y) for a in range(n + 1) for x in partitions(a)
+                  for y in partitions(n - a) if valid(x, y))
+
+
 def symp_pairs(n: int) -> list[Pair]:
     "All symplectic labels with total size n, sorted."
-    out = []
-    for a in range(n + 1):
-        for mu in partitions(a):
-            for nu in partitions(n - a):
-                if symp_pair_valid(mu, nu):
-                    out.append((mu, nu))
-    out.sort()
-    return out
+    return _valid_pairs(n, symp_pair_valid)
 
 
 def symp_symbol_valid(blocks) -> bool:
@@ -201,14 +200,8 @@ def oodd_pair_valid(nu, mu) -> bool:
 
 
 def oodd_pairs(n: int) -> list[Pair]:
-    out = []
-    for a in range(n + 1):
-        for nu in partitions(a):
-            for mu in partitions(n - a):
-                if oodd_pair_valid(nu, mu):
-                    out.append((nu, mu))
-    out.sort()
-    return out
+    "All odd orthogonal labels with total size n, sorted."
+    return _valid_pairs(n, oodd_pair_valid)
 
 
 def oodd_split_indices(pair: Pair) -> list[int]:

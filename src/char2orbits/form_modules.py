@@ -62,7 +62,7 @@ class ClassificationError(ValueError):
 
 
 class NotNilpotentError(ValueError):
-    """The module's operator is not nilpotent."""
+    """The functional, or the module's operator, is not nilpotent."""
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +131,7 @@ def build_module(space: Space, X) -> FormModule:
         return FormModule("sp", F, space.S, module_endomorphism(space, X),
                           [r[i] for i, r in enumerate(SX)])
     except NotNilpotentError:
-        raise ValueError("functional is not nilpotent") from None
+        raise NotNilpotentError("functional is not nilpotent") from None
 
 
 # ----------------------------------------------------------------------

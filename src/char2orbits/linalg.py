@@ -9,11 +9,12 @@ byte j): XOR adds two rows, and bytes.translate with the field's
 scale_bytes table scales one.  One Gaussian elimination on packed rows,
 _eliminate, serves rref, rank, kernel_basis, solve and inverse over every
 field.  power_ladder computes the powers A^0..A^k of a nilpotent matrix
-and their ranks in one pass, which is also its nilpotency test; the Jordan
-type is read off those ranks (ladder_partition), and a form module keeps
-the whole ladder.  quad_matrix and quad_values evaluate a quadratic form
-given by its basis values and polar Gram; the form modules, the odd split
-and the isometry search share them.
+and their ranks in one pass and returns None for any other matrix, so it
+is also the package's one nilpotency test; the Jordan type is read off
+those ranks (ladder_partition), and a form module keeps the whole ladder.
+quad_matrix and quad_values evaluate a quadratic form given by its basis
+values and polar Gram; the form modules, the odd split and the isometry
+search share them.
 """
 
 from __future__ import annotations
@@ -252,16 +253,6 @@ def inverse(F: Field, A) -> list[list[int]]:
 
 # ----------------------------------------------------------------------
 # nilpotency
-
-
-def is_nilpotent(F: Field, A) -> bool:
-    n = len(A)
-    assert all(len(r) == n for r in A)
-    B, e = A, 1
-    while e < n:
-        B = mat_mul(F, B, B)
-        e *= 2
-    return is_zero(B)
 
 
 def power_ladder(F: Field, A):

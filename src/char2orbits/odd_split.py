@@ -15,7 +15,7 @@ complement W of the resulting (2m+1)-dimensional chain part is cut out by
 operator T with beta(Tw, w') the functional's form, and the ambient
 quadratic values: an orth form module.  The functional is nilpotent
 exactly when the split goes through with T nilpotent; every structural
-failure raises SplitError.
+failure raises SplitError, the so-odd case of NotNilpotentError.
 
 The rational label of a nilpotent functional is the chain length m plus
 the decorated block label of W, which classify_orth_fq reads off Arf
@@ -31,7 +31,9 @@ exhaustive whole-space isometry search (odd_label_by_search), both in
 tests/module_search.py.
 
 As the lowest module that sees both classifiers, this one also holds the
-entry points for every kind: is_nilpotent_functional and rational_label.
+entry point for every kind, rational_label, which decides nilpotency and
+the label in one pass: a functional that is not nilpotent raises
+NotNilpotentError (SplitError for so-odd).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .form_modules import (ClassificationError, FormModule, NotNilpotentError,
                            classify_orth_fq)
 
 
-class SplitError(ValueError):
+class SplitError(NotNilpotentError):
     """The functional does not split as a nilpotent one must."""
 
 
@@ -322,25 +324,20 @@ def odd_witness(label: OddLabel, field: Field):
 # one entry point for every kind
 
 
-def is_nilpotent_functional(space: Space, X) -> bool:
-    """Criterion form of nilpotency: a nilpotent module endomorphism for sp
-    and so-even, a split with nilpotent complement operator for so-odd (the
-    orbit-meets-cone definition is in the oracle; their agreement is an
-    acceptance check)."""
-    if space.kind != "so-odd":
-        return la.is_nilpotent(space.field, module_endomorphism(space, X))
-    try:
-        split_odd_functional(space, X)
-        return True
-    except SplitError:
-        return False
-
-
 def rational_label(space: Space, X):
     """Rational label of a nilpotent functional: a block tuple for sp, an
-    OddLabel for so-odd, None for so-even, which has no label theory here."""
+    OddLabel for so-odd, None for so-even, which has no label theory here.
+
+    This is also the criterion form of nilpotency (the orbit-meets-cone
+    definition is in the oracle; their agreement is an acceptance check):
+    a nilpotent module endomorphism for sp and so-even, a split with a
+    nilpotent complement operator for so-odd.  Any other functional
+    raises NotNilpotentError, of which SplitError is one case.
+    """
     if space.kind == "sp":
         return classify_fq(build_module(space, X))
     if space.kind == "so-odd":
         return rational_odd_label(split_odd_functional(space, X))
+    if la.power_ladder(space.field, module_endomorphism(space, X)) is None:
+        raise NotNilpotentError("functional is not nilpotent")
     return None

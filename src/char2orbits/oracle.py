@@ -258,5 +258,5 @@ def adjoint_nilpotent_orbit_count(space: cl.Space,
                                   group: FiniteGroup | None = None) -> int:
     "Orbit count of nilpotent algebra elements under conjugation."
     _, labels = _orbits(space, group, "adjoint")
-    return sum(la.is_nilpotent(space.field, _algebra_element(space, int(k)))
-               for k in np.unique(labels))
+    return sum(la.power_ladder(space.field, _algebra_element(space, int(k)))
+               is not None for k in np.unique(labels))

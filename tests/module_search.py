@@ -3,7 +3,8 @@ searches, the walk over the odd label's decoration moves, the power forms
 by the polar Gram, the odd split's chain by one block system per length,
 and the scans that compare a module's Arf invariant with each candidate's
 whole normal form, which the classifiers replace by one F_2 reduction over
-per-block tables.
+per-block tables; and the yes/no nilpotency test the tests read off
+od.rational_label.
 
 A module map is pinned down by the images of the generators of the normal
 form's operator chains; the search places one image per generator.  An odd
@@ -371,3 +372,17 @@ def classify_orth_fq_by_scan(mod: fm.FormModule) -> tuple:
                 and normal_form_invariant(cand, "orth", mod.field) == inv:
             return cand
     raise fm.ClassificationError(f"no decoration of {closed} matches")
+
+
+# ----------------------------------------------------------------------
+# nilpotency by the criterion
+
+
+def criterion_nilpotent(space, X) -> bool:
+    """Whether od.rational_label accepts X, i.e. X meets the criterion form
+    of nilpotency for its kind; it raises NotNilpotentError otherwise."""
+    try:
+        od.rational_label(space, X)
+    except fm.NotNilpotentError:
+        return False
+    return True

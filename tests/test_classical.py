@@ -3,9 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+import module_search as ms
 from char2orbits import classical as cl
 from char2orbits import linalg as la
-from char2orbits import odd_split as od
 from char2orbits.finite_field import field_for
 
 rng = np.random.default_rng(41)
@@ -315,21 +315,21 @@ def test_vanishes_on_borel():
 
 def test_nilpotency_criterion_sp():
     sp = cl.space_for("sp", 2)
-    assert od.is_nilpotent_functional(sp, la.zeros(4, 4))
+    assert ms.criterion_nilpotent(sp, la.zeros(4, 4))
     # diagonal regular X has invertible module endomorphism: not nilpotent
     X = la.zeros(4, 4)
     X[0][0] = 1
     T = cl.module_endomorphism(sp, X)
     assert not la.is_zero(T)
-    assert not od.is_nilpotent_functional(sp, X)
+    assert not ms.criterion_nilpotent(sp, X)
 
 
 def test_nilpotency_criterion_even():
     so = cl.space_for("so-even", 2)
-    assert od.is_nilpotent_functional(so, la.zeros(4, 4))
+    assert ms.criterion_nilpotent(so, la.zeros(4, 4))
     X = la.zeros(4, 4)
     X[0][0] = 1
-    assert not od.is_nilpotent_functional(so, X)
+    assert not ms.criterion_nilpotent(so, X)
 
 
 # ----------------------------------------------------------------------

@@ -196,13 +196,18 @@ def test_classify_zero_matrix(capsys, tmp_path):
     assert json.loads(out)["label"] == "(1)^2_0:0 (1)^2_0:0"
 
 
-def test_classify_non_nilpotent_reports_and_exits_4(capsys, tmp_path):
-    X = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 1, 0], [1, 0, 1, 1]]
-    assert not od.is_nilpotent_functional(space_for("sp", 2, 1), X)
+@pytest.mark.parametrize("kind,X", [
+    ("sp", [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 1, 0], [1, 0, 1, 1]]),
+    ("so-odd", [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    ("so-even", [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+], ids=["sp", "so-odd", "so-even"])
+def test_classify_non_nilpotent_reports_and_exits_4(capsys, tmp_path,
+                                                     kind, X):
     path = write_grid(tmp_path / "n.txt", X)
-    rc, out, err = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
+    rc, out, err = run(capsys, ["classify", "--matrix", path, "--type", kind])
     assert rc == 4
-    assert json.loads(out)["nilpotent"] is False
+    assert list(json.loads(out).items()) == [
+        ("kind", kind), ("n", len(X) // 2), ("q", 2), ("nilpotent", False)]
     assert len(err.splitlines()) == 1
 
 

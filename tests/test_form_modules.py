@@ -147,7 +147,8 @@ def test_trivial_functional_classifies_to_level_zero_blocks():
 
 def test_build_module_rejects_non_nilpotent():
     space = cl.space_for("sp", 1)
-    with pytest.raises(ValueError, match="^functional is not nilpotent$"):
+    with pytest.raises(fm.NotNilpotentError,
+                       match="^functional is not nilpotent$"):
         fm.build_module(space, [[1, 0], [0, 0]])
     plain = single(2, 1)
     with pytest.raises(fm.NotNilpotentError,

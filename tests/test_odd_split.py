@@ -88,6 +88,7 @@ def test_split_rejects_other_kinds():
 
 
 def test_non_nilpotent_functional_fails_to_split():
+    assert issubclass(od.SplitError, fm.NotNilpotentError)
     sp = space_for("so-odd", 1)
     semisimple = sp.dual_from_values([1, 0, 0])
     with pytest.raises(od.SplitError,
@@ -96,6 +97,20 @@ def test_non_nilpotent_functional_fails_to_split():
     mixed = sp.dual_from_values([0, 1, 1])
     with pytest.raises(od.SplitError, match="quadratic value"):
         od.split_odd_functional(sp, mixed)
+
+
+@pytest.mark.parametrize("kind,n,text", [
+    ("sp", 2, "functional is not nilpotent"),
+    ("so-odd", 1, "complement operator is not nilpotent"),
+    ("so-even", 2, "functional is not nilpotent")],
+    ids=["sp", "so-odd", "so-even"])
+@pytest.mark.parametrize("e", [1, 2])
+def test_rational_label_rejects_a_non_nilpotent_functional(kind, n, text, e):
+    space = space_for(kind, n, e)
+    X = la.zeros(space.d, space.d)
+    X[0][0] = 1
+    with pytest.raises(fm.NotNilpotentError, match=f"^{text}$"):
+        od.rational_label(space, X)
 
 
 @pytest.mark.parametrize("e", [1, 2])
@@ -110,7 +125,7 @@ def test_split_success_is_the_nilpotency_criterion(e):
             split_ok = True
         except od.SplitError:
             split_ok = False
-        assert split_ok == od.is_nilpotent_functional(sp, X)
+        assert split_ok == ms.criterion_nilpotent(sp, X)
 
 
 def test_exhaustive_o3_census_over_f2():

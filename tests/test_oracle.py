@@ -4,6 +4,7 @@ import functools
 import numpy as np
 import pytest
 
+import module_search as ms
 from char2orbits import centralizers as cz
 from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
@@ -260,7 +261,8 @@ def test_generator_and_filter_orbits_agree_on_o4_plus():
 
 
 @pytest.mark.parametrize("kind,n,e", [("sp", 1, 1), ("so-odd", 1, 1),
-                                      ("sp", 1, 2)])
+                                      ("sp", 1, 2), ("so-even", 2, 1),
+                                      ("so-odd", 1, 2)])
 def test_nilpotence_definition_matches_the_splitting_criterion(kind, n, e):
     space = space_for(kind, n, e)
     grp = orc.enumerate_group(space)
@@ -269,7 +271,7 @@ def test_nilpotence_definition_matches_the_splitting_criterion(kind, n, e):
         nil_keys.update(orc.coadjoint_orbit(space, r.representative, grp))
     for idx in range(space.field.q ** space.dim_algebra):
         X = space.dual_from_values(orc.key_values(space, idx))
-        assert od.is_nilpotent_functional(space, X) == (idx in nil_keys)
+        assert ms.criterion_nilpotent(space, X) == (idx in nil_keys)
 
 
 @pytest.mark.parametrize("kind,n,e", [("sp", 1, 1), ("so-odd", 1, 1),
