@@ -9,12 +9,18 @@ the split even orthogonal group.
 
 There is one orbit engine.  Every generator acts F_2-linearly on keys, so
 its permutation of all q^N keys is spread out from the images of the e*N
-single-bit keys; min-label propagation over the permutations then names
-every orbit by its least key.  The same engine partitions the algebra
-under conjugation, with keys read as coefficient vectors.  Permutations
-are built over at most POINT_LIMIT keys.  Each nilpotent orbit is
-reported with its size, stabilizer order, and the label odd_split's
-rational_label gives its representative.
+single-bit keys.  Those images come from three products on stacked
+operands: g times the unit matrices side by side, the blocks stacked and
+times g^-1, and the flattened images times a readout matrix that turns a
+matrix into its key's values.  Min-label propagation over the
+permutations then names every orbit by its least key.  The same engine
+partitions the algebra under conjugation, with keys read as coefficient
+vectors: the coadjoint readout is the trace pairing with the algebra
+basis, the adjoint one reads each basis coordinate in its free slot.
+Permutations are built over at most POINT_LIMIT keys.  Each nilpotent
+orbit is reported with its size, stabilizer order, and the label
+odd_split's rational_label gives its representative; the adjoint census
+reports the sizes of its nilpotent orbits.
 """
 
 from __future__ import annotations
@@ -151,13 +157,33 @@ def _algebra_element(space: cl.Space, key: int) -> list:
     return T
 
 
-def _algebra_key(space: cl.Space, T) -> int:
-    return _pack(cl.algebra_coords(space, T), space.field.e)
+def _coadjoint_readout(space: cl.Space) -> list[list[int]]:
+    "Columns b^t of the algebra basis, flattened: tr(Y b) for each b."
+    return la.transpose(space._pairing_matrix())
 
 
-# action name -> (key to matrix, matrix to key); g acts by M -> g M g^-1
-_ACTIONS = {"coadjoint": (_functional, functional_key),
-            "adjoint": (_algebra_element, _algebra_key)}
+def _adjoint_readout(space: cl.Space) -> list[list[int]]:
+    """Reads a flattened algebra element's coordinates in the lie_basis.
+
+    Coordinate k is read in a slot where basis matrix k is 1 and every
+    other basis matrix 0; the lie basis comes from kernel_basis, which
+    gives each basis matrix such a slot, its free column.
+    """
+    flats = [la.flatten(b) for b in space.lie_basis()]
+    N = len(flats)
+    columns = list(zip(*flats))
+    R = la.zeros(len(columns), N)
+    for k in range(N):
+        unit = tuple(int(j == k) for j in range(N))
+        R[columns.index(unit)][k] = 1
+    return R
+
+
+# action name -> (key to matrix, readout of an image's values); g acts by
+# M -> g M g^-1, and the flattened image times the readout is the image's
+# key as values
+_ACTIONS = {"coadjoint": (_functional, _coadjoint_readout),
+            "adjoint": (_algebra_element, _adjoint_readout)}
 
 
 def _spread(images) -> np.ndarray:
@@ -183,10 +209,25 @@ def _unit_matrices(space: cl.Space, action: str) -> list:
     return [to_matrix(space, 1 << i) for i in range(_key_bits(space))]
 
 
-def _orbits(space: cl.Space, group: FiniteGroup | None,
-            action: str) -> tuple[FiniteGroup, np.ndarray]:
+def _image_keys(space: cl.Space, g, units, readout) -> list[int]:
+    """Keys of g M g^-1 for the k unit matrices M, by three products:
+    g [M_1 | ... | M_k], its k blocks stacked times g^-1, and the k
+    flattened images times the readout."""
+    F, d = space.field, space.d
+    left = la.mat_mul(F, g, [[x for r in rows for x in r]
+                             for rows in zip(*units)])
+    stacked = [r[c:c + d] for c in range(0, len(units) * d, d) for r in left]
+    images = la.mat_mul(F, stacked, la.inverse(F, g))
+    flat = [[x for r in images[i:i + d] for x in r]
+            for i in range(0, len(images), d)]
+    return [_pack(v, F.e) for v in la.mat_mul(F, flat, readout)]
+
+
+def _orbits(space: cl.Space, group: FiniteGroup | None, action: str,
+            units: list | None = None) -> tuple[FiniteGroup, np.ndarray]:
     """The group, and the least key of every key's orbit under `action`.
 
+    `units` are the action's single-bit matrices, if the caller has them.
     Each pass pulls every label down to the least label among its
     generator images, then jumps labels to their own labels; the labels
     stop moving exactly when each is its orbit's minimum.
@@ -195,15 +236,11 @@ def _orbits(space: cl.Space, group: FiniteGroup | None,
     if group is None:
         group = enumerate_group(space)
     if action not in group._labels:
-        F = space.field
-        units = _unit_matrices(space, action)
-        to_key = _ACTIONS[action][1]
-        perms = []
-        for g in group.generators:
-            g_inv = la.inverse(F, g)
-            perms.append(_spread([
-                to_key(space, la.mat_mul(F, la.mat_mul(F, g, M), g_inv))
-                for M in units]))
+        if units is None:
+            units = _unit_matrices(space, action)
+        readout = _ACTIONS[action][1](space)
+        perms = [_spread(_image_keys(space, g, units, readout))
+                 for g in group.generators]
         labels = np.arange(1 << bits)
         while True:
             before = labels
@@ -236,13 +273,13 @@ def all_nilpotent_orbits(space: cl.Space,
     exhaustive; reports are sorted by size and label text, ties in order
     of the orbits' least keys.
     """
-    group, labels = _orbits(space, group, "coadjoint")
+    units = _unit_matrices(space, "coadjoint")
+    group, labels = _orbits(space, group, "coadjoint", units)
     e = space.field.e
-    borel = _spread([_pack(cl.borel_pairing(space, X), e)
-                     for X in _unit_matrices(space, "coadjoint")])
+    borel = _spread([_pack(cl.borel_pairing(space, X), e) for X in units])
     sizes = np.bincount(labels)
     reports = []
-    for least in np.unique(labels[borel == 0]):
+    for least in np.flatnonzero(np.bincount(labels[borel == 0])):
         rep = space.canonical_rep(_functional(space, int(least)))
         size = int(sizes[least])
         reports.append(OrbitReport(
@@ -254,9 +291,18 @@ def all_nilpotent_orbits(space: cl.Space,
     return reports
 
 
+def adjoint_nilpotent_orbit_sizes(space: cl.Space,
+                                  group: FiniteGroup | None = None) -> list[int]:
+    """Sizes of the orbits of nilpotent algebra elements under conjugation,
+    in order of the orbits' least keys."""
+    _, labels = _orbits(space, group, "adjoint")
+    least = np.flatnonzero(labels == np.arange(len(labels)))
+    nilpotent = [int(k) for k in least if la.power_ladder(
+        space.field, _algebra_element(space, int(k))) is not None]
+    return np.bincount(labels)[nilpotent].tolist()
+
+
 def adjoint_nilpotent_orbit_count(space: cl.Space,
                                   group: FiniteGroup | None = None) -> int:
     "Orbit count of nilpotent algebra elements under conjugation."
-    _, labels = _orbits(space, group, "adjoint")
-    return sum(la.power_ladder(space.field, _algebra_element(space, int(k)))
-               is not None for k in np.unique(labels))
+    return len(adjoint_nilpotent_orbit_sizes(space, group))

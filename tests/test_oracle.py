@@ -1,5 +1,9 @@
 import copy
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from char2orbits.classical import space_for
 from char2orbits.finite_field import field_for
 
 F2 = field_for(1)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def labels(*pairs, eps=None):
@@ -195,6 +200,37 @@ def test_functional_key_round_trip():
 
 
 # ----------------------------------------------------------------------
+# the engine's permutations, against the per-key formula
+
+
+def algebra_key(space, T):
+    "An algebra element as one integer: packed lie_basis coordinates."
+    return orc._pack(cl.algebra_coords(space, T), space.field.e)
+
+
+def reference_permutation(space, g, action):
+    """The permutation of all keys from to_key(g M g^-1), one product pair
+    and one key read per single-bit unit M: the reference for the engine's
+    three products on stacked units."""
+    F = space.field
+    to_key = {"coadjoint": orc.functional_key, "adjoint": algebra_key}[action]
+    g_inv = la.inverse(F, g)
+    return orc._spread([to_key(space, la.mat_mul(F, la.mat_mul(F, g, M), g_inv))
+                        for M in orc._unit_matrices(space, action)])
+
+
+@pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
+@pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED])
+def test_stacked_permutations_equal_the_per_key_formula(kind, n, e, action):
+    space = space_for(kind, n, e)
+    units = orc._unit_matrices(space, action)
+    readout = orc._ACTIONS[action][1](space)
+    for g in orc.enumerate_group(space).generators:
+        stacked = orc._spread(orc._image_keys(space, g, units, readout))
+        assert np.array_equal(stacked, reference_permutation(space, g, action))
+
+
+# ----------------------------------------------------------------------
 # orbit censuses
 
 
@@ -298,6 +334,41 @@ def test_labels_are_constant_on_small_orbits():
             orbit = orc.coadjoint_orbit(space, r.representative, grp)
             for Y in orbit.values():
                 assert od.rational_label(space, Y) == r.label
+
+
+# ----------------------------------------------------------------------
+# adjoint and coadjoint censuses
+
+
+@pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED])
+def test_adjoint_and_coadjoint_nilpotent_orbit_sizes_agree(kind, n, e):
+    space = space_for(kind, n, e)
+    grp = orc.enumerate_group(space)
+    co = [r.orbit_size
+          for r in orc.all_nilpotent_orbits(space, grp, classify=False)]
+    ad = orc.adjoint_nilpotent_orbit_sizes(space, grp)
+    assert sorted(ad) == sorted(co)
+    assert orc.adjoint_nilpotent_orbit_count(space, grp) == len(ad)
+    if (kind, n, e) == ("sp", 2, 1):
+        assert sorted(ad) == [1, 15, 15, 45, 180]
+
+
+def test_censuses_load_no_numpy_ma_beyond_numpy_itself():
+    # numpy >= 2.3 imports numpy.ma lazily, on the first np.unique; a
+    # census pays that import unless it avoids those calls
+    script = "\n".join([
+        "import sys, numpy",
+        "before = {m for m in sys.modules if m.startswith('numpy.ma')}",
+        "from char2orbits import oracle",
+        "from char2orbits.classical import space_for",
+        "oracle.all_nilpotent_orbits(space_for('sp', 2))",
+        "oracle.adjoint_nilpotent_orbit_count(space_for('so-even', 2))",
+        "after = {m for m in sys.modules if m.startswith('numpy.ma')}",
+        "sys.exit(sorted(after - before) or None)"])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
 
 
 # ----------------------------------------------------------------------
