@@ -78,7 +78,7 @@ class Space:
         self._radical: list | None = None
         self._radical_rref: tuple | None = None
         self._pairing_rows: list | None = None
-        self._selectors: dict[str, list] = {}
+        self._selectors: list | None = None
 
     def __repr__(self) -> str:
         return f"Space({self.kind}, n={self.n}, {self.field.header()})"
@@ -149,23 +149,24 @@ class Space:
                 for i in range(self.d) for j in range(self.d) if i > j))
         return self._borel
 
-    def _pairing_selectors(self, which: str) -> list[list[int]]:
-        """Per basis matrix b of the lie or borel basis, the flat positions
-        i d + j with b[j][i] = 1, so tr(X b) is the sum of X's entries there."""
-        if which not in self._selectors:
-            basis = self.lie_basis() if which == "lie" else self.borel_basis()
+    def _pairing_selectors(self) -> list[list[int]]:
+        """Per basis matrix b of the algebra, the flat positions i d + j
+        with b[j][i] = 1, so tr(X b) is the sum of X's entries there."""
+        if self._selectors is None:
             d = self.d
-            self._selectors[which] = [
+            self._selectors = [
                 [i * d + j for i in range(d) for j in range(d) if b[j][i]]
-                for b in basis]
-        return self._selectors[which]
+                for b in self.lie_basis()]
+        return self._selectors
 
     # ------------------------------------------------------------------
     # functionals: tr-pairing, radical, canonical representatives
 
     def pairing_vector(self, X) -> tuple[int, ...]:
         "Values of the functional on the algebra basis."
-        return _pairings(self._pairing_selectors("lie"), X)
+        at = la.flatten(X).__getitem__
+        return tuple(reduce(xor, map(at, sel), 0)
+                     for sel in self._pairing_selectors())
 
     def dual_equal(self, X, Y) -> bool:
         return self.pairing_vector(X) == self.pairing_vector(Y)
@@ -200,12 +201,6 @@ class Space:
         R, pivots = self._radical_rref
         v = la.reduce_modulo(self.field, R, pivots, la.flatten(X))
         return la.reshape(v, self.d)
-
-
-def _pairings(selectors, X) -> tuple[int, ...]:
-    "Values tr(X b), each b given by the flat positions it selects."
-    at = la.flatten(X).__getitem__
-    return tuple(reduce(xor, map(at, sel), 0) for sel in selectors)
 
 
 def space_for(kind: str, n: int, e: int = 1) -> Space:
@@ -373,15 +368,6 @@ def algebra_to_dual(space: Space, T) -> list[list[int]]:
         raise ValueError("matrix is not in the algebra")
     return functional_from_gram(space.field, space.S,
                                 la.mat_mul(space.field, space.S, T))
-
-
-# ----------------------------------------------------------------------
-# the Borel
-
-
-def borel_pairing(space: Space, X) -> tuple[int, ...]:
-    "Values of the functional on the Borel basis."
-    return _pairings(space._pairing_selectors("borel"), X)
 
 
 # ----------------------------------------------------------------------

@@ -171,10 +171,12 @@ def _even_rows(n: int, e: int) -> list[dict]:
     try:
         reports = orc.all_nilpotent_orbits(space, classify=False)
     except ValueError:
-        # so-even duals fit orc.POINT_LIMIT up to n = 2 (F_2), n = 1 (F_4)
+        # the largest rank whose dual, q^(m (2m - 1)) points, fits the bound
+        top = max(m for m in range(1, n)
+                  if 1 << e * m * (2 * m - 1) <= orc.POINT_LIMIT)
         raise SizeBound(
             f"so-even over GF({space.field.q}) is answered by an exhaustive "
-            f"census, which stops at n = {3 - e}; n = {n} is out of reach")
+            f"census, which stops at n = {top}; n = {n} is out of reach")
     rows = []
     for r in reports:
         rows.append({

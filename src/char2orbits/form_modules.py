@@ -77,9 +77,12 @@ class FormModule:
     `partition` the Jordan type read off their ranks, and `polar_gram` the
     Gram of the quadratic form's polarization.  The power-form data the
     classifiers read is computed from the ladder once, on first use.
+    Construction checks that the Gram is nondegenerate by inverting it,
+    unless the caller has just done so and says _inverted=True.
     """
 
-    def __init__(self, kind: str, field: Field, gram, op, quad):
+    def __init__(self, kind: str, field: Field, gram, op, quad, *,
+                 _inverted: bool = False):
         if kind not in ("sp", "orth"):
             raise ValueError(f"kind must be sp or orth, got {kind!r}")
         self.kind = kind
@@ -93,7 +96,8 @@ class FormModule:
             raise ValueError("component shapes disagree")
         if not is_alternating(self.gram):
             raise ValueError("pairing must be alternating")
-        la.inverse(field, self.gram)  # nondegenerate, raises otherwise
+        if not _inverted:
+            la.inverse(field, self.gram)  # nondegenerate, raises otherwise
         ladder = la.power_ladder(field, self.op)
         if ladder is None:
             raise NotNilpotentError("operator must be nilpotent")

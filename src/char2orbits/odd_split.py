@@ -183,7 +183,7 @@ def split_odd_functional(space: Space, X) -> OddSplit:
         raise SplitError("complement pairing is degenerate") from None
     quad = [space.alpha(w) for w in comp]
     try:
-        module = FormModule("orth", F, Gw, T, quad)
+        module = FormModule("orth", F, Gw, T, quad, _inverted=True)
     except NotNilpotentError:
         raise SplitError("complement operator is not nilpotent") from None
     except ValueError as exc:

@@ -3,27 +3,31 @@
 Functionals are handled through their value vectors on the algebra basis,
 packed into one integer key with e bits per value; matrices only serve as
 action representatives.  A group is a list of generators and its order
-from the product formula: transvections for the symplectic and odd
-orthogonal groups, reflections plus one swap of two hyperbolic pairs for
-the split even orthogonal group.
+from the product formula.  The symplectic generators are the
+transvections along e_i and e_i + e_j, one per vector and element of an
+F_2-basis of F_q; they yield every root subgroup, so they generate.  The
+odd orthogonal generators are their lifts along the radical, and the
+split even orthogonal ones are the reflections plus one swap of two
+hyperbolic pairs.  Every generator is an involution.
 
-There is one orbit engine.  Every generator acts F_2-linearly on keys, so
-its permutation of all q^N keys is spread out from the images of the e*N
-single-bit keys.  Those images come from three products on stacked
-operands: g times the unit matrices side by side, the blocks stacked and
-times g^-1, and the flattened images times a readout matrix that turns a
-matrix into its key's values.  Min-label propagation over the
-permutations then names every orbit by its least key.  The same engine
-partitions the algebra under conjugation, with keys read as coefficient
-vectors: the coadjoint readout is the trace pairing with the algebra
-basis, the adjoint one reads each basis coordinate in its free slot.
-Permutations are built over at most POINT_LIMIT keys.  Each nilpotent
-orbit is reported with its size, stabilizer order, and the label
-odd_split's rational_label gives its representative; the adjoint census
-reports the sizes of its nilpotent orbits.
+There is one orbit engine.  Every generator g acts F_2-linearly on keys,
+so its permutation of all q^N keys is spread out from the images of the
+e*N single-bit keys, and those come from one matrix: the adjoint matrix
+of g, whose column j holds the lie_basis coordinates of g b_j g.  Two
+products on stacked operands give all N images, and each coordinate is
+read in its free slot.  Under conjugation the single-bit images are the
+matrix's columns; under the coadjoint action they are its rows, because
+tr(g M_i g^-1 b_j) = coord_i(g^-1 b_j g).  Min-label propagation over
+the permutations then names every orbit by its least key.  Permutations
+and labels are int32 arrays over at most POINT_LIMIT keys.  Each
+nilpotent orbit is reported with its size, stabilizer order, and the
+label odd_split's rational_label gives its representative; the adjoint
+census reports the sizes of its nilpotent orbits.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from . import linalg as la
 from . import odd_split as od
 from .finite_field import Field
 
-POINT_LIMIT = 1 << 10
+POINT_LIMIT = 1 << 21
 
 
 class FiniteGroup(cb._Record):
@@ -92,35 +96,42 @@ def key_values(space: cl.Space, key: int) -> list[int]:
 _group_memo: dict = {}
 
 
-def _transvections(space: cl.Space) -> list:
-    "The distinct transvections of the space, in vector order."
-    F = space.field
-    unique: dict[tuple, list] = {}
-    for v in _vectors(F.q, space.d):
-        if not any(v):
-            continue
-        if space.kind == "sp":
-            ts = [cl.symplectic_transvection(space, v, c) for c in range(1, F.q)]
-        else:
-            ts = [cl.orthogonal_transvection(space, v)] if space.alpha(v) else []
-        for t in ts:
-            unique.setdefault(tuple(map(tuple, t)), t)
-    return list(unique.values())
-
-
-def _vectors(q: int, d: int):
-    for idx in range(q ** d):
-        vec = []
-        for _ in range(d):
-            idx, digit = divmod(idx, q)
-            vec.append(digit)
-        yield vec
+def _generators(space: cl.Space) -> list:
+    """Transvections along e_i and e_i + e_j with c in the F_2-basis of F_q
+    (sp), their orthogonal lifts (so-odd), or every reflection and the
+    pair swap (so-even); all of them are involutions."""
+    F, n = space.field, space.n
+    if space.kind == "so-even":
+        # alpha(c v) = c^2 alpha(v), so alpha(v) = 1 picks one vector per line
+        gens = [cl.orthogonal_transvection(space, v)
+                for v in product(range(F.q), repeat=space.d)
+                if space.alpha(v) == 1]
+        return gens + [cl.pair_swap(space)] if n >= 2 else gens
+    unit = la.identity(2 * n)
+    vectors = unit + [[a ^ b for a, b in zip(u, w)]
+                      for i, u in enumerate(unit) for w in unit[i + 1:]]
+    gens = []
+    for v in vectors:
+        for c in (1 << k for k in range(F.e)):
+            if space.kind == "sp":
+                gens.append(cl.symplectic_transvection(space, v, c))
+            else:
+                # v + a e_rad with alpha = 1/c acts on V/rad as t_{v,c}
+                a = F.sqrt(F.inv(c) ^ space.alpha(v + [0]))
+                gens.append(cl.orthogonal_transvection(space, v + [a]))
+    return gens
 
 
 def enumerate_group(space: cl.Space) -> FiniteGroup:
     """Generators of the space's finite group, and its order.
 
-    Transvections generate the symplectic and odd orthogonal groups.  The
+    For sp, t_{a+b,c} t_{a,c} t_{b,c} with beta(a, b) = 0 is the root
+    element x -> x + c a beta(x, b) + c b beta(x, a), so the transvections
+    along e_i and e_i + e_j, c running over an F_2-basis of F_q, give every
+    root subgroup, and root subgroups generate Sp(2n, q) (Steinberg,
+    Lectures on Chevalley groups).  Restriction to V/rad is an isomorphism
+    O(2n+1, q) -> Sp(2n, q) in characteristic 2, so the orthogonal lifts
+    of those transvections generate the odd orthogonal group.  The
     reflections of the split even orthogonal group can fall short: in
     O+(4, F_2) they generate a subgroup of index 2, so the swap of two
     hyperbolic pairs joins them.  The order is the product formula; the
@@ -129,15 +140,10 @@ def enumerate_group(space: cl.Space) -> FiniteGroup:
     memo_key = (space.kind, space.n, space.field.e)
     if memo_key not in _group_memo:
         q = space.field.q
-        gens = _transvections(space)
-        if space.kind == "so-even":
-            if space.n >= 2:
-                gens.append(cl.pair_swap(space))
-            order = cz.even_group_order(space.n, q)
-        else:
-            order = cz.group_order(space.n, q)
+        order = (cz.even_group_order(space.n, q) if space.kind == "so-even"
+                 else cz.group_order(space.n, q))
         _group_memo[memo_key] = FiniteGroup(space.kind, space.n, space.field,
-                                            gens, order)
+                                            _generators(space), order)
     return _group_memo[memo_key]
 
 
@@ -157,13 +163,8 @@ def _algebra_element(space: cl.Space, key: int) -> list:
     return T
 
 
-def _coadjoint_readout(space: cl.Space) -> list[list[int]]:
-    "Columns b^t of the algebra basis, flattened: tr(Y b) for each b."
-    return la.transpose(space._pairing_matrix())
-
-
-def _adjoint_readout(space: cl.Space) -> list[list[int]]:
-    """Reads a flattened algebra element's coordinates in the lie_basis.
+def _free_slots(space: cl.Space) -> list[int]:
+    """Flat positions that read an algebra element's lie_basis coordinates.
 
     Coordinate k is read in a slot where basis matrix k is 1 and every
     other basis matrix 0; the lie basis comes from kernel_basis, which
@@ -172,23 +173,13 @@ def _adjoint_readout(space: cl.Space) -> list[list[int]]:
     flats = [la.flatten(b) for b in space.lie_basis()]
     N = len(flats)
     columns = list(zip(*flats))
-    R = la.zeros(len(columns), N)
-    for k in range(N):
-        unit = tuple(int(j == k) for j in range(N))
-        R[columns.index(unit)][k] = 1
-    return R
-
-
-# action name -> (key to matrix, readout of an image's values); g acts by
-# M -> g M g^-1, and the flattened image times the readout is the image's
-# key as values
-_ACTIONS = {"coadjoint": (_functional, _coadjoint_readout),
-            "adjoint": (_algebra_element, _adjoint_readout)}
+    return [columns.index(tuple(int(j == k) for j in range(N)))
+            for k in range(N)]
 
 
 def _spread(images) -> np.ndarray:
     "The F_2-linear map on all keys with the given single-bit images."
-    out = np.zeros(1 << len(images), dtype=np.int64)
+    out = np.zeros(1 << len(images), dtype=np.int32)
     for i, img in enumerate(images):
         out[1 << i:2 << i] = out[:1 << i] ^ img
     return out
@@ -198,36 +189,43 @@ def _key_bits(space: cl.Space) -> int:
     "Bits in a key; spaces of more than POINT_LIMIT keys are refused."
     bits = space.field.e * space.dim_algebra
     if 1 << bits > POINT_LIMIT:
-        raise ValueError(f"{space} has 2^{bits} points; the orbit engine "
-                         f"stops at {POINT_LIMIT}")
+        raise ValueError(
+            f"{space} has 2^{bits} points; the orbit engine stops at "
+            f"2^{POINT_LIMIT.bit_length() - 1}, and a generator's permutation "
+            f"of them would take {4 << bits >> 20} MB")
     return bits
 
 
-def _unit_matrices(space: cl.Space, action: str) -> list:
-    "The matrices of the single-bit keys."
-    to_matrix = _ACTIONS[action][0]
-    return [to_matrix(space, 1 << i) for i in range(_key_bits(space))]
-
-
-def _image_keys(space: cl.Space, g, units, readout) -> list[int]:
-    """Keys of g M g^-1 for the k unit matrices M, by three products:
-    g [M_1 | ... | M_k], its k blocks stacked times g^-1, and the k
-    flattened images times the readout."""
+def _adjoint_matrix(space: cl.Space, g, slots) -> list[list[int]]:
+    """Entry (i, j) is coordinate i of g b_j g, b_j the lie_basis and g an
+    involution: g [b_1 | ... | b_N], then its N blocks stacked times g."""
     F, d = space.field, space.d
-    left = la.mat_mul(F, g, [[x for r in rows for x in r]
-                             for rows in zip(*units)])
-    stacked = [r[c:c + d] for c in range(0, len(units) * d, d) for r in left]
-    images = la.mat_mul(F, stacked, la.inverse(F, g))
-    flat = [[x for r in images[i:i + d] for x in r]
-            for i in range(0, len(images), d)]
-    return [_pack(v, F.e) for v in la.mat_mul(F, flat, readout)]
+    basis = space.lie_basis()
+    left = la.mat_mul(F, g, [[x for b in basis for x in b[r]]
+                             for r in range(d)])
+    images = la.mat_mul(F, [r[c:c + d] for c in range(0, len(basis) * d, d)
+                            for r in left], g)
+    return [[images[j * d + s // d][s % d] for j in range(len(basis))]
+            for s in slots]
 
 
-def _orbits(space: cl.Space, group: FiniteGroup | None, action: str,
-            units: list | None = None) -> tuple[FiniteGroup, np.ndarray]:
-    """The group, and the least key of every key's orbit under `action`.
+def _image_keys(space: cl.Space, g, action: str, slots) -> list[int]:
+    """The images under g of the e*N single-bit keys, in bit order.  The
+    adjoint images are the columns of g's adjoint matrix A; since
+    tr(g M_i g^-1 b_j) is coord_i(g^-1 b_j g), the coadjoint ones are its
+    rows."""
+    F = space.field
+    A = _adjoint_matrix(space, g, slots)
+    rows = A if action == "coadjoint" else la.transpose(A)
+    return [_pack(la.scale(F, 1 << t, r), F.e) for r in rows
+            for t in range(F.e)]
 
-    `units` are the action's single-bit matrices, if the caller has them.
+
+def _orbits(space: cl.Space, group: FiniteGroup | None,
+            action: str) -> tuple[FiniteGroup, np.ndarray]:
+    """The group, and the least key of every key's orbit under `action`,
+    "coadjoint" on functionals or "adjoint" on algebra elements.
+
     Each pass pulls every label down to the least label among its
     generator images, then jumps labels to their own labels; the labels
     stop moving exactly when each is its orbit's minimum.
@@ -236,12 +234,10 @@ def _orbits(space: cl.Space, group: FiniteGroup | None, action: str,
     if group is None:
         group = enumerate_group(space)
     if action not in group._labels:
-        if units is None:
-            units = _unit_matrices(space, action)
-        readout = _ACTIONS[action][1](space)
-        perms = [_spread(_image_keys(space, g, units, readout))
+        slots = _free_slots(space)
+        perms = [_spread(_image_keys(space, g, action, slots))
                  for g in group.generators]
-        labels = np.arange(1 << bits)
+        labels = np.arange(1 << bits, dtype=np.int32)
         while True:
             before = labels
             for p in perms:
@@ -273,10 +269,13 @@ def all_nilpotent_orbits(space: cl.Space,
     exhaustive; reports are sorted by size and label text, ties in order
     of the orbits' least keys.
     """
-    units = _unit_matrices(space, "coadjoint")
-    group, labels = _orbits(space, group, "coadjoint", units)
+    group, labels = _orbits(space, group, "coadjoint")
     e = space.field.e
-    borel = _spread([_pack(cl.borel_pairing(space, X), e) for X in units])
+    # the functional's values on the Borel basis: each Borel element's
+    # lie coordinates, read from the free slots, weigh the key's values
+    flats = [la.flatten(c) for c in space.borel_basis()]
+    borel = _spread([_pack([f[s] for f in flats], e) << t
+                     for s in _free_slots(space) for t in range(e)])
     sizes = np.bincount(labels)
     reports = []
     for least in np.flatnonzero(np.bincount(labels[borel == 0])):

@@ -91,11 +91,15 @@ def test_orbits_so_even_f2_matches_exhaustive_census(capsys):
 def test_orbits_size_bounds(capsys):
     rc, _, _ = run(capsys, ["orbits", "--type", "sp", "--n", "13"])
     assert rc == 3
-    rc, _, err = run(capsys, ["orbits", "--type", "so-even", "--n", "3",
+    rc, _, err = run(capsys, ["orbits", "--type", "so-even", "--n", "4",
                               "--q", "2"])
     assert rc == 3
-    assert "n = 2" in err
-    for n, q in [("2", "4"), ("12", "2")]:
+    assert "stops at n = 3" in err
+    for n, q, rows in [("3", "2", 5), ("2", "4", 3)]:
+        rc, out, _ = run(capsys, ["orbits", "--type", "so-even", "--n", n,
+                                  "--q", q, "--format", "json"])
+        assert rc == 0 and len(json.loads(out)["rows"]) == rows
+    for n, q in [("4", "2"), ("3", "4"), ("12", "2")]:
         rc, out, err = run(capsys, ["orbits", "--type", "so-even", "--n", n,
                                     "--q", q])
         assert rc == 3 and out == "" and len(err.splitlines()) == 1

@@ -70,6 +70,23 @@ def test_zero_functional_has_empty_chain_and_trivial_blocks():
     assert lab.pair() == ((), (1, 1))
 
 
+@pytest.mark.parametrize("text", ["m=0; (1)^2_1:0 (1)^2_1:d",
+                                  "m=1; (1)^2_1:d", "m=1; (2)^2_2:0"])
+def test_split_inverts_the_complement_gram_once(text, monkeypatch):
+    space, X = od.odd_witness(cb.parse_label(text), F2)
+    calls = []
+    inverse = la.inverse
+    monkeypatch.setattr(la, "inverse", lambda F, A: calls.append(A) or
+                        inverse(F, A))
+    s = od.split_odd_functional(space, X)
+    assert s.module is not None and calls == [s.module.gram]
+
+
+def test_form_modules_still_reject_a_degenerate_gram():
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        fm.FormModule("orth", F2, la.zeros(2, 2), la.zeros(2, 2), [0, 0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pure_chain_witness_has_no_complement(n):
     lab = cb.OddLabel(n, ())

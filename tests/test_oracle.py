@@ -3,6 +3,7 @@ import functools
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,30 @@ def labels(*pairs, eps=None):
 SERVED = [("sp", 1, 1, 6), ("sp", 1, 2, 60), ("sp", 2, 1, 720),
           ("so-odd", 1, 1, 6), ("so-odd", 2, 1, 720), ("so-odd", 1, 2, 60),
           ("so-even", 2, 1, 72)]
+
+# the censuses beyond them: rank 3 over F_2 and rank 2 over F_4
+REACH = [("sp", 3, 1), ("so-odd", 3, 1), ("so-even", 3, 1),
+         ("sp", 2, 2), ("so-odd", 2, 2), ("so-even", 2, 2)]
+
+# the rank-one even spaces, which have no pair swap
+PLANES = [("so-even", 1, 1), ("so-even", 1, 2)]
+
+
+def full_transvections(space):
+    """Every distinct transvection (sp, so-odd) or reflection (so-even) of
+    the space, by a scan of all q^d vectors: the reference generating set."""
+    F = space.field
+    unique = {}
+    for v in product(range(F.q), repeat=space.d):
+        if not any(v):
+            continue
+        if space.kind == "sp":
+            ts = [cl.symplectic_transvection(space, v, c) for c in range(1, F.q)]
+        else:
+            ts = [cl.orthogonal_transvection(space, v)] if space.alpha(v) else []
+        for t in ts:
+            unique.setdefault(key(t), t)
+    return list(unique.values())
 
 
 def batch_mul(F, A, B):
@@ -152,6 +177,25 @@ def test_every_filter_element_preserves_the_form():
         assert generator_closure(kind, n, e) == {key(g) for g in scanned}
 
 
+@pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED] + REACH + PLANES)
+def test_every_generator_is_an_involution(kind, n, e):
+    space = space_for(kind, n, e)
+    for g in orc.enumerate_group(space).generators:
+        assert cl.preserves_form(space, g)
+        assert la.mat_mul(space.field, g, g) == la.identity(space.d)
+
+
+def test_lean_generator_counts():
+    # e * (2n + C(2n, 2)) transvections for sp and so-odd; so-even keeps
+    # every reflection and the pair swap, the one generator the full
+    # transvection scan leaves out
+    counts = [len(orc.enumerate_group(space_for(*s[:3])).generators)
+              for s in SERVED]
+    assert counts == [3, 6, 10, 3, 10, 6, 7]
+    assert sum(len(full_transvections(space_for(*s[:3]))) for s in SERVED) \
+        + 1 == 76
+
+
 def test_generator_closures_reach_the_formula_order():
     for kind, n, e, want in SERVED:
         grp = orc.enumerate_group(space_for(kind, n, e))
@@ -179,13 +223,15 @@ def test_random_even_elements_reach_both_cosets():
 
 
 def test_census_refuses_duals_beyond_the_point_limit():
-    assert orc.POINT_LIMIT == 1 << 10
-    for kind, n, e in [("so-even", 3, 1), ("so-even", 2, 2), ("sp", 2, 2)]:
+    assert orc.POINT_LIMIT == 1 << 21
+    for kind, n, e in [("so-even", 4, 1), ("so-even", 3, 2), ("sp", 3, 2)]:
         space = space_for(kind, n, e)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"stops at 2\^21, .* MB"):
             orc.all_nilpotent_orbits(space, classify=False)
         with pytest.raises(ValueError):
             orc.adjoint_nilpotent_orbit_count(space)
+        # refused before any group is built
+        assert (kind, n, e) not in orc._group_memo
 
 
 # ----------------------------------------------------------------------
@@ -208,26 +254,50 @@ def algebra_key(space, T):
     return orc._pack(cl.algebra_coords(space, T), space.field.e)
 
 
+def unit_matrices(space, action):
+    """The matrices of the single-bit keys: one dual_from_values solve each
+    for functionals, a scaled lie_basis matrix for algebra elements."""
+    to_matrix = {"coadjoint": orc._functional,
+                 "adjoint": orc._algebra_element}[action]
+    return [to_matrix(space, 1 << i)
+            for i in range(space.field.e * space.dim_algebra)]
+
+
 def reference_permutation(space, g, action):
     """The permutation of all keys from to_key(g M g^-1), one product pair
     and one key read per single-bit unit M: the reference for the engine's
-    three products on stacked units."""
+    one adjoint matrix per generator."""
     F = space.field
     to_key = {"coadjoint": orc.functional_key, "adjoint": algebra_key}[action]
     g_inv = la.inverse(F, g)
     return orc._spread([to_key(space, la.mat_mul(F, la.mat_mul(F, g, M), g_inv))
-                        for M in orc._unit_matrices(space, action)])
+                        for M in unit_matrices(space, action)])
 
 
 @pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
 @pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED])
 def test_stacked_permutations_equal_the_per_key_formula(kind, n, e, action):
     space = space_for(kind, n, e)
-    units = orc._unit_matrices(space, action)
-    readout = orc._ACTIONS[action][1](space)
+    slots = orc._free_slots(space)
     for g in orc.enumerate_group(space).generators:
-        stacked = orc._spread(orc._image_keys(space, g, units, readout))
+        stacked = orc._spread(orc._image_keys(space, g, action, slots))
         assert np.array_equal(stacked, reference_permutation(space, g, action))
+
+
+@pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
+@pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED] + PLANES)
+def test_lean_generators_give_the_labels_of_every_transvection(kind, n, e,
+                                                               action):
+    space = space_for(kind, n, e)
+    lean = orc.enumerate_group(space)
+    gens = full_transvections(space)
+    if kind == "so-even" and n >= 2:
+        gens.append(cl.pair_swap(space))
+    full = orc.FiniteGroup(kind, n, space.field, gens, lean.order)
+    _, want = orc._orbits(space, full, action)
+    _, got = orc._orbits(space, lean, action)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +321,8 @@ def test_sp4_census():
     assert len({str(r.label) for r in reports}) == 5
     zero = next(r for r in reports if r.orbit_size == 1)
     assert zero.label == labels((1, 0), (1, 0), eps=["0", "0"])
-    assert not any(cl.borel_pairing(space, zero.representative))
+    assert not any(la.mat_trace(F2, la.mat_mul(F2, zero.representative, b))
+                   for b in space.borel_basis())
 
 
 def test_o5_census_matches_the_frozen_sizes():
@@ -267,6 +338,77 @@ def test_o5_census_matches_the_frozen_sizes():
     assert got == want
     for r in reports:
         assert r.orbit_size * r.stabilizer_order == 720
+
+
+# ----------------------------------------------------------------------
+# rank 3 over F_2 and rank 2 over F_4
+
+
+def label_text(label):
+    if isinstance(label, cb.OddLabel):
+        return cb.format_label(label)
+    return cb.format_blocks(label)
+
+
+def closed_pair(kind, label):
+    if kind == "sp":
+        return cb.symp_symbol_to_pair([(b.m, b.l) for b in label])
+    return label.pair()
+
+
+@pytest.mark.parametrize("kind,n,e", [("sp", 3, 1), ("so-odd", 3, 1),
+                                      ("sp", 2, 2), ("so-odd", 2, 2)])
+def test_censuses_beyond_the_served_spaces(kind, n, e):
+    space = space_for(kind, n, e)
+    group = orc.enumerate_group(space)
+    reports = orc.all_nilpotent_orbits(space, group)
+    q = space.field.q
+    assert len(reports) == cb.p2(n)
+    assert group.order == cz.group_order(n, q)
+    assert sum(r.orbit_size for r in reports) == q ** (space.dim_algebra - n)
+    for r in reports:
+        assert r.orbit_size * r.stabilizer_order == group.order
+    texts = sorted(label_text(r.label) for r in reports)
+    universe = cb.rational_symbols(n) if kind == "sp" else cb.rational_labels(n)
+    assert texts == sorted(label_text(lab) for lab in universe)
+    pairs, split_k = ((cb.symp_pairs, cb.symp_split_k) if kind == "sp"
+                      else (cb.oodd_pairs, cb.oodd_split_k))
+    got: dict = {}
+    for r in reports:
+        pair = closed_pair(kind, r.label)
+        got[pair] = got.get(pair, 0) + 1
+    assert got == {pair: 2 ** split_k(pair) for pair in pairs(n)}
+
+
+@pytest.mark.parametrize("n,e,count", [(3, 1, 5), (2, 2, 3)])
+def test_even_censuses_beyond_the_served_spaces(n, e, count):
+    space = space_for("so-even", n, e)
+    group = orc.enumerate_group(space)
+    reports = orc.all_nilpotent_orbits(space, group, classify=False)
+    q = space.field.q
+    assert len(reports) == count
+    assert group.order == cz.even_group_order(n, q)
+    assert sum(r.orbit_size for r in reports) == q ** (space.dim_algebra - n)
+    for r in reports:
+        assert r.orbit_size * r.stabilizer_order == group.order
+
+
+def test_the_largest_census_stays_under_500_mb():
+    script = "\n".join([
+        "import resource, sys",
+        "from char2orbits import oracle",
+        "from char2orbits.classical import space_for",
+        "space = space_for('sp', 3)",
+        "assert 1 << oracle._key_bits(space) == oracle.POINT_LIMIT",
+        "oracle.all_nilpotent_orbits(space, classify=False)",
+        "oracle.adjoint_nilpotent_orbit_sizes(space)",
+        "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "print(kb // 1024 if sys.platform != 'darwin' else kb >> 20)"])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    assert int(p.stdout) < 500
 
 
 def _assert_engine_orbits_match_the_scan(kind, n, e):
@@ -351,6 +493,35 @@ def test_adjoint_and_coadjoint_nilpotent_orbit_sizes_agree(kind, n, e):
     assert orc.adjoint_nilpotent_orbit_count(space, grp) == len(ad)
     if (kind, n, e) == ("sp", 2, 1):
         assert sorted(ad) == [1, 15, 15, 45, 180]
+
+
+# The two actions part ways past the served spaces: at rank 3 over F_2
+# and at rank 2 over F_4 the symplectic and odd orthogonal multisets
+# differ, while the even orthogonal ones still agree.
+BEYOND_SIZES = {
+    ("sp", 3, 1): (
+        [1, 63, 315, 945, 3780, 15120, 15120, 22680, 22680, 181440],
+        [1, 63, 315, 945, 3780, 3780, 11340, 15120, 45360, 181440]),
+    ("so-odd", 3, 1): (
+        [1, 315, 378, 630, 3780, 3780, 11340, 15120, 45360, 181440],
+        [1, 63, 315, 945, 3780, 3780, 11340, 15120, 45360, 181440]),
+    ("sp", 2, 2): ([1, 255, 1530, 2550, 61200], [1, 255, 255, 3825, 61200]),
+    ("so-odd", 2, 2): ([1, 255, 1530, 2550, 61200],
+                       [1, 255, 255, 3825, 61200]),
+    ("so-even", 3, 1): ([1, 105, 210, 1260, 2520], [1, 105, 210, 1260, 2520]),
+    ("so-even", 2, 2): ([1, 30, 225], [1, 30, 225]),
+}
+
+
+@pytest.mark.parametrize("kind,n,e", REACH)
+def test_adjoint_and_coadjoint_sizes_beyond_the_served_spaces(kind, n, e):
+    space = space_for(kind, n, e)
+    grp = orc.enumerate_group(space)
+    co = [r.orbit_size
+          for r in orc.all_nilpotent_orbits(space, grp, classify=False)]
+    ad = orc.adjoint_nilpotent_orbit_sizes(space, grp)
+    assert (sorted(co), sorted(ad)) == BEYOND_SIZES[kind, n, e]
+    assert sum(ad) == space.field.q ** (space.dim_algebra - n)
 
 
 def test_censuses_load_no_numpy_ma_beyond_numpy_itself():
