@@ -24,7 +24,7 @@ n = 3
 print(f"closed orbits of Sp({2 * n}):")
 print(f"{'label':24} {'pair':22} {'dim':>4} {'comp group':>10}")
 for pair in cb.symp_pairs(n):
-    blocks = cb.symp_pair_to_symbol(pair)
+    blocks = cb.symp_pair_to_blocks(pair)
     rep = cz.symp_report(blocks)
     print(f"{cb.format_symp_symbol(blocks):24} {cb.format_pair(pair):22} "
           f"{cz.algebra_dim(n) - rep.dim_z:>4} {rep.component_group():>10}")
@@ -44,7 +44,7 @@ for pair in cb.oodd_pairs(n):
 
 print()
 for n in range(1, 11):
-    symp = sum(2 ** cz.symp_report(cb.symp_pair_to_symbol(p)).comp_rank
+    symp = sum(2 ** cz.symp_report(cb.symp_pair_to_blocks(p)).comp_rank
                for p in cb.symp_pairs(n))
     oodd = sum(2 ** cz.oodd_report(p).comp_rank for p in cb.oodd_pairs(n))
     assert symp == oodd == cb.p2(n)

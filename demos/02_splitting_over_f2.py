@@ -22,21 +22,19 @@ for r in reports:
     print(f"  {cb.format_blocks(r.label):22} size {r.orbit_size:>4}  "
           f"stabilizer {r.stabilizer_order}")
 
-# Group the rational orbits by their underlying closed class (forget the
-# decorations) and compare against the predicted 2^k.
+# Group the rational orbits by their underlying closed class (the pair of
+# the label, which forgets the decorations) and compare against the
+# predicted 2^k.
 
-def closed_text(closed):
-    return "".join(f"({m})^2_{l}" for m, l in closed)
-
-
-by_closed = Counter(tuple((b.m, b.l) for b in r.label) for r in reports)
+by_closed = Counter(cb.symp_pair_to_blocks(cb.symp_blocks_to_pair(r.label))
+                    for r in reports)
 print()
 print("splitting per closed class:")
 for closed, got in sorted(by_closed.items()):
     rep = cz.symp_report(closed)
     want = 2 ** rep.comp_rank
     tag = "ok" if got == want else "MISMATCH"
-    print(f"  {closed_text(closed):14} component group "
+    print(f"  {cb.format_symp_symbol(closed):14} component group "
           f"{rep.component_group():>8} -> {got} orbit(s) over F_2, "
           f"predicted {want}  [{tag}]")
     assert got == want
@@ -46,7 +44,7 @@ for closed, got in sorted(by_closed.items()):
 # even their point counts split unevenly over F_2 (15 against 45); only
 # the leading term of the stabilizer order, 2 * q^4, is shared.
 
-twins = [r for r in reports if [(b.m, b.l) for b in r.label] == [(2, 1)]]
+twins = [r for r in reports if cb.format_symp_symbol(r.label) == "(2)^2_1"]
 print()
 for r in twins:
     mod, _ = fm.build_normal_form(r.label, space.field)

@@ -3,9 +3,10 @@
 The stabilizer Z of a nilpotent functional under the coadjoint action is
 determined up to these invariants by the orbit label alone: its dimension,
 the rank of its component group (an elementary abelian 2-group), and the
-leading term 2^rank q^dim of its F_q point count.  Labels enter in symbol
-form, a list of (m, l) pairs, for the symplectic case and in pair form (nu
-with its leading chain entry, mu) for the odd orthogonal case.
+leading term 2^rank q^dim of its F_q point count.  One report per family
+gives both: symp_report reads a symplectic block label (decorations
+ignored), oodd_report an odd orthogonal pair (nu with its leading chain
+entry, mu).
 
 The pure chain of odd dimension 2m+1 admits exact counts: its stabilizer
 has q^m points, and the full isometry group of the chain module has
@@ -43,52 +44,28 @@ class CentralizerReport(cb._FrozenRecord):
 
 
 # ----------------------------------------------------------------------
-# symplectic formulas
+# the two families
 
 
-def dim_z_symp(pairs) -> int:
-    "Sum of (4i - 1) m_i - 2 l_i over the symbol, i starting at 1."
-    if not cb.symp_symbol_valid(pairs):
-        raise ValueError(f"not a symplectic symbol: {pairs}")
-    return sum((4 * i - 1) * m - 2 * l for i, (m, l) in enumerate(pairs, 1))
-
-
-def comp_rank_symp(pairs) -> int:
-    "Number of splitting positions of the symbol's partition pair."
-    if not cb.symp_symbol_valid(pairs):
-        raise ValueError(f"not a symplectic symbol: {pairs}")
-    return cb.symp_split_k(cb.symp_symbol_to_pair(pairs))
-
-
-def symp_report(pairs) -> CentralizerReport:
-    return CentralizerReport(dim_z_symp(pairs), comp_rank_symp(pairs))
-
-
-# ----------------------------------------------------------------------
-# odd orthogonal formulas
-
-
-def dim_z_oodd(pair) -> int:
-    "nu_0 plus sum of nu_i (4i + 1) plus sum of mu_i (4i - 1), i from 1."
-    nu, mu = pair
-    if not cb.oodd_pair_valid(nu, mu):
-        raise ValueError(f"not an odd orthogonal label: {pair}")
-    nu, mu = cb.strip_zeros(nu), cb.strip_zeros(mu)
-    head = nu[0] if nu else 0
-    return (head
-            + sum((4 * i + 1) * v for i, v in enumerate(nu[1:], 1))
-            + sum((4 * i - 1) * v for i, v in enumerate(mu, 1)))
-
-
-def comp_rank_oodd(pair) -> int:
-    "Positions i >= 1 with nu_i < mu_i <= nu_{i-1}."
-    if not cb.oodd_pair_valid(*pair):
-        raise ValueError(f"not an odd orthogonal label: {pair}")
-    return cb.oodd_split_k(pair)
+def symp_report(blocks) -> CentralizerReport:
+    """dim Z is the sum of (4i - 1) m_i - 2 l_i over the blocks, i from 1;
+    the rank counts the splitting positions of the label's pair."""
+    if not cb.validate_blocks(blocks, kind="sp"):
+        raise ValueError(f"not a symplectic label: {blocks}")
+    dim = sum((4 * i - 1) * b.m - 2 * b.l for i, b in enumerate(blocks, 1))
+    return CentralizerReport(dim, len(cb.split_positions(blocks)))
 
 
 def oodd_report(pair) -> CentralizerReport:
-    return CentralizerReport(dim_z_oodd(pair), comp_rank_oodd(pair))
+    """dim Z is nu_0 plus the sums of (4i + 1) nu_i and (4i - 1) mu_i, i
+    from 1; the rank counts the positions i >= 1 with nu_i < mu_i <= nu_{i-1}."""
+    if not cb.oodd_pair_valid(*pair):
+        raise ValueError(f"not an odd orthogonal label: {pair}")
+    nu, mu = cb.strip_zeros(pair[0]), cb.strip_zeros(pair[1])
+    dim = (sum(nu[:1])
+           + sum((4 * i + 1) * v for i, v in enumerate(nu[1:], 1))
+           + sum((4 * i - 1) * v for i, v in enumerate(mu, 1)))
+    return CentralizerReport(dim, cb.oodd_split_k(pair))
 
 
 # ----------------------------------------------------------------------

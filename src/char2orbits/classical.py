@@ -150,13 +150,11 @@ class Space:
         return self._borel
 
     def _pairing_selectors(self) -> list[list[int]]:
-        """Per basis matrix b of the algebra, the flat positions i d + j
-        with b[j][i] = 1, so tr(X b) is the sum of X's entries there."""
+        """Per basis matrix b of the algebra, the nonzero positions of its
+        pairing row, so tr(X b) is the sum of X's flat entries there."""
         if self._selectors is None:
-            d = self.d
-            self._selectors = [
-                [i * d + j for i in range(d) for j in range(d) if b[j][i]]
-                for b in self.lie_basis()]
+            self._selectors = [[k for k, x in enumerate(row) if x]
+                               for row in self._pairing_matrix()]
         return self._selectors
 
     # ------------------------------------------------------------------

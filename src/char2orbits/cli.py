@@ -107,10 +107,9 @@ def _label_row(kind: str, label) -> dict:
     decorated or closed; dim_orbit is taken at the rank the label encodes.
     """
     if kind == "sp":
-        symbol = [(b.m, b.l) for b in label]
-        pair, blocks = cb.symp_symbol_to_pair(symbol), label
-        rep = cz.symp_report(symbol)
-        text, closed = cb.format_blocks(label), cb.format_symp_symbol(symbol)
+        pair, blocks = cb.symp_blocks_to_pair(label), label
+        rep = cz.symp_report(label)
+        text, closed = cb.format_blocks(label), cb.format_symp_symbol(label)
         label_json = cb.blocks_to_json(label)
     else:
         pair, blocks = label.pair(), label.blocks
@@ -138,8 +137,7 @@ def _pick(row: dict, *keys: str) -> dict:
 
 def _closed_rows(kind: str, n: int) -> list[dict]:
     if kind == "sp":
-        labels = [tuple(cb.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(p))
-                  for p in cb.symp_pairs(n)]
+        labels = [cb.symp_pair_to_blocks(p) for p in cb.symp_pairs(n)]
     else:
         labels = [cb.pair_to_label(p) for p in cb.oodd_pairs(n)]
     rows = []
@@ -323,7 +321,7 @@ def _parse_label(kind: str, text: str):
     if kind == "sp":
         blocks, free = label, cb.split_positions(label)
     else:
-        blocks, free = label.blocks, cb.odd_split_positions(label.m, label.blocks)
+        blocks, free = label.blocks, cb.odd_split_positions(label)
     if any(b.eps == "d" and i not in free for i, b in enumerate(blocks)):
         raise BadRequest(f"label {text!r} is not canonical: \"d\" may only "
                          f"sit at its splitting positions {free} (0-based)")

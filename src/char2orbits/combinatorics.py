@@ -1,12 +1,13 @@
 """Partitions, partition pairs, and orbit-label combinatorics.
 
-Orbit labels come in two interchangeable encodings:
-
-  * symbol form: a list of blocks (m_i, l_i), sizes m weakly decreasing,
-    levels l weakly decreasing, co-levels m - l weakly decreasing, and
-    floor(m_i/2) <= l_i <= m_i (symplectic) resp.
-    ceil(m_i/2) <= l_i <= m_i (orthogonal pair blocks);
-  * pair form: two partitions (mu, nu) = (l_1..l_s), (m_1-l_1 .. m_s-l_s).
+Orbit labels have one encoding per level: pairs of partitions, and
+below them tuples of BlockLabel blocks (m_i, l_i, eps), sizes m weakly
+decreasing, levels l weakly decreasing, co-levels m - l weakly
+decreasing, and floor(m_i/2) <= l_i <= m_i (symplectic) resp.
+ceil(m_i/2) <= l_i <= m_i (orthogonal pair blocks).  A symplectic block
+tuple has the pair (mu, nu) = (l_1..l_s), (m_1-l_1 .. m_s-l_s)
+(symp_blocks_to_pair, inverse symp_pair_to_blocks); an OddLabel puts its
+chain length in front of nu (OddLabel.pair, inverse pair_to_label).
 
 The valid symplectic pairs are exactly {(mu, nu) : |mu|+|nu| = n,
 nu_i <= mu_i + 1}; the odd orthogonal labels are pairs (nu, mu) where nu
@@ -18,7 +19,7 @@ union onto all partition pairs of total n.
 Partitions are stored as tuples with trailing zeros stripped; zero-padded
 forms compare equal everywhere.
 
-The label types live here too: BlockLabel for one block of a symbol and
+The label types live here too: BlockLabel for one block of a label and
 OddLabel for a chain length plus complement blocks, with the decorated
 label sets, their text forms and their JSON forms.  This layer is pure
 Python, so commands that only read and print labels build no matrix.
@@ -106,34 +107,6 @@ def _valid_pairs(n: int, valid) -> list[Pair]:
 def symp_pairs(n: int) -> list[Pair]:
     "All symplectic labels with total size n, sorted."
     return _valid_pairs(n, symp_pair_valid)
-
-
-def symp_symbol_valid(blocks) -> bool:
-    "blocks = ((m_1, l_1), ..., (m_s, l_s))"
-    for m, l in blocks:
-        if not (m >= 1 and m // 2 <= l <= m):
-            return False
-    for (m1, l1), (m2, l2) in zip(blocks, blocks[1:]):
-        if not (m1 >= m2 and l1 >= l2 and m1 - l1 >= m2 - l2):
-            return False
-    return True
-
-
-def symp_symbol_to_pair(blocks) -> Pair:
-    assert symp_symbol_valid(blocks), blocks
-    mu = strip_zeros([l for _, l in blocks])
-    nu = strip_zeros([m - l for m, l in blocks])
-    return mu, nu
-
-
-def symp_pair_to_symbol(pair: Pair) -> tuple[tuple[int, int], ...]:
-    mu, nu = strip_zeros(pair[0]), strip_zeros(pair[1])
-    s = max(len(mu), len(nu))
-    m = _pad(mu, s)
-    v = _pad(nu, s)
-    blocks = tuple((m[i] + v[i], m[i]) for i in range(s))
-    assert symp_symbol_valid(blocks), pair
-    return blocks
 
 
 def symp_split_indices(pair: Pair) -> list[int]:
@@ -264,7 +237,8 @@ def format_pair(pair: Pair, odd: bool = False) -> str:
 
 
 def format_symp_symbol(blocks) -> str:
-    return "".join(f"({m})^2_{l}" for m, l in blocks)
+    "The closed text of a block label: decorations dropped, no spaces."
+    return "".join(f"({b.m})^2_{b.l}" for b in blocks)
 
 
 # ----------------------------------------------------------------------
@@ -368,10 +342,25 @@ def validate_blocks(blocks, kind: str = "sp") -> bool:
                for a, b in zip(blocks, blocks[1:]))
 
 
+def symp_blocks_to_pair(blocks) -> Pair:
+    "The partition pair (levels, co-levels) of a block label; eps is ignored."
+    return (strip_zeros([b.l for b in blocks]),
+            strip_zeros([b.m - b.l for b in blocks]))
+
+
+def symp_pair_to_blocks(pair: Pair) -> tuple[BlockLabel, ...]:
+    "The closed block label of a symplectic pair (mu, nu)."
+    if not symp_pair_valid(*pair):
+        raise ValueError(f"not a symplectic label: {pair}")
+    mu, nu = strip_zeros(pair[0]), strip_zeros(pair[1])
+    s = max(len(mu), len(nu))
+    return tuple(BlockLabel(l + k, l) for l, k in zip(_pad(mu, s), _pad(nu, s)))
+
+
 def split_positions(blocks) -> list[int]:
     """0-based block positions where a rational label may carry "d": the
     splitting indices of the label's partition pair."""
-    return symp_split_indices(symp_symbol_to_pair([(b.m, b.l) for b in blocks]))
+    return symp_split_indices(symp_blocks_to_pair(blocks))
 
 
 def decorations(closed, free):
@@ -396,7 +385,7 @@ def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
     """
     out = []
     for pair in symp_pairs(n):
-        closed = tuple(BlockLabel(m, l) for m, l in symp_pair_to_symbol(pair))
+        closed = symp_pair_to_blocks(pair)
         out += decorations(closed, split_positions(closed))
     return out
 
@@ -463,11 +452,9 @@ class OddLabel(_FrozenRecord):
         return OddLabel(self.m, tuple(BlockLabel(b.m, b.l) for b in self.blocks))
 
 
-def odd_split_positions(m: int, blocks) -> list[int]:
+def odd_split_positions(label: OddLabel) -> list[int]:
     "0-based complement block positions where the decoration is free."
-    nu = strip_zeros((m,) + tuple(b.m - b.l for b in blocks))
-    mu = strip_zeros(tuple(b.l for b in blocks))
-    return [i - 1 for i in oodd_split_indices((nu, mu))]
+    return [i - 1 for i in oodd_split_indices(label.pair())]
 
 
 def pair_to_label(pair) -> OddLabel:
@@ -491,7 +478,7 @@ def rational_labels(n: int) -> list[OddLabel]:
     out = []
     for pair in oodd_pairs(n):
         base = pair_to_label(pair)
-        free = odd_split_positions(base.m, base.blocks)
+        free = odd_split_positions(base)
         out += [OddLabel(base.m, blocks)
                 for blocks in decorations(base.blocks, free)]
     return out

@@ -21,6 +21,8 @@ Each modulus is re-checked for irreducibility at construction time.
 
 from __future__ import annotations
 
+import re
+
 DEFAULT_MODULUS = {
     1: 0b11,
     2: 0b111,
@@ -35,6 +37,7 @@ DEFAULT_MODULUS = {
 MAX_DEGREE = 8
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
+_HEADER_RE = re.compile(r"GF\(2\^([1-9][0-9]*)\)/(1[01]*)")
 
 
 def poly_degree(p: int) -> int:
@@ -177,15 +180,15 @@ class Field:
 
     @classmethod
     def from_header(cls, text: str) -> "Field":
+        "Inverse of header(): ASCII GF(2^<e>)/<modulus in binary>, as written."
         text = text.strip()
-        if not text.startswith("GF(2^"):
-            raise ValueError(f"bad field header {text!r}")
-        body = text[len("GF(2^"):]
-        try:
-            e_str, mod_str = body.split(")/")
-            return cls(int(e_str), int(mod_str, 2))
-        except ValueError as exc:
-            raise ValueError(f"bad field header {text!r}") from exc
+        m = _HEADER_RE.fullmatch(text)
+        if m:
+            try:
+                return cls(int(m.group(1)), int(m.group(2), 2))
+            except ValueError:  # degree out of range or reducible modulus
+                pass
+        raise ValueError(f"bad field header {text!r}")
 
     def format_element(self, a: int) -> str:
         return format(a, "x")

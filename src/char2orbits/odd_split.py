@@ -222,7 +222,8 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
     start = _clip(m, raw)
     if not validate_blocks(start, kind="orth"):
         raise ClassificationError(f"clipped label {start} is invalid")
-    free = cb.odd_split_positions(m, start)
+    clipped = OddLabel(m, start)
+    free = cb.odd_split_positions(clipped)
     order = [i for i in range(len(start)) if i not in free] + free
     fixed = len(order) - len(free)
     can_d = {i for i, b in enumerate(start)
@@ -234,7 +235,7 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
                              for mv in moves if mv <= can_d])
     eps = la.reduce_modulo(F2, R, pivots,
                            [int(start[i].eps == "d") for i in order])
-    if any(eps[:fixed]) or not cb.oodd_pair_valid(*OddLabel(m, start).pair()):
+    if any(eps[:fixed]) or not cb.oodd_pair_valid(*clipped.pair()):
         count = 0
     else:
         count = 2 ** sum(p >= fixed for p in pivots)

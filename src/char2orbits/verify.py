@@ -14,9 +14,9 @@ range, and where the first mismatch sits if there is one.  The suites are
   centralizers    dimension and component formulas against point counts,
                   exact chain counts
 
-Oracle-backed checks cap their rank at 2; max_n lowers the caps further
-(None keeps every check at its full documented range).  Censuses shared
-between checks are memoized.
+Every check caps its rank (the oracle-backed ones at 2); max_n lowers
+the caps and never raises them (None keeps every check at its full
+documented range).  Censuses shared between checks are memoized.
 
 One check is expected to fail: the claimed exact count q^(2m+1) for the
 full automorphism group of the odd chain module.  The counted value is
@@ -76,8 +76,13 @@ def census(kind: str, n: int, e: int) -> list:
     return _census_memo[key]
 
 
+def _cap(max_n, top: int) -> int:
+    "A check's rank bound: its own top, which max_n may lower, never raise."
+    return top if max_n is None else max(1, min(max_n, top))
+
+
 def _oracle_cap(max_n) -> int:
-    return 2 if max_n is None else max(1, min(max_n, 2))
+    return _cap(max_n, 2)
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +90,7 @@ def _oracle_cap(max_n) -> int:
 
 
 def _ck_label_counts(max_n):
-    top = 10 if max_n is None else max(1, max_n)
+    top = _cap(max_n, 10)
     for n in range(1, top + 1):
         want = cb.p2(n) - cb.p2(n - 2)
         got_sp = len(cb.symp_pairs(n))
@@ -97,7 +102,7 @@ def _ck_label_counts(max_n):
 
 
 def _ck_splitting_sum(max_n):
-    top = 10 if max_n is None else max(1, max_n)
+    top = _cap(max_n, 10)
     for n in range(1, top + 1):
         for name, pairs, k_of, fan in (
                 ("sp", cb.symp_pairs(n), cb.symp_split_k, cb.symp_fq_fanout),
@@ -115,7 +120,7 @@ def _ck_splitting_sum(max_n):
 
 
 def _ck_rational_enumerations(max_n):
-    top = 8 if max_n is None else max(1, min(max_n, 8))
+    top = _cap(max_n, 8)
     for n in range(1, top + 1):
         syms = cb.rational_symbols(n)
         labs = cb.rational_labels(n)
@@ -157,8 +162,8 @@ def _ck_class_splitting(kind, max_n):
     for n in range(1, cap + 1):
         got: dict = {}
         for r in census(kind, n, 1):
-            pair = (cb.symp_symbol_to_pair([(b.m, b.l) for b in r.label])
-                    if kind == "sp" else r.label.pair())
+            pair = (cb.symp_blocks_to_pair(r.label) if kind == "sp"
+                    else r.label.pair())
             got[pair] = got.get(pair, 0) + 1
         want = {pair: 2 ** split_k(pair) for pair in pairs(n)}
         if got != want:
@@ -189,7 +194,7 @@ def _ck_classifier_vs_orbits(kind, max_n):
 
 def _ck_chi_pattern(kind, max_n):
     "kind is the form-module kind: sp, or orth for the odd complement."
-    top = 5 if max_n is None else max(1, min(max_n, 5))
+    top = _cap(max_n, 5)
     lowest = 0 if kind == "sp" else 1
     tried = 0
     for m in range(1, top + 1):
@@ -219,11 +224,11 @@ _ck_orth_chi_pattern = partial(_ck_chi_pattern, "orth")
 
 
 def _ck_sp_round_trips(max_n):
-    top = 5 if max_n is None else max(1, min(max_n, 5))
+    top = _cap(max_n, 5)
     closed = 0
     for n in range(1, top + 1):
         for pair in cb.symp_pairs(n):
-            blocks = tuple(cb.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
+            blocks = cb.symp_pair_to_blocks(pair)
             for e in (1, 2) if n <= 3 else (1,):
                 mod, _ = fm.build_normal_form(blocks, field_for(e))
                 if fm.classify_closed(mod) != blocks:
@@ -269,7 +274,7 @@ def _ck_sp_radical_invariance(max_n):
 
 
 def _ck_oodd_round_trips(max_n):
-    top = 5 if max_n is None else max(1, min(max_n, 5))
+    top = _cap(max_n, 5)
     closed = 0
     for n in range(1, top + 1):
         for pair in cb.oodd_pairs(n):
@@ -432,7 +437,7 @@ def _ck_dim_by_field_ratio(max_n):
             return False, f"{kind}: F_2 and F_4 orbit labels differ"
         for lab, s2 in by2.items():
             if kind == "sp":
-                dim = cz.symp_report([(b.m, b.l) for b in lab]).dim_z
+                dim = cz.symp_report(lab).dim_z
             else:
                 dim = cz.oodd_report(lab.pair()).dim_z
             if round(log2(by4[lab] / s2)) != dim:

@@ -171,15 +171,13 @@ def _canonical_candidates(m: int, sizes) -> list[cb.OddLabel]:
     out = []
     ranges = [range((k + 1) // 2, k + 1) for k in sizes]
     for levels in product(*ranges):
-        base = tuple(cb.BlockLabel(k, l) for k, l in zip(sizes, levels))
-        if not cb.validate_blocks(base, kind="orth"):
-            continue
-        if not cb.oodd_pair_valid(
-                cb.strip_zeros((m,) + tuple(k - l for k, l in zip(sizes, levels))),
-                cb.strip_zeros(levels)):
+        base = cb.OddLabel(m, tuple(cb.BlockLabel(k, l)
+                                    for k, l in zip(sizes, levels)))
+        if not (cb.validate_blocks(base.blocks, kind="orth")
+                and cb.oodd_pair_valid(*base.pair())):
             continue
         out += [cb.OddLabel(m, blocks) for blocks in
-                cb.decorations(base, cb.odd_split_positions(m, base))]
+                cb.decorations(base.blocks, cb.odd_split_positions(base))]
     return out
 
 
@@ -253,11 +251,10 @@ def _clip(m: int, blocks):
 
 
 def _is_canonical(m: int, blocks) -> bool:
-    if not cb.oodd_pair_valid(
-            cb.strip_zeros((m,) + tuple(b.m - b.l for b in blocks)),
-            cb.strip_zeros(tuple(b.l for b in blocks))):
+    label = cb.OddLabel(m, blocks)
+    if not cb.oodd_pair_valid(*label.pair()):
         return False
-    free = set(cb.odd_split_positions(m, blocks))
+    free = set(cb.odd_split_positions(label))
     return all(b.eps == "0" for i, b in enumerate(blocks) if i not in free)
 
 

@@ -40,7 +40,7 @@ def test_criterion_1_closed_orbit_counts_and_splitting_sum():
         want = cb.p2(n) - cb.p2(n - 2)
         assert len(cb.symp_pairs(n)) == want
         assert len(cb.oodd_pairs(n)) == want
-        symp = sum(2 ** cz.symp_report(cb.symp_pair_to_symbol(p)).comp_rank
+        symp = sum(2 ** cz.symp_report(cb.symp_pair_to_blocks(p)).comp_rank
                    for p in cb.symp_pairs(n))
         oodd = sum(2 ** cz.oodd_report(p).comp_rank for p in cb.oodd_pairs(n))
         assert symp == oodd == cb.p2(n)

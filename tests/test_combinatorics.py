@@ -61,31 +61,68 @@ def test_symp_pairs_n2_explicit():
     assert got == {((), (1, 1)), ((1,), (1,)), ((2,), ()), ((1, 1), ())}
 
 
+def blocks(*ml):
+    return tuple(co.BlockLabel(m, l) for m, l in ml)
+
+
 def test_symbol_pair_round_trip():
     for n in range(1, 9):
         for pair in co.symp_pairs(n):
-            blocks = co.symp_pair_to_symbol(pair)
-            assert co.symp_symbol_to_pair(blocks) == pair
-            assert sum(m for m, _ in blocks) == n
+            closed = co.symp_pair_to_blocks(pair)
+            assert co.symp_blocks_to_pair(closed) == pair
+            assert sum(b.m for b in closed) == n
+            assert all(b.eps is None for b in closed)
+
+
+def test_symp_pair_to_blocks_rejects_invalid():
+    with pytest.raises(ValueError):
+        co.symp_pair_to_blocks(((), (2,)))  # nu_1 > mu_1 + 1
 
 
 def test_symbol_validity_bounds():
-    assert co.symp_symbol_valid(((1, 0),))
-    assert co.symp_symbol_valid(((2, 1), (1, 1)))
-    assert not co.symp_symbol_valid(((2, 0),))  # l < floor(m/2)
-    assert not co.symp_symbol_valid(((1, 2),))  # l > m
-    assert not co.symp_symbol_valid(((2, 2), (2, 1), (1, 1)))  # m-l increases then?
-    assert co.symp_symbol_valid(((2, 2), (2, 2), (1, 1)))
+    assert co.validate_blocks(blocks((1, 0)), kind="sp")
+    assert co.validate_blocks(blocks((2, 1), (1, 1)), kind="sp")
+    assert not co.validate_blocks(blocks((2, 0)), kind="sp")  # l < floor(m/2)
+    assert not co.validate_blocks(blocks((1, 2)), kind="sp")  # l > m
+    # the co-level m - l rises 0 -> 1 from the first block to the second
+    assert not co.validate_blocks(blocks((2, 2), (2, 1), (1, 1)), kind="sp")
+    assert co.validate_blocks(blocks((2, 2), (2, 2), (1, 1)), kind="sp")
 
 
-def test_symp_symbol_to_pair_drops_zero_parts():
-    assert co.symp_symbol_to_pair(((1, 0),)) == ((), (1,))
-    assert co.symp_symbol_to_pair(((2, 2), (1, 1))) == ((2, 1), ())
+def _sequences(total):
+    "Every sequence of blocks (m, l), m >= 1 and 0 <= l <= m, with sum m <= total."
+    yield ()
+    for m in range(1, total + 1):
+        for l in range(m + 1):
+            for rest in _sequences(total - m):
+                yield ((m, l),) + rest
+
+
+def test_closed_sp_labels_are_the_images_of_the_pairs():
+    # brute force over all 15,760 sequences with sum m <= 8: validate_blocks
+    # accepts exactly the closed labels of symp_pairs, and on them it keeps
+    # the symbol rules it replaced (ranges, then three monotone chains)
+    images = {co.symp_pair_to_blocks(p) for n in range(9) for p in co.symp_pairs(n)}
+    seqs = list(_sequences(8))
+    assert len(seqs) == 15760
+    for seq in seqs:
+        rules = (all(m // 2 <= l <= m for m, l in seq)
+                 and all(m1 >= m2 and l1 >= l2 and m1 - l1 >= m2 - l2
+                         for (m1, l1), (m2, l2) in zip(seq, seq[1:])))
+        label = blocks(*seq)
+        assert co.validate_blocks(label, kind="sp") == rules == (label in images)
+
+
+def test_symp_blocks_to_pair_drops_zero_parts():
+    assert co.symp_blocks_to_pair(blocks((1, 0))) == ((), (1,))
+    assert co.symp_blocks_to_pair(blocks((2, 2), (1, 1))) == ((2, 1), ())
+    # decorations are ignored
+    assert co.symp_blocks_to_pair((co.BlockLabel(2, 1, "d"),)) == ((1,), (1,))
 
 
 def test_symp_split_k_examples():
     # (2)^2_2 has pair mu=(2), nu=(); nothing to split
-    assert co.symp_split_k(co.symp_symbol_to_pair(((2, 2),))) == 0
+    assert co.symp_split_k(co.symp_blocks_to_pair(blocks((2, 2)))) == 0
     # (2)^2_1 has pair mu=(1), nu=(1); one split position
     assert co.symp_split_k(((1,), (1,))) == 1
     assert co.symp_fq_fanout(((1,), (1,))) == [((1,), (1,)), ((), (2,))]
@@ -180,7 +217,9 @@ def test_pair_text_round_trip():
 
 
 def test_symbol_text():
-    assert co.format_symp_symbol(((2, 1), (1, 0))) == "(2)^2_1(1)^2_0"
+    assert co.format_symp_symbol(blocks((2, 1), (1, 0))) == "(2)^2_1(1)^2_0"
+    decorated = (co.BlockLabel(2, 1, "d"), co.BlockLabel(1, 1, "0"))
+    assert co.format_symp_symbol(decorated) == "(2)^2_1(1)^2_1"
 
 
 @pytest.mark.parametrize("parse,text", [

@@ -177,6 +177,7 @@ def test_header_round_trip():
         F = field_for(e)
         G = Field.from_header(F.header())
         assert G == F and hash(G) == hash(F)
+    assert Field.from_header(" GF(2^2)/111\n") == field_for(2)  # outer padding
     with pytest.raises(ValueError):
         Field.from_header("GF(3^2)/111")
 
@@ -188,6 +189,17 @@ def test_element_text_round_trip():
     with pytest.raises(ValueError):
         F.parse_element("100")  # 256 is out of range
     assert F.parse_element("A5") == F.parse_element("a5") == 0xA5
+
+
+@pytest.mark.parametrize("text", [
+    "GF(2^\u0661)/11", "GF(2^1)/1_1", "GF(2^ 1)/11", "GF(2^02)/111",
+    "GF(2^+1)/11", "GF(2^1)/011", "GF(2^1)/ 11", "GF(2^1) /11", "GF(2^)/11",
+    "GF(2^1)/\u0661\u0661", "GF(2^9)/1000010001", "GF(2^2)/101", "GF(2^0)/1"])
+def test_field_header_takes_only_the_written_form(text):
+    # int() alone would accept the Arabic-Indic digit, the underscore, the
+    # padding, the leading zero and the sign
+    with pytest.raises(ValueError, match="bad field header"):
+        Field.from_header(text)
 
 
 @pytest.mark.parametrize("text", ["0x1", "+1", "-0", " 1", "1 ", "1_0", "",

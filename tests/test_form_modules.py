@@ -24,10 +24,6 @@ def labels(*pairs, eps=None):
     return tuple(cb.BlockLabel(m, l, e) for (m, l), e in zip(pairs, eps))
 
 
-def pair_to_blocks(pair):
-    return tuple(cb.BlockLabel(m, l) for m, l in cb.symp_pair_to_symbol(pair))
-
-
 def single(m, l, eps=None, field=F2, kind="sp"):
     mod, _ = fm.build_normal_form((cb.BlockLabel(m, l, eps),), field, kind=kind)
     return mod
@@ -73,7 +69,7 @@ def test_validate_rejects_bad_ranges_and_orders():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_split_positions_agree_with_pair_language(n):
     for pair in cb.symp_pairs(n):
-        blocks = pair_to_blocks(pair)
+        blocks = cb.symp_pair_to_blocks(pair)
         assert cb.split_positions(blocks) == cb.symp_split_indices(pair)
         assert len(cb.split_positions(blocks)) == cb.symp_split_k(pair)
 
@@ -117,7 +113,7 @@ def test_closed_round_trip(field, n):
     if field is F4 and n > 3:
         pytest.skip("field 4 round trip is checked at small rank")
     for pair in cb.symp_pairs(n):
-        blocks = pair_to_blocks(pair)
+        blocks = cb.symp_pair_to_blocks(pair)
         mod, X = fm.build_normal_form(blocks, field)
         assert fm.classify_closed(mod) == blocks
         # the witness functional reproduces the module on the nose
@@ -128,9 +124,9 @@ def test_closed_round_trip(field, n):
 
 
 def test_symbol_counts_at_small_rank():
-    seen1 = {tuple(pair_to_blocks(p)) for p in cb.symp_pairs(1)}
+    seen1 = {cb.symp_pair_to_blocks(p) for p in cb.symp_pairs(1)}
     assert seen1 == {labels((1, 0)), labels((1, 1))}
-    seen2 = {tuple(pair_to_blocks(p)) for p in cb.symp_pairs(2)}
+    seen2 = {cb.symp_pair_to_blocks(p) for p in cb.symp_pairs(2)}
     assert seen2 == {labels((2, 1)), labels((2, 2)),
                      labels((1, 1), (1, 1)), labels((1, 0), (1, 0))}
     for n in range(1, 8):
@@ -361,7 +357,7 @@ def test_arf_invariant_reads_the_decoration(field):
 def test_arf_invariant_separates_the_canonical_sp_decorations(field):
     for n in range(1, 6):
         for pair in cb.symp_pairs(n):
-            closed = pair_to_blocks(pair)
+            closed = cb.symp_pair_to_blocks(pair)
             cands = list(cb.decorations(closed, cb.split_positions(closed)))
             invs = {fm.arf_invariant(fm.build_normal_form(c, field)[0])
                     for c in cands}
@@ -424,7 +420,7 @@ def test_block_tables_refuse_an_invalid_label():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_classify_closed_reads_chi_off_the_power_table(n):
-    for kind, labs in (("sp", map(pair_to_blocks, cb.symp_pairs(n))),
+    for kind, labs in (("sp", map(cb.symp_pair_to_blocks, cb.symp_pairs(n))),
                        ("orth", closed_orth_labels(n))):
         for closed in labs:
             mod = fm.build_normal_form(closed, F2, kind=kind)[0]

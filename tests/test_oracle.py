@@ -350,12 +350,6 @@ def label_text(label):
     return cb.format_blocks(label)
 
 
-def closed_pair(kind, label):
-    if kind == "sp":
-        return cb.symp_symbol_to_pair([(b.m, b.l) for b in label])
-    return label.pair()
-
-
 @pytest.mark.parametrize("kind,n,e", [("sp", 3, 1), ("so-odd", 3, 1),
                                       ("sp", 2, 2), ("so-odd", 2, 2)])
 def test_censuses_beyond_the_served_spaces(kind, n, e):
@@ -375,7 +369,8 @@ def test_censuses_beyond_the_served_spaces(kind, n, e):
                       else (cb.oodd_pairs, cb.oodd_split_k))
     got: dict = {}
     for r in reports:
-        pair = closed_pair(kind, r.label)
+        pair = (cb.symp_blocks_to_pair(r.label) if kind == "sp"
+                else r.label.pair())
         got[pair] = got.get(pair, 0) + 1
     assert got == {pair: 2 ** split_k(pair) for pair in pairs(n)}
 

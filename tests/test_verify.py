@@ -27,6 +27,14 @@ def test_oracle_cap_clamps_to_desk_scale():
     assert vf._oracle_cap(0) == 1
 
 
+def test_max_n_lowers_the_combinatorics_caps_and_never_raises_them():
+    details = [r.detail for r in vf.run(("combinatorics",), max_n=50)]
+    assert ["n=1..10" in d for d in details] == [True, True, False]
+    assert "n=1..8" in details[2]
+    low = [r.detail for r in vf.run(("combinatorics",), max_n=3)]
+    assert all("n=1..3" in d for d in low)
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError):
         vf.run_suite("nope")
