@@ -242,10 +242,6 @@ def test_classify_missing_file(capsys):
     ("gf512.json", json.dumps({"kind": "sp", "n": 1,
                                "field": "GF(2^9)/1000010001", "X": "0 1 1 0"}),
      []),
-    # header() never writes a leading zero; int() alone would take it
-    ("gf4_zero.json", json.dumps({"kind": "sp", "n": 1,
-                                  "field": "GF(2^02)/111", "X": "0 1 1 0"}),
-     []),
     # a rank of 100000 would make a 200000 x 200000 space; X is checked first
     ("huge_n.json", json.dumps({"kind": "sp", "n": 100000,
                                 "field": "GF(2^1)/11", "X": "0"}), []),
@@ -254,6 +250,10 @@ def test_classify_missing_file(capsys):
     ("bool_n.json", json.dumps({"kind": "sp", "n": True,
                                 "field": "GF(2^1)/11", "X": "0 1 1 0"}), []),
     ("prefixed.txt", "0 0x1\n1 0\n", ["--type", "sp"]),
+    # header() never writes a leading zero; int() alone would take it
+    ("gf4_zero.json", json.dumps({"kind": "sp", "n": 1,
+                                  "field": "GF(2^02)/111", "X": "0 1 1 0"}),
+     []),
 ])
 def test_classify_malformed_input_is_one_line(capsys, tmp_path, name, text,
                                               extra):
