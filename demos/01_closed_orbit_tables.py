@@ -23,17 +23,18 @@ print()
 n = 3
 print(f"closed orbits of Sp({2 * n}):")
 print(f"{'label':24} {'pair':22} {'dim':>4} {'comp group':>10}")
-for pair in cb.symp_pairs(n):
-    blocks = cb.symp_pair_to_blocks(pair)
-    rep = cz.symp_report(blocks)
+sp, so = cb.FAMILIES["sp"], cb.FAMILIES["so-odd"]
+for pair in sp.pairs(n):
+    blocks = sp.closed(pair)
+    rep = cz.report(sp, blocks)
     print(f"{cb.format_symp_symbol(blocks):24} {cb.format_pair(pair):22} "
           f"{cz.algebra_dim(n) - rep.dim_z:>4} {rep.component_group():>10}")
 
 print()
 print(f"odd orthogonal orbits of O({2 * n + 1}):")
 print(f"{'pair':22} {'dim':>4} {'comp group':>10}")
-for pair in cb.oodd_pairs(n):
-    rep = cz.oodd_report(pair)
+for pair in so.pairs(n):
+    rep = cz.report(so, so.closed(pair))
     print(f"{cb.format_pair(pair, odd=True):22} "
           f"{cz.algebra_dim(n) - rep.dim_z:>4} {rep.component_group():>10}")
 
@@ -44,8 +45,7 @@ for pair in cb.oodd_pairs(n):
 
 print()
 for n in range(1, 11):
-    symp = sum(2 ** cz.symp_report(cb.symp_pair_to_blocks(p)).comp_rank
-               for p in cb.symp_pairs(n))
-    oodd = sum(2 ** cz.oodd_report(p).comp_rank for p in cb.oodd_pairs(n))
+    symp = sum(2 ** cz.report(sp, sp.closed(p)).comp_rank for p in sp.pairs(n))
+    oodd = sum(2 ** cz.report(so, so.closed(p)).comp_rank for p in so.pairs(n))
     assert symp == oodd == cb.p2(n)
     print(f"n={n:2}: sum of 2^k over both families = p2(n) = {symp}")

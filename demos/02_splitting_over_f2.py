@@ -31,7 +31,7 @@ by_closed = Counter(cb.symp_pair_to_blocks(cb.symp_blocks_to_pair(r.label))
 print()
 print("splitting per closed class:")
 for closed, got in sorted(by_closed.items()):
-    rep = cz.symp_report(closed)
+    rep = cz.report(cb.FAMILIES["sp"], closed)
     want = 2 ** rep.comp_rank
     tag = "ok" if got == want else "MISMATCH"
     print(f"  {cb.format_symp_symbol(closed):14} component group "

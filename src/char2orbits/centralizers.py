@@ -3,10 +3,9 @@
 The stabilizer Z of a nilpotent functional under the coadjoint action is
 determined up to these invariants by the orbit label alone: its dimension,
 the rank of its component group (an elementary abelian 2-group), and the
-leading term 2^rank q^dim of its F_q point count.  One report per family
-gives both: symp_report reads a symplectic block label (decorations
-ignored), oodd_report an odd orthogonal pair (nu with its leading chain
-entry, mu).
+leading term 2^rank q^dim of its F_q point count.  One report gives them
+for a label of any family in combinatorics' FAMILIES, decorations ignored:
+the family's dim Z formula and the splitting count of the label's pair.
 
 The pure chain of odd dimension 2m+1 admits exact counts: its stabilizer
 has q^m points, and the full isometry group of the chain module has
@@ -43,29 +42,13 @@ class CentralizerReport(cb._FrozenRecord):
         return "1" if self.comp_rank == 0 else f"(Z/2)^{self.comp_rank}"
 
 
-# ----------------------------------------------------------------------
-# the two families
-
-
-def symp_report(blocks) -> CentralizerReport:
-    """dim Z is the sum of (4i - 1) m_i - 2 l_i over the blocks, i from 1;
-    the rank counts the splitting positions of the label's pair."""
-    if not cb.validate_blocks(blocks, kind="sp"):
-        raise ValueError(f"not a symplectic label: {blocks}")
-    dim = sum((4 * i - 1) * b.m - 2 * b.l for i, b in enumerate(blocks, 1))
-    return CentralizerReport(dim, len(cb.split_positions(blocks)))
-
-
-def oodd_report(pair) -> CentralizerReport:
-    """dim Z is nu_0 plus the sums of (4i + 1) nu_i and (4i - 1) mu_i, i
-    from 1; the rank counts the positions i >= 1 with nu_i < mu_i <= nu_{i-1}."""
-    if not cb.oodd_pair_valid(*pair):
-        raise ValueError(f"not an odd orthogonal label: {pair}")
-    nu, mu = cb.strip_zeros(pair[0]), cb.strip_zeros(pair[1])
-    dim = (sum(nu[:1])
-           + sum((4 * i + 1) * v for i, v in enumerate(nu[1:], 1))
-           + sum((4 * i - 1) * v for i, v in enumerate(mu, 1)))
-    return CentralizerReport(dim, cb.oodd_split_k(pair))
+def report(family, label) -> CentralizerReport:
+    """The report of a label of the family (a cb.FAMILIES value), decorated
+    or closed: the family's dim Z and split count of the label's pair."""
+    if not family.valid(label):
+        raise ValueError(f"not a {family.kind} label: {label}")
+    pair = family.pair(label)
+    return CentralizerReport(family.dim_z(pair), family.split_k(pair))
 
 
 # ----------------------------------------------------------------------

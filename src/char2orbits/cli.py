@@ -94,38 +94,23 @@ def _print_record(out: dict, fmt: str) -> None:
 # orbits
 
 
-def _label_rank(label) -> int:
-    if isinstance(label, cb.OddLabel):
-        return label.m + sum(b.m for b in label.blocks)
-    return sum(b.m for b in label)
-
-
 def _label_row(kind: str, label) -> dict:
-    """Every field the commands print about one label.
-
-    label is a block tuple for kind "sp" and an OddLabel for "so-odd",
-    decorated or closed; dim_orbit is taken at the rank the label encodes.
-    """
-    if kind == "sp":
-        pair, blocks = cb.symp_blocks_to_pair(label), label
-        rep = cz.symp_report(label)
-        text, closed = cb.format_blocks(label), cb.format_symp_symbol(label)
-        label_json = cb.blocks_to_json(label)
-    else:
-        pair, blocks = label.pair(), label.blocks
-        rep = cz.oodd_report(pair)
-        text, closed = cb.format_label(label), cb.format_label(label.closed())
-        label_json = cb.label_to_json(label)
-    eps = [b.eps for b in blocks]
-    return {"label": text,
-            "closed_label": closed,
-            "pair": cb.format_pair(pair, odd=kind == "so-odd"),
+    """Every field the commands print about one label of the kind's family,
+    decorated or closed; dim_orbit is taken at the rank the label encodes,
+    the size of its pair."""
+    fam = cb.FAMILIES[kind]
+    pair = fam.pair(label)
+    rep = cz.report(fam, label)
+    eps = [b.eps for b in fam.blocks(label)]
+    return {"label": fam.format(label),
+            "closed_label": fam.closed_text(label),
+            "pair": fam.pair_text(pair),
             "eps": None if None in eps else "".join(eps),
-            "label_json": label_json,
+            "label_json": fam.to_json(label),
             "dim_z": rep.dim_z,
             "comp_rank": rep.comp_rank,
             "component_group": rep.component_group(),
-            "dim_orbit": cz.algebra_dim(_label_rank(label)) - rep.dim_z,
+            "dim_orbit": cz.algebra_dim(sum(map(sum, pair))) - rep.dim_z,
             "fq_classes": 2 ** rep.comp_rank,
             "points_leading_q2": rep.point_count_leading(2),
             "points_leading_q4": rep.point_count_leading(4)}
@@ -136,13 +121,10 @@ def _pick(row: dict, *keys: str) -> dict:
 
 
 def _closed_rows(kind: str, n: int) -> list[dict]:
-    if kind == "sp":
-        labels = [cb.symp_pair_to_blocks(p) for p in cb.symp_pairs(n)]
-    else:
-        labels = [cb.pair_to_label(p) for p in cb.oodd_pairs(n)]
+    fam = cb.FAMILIES[kind]
     rows = []
-    for lab in labels:
-        row = _label_row(kind, lab)
+    for pair in fam.pairs(n):
+        row = _label_row(kind, fam.closed(pair))
         rows.append({"label": row["closed_label"],
                      **_pick(row, "pair", "dim_orbit", "component_group",
                              "fq_classes")})
@@ -150,9 +132,8 @@ def _closed_rows(kind: str, n: int) -> list[dict]:
 
 
 def _rational_rows(kind: str, n: int, q: int) -> list[dict]:
-    labels = cb.rational_symbols(n) if kind == "sp" else cb.rational_labels(n)
     rows = []
-    for lab in labels:
+    for lab in cb.FAMILIES[kind].rational(n):
         row = _label_row(kind, lab)
         rows.append({**_pick(row, "label", "eps", "pair", "dim_orbit",
                              "component_group"),
@@ -231,7 +212,8 @@ def _read_matrix(path: str, type_flag: str | None, e: int):
         kind, n, field, X = dual_parts_from_json(json.loads(text))
     except OSError as exc:
         raise BadRequest(f"cannot read matrix file {path}: {exc}")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise BadRequest(f"malformed matrix file {path}: "
                          f"{type(exc).__name__}: {exc}")
     if n > LIST_CAP:
@@ -297,31 +279,23 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_label(kind: str, text: str):
-    """A valid label of rank 1..LIST_CAP: a block tuple (sp) or an OddLabel
-    (so-odd).
+    """A valid label of the kind's family, of rank 1..LIST_CAP.
 
     A decorated label must be canonical: "d" only at splitting positions.
     The rank cap bounds every command's work before any of it starts.
     """
+    fam = cb.FAMILIES[kind]
     try:
-        if kind == "sp":
-            label = cb.parse_blocks(text)
-            valid = cb.validate_blocks(label, kind="sp")
-        else:
-            label = cb.parse_label(text)
-            valid = (cb.oodd_pair_valid(*label.pair())
-                     and cb.validate_blocks(label.blocks, kind="orth"))
+        label = fam.parse(text)
+        valid = fam.valid(label)
     except ValueError as exc:
         raise BadRequest(str(exc))
     if not valid:
         raise BadRequest(f"invalid {kind} label {text!r}")
-    rank = _label_rank(label)
+    rank = sum(map(sum, fam.pair(label)))
     if rank < 1:
         raise BadRequest(f"label {text!r} has rank 0; ranks must be >= 1")
-    if kind == "sp":
-        blocks, free = label, cb.split_positions(label)
-    else:
-        blocks, free = label.blocks, cb.odd_split_positions(label)
+    blocks, free = fam.blocks(label), fam.free(label)
     if any(b.eps == "d" and i not in free for i, b in enumerate(blocks)):
         raise BadRequest(f"label {text!r} is not canonical: \"d\" may only "
                          f"sit at its splitting positions {free} (0-based)")

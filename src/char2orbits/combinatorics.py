@@ -21,8 +21,9 @@ forms compare equal everywhere.
 
 The label types live here too: BlockLabel for one block of a label and
 OddLabel for a chain length plus complement blocks, with the decorated
-label sets, their text forms and their JSON forms.  This layer is pure
-Python, so commands that only read and print labels build no matrix.
+label sets, their text forms and their JSON forms, gathered per kind in
+the family table FAMILIES.  This layer is pure Python, so commands that
+only read and print labels build no matrix.
 
 The package's small records (these two labels, the centralizer report,
 the odd split, the oracle's group and orbit reports, verify's check
@@ -118,10 +119,6 @@ def symp_split_indices(pair: Pair) -> list[int]:
     return [i for i in range(s) if m[i + 1] + 1 <= v[i] < m[i] + 1]
 
 
-def symp_split_k(pair: Pair) -> int:
-    return len(symp_split_indices(pair))
-
-
 def symp_fq_fanout(pair: Pair) -> list[Pair]:
     """The 2^k partition pairs attached to a symplectic label over F_q.
 
@@ -185,10 +182,6 @@ def oodd_split_indices(pair: Pair) -> list[int]:
     return [i for i in range(1, s + 1) if v[i] < mu[i - 1] <= v[i - 1]]
 
 
-def oodd_split_k(pair: Pair) -> int:
-    return len(oodd_split_indices(pair))
-
-
 def oodd_fq_fanout(pair: Pair) -> list[Pair]:
     """The 2^k partition pairs attached to an odd orthogonal label.
 
@@ -226,13 +219,9 @@ def oodd_fq_fanout(pair: Pair) -> list[Pair]:
 
 
 def format_pair(pair: Pair, odd: bool = False) -> str:
-    a, b = pair
-    if odd:
-        nu = list(strip_zeros(a)) or [0]
-        mu = list(strip_zeros(b))
-        return f"nu={nu}; mu={mu}".replace(" ", "")
-    mu = list(strip_zeros(a))
-    nu = list(strip_zeros(b))
+    "The text of a pair (mu, nu), or of an odd pair (nu, mu) with its nu_0."
+    a, b = (list(strip_zeros(x)) for x in pair)
+    nu, mu = (a or [0], b) if odd else (b, a)
     return f"nu={nu}; mu={mu}".replace(" ", "")
 
 
@@ -506,3 +495,57 @@ def label_to_json(label: OddLabel) -> dict:
     return {"m": label.m,
             "pair": {"nu": list(nu), "mu": list(mu)},
             "eps": [b.eps for b in label.blocks]}
+
+
+# ----------------------------------------------------------------------
+# the family table
+
+
+def _weighted(parts, a: int) -> int:
+    "The sum of (4i + a) p_i over the parts p_1, p_2, ..."
+    return sum((4 * i + a) * p for i, p in enumerate(parts, 1))
+
+
+class Family(_FrozenRecord):
+    """One label family: pairs(n), split_k, fanout, closed (the closed
+    label), dim_z and pair_text take a pair; pair, blocks, free, format,
+    closed_text, to_json and valid take a label; parse(text) and rational(n)
+    make labels; group(n) names the group.  The fields hold functions, not
+    methods: benchmarks/tracing.py names a method's span <layer>.<method>,
+    so twin methods would share a name."""
+
+    __slots__ = ("kind", "group", "pairs", "split_k", "fanout", "closed",
+                 "dim_z", "pair_text", "pair", "blocks", "free", "format",
+                 "closed_text", "to_json", "valid", "parse", "rational")
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
+
+
+# dim Z: sum (4i - 3) mu_i + (4i - 1) nu_i, i.e. sum (4i - 1) m_i - 2 l_i on
+# sp blocks; nu_0 + sum (4i + 1) nu_i + (4i - 1) mu_i for odd pairs (nu, mu)
+FAMILIES = {f.kind: f for f in (
+    Family(kind="sp", group=lambda n: f"sp({2 * n})",
+           pairs=symp_pairs, split_k=lambda p: len(symp_split_indices(p)),
+           fanout=symp_fq_fanout, closed=symp_pair_to_blocks,
+           dim_z=lambda p: _weighted(p[0], -3) + _weighted(p[1], -1),
+           pair_text=format_pair, pair=symp_blocks_to_pair,
+           blocks=lambda label: label, free=split_positions,
+           format=format_blocks, closed_text=format_symp_symbol,
+           to_json=blocks_to_json,
+           valid=lambda label: validate_blocks(label, kind="sp"),
+           parse=parse_blocks, rational=rational_symbols),
+    Family(kind="so-odd", group=lambda n: f"o({2 * n + 1})",
+           pairs=oodd_pairs, split_k=lambda p: len(oodd_split_indices(p)),
+           fanout=oodd_fq_fanout, closed=pair_to_label,
+           dim_z=lambda p: (sum(p[0][:1]) + _weighted(p[0][1:], 1)
+                            + _weighted(p[1], -1)),
+           pair_text=lambda p: format_pair(p, odd=True), pair=OddLabel.pair,
+           blocks=lambda label: label.blocks, free=odd_split_positions,
+           format=format_label,
+           closed_text=lambda label: format_label(label.closed()),
+           to_json=label_to_json,
+           valid=lambda label: (oodd_pair_valid(*label.pair())
+                                and validate_blocks(label.blocks, kind="orth")),
+           parse=parse_label, rational=rational_labels))}

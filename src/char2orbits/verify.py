@@ -104,17 +104,15 @@ def _ck_label_counts(max_n):
 def _ck_splitting_sum(max_n):
     top = _cap(max_n, 10)
     for n in range(1, top + 1):
-        for name, pairs, k_of, fan in (
-                ("sp", cb.symp_pairs(n), cb.symp_split_k, cb.symp_fq_fanout),
-                ("odd", cb.oodd_pairs(n), cb.oodd_split_k, cb.oodd_fq_fanout)):
+        for fam in cb.FAMILIES.values():
             total = 0
-            for pair in pairs:
-                k = k_of(pair)
-                if len(fan(pair)) != 2 ** k:
-                    return False, f"{name} n={n}: fanout size is not 2^k at {pair}"
+            for pair in fam.pairs(n):
+                k = fam.split_k(pair)
+                if len(fam.fanout(pair)) != 2 ** k:
+                    return False, f"{fam.kind} n={n}: fanout size is not 2^k at {pair}"
                 total += 2 ** k
             if total != cb.p2(n):
-                return False, (f"{name} n={n}: sum of 2^k is {total}, "
+                return False, (f"{fam.kind} n={n}: sum of 2^k is {total}, "
                                f"wanted p2({n}) = {cb.p2(n)}")
     return True, f"sum of 2^k over classes equals p2(n) for n=1..{top}, both families"
 
@@ -135,15 +133,11 @@ def _ck_rational_enumerations(max_n):
 # checks shared by the symplectic and odd orthogonal suites
 
 
-def _group_name(kind: str, n: int) -> str:
-    return f"sp({2 * n})" if kind == "sp" else f"o({2 * n + 1})"
-
-
 def _ck_oracle_counts(kind, max_n):
     cap = _oracle_cap(max_n)
     got = []
     for n in range(1, cap + 1):
-        name = _group_name(kind, n)
+        name = cb.FAMILIES[kind].group(n)
         reports = census(kind, n, 1)
         if len(reports) != cb.p2(n):
             return False, f"{name} over F_2: {len(reports)} orbits, wanted p2({n})"
@@ -157,17 +151,15 @@ def _ck_oracle_counts(kind, max_n):
 
 def _ck_class_splitting(kind, max_n):
     cap = _oracle_cap(max_n)
-    pairs, split_k = ((cb.symp_pairs, cb.symp_split_k) if kind == "sp"
-                      else (cb.oodd_pairs, cb.oodd_split_k))
+    fam = cb.FAMILIES[kind]
     for n in range(1, cap + 1):
         got: dict = {}
         for r in census(kind, n, 1):
-            pair = (cb.symp_blocks_to_pair(r.label) if kind == "sp"
-                    else r.label.pair())
+            pair = fam.pair(r.label)
             got[pair] = got.get(pair, 0) + 1
-        want = {pair: 2 ** split_k(pair) for pair in pairs(n)}
+        want = {pair: 2 ** fam.split_k(pair) for pair in fam.pairs(n)}
         if got != want:
-            return False, (f"{_group_name(kind, n)}: orbits per partition "
+            return False, (f"{fam.group(n)}: orbits per partition "
                            f"pair {got}, wanted 2^k {want}")
     return True, f"every closed class splits into exactly 2^k F_2-orbits (n<={cap})"
 
@@ -176,7 +168,7 @@ def _ck_classifier_vs_orbits(kind, max_n):
     cap = _oracle_cap(max_n)
     members = 0
     for n in range(1, cap + 1):
-        name = _group_name(kind, n)
+        name = cb.FAMILIES[kind].group(n)
         space = space_for(kind, n)
         group = orc.enumerate_group(space)
         reports = census(kind, n, 1)
@@ -430,16 +422,13 @@ def _ck_wedge_form(max_n):
 
 def _ck_dim_by_field_ratio(max_n):
     rows = 0
-    for kind in ("sp", "so-odd"):
+    for kind, fam in cb.FAMILIES.items():
         by2 = {r.label: r.stabilizer_order for r in census(kind, 1, 1)}
         by4 = {r.label: r.stabilizer_order for r in census(kind, 1, 2)}
         if set(by2) != set(by4):
             return False, f"{kind}: F_2 and F_4 orbit labels differ"
         for lab, s2 in by2.items():
-            if kind == "sp":
-                dim = cz.symp_report(lab).dim_z
-            else:
-                dim = cz.oodd_report(lab.pair()).dim_z
+            dim = cz.report(fam, lab).dim_z
             if round(log2(by4[lab] / s2)) != dim:
                 return False, (f"{kind} orbit {lab}: log2 point ratio "
                                f"{log2(by4[lab] / s2):.2f} vs dim {dim}")

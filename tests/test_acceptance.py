@@ -34,16 +34,19 @@ def run_check(name, fn, max_n=None):
     accept(name, ok, detail)
 
 
+def splitting_sum(kind, n):
+    fam = cb.FAMILIES[kind]
+    return sum(2 ** cz.report(fam, fam.closed(p)).comp_rank
+               for p in fam.pairs(n))
+
+
 def test_criterion_1_closed_orbit_counts_and_splitting_sum():
     t0 = time.perf_counter()
     for n in range(1, 11):
         want = cb.p2(n) - cb.p2(n - 2)
         assert len(cb.symp_pairs(n)) == want
         assert len(cb.oodd_pairs(n)) == want
-        symp = sum(2 ** cz.symp_report(cb.symp_pair_to_blocks(p)).comp_rank
-                   for p in cb.symp_pairs(n))
-        oodd = sum(2 ** cz.oodd_report(p).comp_rank for p in cb.oodd_pairs(n))
-        assert symp == oodd == cb.p2(n)
+        assert splitting_sum("sp", n) == splitting_sum("so-odd", n) == cb.p2(n)
     dt = time.perf_counter() - t0
     accept("criterion-1", dt < 1.0,
            f"n=1..10 counts p2(n)-p2(n-2), splitting sums p2(n), both "

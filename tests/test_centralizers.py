@@ -14,6 +14,8 @@ from char2orbits import odd_split as od
 from char2orbits.finite_field import field_for
 from char2orbits.combinatorics import BlockLabel
 
+SP, SO = cb.FAMILIES["sp"], cb.FAMILIES["so-odd"]
+
 
 def symbols(n):
     return [cb.symp_pair_to_blocks(p) for p in cb.symp_pairs(n)]
@@ -28,27 +30,27 @@ def blocks(*ml):
 
 
 def test_symp_dimension_examples():
-    assert cz.symp_report(blocks((1, 0))).dim_z == 3
-    assert cz.symp_report(blocks((2, 1))).dim_z == 4
-    assert cz.symp_report(blocks((1, 0), (1, 0))).dim_z == 10
+    assert cz.report(SP, blocks((1, 0))).dim_z == 3
+    assert cz.report(SP, blocks((2, 1))).dim_z == 4
+    assert cz.report(SP, blocks((1, 0), (1, 0))).dim_z == 10
 
 
 def test_symp_component_rank_examples():
-    assert cz.symp_report(blocks((1, 0))).comp_rank == 0
-    assert cz.symp_report(blocks((2, 1))).comp_rank == 1
-    assert cz.symp_report(blocks((2, 2))).comp_rank == 0
+    assert cz.report(SP, blocks((1, 0))).comp_rank == 0
+    assert cz.report(SP, blocks((2, 1))).comp_rank == 1
+    assert cz.report(SP, blocks((2, 2))).comp_rank == 0
 
 
 def test_symp_report_ignores_decorations():
-    want = cz.symp_report(blocks((2, 1), (1, 1)))
+    want = cz.report(SP, blocks((2, 1), (1, 1)))
     for eps in ("0", "d"):
         label = (BlockLabel(2, 1, eps), BlockLabel(1, 1, "0"))
-        assert cz.symp_report(label) == want
+        assert cz.report(SP, label) == want
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_zero_orbit_centralizer_is_the_whole_algebra(n):
-    rep = cz.symp_report(blocks((1, 0)) * n)
+    rep = cz.report(SP, blocks((1, 0)) * n)
     assert rep.dim_z == cz.algebra_dim(n)
     assert rep.comp_rank == 0
 
@@ -57,22 +59,30 @@ def test_zero_orbit_centralizer_is_the_whole_algebra(n):
 def test_symp_rank_counts_split_positions(n):
     for pair in cb.symp_pairs(n):
         sym = cb.symp_pair_to_blocks(pair)
-        assert cz.symp_report(sym).comp_rank == cb.symp_split_k(pair)
-        assert cz.symp_report(sym).comp_rank <= len(sym)
+        assert cz.report(SP, sym).comp_rank == SP.split_k(pair)
+        assert cz.report(SP, sym).comp_rank <= len(sym)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symp_rational_class_total_is_p2(n):
-    assert sum(2 ** cz.symp_report(s).comp_rank for s in symbols(n)) == cb.p2(n)
+    assert sum(2 ** cz.report(SP, s).comp_rank for s in symbols(n)) == cb.p2(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symp_dimension_is_the_block_formula(n):
+    # the table computes dim Z from the pair; the blocks give the same sum
+    for sym in symbols(n):
+        want = sum((4 * i - 1) * b.m - 2 * b.l for i, b in enumerate(sym, 1))
+        assert cz.report(SP, sym).dim_z == want
 
 
 def test_symp_rejects_invalid_symbols():
     with pytest.raises(ValueError):
-        cz.symp_report(blocks((1, 2)))
+        cz.report(SP, blocks((1, 2)))
     with pytest.raises(ValueError):
-        cz.symp_report(blocks((1, 1), (2, 1)))
+        cz.report(SP, blocks((1, 1), (2, 1)))
     with pytest.raises(ValueError):  # decorated and closed blocks mixed
-        cz.symp_report((BlockLabel(2, 1, "d"), BlockLabel(1, 1)))
+        cz.report(SP, (BlockLabel(2, 1, "d"), BlockLabel(1, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -80,25 +90,25 @@ def test_symp_rejects_invalid_symbols():
 
 
 def test_oodd_dimension_examples():
-    assert cz.oodd_report(((0,), (1,))).dim_z == 3
-    assert cz.oodd_report(((), (1,))).dim_z == 3
-    assert cz.oodd_report(((1,), ())).dim_z == 1
+    assert cz.report(SO, SO.closed(((0,), (1,)))).dim_z == 3
+    assert cz.report(SO, SO.closed(((), (1,)))).dim_z == 3
+    assert cz.report(SO, SO.closed(((1,), ()))).dim_z == 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_oodd_zero_orbit_matches_the_algebra_dimension(n):
-    assert cz.oodd_report(((), (1,) * n)).dim_z == cz.algebra_dim(n)
+    assert cz.report(SO, SO.closed(((), (1,) * n))).dim_z == cz.algebra_dim(n)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_pure_chain_dimension_is_m(m):
-    assert cz.oodd_report(((m,), ())) == cz.CentralizerReport(m, 0)
+    assert cz.report(SO, SO.closed(((m,), ()))) == cz.CentralizerReport(m, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_oodd_rank_counts_split_positions(n):
     for nu, mu in cb.oodd_pairs(n):
-        got = cz.oodd_report((nu, mu)).comp_rank
+        got = cz.report(SO, SO.closed((nu, mu))).comp_rank
         v = list(nu) + [0] * (len(mu) + 1 - len(nu))
         want = sum(1 for i in range(1, len(mu) + 1)
                    if v[i] < mu[i - 1] <= v[i - 1])
@@ -108,13 +118,16 @@ def test_oodd_rank_counts_split_positions(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_oodd_rational_class_total_is_p2(n):
-    pairs = cb.oodd_pairs(n)
-    assert sum(2 ** cz.oodd_report(p).comp_rank for p in pairs) == cb.p2(n)
+    total = sum(2 ** cz.report(SO, SO.closed(p)).comp_rank
+                for p in cb.oodd_pairs(n))
+    assert total == cb.p2(n)
 
 
 def test_oodd_rejects_invalid_pairs():
     with pytest.raises(ValueError):
-        cz.oodd_report(((1, 2), (1,)))
+        SO.closed(((1, 2), (1,)))
+    with pytest.raises(ValueError):  # a label with that pair
+        cz.report(SO, cb.OddLabel(1, (BlockLabel(3, 1, "0"),)))
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +135,11 @@ def test_oodd_rejects_invalid_pairs():
 
 
 def test_report_fields_and_leading_count():
-    rep = cz.symp_report(blocks((2, 1)))
+    rep = cz.report(SP, blocks((2, 1)))
     assert rep.dim_z == 4 and rep.comp_rank == 1
     assert rep.point_count_leading(2) == 32
     assert rep.component_group() == "(Z/2)^1"
-    assert cz.symp_report(blocks((1, 0))).component_group() == "1"
+    assert cz.report(SP, blocks((1, 0))).component_group() == "1"
 
 
 def test_orbit_report_rows():
@@ -201,7 +214,7 @@ def test_chain_isometry_order_counts_commutant_units(m, e):
 
 
 def test_centralizer_report_record():
-    a, b = cz.CentralizerReport(4, 1), cz.symp_report(blocks((2, 1)))
+    a, b = cz.CentralizerReport(4, 1), cz.report(SP, blocks((2, 1)))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != cz.CentralizerReport(4, 0) and a != (4, 1)
     assert repr(a) == "CentralizerReport(dim_z=4, comp_rank=1)"

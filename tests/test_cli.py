@@ -254,6 +254,10 @@ def test_classify_missing_file(capsys):
     ("gf4_zero.json", json.dumps({"kind": "sp", "n": 1,
                                   "field": "GF(2^02)/111", "X": "0 1 1 0"}),
      []),
+    # nesting deeper than the recursion limit; explicit ids keep them short
+    pytest.param("deep.json", '{"a": ' * 100000, [], id="deep.json"),
+    pytest.param("deep_x.json", '{"kind": "sp", "n": 1, "field": "GF(2^1)/11", '
+                 '"X": ' + "[" * 5000 + "]" * 5000 + "}", [], id="deep_x.json"),
 ])
 def test_classify_malformed_input_is_one_line(capsys, tmp_path, name, text,
                                               extra):

@@ -6,6 +6,8 @@ import pytest
 
 from char2orbits import combinatorics as co
 
+SP, SO = co.FAMILIES["sp"], co.FAMILIES["so-odd"]
+
 # frozen by hand/classical tables
 P_VALUES = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 P2_VALUES = [1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481]
@@ -122,9 +124,9 @@ def test_symp_blocks_to_pair_drops_zero_parts():
 
 def test_symp_split_k_examples():
     # (2)^2_2 has pair mu=(2), nu=(); nothing to split
-    assert co.symp_split_k(co.symp_blocks_to_pair(blocks((2, 2)))) == 0
+    assert SP.split_k(co.symp_blocks_to_pair(blocks((2, 2)))) == 0
     # (2)^2_1 has pair mu=(1), nu=(1); one split position
-    assert co.symp_split_k(((1,), (1,))) == 1
+    assert SP.split_k(((1,), (1,))) == 1
     assert co.symp_fq_fanout(((1,), (1,))) == [((1,), (1,)), ((), (2,))]
 
 
@@ -132,7 +134,7 @@ def test_symp_fanout_identity_first_and_membership():
     for n in range(1, 9):
         for pair in co.symp_pairs(n):
             fan = co.symp_fq_fanout(pair)
-            assert len(fan) == 2 ** co.symp_split_k(pair)
+            assert len(fan) == 2 ** SP.split_k(pair)
             assert len(set(fan)) == len(fan)
             assert fan[0] == pair
             in_delta = [p for p in fan if co.symp_pair_valid(*p)]
@@ -153,7 +155,7 @@ def test_symp_fanout_union_is_all_pairs():
 
 def test_symp_sum_2k_is_p2():
     for n in range(1, 11):
-        total = sum(2 ** co.symp_split_k(p) for p in co.symp_pairs(n))
+        total = sum(2 ** SP.split_k(p) for p in co.symp_pairs(n))
         assert total == co.p2(n)
 
 
@@ -178,9 +180,9 @@ def test_oodd_enumeration_size():
 
 
 def test_oodd_split_k_examples():
-    assert co.oodd_split_k(((1,), (1,))) == 1
-    assert co.oodd_split_k(((), (2,))) == 0
-    assert co.oodd_split_k(((2,), ())) == 0
+    assert SO.split_k(((1,), (1,))) == 1
+    assert SO.split_k(((), (2,))) == 0
+    assert SO.split_k(((2,), ())) == 0
     fan = co.oodd_fq_fanout(((1,), (1,)))
     assert fan == [((1,), (1,)), ((1, 1), ())]
 
@@ -190,7 +192,7 @@ def test_oodd_fanout_properties():
         seen = []
         for pair in co.oodd_pairs(n):
             fan = co.oodd_fq_fanout(pair)
-            assert len(fan) == 2 ** co.oodd_split_k(pair)
+            assert len(fan) == 2 ** SO.split_k(pair)
             assert len(set(fan)) == len(fan)
             assert fan[0] == pair
             assert [p for p in fan if co.oodd_pair_valid(*p)] == [pair]
@@ -203,7 +205,7 @@ def test_oodd_fanout_properties():
 
 def test_oodd_sum_2k_is_p2():
     for n in range(1, 11):
-        assert sum(2 ** co.oodd_split_k(p) for p in co.oodd_pairs(n)) == co.p2(n)
+        assert sum(2 ** SO.split_k(p) for p in co.oodd_pairs(n)) == co.p2(n)
 
 
 # ----------------------------------------------------------------------
@@ -299,3 +301,23 @@ def test_label_records_survive_pickle_and_copy(label):
         assert type(other) is type(label)
         assert other == label and hash(other) == hash(label)
         assert repr(other) == repr(label)
+
+
+# ----------------------------------------------------------------------
+# the family table
+
+
+@pytest.mark.parametrize("kind", co.FAMILIES)
+def test_family_table_wiring(kind):
+    fam = co.FAMILIES[kind]
+    assert fam.kind == kind
+    for n in range(1, 7):
+        labels = fam.rational(n)
+        assert len(labels) == co.p2(n)
+        for label in labels:
+            assert fam.valid(label)
+            assert fam.parse(fam.format(label)) == label
+        for pair in fam.pairs(n):
+            closed = fam.closed(pair)
+            assert fam.pair(closed) == pair
+            assert len(fam.free(closed)) == fam.split_k(pair)

@@ -14,6 +14,7 @@ from char2orbits.finite_field import field_for
 
 F2 = field_for(1)
 F4 = field_for(2)
+SP = cb.FAMILIES["sp"]
 
 rng = np.random.default_rng(23)
 
@@ -71,7 +72,7 @@ def test_split_positions_agree_with_pair_language(n):
     for pair in cb.symp_pairs(n):
         blocks = cb.symp_pair_to_blocks(pair)
         assert cb.split_positions(blocks) == cb.symp_split_indices(pair)
-        assert len(cb.split_positions(blocks)) == cb.symp_split_k(pair)
+        assert len(cb.split_positions(blocks)) == SP.split_k(pair)
 
 
 # ----------------------------------------------------------------------

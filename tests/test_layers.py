@@ -4,7 +4,8 @@ The scan reads every import statement of every module, those inside
 functions included, so a deferred import cannot hide an upward edge.
 The same scan keeps numpy, dataclasses and the exhaustive search off the
 modules that need none of them, and one subprocess per command kind
-checks what a command-line process really loads.
+checks what a command-line process really loads.  A name scan finds
+public definitions that nothing in the package uses.
 """
 
 import ast
@@ -12,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,36 @@ def test_no_module_imports_dataclasses(module):
 def test_only_verify_imports_the_exhaustive_search(module):
     imports = package_imports(PACKAGE / f"{module}.py")
     assert ("isometry" in imports) == (module == "verify")
+
+
+def named(root) -> Counter:
+    "How often each identifier is named under an AST node, imports included."
+    out = Counter()
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+    return out
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # no public function, class or method of a public class that only
+    # tests use: each is named somewhere in the package outside its own
+    # definition (by name alone, so a method counts as used wherever its
+    # name is)
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    used = sum((named(t) for t in trees), Counter())
+    defs = [node for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    defs += [m for c in defs if isinstance(c, ast.ClassDef) for m in c.body
+             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    assert len(defs) > 100
+    unused = sorted(d.name for d in defs if used[d.name] == named(d)[d.name])
+    assert not unused, f"named only where defined: {unused}"
 
 
 # ----------------------------------------------------------------------

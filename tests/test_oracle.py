@@ -344,12 +344,6 @@ def test_o5_census_matches_the_frozen_sizes():
 # rank 3 over F_2 and rank 2 over F_4
 
 
-def label_text(label):
-    if isinstance(label, cb.OddLabel):
-        return cb.format_label(label)
-    return cb.format_blocks(label)
-
-
 @pytest.mark.parametrize("kind,n,e", [("sp", 3, 1), ("so-odd", 3, 1),
                                       ("sp", 2, 2), ("so-odd", 2, 2)])
 def test_censuses_beyond_the_served_spaces(kind, n, e):
@@ -362,17 +356,14 @@ def test_censuses_beyond_the_served_spaces(kind, n, e):
     assert sum(r.orbit_size for r in reports) == q ** (space.dim_algebra - n)
     for r in reports:
         assert r.orbit_size * r.stabilizer_order == group.order
-    texts = sorted(label_text(r.label) for r in reports)
-    universe = cb.rational_symbols(n) if kind == "sp" else cb.rational_labels(n)
-    assert texts == sorted(label_text(lab) for lab in universe)
-    pairs, split_k = ((cb.symp_pairs, cb.symp_split_k) if kind == "sp"
-                      else (cb.oodd_pairs, cb.oodd_split_k))
+    fam = cb.FAMILIES[kind]
+    texts = sorted(fam.format(r.label) for r in reports)
+    assert texts == sorted(fam.format(lab) for lab in fam.rational(n))
     got: dict = {}
     for r in reports:
-        pair = (cb.symp_blocks_to_pair(r.label) if kind == "sp"
-                else r.label.pair())
+        pair = fam.pair(r.label)
         got[pair] = got.get(pair, 0) + 1
-    assert got == {pair: 2 ** split_k(pair) for pair in pairs(n)}
+    assert got == {pair: 2 ** fam.split_k(pair) for pair in fam.pairs(n)}
 
 
 @pytest.mark.parametrize("n,e,count", [(3, 1, 5), (2, 2, 3)])
