@@ -6,17 +6,18 @@ Three kinds of space are supported, each with its standard forms:
   so-odd   dim 2n+1, quadratic   alpha(v) = v^t B v,   B = [[0,I,0],[0,0,0],[0,0,1]]
   so-even  dim 2n,   quadratic   alpha(v) = v^t B v,   B = [[0,I],[0,0]]
 
-with beta the polarization B + B^t in the orthogonal kinds.  A functional on
-the Lie algebra is carried as any matrix X with xi(x) = tr(X x); two
-representatives are the same functional iff their pairings with a basis of
-the algebra agree.  Matrices are linalg's lists of int rows, and the
-algebra and Borel bases are lists of 0/1 matrices.  The calculus attached
-to a functional:
+with beta the polarization B + B^t in the orthogonal kinds.  S swaps the
+halves and kills the odd radical slot, so Space.apply_form applies it by
+slicing.  A functional on the Lie algebra is carried as any matrix X with
+xi(x) = tr(X x); two representatives are the same functional iff their
+pairings with a basis of the algebra agree.  Matrices are linalg's lists
+of int rows, and the algebra and Borel bases are lists of 0/1 matrices.
+The calculus attached to a functional:
 
-  * module_endomorphism (sp, so-even): X + S X^t S, the endomorphism that
+  * module_endomorphism (sp, so-even): X + S (S X)^t, the endomorphism that
     turns the space into a module over the functional; for so-even this map
     is a bijection from functionals onto the Lie algebra itself;
-  * alternating_gram (so-odd): the alternating matrix X^t S + S X, the
+  * alternating_gram (so-odd): the alternating matrix (S X)^t + S X, the
     Gram of the functional's bilinear form.
 
 All of these are representative-independent, which the tests check by
@@ -86,8 +87,14 @@ class Space:
     # ------------------------------------------------------------------
     # forms
 
-    def beta(self, v, w) -> int:
-        return la.dot(self.field, v, la.mat_vec(self.field, self.S, w))
+    def apply_form(self, M) -> list:
+        """S M for a matrix or S v for a vector (rows copied, tuples
+        accepted): the halves swapped, the odd radical row zero."""
+        n, head = self.n, M[0]
+        if not hasattr(head, "__len__"):
+            return [*M[n:2 * n], *M[:n]] + [0] * (self.d - 2 * n)
+        return [list(r) for r in M[n:2 * n]] + [list(r) for r in M[:n]] \
+            + [[0] * len(head)] * (self.d - 2 * n)
 
     def alpha(self, v) -> int:
         if self.B is None:
@@ -153,8 +160,9 @@ class Space:
         """Per basis matrix b of the algebra, the nonzero positions of its
         pairing row, so tr(X b) is the sum of X's flat entries there."""
         if self._selectors is None:
-            self._selectors = [[k for k, x in enumerate(row) if x]
-                               for row in self._pairing_matrix()]
+            self._selectors = [
+                [k for k, x in enumerate(la.flatten(zip(*b))) if x]
+                for b in self.lie_basis()]
         return self._selectors
 
     # ------------------------------------------------------------------
@@ -242,7 +250,7 @@ def symplectic_transvection(space: Space, v, c: int) -> list[list[int]]:
     "x -> x + c beta(x, v) v; in the group for every v and scalar c."
     assert space.kind == "sp"
     F = space.field
-    return _rank_one_update(F, la.scale(F, c, v), la.mat_vec(F, space.S, v))
+    return _rank_one_update(F, la.scale(F, c, v), space.apply_form(v))
 
 
 def orthogonal_transvection(space: Space, v) -> list[list[int]]:
@@ -252,8 +260,7 @@ def orthogonal_transvection(space: Space, v) -> list[list[int]]:
     a = space.alpha(v)
     if a == 0:
         raise ValueError("transvection vector must have nonzero alpha")
-    return _rank_one_update(F, la.scale(F, F.inv(a), v),
-                            la.mat_vec(F, space.S, v))
+    return _rank_one_update(F, la.scale(F, F.inv(a), v), space.apply_form(v))
 
 
 def pair_swap(space: Space) -> list[list[int]]:
@@ -301,20 +308,17 @@ def random_group_element(space: Space, rng) -> list[list[int]]:
 
 
 def module_endomorphism(space: Space, X) -> list[list[int]]:
-    "X + S X^t S.  For sp and so-even; self-adjoint for the pairing."
+    "X + S X^t S = X + S (S X)^t.  For sp and so-even; self-adjoint."
     if space.kind == "so-odd":
         raise ValueError("no direct module endomorphism in the odd kind")
-    F = space.field
-    return la.add(X, la.mat_mul(F, la.mat_mul(F, space.S, la.transpose(X)),
-                                space.S))
+    return la.add(X, space.apply_form(la.transpose(space.apply_form(X))))
 
 
 def alternating_gram(space: Space, X) -> list[list[int]]:
-    "X^t S + S X: the alternating pairing matrix of an odd functional."
+    "(S X)^t + S X: the alternating pairing matrix of an odd functional."
     assert space.kind == "so-odd"
-    F = space.field
-    return la.add(la.mat_mul(F, la.transpose(X), space.S),
-                  la.mat_mul(F, space.S, X))
+    SX = space.apply_form(X)
+    return la.add(SX, la.transpose(SX))
 
 
 def is_alternating(A) -> bool:
@@ -348,12 +352,11 @@ def algebra_coords(space: Space, T) -> list[int]:
 
 
 def in_algebra(space: Space, T) -> bool:
-    F = space.field
-    TS = la.mat_mul(F, la.transpose(T), space.S)  # S T is its transpose
-    if TS != la.transpose(TS) or (space.kind != "sp"
-                                  and any(r[i] for i, r in enumerate(TS))):
+    ST = space.apply_form(T)  # T^t S is its transpose
+    if ST != la.transpose(ST) or (space.kind != "sp"
+                                  and any(r[i] for i, r in enumerate(ST))):
         return False
-    return not (space.kind == "so-odd" and la.mat_trace(F, T))
+    return not (space.kind == "so-odd" and la.mat_trace(space.field, T))
 
 
 def algebra_to_dual(space: Space, T) -> list[list[int]]:
@@ -364,8 +367,7 @@ def algebra_to_dual(space: Space, T) -> list[list[int]]:
     assert space.kind == "so-even"
     if not in_algebra(space, T):
         raise ValueError("matrix is not in the algebra")
-    return functional_from_gram(space.field, space.S,
-                                la.mat_mul(space.field, space.S, T))
+    return functional_from_gram(space.field, space.S, space.apply_form(T))
 
 
 # ----------------------------------------------------------------------

@@ -201,14 +201,17 @@ def _rank_bound(n: int) -> SizeBound:
                      f"the matrix file gives n = {n}")
 
 
-def _read_matrix(path: str, type_flag: str | None, e: int):
+def _read_matrix(path: str, type_flag: str | None, q_flag: str | None):
+    """The space and functional of a matrix file.  A JSON file carries its
+    own kind and field, which --type and --q may repeat but not contradict;
+    a grid takes both from the flags, q = 2 by default."""
     from .classical import Space, dual_parts_from_json
 
     try:
         with open(path) as f:
             text = f.read()
         if not text.lstrip().startswith("{"):
-            return _read_grid(text, type_flag, e)
+            return _read_grid(text, type_flag, 2 if q_flag == "4" else 1)
         kind, n, field, X = dual_parts_from_json(json.loads(text))
     except OSError as exc:
         raise BadRequest(f"cannot read matrix file {path}: {exc}")
@@ -216,6 +219,11 @@ def _read_matrix(path: str, type_flag: str | None, e: int):
             RecursionError) as exc:
         raise BadRequest(f"malformed matrix file {path}: "
                          f"{type(exc).__name__}: {exc}")
+    for flag, value, given in (("--type", kind, type_flag),
+                               ("--q", str(field.q), q_flag)):
+        if given not in (None, value):
+            raise BadRequest(f"matrix file {path} gives {flag[2:]} {value}, "
+                             f"but {flag} {given} was requested")
     if n > LIST_CAP:
         raise _rank_bound(n)
     return Space(kind, n, field), X
@@ -249,8 +257,7 @@ def _cmd_classify(args) -> int:
     from . import odd_split as od
     from .form_modules import NotNilpotentError
 
-    e = 1 if args.q == "2" else 2
-    space, X = _read_matrix(args.matrix, args.type, e)
+    space, X = _read_matrix(args.matrix, args.type, args.q)
     report: dict = {"kind": space.kind, "n": space.n, "q": space.field.q}
     try:
         label = od.rational_label(space, X)
@@ -406,7 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="matrix file: whitespace grid of field elements, "
                          "or the JSON form written by this package")
     pc.add_argument("--type", choices=["sp", "so-odd", "so-even"])
-    pc.add_argument("--q", default="2", choices=["2", "4"])
+    pc.add_argument("--q", choices=["2", "4"],
+                    help="field of a grid file (default 2); a JSON file "
+                         "gives its own")
     pc.set_defaults(fn=_cmd_classify)
 
     pn = sub.add_parser("normal-form", help="standard witness of a label")

@@ -30,16 +30,17 @@ v -> quad(T^i v) on ker(T^m) either fails to vanish on its polar radical or
 descends to a nondegenerate form whose Arf invariant has an absolute trace.
 All of it comes from the powers of T: each module builds its power ladder
 T^0..T^k once (linalg.power_ladder, which is also its nilpotency check),
-reads its Jordan type off the ladder's ranks, and takes ker(T^m) from the
-stored T^m.  The power forms are computed from the ladder once per module,
-each from one product img U img^t, and arf_invariant collects them.  A
-normal form is the orthogonal sum of its blocks, so its invariant
-combines cached per-block tables: None where any block gives None, else the
-sum of the block traces mod 2.  A block's None pattern does not depend on
-its decoration, so over one closed label the invariant is affine over F_2
-in the decoration vector, and both rational classifiers decide every
-decoration by one reduction over F_2 (_decorate).  Classification is
-polynomial linear algebra with no search and no scan of decorations.
+reads its Jordan type off the ladder's ranks and ker(T^m) off the ladder's
+kernels, which the ladder's rank eliminations already give.  The power
+forms are computed from the ladder once per module, each from one product
+img U img^t, and arf_invariant collects them.  A normal form is the
+orthogonal sum of its blocks, so its invariant combines cached per-block
+tables: None where any block gives None, else the sum of the block traces
+mod 2.  A block's None pattern does not depend on its decoration, so over
+one closed label the invariant is affine over F_2 in the decoration
+vector, and both rational classifiers decide every decoration by one
+reduction over F_2 (_decorate).  Classification is polynomial linear
+algebra with no search and no scan of decorations.
 """
 
 from __future__ import annotations
@@ -73,12 +74,13 @@ class FormModule:
     """Pairing Gram, nilpotent self-adjoint operator, quadratic values.
 
     The components are read as given at construction, which also builds
-    the operator's power ladder once: `powers` holds T^0..T^k (T^k = 0),
-    `partition` the Jordan type read off their ranks, and `polar_gram` the
-    Gram of the quadratic form's polarization.  The power-form data the
-    classifiers read is computed from the ladder once, on first use.
+    the operator's power ladder once: `kernels` holds the kernel bases of
+    T^0..T^k (T^k = 0), `partition` the Jordan type read off their ranks,
+    and `polar_gram` the Gram of the quadratic form's polarization.  The
+    power-form data the classifiers read is computed from the ladder once,
+    on first use.
     Construction checks that the Gram is nondegenerate by inverting it,
-    unless the caller has just done so and says _inverted=True.
+    unless the caller has just solved against it and says _inverted=True.
     """
 
     def __init__(self, kind: str, field: Field, gram, op, quad, *,
@@ -101,7 +103,7 @@ class FormModule:
         ladder = la.power_ladder(field, self.op)
         if ladder is None:
             raise NotNilpotentError("operator must be nilpotent")
-        self.powers, ranks = ladder
+        _, ranks, self.kernels = ladder
         self.partition = la.ladder_partition(ranks)
         op_t = la.transpose(self.op)
         shifted = la.mat_mul(field, op_t, self.gram)
@@ -117,9 +119,6 @@ class FormModule:
     def dim(self) -> int:
         return len(self.gram)
 
-    def beta(self, v, w) -> int:
-        return la.dot(self.field, v, la.mat_vec(self.field, self.gram, w))
-
 
 def build_module(space: Space, X) -> FormModule:
     """The form module of a nilpotent symplectic functional.
@@ -130,7 +129,7 @@ def build_module(space: Space, X) -> FormModule:
     if space.kind != "sp":
         raise ValueError("direct module construction needs a symplectic space")
     F = space.field
-    SX = la.mat_mul(F, space.S, X)
+    SX = space.apply_form(X)
     try:
         return FormModule("sp", F, space.S, module_endomorphism(space, X),
                           [r[i] for i, r in enumerate(SX)])
@@ -144,20 +143,19 @@ def build_module(space: Space, X) -> FormModule:
 
 def phi_series(mod: FormModule, v, w) -> list[int]:
     "Coefficients beta(T^k v, w) for k = 0..dim."
-    out = []
-    for _ in range(mod.dim + 1):
-        out.append(mod.beta(v, w))
-        v = la.mat_vec(mod.field, mod.op, v)
-    return out
+    return _series(mod, mod.gram, v, w)
 
 
 def xi_series(mod: FormModule, v, w) -> list[int]:
     "Coefficients of the shifted pairing beta(T^{k+1} v, w) for k = 0..dim."
-    F = mod.field
-    out = []
-    P = mod.polar_gram
+    return _series(mod, mod.polar_gram, v, w)
+
+
+def _series(mod: FormModule, gram, v, w) -> list[int]:
+    "Coefficients v^t (T^t)^k gram w for k = 0..dim."
+    F, Gw, out = mod.field, la.mat_vec(mod.field, gram, w), []
     for _ in range(mod.dim + 1):
-        out.append(la.dot(F, v, la.mat_vec(F, P, w)))
+        out.append(la.dot(F, v, Gw))
         v = la.mat_vec(F, mod.op, v)
     return out
 
@@ -172,7 +170,7 @@ def _power_forms(mod: FormModule, m: int, count: int):
     image is zero, so is every later form.
     """
     F, op_t = mod.field, la.transpose(mod.op)
-    img = la.kernel_basis(F, mod.powers[min(m, len(mod.powers) - 1)])
+    img = mod.kernels[min(m, len(mod.kernels) - 1)]
     k = len(img)
     for _ in range(count):
         if la.is_zero(img):
@@ -271,11 +269,8 @@ def classify_closed(mod: FormModule) -> tuple[BlockLabel, ...]:
     ker(T^m).
     """
     parts, powers = mod.partition, _power_table(mod)
-    if len(parts) % 2:
+    if len(parts) % 2 or parts[0::2] != parts[1::2]:
         raise ValueError("operator partition is not doubled")
-    for a, b in zip(parts[0::2], parts[1::2]):
-        if a != b:
-            raise ValueError("operator partition is not doubled")
     chi = {m: next(i for i, (zero, _) in enumerate(row) if zero)
            for m, row in powers.items()}
     blocks = tuple(BlockLabel(m, chi[m]) for m in parts[0::2])

@@ -7,11 +7,12 @@ with no rows records no width and counts as zero columns.
 Inside, a row packs into one Python int with one byte per entry (entry j in
 byte j): XOR adds two rows, and bytes.translate with the field's
 scale_bytes table scales one.  One Gaussian elimination on packed rows,
-_eliminate, serves rref, rank, kernel_basis, solve and inverse over every
-field.  power_ladder computes the powers A^0..A^k of a nilpotent matrix
-and their ranks in one pass and returns None for any other matrix, so it
-is also the package's one nilpotency test; the Jordan type is read off
-those ranks (ladder_partition), and a form module keeps the whole ladder.
+_eliminate, serves rref, rank, kernel_basis, solve and solve_matrix (A^-1 B
+from [A | B]; inverse solves against I) over every field.  power_ladder
+computes the powers A^0..A^k of a nilpotent matrix, their ranks and kernel
+bases in one pass and returns None for any other matrix, so it is also the
+package's one nilpotency test; the Jordan type is read off the ranks
+(ladder_partition), and a form module keeps the whole ladder.
 quad_matrix and quad_values evaluate a quadratic form given by its basis
 values and polar Gram; the form modules, the odd split and the isometry
 search share them.
@@ -240,15 +241,22 @@ def solve(F: Field, A, b) -> list[int] | None:
     return x
 
 
+def solve_matrix(F: Field, A, B) -> list[list[int]] | None:
+    "A^-1 B by one elimination of [A | B]; None when A is singular."
+    n, k, sh = len(A), _width(B), 8 * len(A)
+    if any(len(r) != n for r in A) or len(B) != n:
+        raise ValueError("A must be square, with one row of B per row")
+    packed = [_pack(r) | _pack(b) << sh for r, b in zip(A, B)]
+    if len(_eliminate(F, packed, n, n + k)) != n:
+        return None
+    return [_unpack(r >> sh, k) for r in packed]
+
+
 def inverse(F: Field, A) -> list[list[int]]:
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise ValueError("only square matrices have inverses")
-    sh = 8 * n
-    packed = [_pack(r) | 1 << (sh + 8 * i) for i, r in enumerate(A)]
-    if len(_eliminate(F, packed, n, 2 * n)) != n:
+    X = solve_matrix(F, A, identity(len(A)))
+    if X is None:
         raise ValueError("matrix is singular")
-    return [_unpack(r >> sh, n) for r in packed]
+    return X
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +264,8 @@ def inverse(F: Field, A) -> list[list[int]]:
 
 
 def power_ladder(F: Field, A):
-    """The powers A^0..A^k of a square matrix and their ranks, k its
-    nilpotency index (A^k = 0 != A^(k-1)); None when A is not nilpotent.
+    """The powers A^0..A^k of a square matrix, their ranks and kernel bases,
+    k its nilpotency index (A^k = 0 != A^(k-1)); None if A is not nilpotent.
 
     Ranks of powers fall until they stay put, and once a rank repeats the
     powers keep it, so a repeat above 0 settles that A is not nilpotent.
@@ -265,17 +273,18 @@ def power_ladder(F: Field, A):
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("only square matrices have powers")
-    powers, ranks = [identity(n)], [n]
+    powers, ranks, kernels = [identity(n)], [n], [[]]
     P = as_matrix(A)
     while ranks[-1]:
-        r = rank(F, P)
-        if r == ranks[-1]:
+        K = kernel_basis(F, P)
+        if n - len(K) == ranks[-1]:
             return None
         powers.append(P)
-        ranks.append(r)
-        if r:
+        ranks.append(n - len(K))
+        kernels.append(K)
+        if ranks[-1]:
             P = mat_mul(F, P, A)
-    return powers, ranks
+    return powers, ranks, kernels
 
 
 def ladder_partition(ranks) -> list[int]:

@@ -9,13 +9,16 @@ has a solution; it grows the space of possible chain ends one length at
 a time rather than solving the system afresh for each m.  The solution
 space at that m is one-dimensional, and the chain is normalized so the
 ambient quadratic form takes value 1 on v_m (which spans the radical of
-the pairing).  A dual family u_0..u_{m-1} is solved next, and the
-complement W of the resulting (2m+1)-dimensional chain part is cut out by
-2m+1 pairing conditions.  W carries a nondegenerate pairing, the transfer
-operator T with beta(Tw, w') the functional's form, and the ambient
-quadratic values: an orth form module.  The functional is nilpotent
-exactly when the split goes through with T nilpotent; every structural
-failure raises SplitError, the so-odd case of NotNilpotentError.
+the pairing).  A dual family u_0..u_{m-1} follows: u_0 by one solve,
+then u_i = S G u_(i-1), as S is its own inverse away from the radical
+slot.  The complement W of the resulting (2m+1)-dimensional chain part is
+cut out by 2m+1 pairing conditions.  W carries a nondegenerate pairing
+Gw, the transfer operator T = Gw^-1 Gx with Gx the functional's form on
+W (both Grams from one product, T from one elimination of [Gw | Gx]),
+and the ambient quadratic values: an orth form module.  The functional
+is nilpotent exactly when the split goes through with T nilpotent; every
+structural failure raises SplitError, the so-odd case of
+NotNilpotentError.
 
 The rational label of a nilpotent functional is the chain length m plus
 the decorated block label of W, which classify_orth_fq reads off Arf
@@ -94,12 +97,12 @@ def _chain_vectors(space: Space, G):
     quadratic value.  Each basis end carries its chain, flattened, so the
     chain needs no solve.
     """
-    F, S_t, d = space.field, la.transpose(space.S), space.d
+    F, d = space.field, space.d
     ends = la.kernel_basis(F, G)
     chains = [list(e) for e in ends]
     for m in range(space.n + 1):
         k = len(ends)
-        SE = la.transpose(la.mat_mul(F, ends, S_t))
+        SE = space.apply_form(la.transpose(ends))
         K = la.kernel_basis(F, [b + g for b, g in zip(SE, G)])
         C = [x[:k] for x in K if not any(x[k:])]
         if C:
@@ -114,29 +117,25 @@ def _chain_vectors(space: Space, G):
 
 def _alpha_fix(space: Space, v, v_m):
     "Add the right multiple of the radical vector to zero the quadratic value."
-    a = space.alpha(v)
-    if a == 0:
-        return v
-    return [x ^ y for x, y in
-            zip(v, la.scale(space.field, space.field.sqrt(a), v_m))]
+    c = space.field.mul_table[space.field.sqrt(space.alpha(v))]
+    return [x ^ c[y] for x, y in zip(v, v_m)]
 
 
 def _dual_chain(space: Space, G, chain):
-    F, S = space.field, space.S
+    F = space.field
     m = len(chain) - 1
     if m == 0:
         return []
-    rows = [la.mat_vec(F, S, v) for v in chain[:m]]
+    rows = [space.apply_form(v) for v in chain[:m]]
     u = la.solve(F, rows, [1] + [0] * (m - 1))
     if u is None:
         raise SplitError("no dual vector pairs one with the chain start")
     dual = [_alpha_fix(space, u, chain[m])]
     for _ in range(1, m):
-        target = la.mat_vec(F, G, dual[-1])
-        u = la.solve(F, S, target)
-        if u is None:
+        target = la.mat_vec(F, G, dual[-1])  # S u = target, so u = S target
+        if target[-1]:
             raise SplitError("dual recurrence leaves the pairing's image")
-        dual.append(_alpha_fix(space, u, chain[m]))
+        dual.append(_alpha_fix(space, space.apply_form(target), chain[m]))
     return dual
 
 
@@ -148,16 +147,15 @@ def split_odd_functional(space: Space, X) -> OddSplit:
     """
     if space.kind != "so-odd":
         raise ValueError("the split applies to odd orthogonal functionals")
-    F, S, d = space.field, space.S, space.d
+    F, d = space.field, space.d
     G = alternating_gram(space, X)
     m, chain = _chain_vectors(space, G)
-    for i, v in enumerate(chain[:-1]):
-        if space.alpha(v):
+    for i, a in enumerate(la.quad_values(F, space.B, chain[:-1])):
+        if a:
             raise SplitError(f"chain vector {i} has nonzero quadratic value")
-    for v in chain:
-        for w in chain:
-            if space.beta(v, w):
-                raise SplitError("chain is not isotropic for the pairing")
+    if not la.is_zero(la.mat_mul(F, chain,
+                                 space.apply_form(la.transpose(chain)))):
+        raise SplitError("chain is not isotropic for the pairing")
     dual = _dual_chain(space, G, chain)
 
     if m == 0:
@@ -165,8 +163,7 @@ def split_odd_functional(space: Space, X) -> OddSplit:
     else:
         if la.rank(F, chain + dual) != 2 * m + 1:
             raise SplitError("chain and dual family are dependent")
-        rows = [la.mat_vec(F, S, v) for v in chain[:m]]
-        rows += [la.mat_vec(F, S, u) for u in dual]
+        rows = [space.apply_form(v) for v in chain[:m] + dual]
         rows.append(la.mat_vec(F, G, dual[m - 1]))
         comp = la.kernel_basis(F, rows)
         if len(comp) != d - (2 * m + 1):
@@ -174,14 +171,15 @@ def split_odd_functional(space: Space, X) -> OddSplit:
 
     if len(comp) == 0:
         return OddSplit(space, X, m, chain, dual, comp, None)
-    comp_t = la.transpose(comp)
-    Gw = la.mat_mul(F, la.mat_mul(F, comp, S), comp_t)
-    Gx = la.mat_mul(F, la.mat_mul(F, comp, G), comp_t)
-    try:
-        T = la.mat_mul(F, la.inverse(F, Gw), Gx)
-    except ValueError:
-        raise SplitError("complement pairing is degenerate") from None
-    quad = [space.alpha(w) for w in comp]
+    # [Gw | Gx] = comp [S comp^t | G comp^t]; T = Gw^-1 Gx
+    comp_t, c = la.transpose(comp), len(comp)
+    W = la.mat_mul(F, comp, [a + b for a, b in zip(
+        space.apply_form(comp_t), la.mat_mul(F, G, comp_t))])
+    Gw = [r[:c] for r in W]
+    T = la.solve_matrix(F, Gw, [r[c:] for r in W])
+    if T is None:
+        raise SplitError("complement pairing is degenerate")
+    quad = la.quad_values(F, space.B, comp)
     try:
         module = FormModule("orth", F, Gw, T, quad, _inverted=True)
     except NotNilpotentError:
@@ -197,13 +195,8 @@ def split_odd_functional(space: Space, X) -> OddSplit:
 
 def _clip(m: int, blocks):
     "Raise levels so no co-level exceeds the chain length."
-    out = []
-    for b in blocks:
-        if b.m - b.l > m:
-            out.append(BlockLabel(b.m, b.m - m, "0"))
-        else:
-            out.append(b)
-    return tuple(out)
+    return tuple(BlockLabel(b.m, b.m - m, "0") if b.m - b.l > m else b
+                 for b in blocks)
 
 
 def rational_odd_label(split: OddSplit) -> OddLabel:
@@ -311,7 +304,7 @@ def odd_witness(label: OddLabel, field: Field):
             C[i][o + a] = 1
             C[j][o + a] = quad[o + a]
     C_t = la.transpose(C)
-    assert la.mat_mul(field, la.mat_mul(field, C_t, space.S), C) == Gb, \
+    assert la.mat_mul(field, C_t, space.apply_form(C)) == Gb, \
         "the embedding must carry the model's pairing"
     assert la.quad_values(field, space.B, C_t) == quad, \
         "the embedding must carry the model's quadratic values"

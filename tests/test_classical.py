@@ -16,6 +16,11 @@ def random_matrix(gen, q, d):
     return gen.integers(0, q, size=(d, d), dtype=np.uint8).tolist()
 
 
+def beta(space, v, w):
+    "The space's pairing v^t S w, by the matrix S."
+    return la.dot(space.field, v, la.mat_vec(space.field, space.S, w))
+
+
 def all_vectors(F, d):
     out = np.zeros((F.q ** d, d), dtype=np.uint8)
     for i in range(F.q ** d):
@@ -79,6 +84,34 @@ def test_radical_dimension(kind, n):
         assert space.pairing_vector(R) == (0,) * space.dim_algebra
 
 
+@pytest.mark.parametrize("kind", cl.KINDS)
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pairing_selectors_are_the_pairing_rows_support(kind, n, e):
+    space = cl.space_for(kind, n, e)
+    assert space._pairing_selectors() == [
+        [k for k, x in enumerate(row) if x] for row in space._pairing_matrix()]
+
+
+@pytest.mark.parametrize("kind", cl.KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", [1, 3])
+def test_apply_form_is_the_product_with_s(kind, n, e):
+    space = cl.space_for(kind, n, e)
+    F, d = space.field, space.d
+    gen = np.random.default_rng(100 * n + e)
+    for cols in (1, d, 2 * d + 1):
+        M = gen.integers(0, F.q, size=(d, cols), dtype=np.uint8).tolist()
+        want = la.mat_mul(F, space.S, M)
+        assert space.apply_form(M) == want
+        assert space.apply_form(tuple(tuple(r) for r in M)) == want
+        got = space.apply_form(M)
+        assert all(r is not s for r in got for s in M)  # rows are copies
+        v = [r[0] for r in M]
+        assert space.apply_form(v) == la.mat_vec(F, space.S, v)
+        assert space.apply_form(tuple(v)) == la.mat_vec(F, space.S, v)
+
+
 def test_o3_explicit_structure():
     # the odd algebra at n=1 is {[[a,0,0],[0,a,0],[u,v,0]]}
     so = cl.space_for("so-odd", 1)
@@ -88,7 +121,7 @@ def test_o3_explicit_structure():
         assert b[0][0] == b[1][1]
         assert la.mat_trace(F, b) == 0
         for v in all_vectors(F, 3):
-            assert so.beta(la.mat_vec(F, b, v), v) == 0
+            assert beta(so, la.mat_vec(F, b, v), v) == 0
 
 
 @pytest.mark.parametrize("kind,n,e", [("sp", 2, 2), ("so-even", 2, 2)])
@@ -179,8 +212,8 @@ def test_sp_calculus_well_defined(kind, n, e):
         assert cl.module_endomorphism(sp, X) == cl.module_endomorphism(sp, XR)
         if vs is not None:
             for v in vs:
-                assert sp.beta(v, la.mat_vec(F, X, v)) == \
-                    sp.beta(v, la.mat_vec(F, XR, v))
+                assert beta(sp, v, la.mat_vec(F, X, v)) == \
+                    beta(sp, v, la.mat_vec(F, XR, v))
 
 
 def test_sp_module_endomorphism_self_adjoint_and_alpha_compatible():
@@ -191,7 +224,7 @@ def test_sp_module_endomorphism_self_adjoint_and_alpha_compatible():
         T = cl.module_endomorphism(sp, X)
         assert la.mat_mul(F, la.transpose(T), sp.S) == la.mat_mul(F, sp.S, T)
         for v in all_vectors(F, 4):
-            assert sp.beta(la.mat_vec(F, T, v), v) == 0
+            assert beta(sp, la.mat_vec(F, T, v), v) == 0
 
 
 @pytest.mark.parametrize("n,e", [(1, 1), (2, 1), (1, 2)])

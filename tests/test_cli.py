@@ -193,6 +193,26 @@ def test_classify_json_file_is_self_describing(capsys, tmp_path):
                                  "eps": ["0"]}
 
 
+def test_classify_json_file_keeps_its_own_field(capsys, tmp_path):
+    # no --q default: a GF(8) file classifies over GF(8), and flags that
+    # repeat the file's kind and field are accepted
+    F8 = field_for(3)
+    blocks = cb.parse_blocks("(2)^2_1:d")
+    _, X = fm.build_normal_form(blocks, F8)
+    path = tmp_path / "gf8.json"
+    path.write_text(json.dumps(cl.dual_to_json(cl.Space("sp", 2, F8), X)))
+    for extra in ([], ["--type", "sp"]):
+        rc, out, _ = run(capsys, ["classify", "--matrix", str(path)] + extra)
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["q"], doc["label"]) == (8, "(2)^2_1:d")
+    path = tmp_path / "gf4.json"
+    _, X = fm.build_normal_form(blocks, field_for(2))
+    path.write_text(json.dumps(cl.dual_to_json(space_for("sp", 2, 2), X)))
+    rc, out, _ = run(capsys, ["classify", "--matrix", str(path), "--q", "4"])
+    assert rc == 0 and json.loads(out)["q"] == 4
+
+
 def test_classify_zero_matrix(capsys, tmp_path):
     path = write_grid(tmp_path / "z.txt", la.zeros(4, 4))
     rc, out, _ = run(capsys, ["classify", "--matrix", path, "--type", "sp"])
@@ -258,6 +278,13 @@ def test_classify_missing_file(capsys):
     pytest.param("deep.json", '{"a": ' * 100000, [], id="deep.json"),
     pytest.param("deep_x.json", '{"kind": "sp", "n": 1, "field": "GF(2^1)/11", '
                  '"X": ' + "[" * 5000 + "]" * 5000 + "}", [], id="deep_x.json"),
+    # a JSON file gives its own kind and field; a flag may not contradict it
+    pytest.param("type_clash.json", json.dumps({
+        "kind": "sp", "n": 1, "field": "GF(2^1)/11", "X": "0 1 1 0"}),
+        ["--type", "so-odd"], id="type_clash.json"),
+    pytest.param("q_clash.json", json.dumps({
+        "kind": "sp", "n": 1, "field": "GF(2^1)/11", "X": "0 1 1 0"}),
+        ["--q", "4"], id="q_clash.json"),
 ])
 def test_classify_malformed_input_is_one_line(capsys, tmp_path, name, text,
                                               extra):

@@ -108,12 +108,15 @@ def test_jordan_partition_matches_the_scalar_reference(e):
         while la.rank(F, g) < n:
             g = random_matrix(F, n, n)
         A = la.mat_mul(F, la.mat_mul(F, g, N), la.inverse(F, g))
-        # the ladder: A^0..A^k by products, their ranks, stopping at A^k = 0
-        powers, ranks = la.power_ladder(F, A)
+        # the ladder: A^0..A^k by products, their ranks and kernels,
+        # stopping at A^k = 0
+        powers, ranks, kernels = la.power_ladder(F, A)
         assert powers[0] == la.identity(n)
         for P, Q in zip(powers, powers[1:]):
             assert Q == ref.mat_mul(F, P, A)
         assert ranks == [ref.rank(F, P) for P in powers]
+        assert kernels == [la.kernel_basis(F, P) for P in powers]
+        assert kernels == [ref.kernel_basis(F, P, n) for P in powers]
         assert ranks[-1] == 0 and 0 not in ranks[:-1]
         assert la.ladder_partition(ranks) == ref.jordan_partition(F, A)
 
@@ -167,6 +170,27 @@ def test_inverse(e):
         assert la.mat_mul(F, A, B) == la.identity(n)
         assert la.mat_mul(F, B, A) == la.identity(n)
         found += 1
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_solve_matrix_is_the_inverse_times_b(e):
+    F = field_for(e)
+    gen = np.random.default_rng(e)
+    for _ in range(20):
+        n, k = (int(x) for x in gen.integers(1, 7, size=2))
+        A = gen.integers(0, F.q, size=(n, n), dtype=np.uint8).tolist()
+        B = gen.integers(0, F.q, size=(n, k), dtype=np.uint8).tolist()
+        want = ref.inverse(F, A)
+        if want is None:
+            assert la.solve_matrix(F, A, B) is None
+        else:
+            assert la.solve_matrix(F, A, B) == ref.mat_mul(F, want, B) \
+                == la.mat_mul(F, la.inverse(F, A), B)
+    # a singular A, whatever B is
+    singular = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+    assert la.solve_matrix(F, singular, la.identity(3)) is None
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        la.inverse(F, singular)
 
 
 def test_rref_is_canonical():
@@ -231,10 +255,12 @@ def test_not_nilpotent():
 def test_power_ladder_and_trace():
     F = field_for(2)
     J = jordan_block(4)
-    powers, ranks = la.power_ladder(F, J)
+    powers, ranks, kernels = la.power_ladder(F, J)
     assert powers[0] == la.identity(4) and powers[1] == J
     assert not la.is_zero(powers[3])
     assert la.is_zero(powers[4]) and len(powers) == 5
     assert ranks == [4, 3, 2, 1, 0]
+    # J shifts up, so ker(J^m) is spanned by the first m basis vectors
+    assert kernels == [la.identity(4)[:m] for m in range(5)]
     assert la.mat_trace(F, la.identity(3)) == 1
     assert la.mat_trace(F, la.identity(4)) == 0

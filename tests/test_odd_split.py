@@ -40,6 +40,11 @@ def canonical_labels(n):
     return out
 
 
+def beta(space, v, w):
+    "The space's pairing v^t S w, by the matrix S."
+    return la.dot(space.field, v, la.mat_vec(space.field, space.S, w))
+
+
 def all_functionals(space):
     for vals in product(range(space.field.q), repeat=space.dim_algebra):
         yield space.dual_from_values(list(vals))
@@ -73,13 +78,18 @@ def test_zero_functional_has_empty_chain_and_trivial_blocks():
 @pytest.mark.parametrize("text", ["m=0; (1)^2_1:0 (1)^2_1:d",
                                   "m=1; (1)^2_1:d", "m=1; (2)^2_2:0"])
 def test_split_inverts_the_complement_gram_once(text, monkeypatch):
+    # one elimination of [Gw | Gx] gives T = Gw^-1 Gx; nothing is inverted
     space, X = od.odd_witness(cb.parse_label(text), F2)
-    calls = []
-    inverse = la.inverse
-    monkeypatch.setattr(la, "inverse", lambda F, A: calls.append(A) or
-                        inverse(F, A))
+    calls, inverted = [], []
+    solve_matrix = la.solve_matrix
+    monkeypatch.setattr(la, "solve_matrix", lambda F, A, B: calls.append(
+        (A, B)) or solve_matrix(F, A, B))
+    monkeypatch.setattr(la, "inverse", lambda F, A: inverted.append(A))
     s = od.split_odd_functional(space, X)
-    assert s.module is not None and calls == [s.module.gram]
+    assert s.module is not None and not inverted
+    [(Gw, Gx)] = calls
+    assert Gw == s.module.gram
+    assert la.mat_mul(F2, Gw, s.module.op) == Gx
 
 
 def test_form_modules_still_reject_a_degenerate_gram():
@@ -223,13 +233,25 @@ def test_dual_chain_satisfies_the_pairing_relations():
         if i < s.m:
             assert space.alpha(v) == 0
         for j, u in enumerate(s.dual):
-            assert space.beta(v, u) == (1 if i == j else 0)
+            assert beta(space, v, u) == (1 if i == j else 0)
     for u in s.dual:
         assert space.alpha(u) == 0
     for k in range(1, s.m):
         lhs = la.mat_vec(F2, space.S, s.dual[k])
         rhs = la.mat_vec(F2, G, s.dual[k - 1])
         assert lhs == rhs
+
+
+def test_dual_recurrence_rejects_a_target_off_the_pairing_image():
+    # S u = G u_0 has no solution when G u_0 has a radical coordinate
+    space = space_for("so-odd", 2)
+    e = la.identity(space.d)
+    chain = [e[0], e[1], e[4]]
+    G = la.zeros(5, 5)
+    G[2][4] = G[4][2] = 1
+    with pytest.raises(od.SplitError,
+                       match="^dual recurrence leaves the pairing's image$"):
+        od._dual_chain(space, G, chain)
 
 
 @pytest.mark.parametrize("e,max_n", [(1, 3), (2, 2)])
@@ -252,6 +274,25 @@ def test_rational_label_is_constant_on_random_conjugates(e, n):
         space, X = od.odd_witness(lab, F)
         Y = coadjoint(space, random_group_element(space, gen), X)
         assert od.rational_odd_label(od.split_odd_functional(space, Y)) == lab
+
+
+@pytest.mark.parametrize("e", [3, 4])
+@pytest.mark.parametrize("kind", ["sp", "so-odd"])
+def test_rational_label_round_trips_over_gf8_and_gf16(kind, e):
+    # the generic-field elimination path of the split and the classifiers
+    F = Field(e)
+    gen = np.random.default_rng(e)
+    for n in (1, 2, 3):
+        labels = cb.rational_symbols(n) if kind == "sp" else \
+            cb.rational_labels(n)
+        for lab in labels:
+            if kind == "sp":
+                space = space_for("sp", n, e)
+                X = fm.build_normal_form(lab, F)[1]
+            else:
+                space, X = od.odd_witness(lab, F)
+            Y = coadjoint(space, random_group_element(space, gen), X)
+            assert od.rational_label(space, Y) == lab
 
 
 @pytest.mark.parametrize("F", [F2, F4])
