@@ -47,7 +47,12 @@ def report(family, label) -> CentralizerReport:
     or closed: the family's dim Z and split count of the label's pair."""
     if not family.valid(label):
         raise ValueError(f"not a {family.kind} label: {label}")
-    pair = family.pair(label)
+    return pair_report(family, family.pair(label))
+
+
+def pair_report(family, pair) -> CentralizerReport:
+    """The report shared by every label of a pair of the family; the pair
+    is not checked, so the caller passes one it has checked."""
     return CentralizerReport(family.dim_z(pair), family.split_k(pair))
 
 

@@ -16,6 +16,10 @@ report.
 
 Every command does bounded work: orbit tables, labels and classify
 inputs stop at rank LIST_CAP (exit 3, checked before any space is built).
+The sp and so-odd tables are built pair by pair: building a pair's closed
+label is its one validity check, and the table columns that depend only
+on the pair are computed once per pair, not once per row.  A label read
+from the command line is checked once, when it is parsed.
 
 Labels are pure combinatorics, so only combinatorics and centralizers load
 with this module, and neither needs more of the standard library than
@@ -94,19 +98,11 @@ def _print_record(out: dict, fmt: str) -> None:
 # orbits
 
 
-def _label_row(kind: str, label) -> dict:
-    """Every field the commands print about one label of the kind's family,
-    decorated or closed; dim_orbit is taken at the rank the label encodes,
-    the size of its pair."""
-    fam = cb.FAMILIES[kind]
-    pair = fam.pair(label)
-    rep = cz.report(fam, label)
-    eps = [b.eps for b in fam.blocks(label)]
-    return {"label": fam.format(label),
-            "closed_label": fam.closed_text(label),
-            "pair": fam.pair_text(pair),
-            "eps": None if None in eps else "".join(eps),
-            "label_json": fam.to_json(label),
+def _pair_cells(fam, pair) -> dict:
+    """The fields every label of a checked pair shares, centralizer data
+    included; dim_orbit is taken at the rank the pair encodes, its size."""
+    rep = cz.pair_report(fam, pair)
+    return {"pair": fam.pair_text(pair),
             "dim_z": rep.dim_z,
             "comp_rank": rep.comp_rank,
             "component_group": rep.component_group(),
@@ -116,29 +112,47 @@ def _label_row(kind: str, label) -> dict:
             "points_leading_q4": rep.point_count_leading(4)}
 
 
+def _label_cells(fam, label) -> dict:
+    "The fields of one label that its pair does not fix."
+    eps = [b.eps for b in fam.blocks(label)]
+    return {"label": fam.format(label),
+            "eps": None if None in eps else "".join(eps),
+            "label_json": fam.to_json(label)}
+
+
+def _label_row(kind: str, label) -> dict:
+    """Every field the commands print about one valid label of the kind's
+    family, decorated or closed: its own cells and its pair's."""
+    fam = cb.FAMILIES[kind]
+    return {**_label_cells(fam, label), "closed_label": fam.closed_text(label),
+            **_pair_cells(fam, fam.pair(label))}
+
+
 def _pick(row: dict, *keys: str) -> dict:
     return {k: row[k] for k in keys}
 
 
-def _closed_rows(kind: str, n: int) -> list[dict]:
+def _table_rows(kind: str, n: int, q: str) -> list[dict]:
+    """The orbit table of rank n, pair by pair: one closed row per pair, or
+    (q = "2" or "4") one row per rational label of the pair.  Building the
+    pair's closed label is the one validity check; the pair's cells are
+    computed once and shared by its rows."""
     fam = cb.FAMILIES[kind]
     rows = []
     for pair in fam.pairs(n):
-        row = _label_row(kind, fam.closed(pair))
-        rows.append({"label": row["closed_label"],
-                     **_pick(row, "pair", "dim_orbit", "component_group",
-                             "fq_classes")})
-    return rows
-
-
-def _rational_rows(kind: str, n: int, q: int) -> list[dict]:
-    rows = []
-    for lab in cb.FAMILIES[kind].rational(n):
-        row = _label_row(kind, lab)
-        rows.append({**_pick(row, "label", "eps", "pair", "dim_orbit",
-                             "component_group"),
-                     "stabilizer_leading": row[f"points_leading_q{q}"],
-                     "label_json": row["label_json"]})
+        closed = fam.closed(pair)
+        cells = _pair_cells(fam, pair)
+        if q == "closed":
+            rows.append({"label": fam.closed_text(closed),
+                         **_pick(cells, "pair", "dim_orbit",
+                                 "component_group", "fq_classes")})
+            continue
+        shared = {**_pick(cells, "pair", "dim_orbit", "component_group"),
+                  "stabilizer_leading": cells[f"points_leading_q{q}"]}
+        for label in fam.decorate(closed):
+            own = _label_cells(fam, label)
+            rows.append({"label": own["label"], "eps": own["eps"], **shared,
+                         "label_json": own["label_json"]})
     return rows
 
 
@@ -180,13 +194,11 @@ def _cmd_orbits(args) -> int:
               args.format, meta)
         return 0
     if args.q == "closed":
-        rows = _closed_rows(args.type, args.n)
         cols = ["label", "pair", "dim_orbit", "component_group", "fq_classes"]
     else:
-        rows = _rational_rows(args.type, args.n, int(args.q))
         cols = ["label", "eps", "pair", "dim_orbit", "component_group",
                 "stabilizer_leading"]
-    _emit(rows, cols, args.format, meta)
+    _emit(_table_rows(args.type, args.n, args.q), cols, args.format, meta)
     return 0
 
 

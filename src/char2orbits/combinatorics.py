@@ -39,20 +39,23 @@ from __future__ import annotations
 import re
 from functools import lru_cache, total_ordering
 from itertools import product
+from operator import ge, le
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def strip_zeros(parts) -> tuple[int, ...]:
-    p = list(parts)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
+    p = tuple(parts)
+    end = len(p)
+    while end and p[end - 1] == 0:
+        end -= 1
+    return p[:end]
 
 
 def is_partition(parts) -> bool:
+    "Weakly decreasing and positive once trailing zeros are stripped."
     p = strip_zeros(parts)
-    return all(a >= b for a, b in zip(p, p[1:])) and all(a > 0 for a in p)
+    return all(map(ge, p, p[1:])) and (not p or p[-1] > 0)
 
 
 def partitions(n: int, largest: int | None = None):
@@ -91,18 +94,22 @@ def _pad(parts, length: int) -> list[int]:
 
 
 def symp_pair_valid(mu, nu) -> bool:
+    "nu_i <= mu_i + 1 for every i, mu read as zero past its end."
     mu = strip_zeros(mu)
     nu = strip_zeros(nu)
     if not (is_partition(mu) and is_partition(nu)):
         return False
-    m = _pad(mu, len(nu))
-    return all(nu[i] <= m[i] + 1 for i in range(len(nu)))
+    # past the end of mu, nu is weakly decreasing, so its first part decides
+    k = len(mu)
+    return (all(map(le, nu, [a + 1 for a in mu]))
+            and (len(nu) <= k or nu[k] <= 1))
 
 
 def _valid_pairs(n: int, valid) -> list[Pair]:
     "The partition pairs of total size n that valid accepts, sorted."
-    return sorted((x, y) for a in range(n + 1) for x in partitions(a)
-                  for y in partitions(n - a) if valid(x, y))
+    parts = [list(partitions(a)) for a in range(n + 1)]
+    return sorted((x, y) for a in range(n + 1) for x in parts[a]
+                  for y in parts[n - a] if valid(x, y))
 
 
 def symp_pairs(n: int) -> list[Pair]:
@@ -163,10 +170,8 @@ def oodd_pair_valid(nu, mu) -> bool:
     mu = strip_zeros(mu)
     if not (is_partition(nu) and is_partition(mu)):
         return False
-    if len(nu) > len(mu) + 1:
-        return False
-    m = _pad(mu, len(nu))
-    return all(nu[i] <= m[i - 1] for i in range(1, len(nu)))
+    # nu_i <= mu_i for i >= 1, and nu has no part past mu's last slot
+    return len(nu) <= len(mu) + 1 and all(map(le, nu[1:], mu))
 
 
 def oodd_pairs(n: int) -> list[Pair]:
@@ -366,17 +371,20 @@ def decorations(closed, free):
                     for i, b in enumerate(closed))
 
 
+def _rational(kind: str, n: int) -> list:
+    "Each pair's closed label of the family, decorated, pair by pair."
+    fam = FAMILIES[kind]
+    return [label for pair in fam.pairs(n)
+            for label in fam.decorate(fam.closed(pair))]
+
+
 def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
     """Canonical decorated symbols of total size n, 2^k per closed symbol.
 
     These are exactly the labels classify_fq decides between, so their
     count over all closed symbols is p2(n).
     """
-    out = []
-    for pair in symp_pairs(n):
-        closed = symp_pair_to_blocks(pair)
-        out += decorations(closed, split_positions(closed))
-    return out
+    return _rational("sp", n)
 
 
 # numbers are ASCII digits only, as format_blocks and format_label write them
@@ -464,13 +472,7 @@ def pair_to_label(pair) -> OddLabel:
 
 def rational_labels(n: int) -> list[OddLabel]:
     "Canonical decorated labels of total size n, 2^k per admissible pair."
-    out = []
-    for pair in oodd_pairs(n):
-        base = pair_to_label(pair)
-        free = odd_split_positions(base)
-        out += [OddLabel(base.m, blocks)
-                for blocks in decorations(base.blocks, free)]
-    return out
+    return _rational("so-odd", n)
 
 
 def format_label(label: OddLabel) -> str:
@@ -509,14 +511,16 @@ def _weighted(parts, a: int) -> int:
 class Family(_FrozenRecord):
     """One label family: pairs(n), split_k, fanout, closed (the closed
     label), dim_z and pair_text take a pair; pair, blocks, free, format,
-    closed_text, to_json and valid take a label; parse(text) and rational(n)
-    make labels; group(n) names the group.  The fields hold functions, not
-    methods: benchmarks/tracing.py names a method's span <layer>.<method>,
-    so twin methods would share a name."""
+    closed_text, to_json and valid take a label; decorate(closed) gives the
+    2^k rational labels of a closed label in decorations order;
+    parse(text) and rational(n) make labels; group(n) names the group.
+    The fields hold functions, not methods: benchmarks/tracing.py names a
+    method's span <layer>.<method>, so twin methods would share a name."""
 
     __slots__ = ("kind", "group", "pairs", "split_k", "fanout", "closed",
                  "dim_z", "pair_text", "pair", "blocks", "free", "format",
-                 "closed_text", "to_json", "valid", "parse", "rational")
+                 "closed_text", "to_json", "valid", "decorate", "parse",
+                 "rational")
 
     def __init__(self, **fields):
         for name in self.__slots__:
@@ -535,6 +539,8 @@ FAMILIES = {f.kind: f for f in (
            format=format_blocks, closed_text=format_symp_symbol,
            to_json=blocks_to_json,
            valid=lambda label: validate_blocks(label, kind="sp"),
+           decorate=lambda closed: list(
+               decorations(closed, split_positions(closed))),
            parse=parse_blocks, rational=rational_symbols),
     Family(kind="so-odd", group=lambda n: f"o({2 * n + 1})",
            pairs=oodd_pairs, split_k=lambda p: len(oodd_split_indices(p)),
@@ -548,4 +554,7 @@ FAMILIES = {f.kind: f for f in (
            to_json=label_to_json,
            valid=lambda label: (oodd_pair_valid(*label.pair())
                                 and validate_blocks(label.blocks, kind="orth")),
+           decorate=lambda closed: [
+               OddLabel(closed.m, blocks) for blocks in
+               decorations(closed.blocks, odd_split_positions(closed))],
            parse=parse_label, rational=rational_labels))}

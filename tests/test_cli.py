@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from char2orbits import centralizers as cz
 from char2orbits import classical as cl
 from char2orbits import cli
 from char2orbits import combinatorics as cb
@@ -160,6 +161,50 @@ def test_orbits_csv_and_json_agree(capsys):
     csv_labels = [line.split(",")[0] for line in csv_text.splitlines()[1:]]
     json_labels = [r["label"] for r in json.loads(json_text)["rows"]]
     assert csv_labels == json_labels
+
+
+def _rows_label_by_label(kind, n, q):
+    """An orbit table built one label at a time: each closed label or each
+    rational label, then the library's centralizer report of that label."""
+    fam = cb.FAMILIES[kind]
+    labels = ([fam.closed(p) for p in fam.pairs(n)] if q == "closed"
+              else fam.rational(n))
+    rows = []
+    for label in labels:
+        pair = fam.pair(label)
+        rep = cz.report(fam, label)
+        dim_orbit = cz.algebra_dim(n) - rep.dim_z
+        if q == "closed":
+            rows.append({"label": fam.closed_text(label),
+                         "pair": fam.pair_text(pair), "dim_orbit": dim_orbit,
+                         "component_group": rep.component_group(),
+                         "fq_classes": 2 ** rep.comp_rank})
+            continue
+        eps = [b.eps for b in fam.blocks(label)]
+        rows.append({"label": fam.format(label), "eps": "".join(eps),
+                     "pair": fam.pair_text(pair), "dim_orbit": dim_orbit,
+                     "component_group": rep.component_group(),
+                     "stabilizer_leading": rep.point_count_leading(int(q)),
+                     "label_json": fam.to_json(label)})
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["sp", "so-odd"])
+def test_table_rows_match_rows_built_label_by_label(kind):
+    fam = cb.FAMILIES[kind]
+    for n in range(1, 9):
+        for q in ("closed", "2", "4"):
+            got = cli._table_rows(kind, n, q)
+            want = _rows_label_by_label(kind, n, q)
+            assert got == want
+            # the same keys in the same order: JSON prints rows as built
+            assert [list(r) for r in got] == [list(r) for r in want]
+        for pair in fam.pairs(n):
+            closed = fam.closed(pair)
+            blocks = cb.decorations(fam.blocks(closed), fam.free(closed))
+            want = [b if kind == "sp" else cb.OddLabel(closed.m, b)
+                    for b in blocks]
+            assert fam.decorate(closed) == want
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,53 @@ def test_strip_zeros_convention():
     assert co.symp_pair_valid((1, 0), (1,)) == co.symp_pair_valid((1,), (1, 0, 0))
 
 
+def _strip_zeros_reference(parts):
+    p = list(parts)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _is_partition_reference(parts):
+    p = _strip_zeros_reference(parts)
+    return all(a >= b for a, b in zip(p, p[1:])) and all(a > 0 for a in p)
+
+
+def _symp_pair_valid_reference(mu, nu):
+    mu, nu = _strip_zeros_reference(mu), _strip_zeros_reference(nu)
+    if not (_is_partition_reference(mu) and _is_partition_reference(nu)):
+        return False
+    m = list(mu) + [0] * (len(nu) - len(mu))
+    return all(nu[i] <= m[i] + 1 for i in range(len(nu)))
+
+
+def _oodd_pair_valid_reference(nu, mu):
+    nu, mu = _strip_zeros_reference(nu), _strip_zeros_reference(mu)
+    if not (_is_partition_reference(nu) and _is_partition_reference(mu)):
+        return False
+    if len(nu) > len(mu) + 1:
+        return False
+    m = list(mu) + [0] * (len(nu) - len(mu))
+    return all(nu[i] <= m[i - 1] for i in range(1, len(nu)))
+
+
+# trailing zeros, interior zeros, negative parts, increasing tuples and ()
+EDGE_PARTS = [(), (0,), (0, 0), (3, 1, 0, 0), (2, 0, 1), (0, 1), (1, 0, 1, 0),
+              (-1,), (2, -1), (1, -1, 0), (-2, -3), (1, 2), (1, 2, 3),
+              (3, 3, 3), (5, 2, 2, 1), (2, 2, 0, 0, 0), [3, 1, 0]]
+
+
+def test_validity_predicates_match_their_definitions():
+    cases = EDGE_PARTS + [t for k in range(4)
+                          for t in product(range(-1, 4), repeat=k)]
+    for p in cases:
+        assert co.strip_zeros(p) == _strip_zeros_reference(p)
+        assert co.is_partition(p) == _is_partition_reference(p), p
+    for a, b in product(cases, repeat=2):
+        assert co.symp_pair_valid(a, b) == _symp_pair_valid_reference(a, b)
+        assert co.oodd_pair_valid(a, b) == _oodd_pair_valid_reference(a, b)
+
+
 # ----------------------------------------------------------------------
 # symplectic labels
 
