@@ -160,16 +160,13 @@ def _even_rows(n: int, e: int) -> list[dict]:
     from . import classical as cl
     from . import oracle as orc
 
-    space = cl.space_for("so-even", n, e)
-    try:
-        reports = orc.all_nilpotent_orbits(space, classify=False)
-    except ValueError:
-        # the largest rank whose dual, q^(m (2m - 1)) points, fits the bound
-        top = max(m for m in range(1, n)
-                  if 1 << e * m * (2 * m - 1) <= orc.POINT_LIMIT)
+    top = orc.even_reach(e)
+    if n > top:
         raise SizeBound(
-            f"so-even over GF({space.field.q}) is answered by an exhaustive "
+            f"so-even over GF({1 << e}) is answered by an exhaustive "
             f"census, which stops at n = {top}; n = {n} is out of reach")
+    space = cl.space_for("so-even", n, e)
+    reports = orc.all_nilpotent_orbits(space, classify=False)
     rows = []
     for r in reports:
         rows.append({
@@ -336,23 +333,21 @@ def _cmd_normal_form(args) -> int:
         from . import form_modules as fm
 
         mod, X = fm.build_normal_form(label, field)
-        out = {"kind": "sp", "q": field.q, "label": cb.format_blocks(label),
-               "dim": mod.dim,
-               "gram": _matrix_tokens(field, mod.gram),
-               "op": _matrix_tokens(field, mod.op),
-               "quad": [field.format_element(x) for x in mod.quad],
-               "functional": _matrix_tokens(field, X)}
+        module = {"gram": _matrix_tokens(field, mod.gram),
+                  "op": _matrix_tokens(field, mod.op),
+                  "quad": [field.format_element(x) for x in mod.quad]}
     else:
         if None in label.eps():
             raise BadRequest(f"so-odd witnesses need a decorated label, "
                              f"got {args.label!r}")
         from . import odd_split as od
 
-        space, X = od.odd_witness(label, field)
-        out = {"kind": "so-odd", "q": field.q,
-               "label": cb.format_label(label), "dim": space.d,
-               "functional": _matrix_tokens(field, X)}
-    _print_record(out, args.format)
+        _, X = od.odd_witness(label, field)
+        module = {}
+    _print_record({"kind": args.type, "q": field.q,
+                   "label": cb.FAMILIES[args.type].format(label),
+                   "dim": len(X), **module,
+                   "functional": _matrix_tokens(field, X)}, args.format)
     return 0
 
 

@@ -79,12 +79,10 @@ class FormModule:
     and `polar_gram` the Gram of the quadratic form's polarization.  The
     power-form data the classifiers read is computed from the ladder once,
     on first use.
-    Construction checks that the Gram is nondegenerate by inverting it,
-    unless the caller has just solved against it and says _inverted=True.
+    Construction checks that the Gram is nondegenerate by its rank.
     """
 
-    def __init__(self, kind: str, field: Field, gram, op, quad, *,
-                 _inverted: bool = False):
+    def __init__(self, kind: str, field: Field, gram, op, quad):
         if kind not in ("sp", "orth"):
             raise ValueError(f"kind must be sp or orth, got {kind!r}")
         self.kind = kind
@@ -98,8 +96,8 @@ class FormModule:
             raise ValueError("component shapes disagree")
         if not is_alternating(self.gram):
             raise ValueError("pairing must be alternating")
-        if not _inverted:
-            la.inverse(field, self.gram)  # nondegenerate, raises otherwise
+        if la.rank(field, self.gram) != d:
+            raise ValueError("matrix is singular")
         ladder = la.power_ladder(field, self.op)
         if ladder is None:
             raise NotNilpotentError("operator must be nilpotent")

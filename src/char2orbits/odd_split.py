@@ -181,7 +181,7 @@ def split_odd_functional(space: Space, X) -> OddSplit:
         raise SplitError("complement pairing is degenerate")
     quad = la.quad_values(F, space.B, comp)
     try:
-        module = FormModule("orth", F, Gw, T, quad, _inverted=True)
+        module = FormModule("orth", F, Gw, T, quad)
     except NotNilpotentError:
         raise SplitError("complement operator is not nilpotent") from None
     except ValueError as exc:

@@ -41,6 +41,15 @@ from .finite_field import Field
 POINT_LIMIT = 1 << 21
 
 
+def even_reach(e: int) -> int:
+    """The largest rank whose so-even dual over GF(2^e), q^(n (2n - 1))
+    points, fits POINT_LIMIT: the census's reach in that family."""
+    n = 1
+    while 1 << e * (n + 1) * (2 * n + 1) <= POINT_LIMIT:
+        n += 1
+    return n
+
+
 class FiniteGroup(cb._Record):
     """Generators and formula order; _labels memoizes _orbits per action."""
 

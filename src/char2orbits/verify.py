@@ -3,12 +3,14 @@
 Every check returns one pass/fail line: what was compared, over which
 range, and where the first mismatch sits if there is one.  The suites are
 
-  combinatorics   label counts and splitting sums, pure arithmetic
+  combinatorics   label counts, the fanout bijection and the decorated
+                  enumerations of both families, pure arithmetic
   sp              symplectic oracle censuses, class splitting, classifier
                   against orbits, normal-form round trips, properties
   so-odd          the same program for the odd orthogonal family
-                  (the oracle-counts, class-splitting, classifier-vs-orbits
-                  and chi-pattern checks are one body each, taking the kind)
+                  (every check both families run is one body taking the
+                  kind and reading its family table; the two radical-shift
+                  checks draw their shifts from one generator)
   so-even         transport between functionals and matrices, orbit count
                   agreement, the invariant pairing on the algebra
   centralizers    dimension and component formulas against point counts,
@@ -93,39 +95,37 @@ def _ck_label_counts(max_n):
     top = _cap(max_n, 10)
     for n in range(1, top + 1):
         want = cb.p2(n) - cb.p2(n - 2)
-        got_sp = len(cb.symp_pairs(n))
-        got_odd = len(cb.oodd_pairs(n))
-        if got_sp != want or got_odd != want:
-            return False, (f"n={n}: {got_sp} symplectic / {got_odd} odd "
-                           f"labels, wanted p2({n})-p2({n - 2}) = {want}")
+        for fam in cb.FAMILIES.values():
+            if len(fam.pairs(n)) != want:
+                return False, (f"{fam.kind} n={n}: {len(fam.pairs(n))} labels, "
+                               f"wanted p2({n})-p2({n - 2}) = {want}")
     return True, f"both families have p2(n)-p2(n-2) labels for n=1..{top}"
 
 
 def _ck_splitting_sum(max_n):
+    "Each family's fanouts, over all its closed labels, list every pair once."
     top = _cap(max_n, 10)
     for n in range(1, top + 1):
+        every = sorted((x, y) for a in range(n + 1) for x in cb.partitions(a)
+                       for y in cb.partitions(n - a))
         for fam in cb.FAMILIES.values():
-            total = 0
-            for pair in fam.pairs(n):
-                k = fam.split_k(pair)
-                if len(fam.fanout(pair)) != 2 ** k:
-                    return False, f"{fam.kind} n={n}: fanout size is not 2^k at {pair}"
-                total += 2 ** k
-            if total != cb.p2(n):
-                return False, (f"{fam.kind} n={n}: sum of 2^k is {total}, "
-                               f"wanted p2({n}) = {cb.p2(n)}")
+            images = sorted(image for pair in fam.pairs(n)
+                            for image in fam.fanout(pair))
+            if images != every:
+                return False, (f"{fam.kind} n={n}: the fanouts do not biject "
+                               f"onto the p2({n}) = {len(every)} partition pairs")
     return True, f"sum of 2^k over classes equals p2(n) for n=1..{top}, both families"
 
 
 def _ck_rational_enumerations(max_n):
     top = _cap(max_n, 8)
     for n in range(1, top + 1):
-        syms = cb.rational_symbols(n)
-        labs = cb.rational_labels(n)
-        if not (len(syms) == cb.p2(n) == len(labs)):
-            return False, f"n={n}: {len(syms)} symbols / {len(labs)} labels != p2(n)"
-        if len(set(syms)) != len(syms) or len(set(labs)) != len(labs):
-            return False, f"n={n}: duplicate decorated labels"
+        for fam in cb.FAMILIES.values():
+            labels = fam.rational(n)
+            if len(labels) != cb.p2(n):
+                return False, f"{fam.kind} n={n}: {len(labels)} labels != p2(n)"
+            if len(set(labels)) != len(labels):
+                return False, f"{fam.kind} n={n}: duplicate decorated labels"
     return True, f"decorated enumerations have p2(n) distinct entries for n=1..{top}"
 
 
@@ -201,41 +201,70 @@ def _ck_chi_pattern(kind, max_n):
     return True, f"chi of {tried} {blocks} follows max(0, min(k-m+l, l))"
 
 
+# per kind: the top rank that also runs over F_4, and how the witness of a
+# label is read back
+_ROUND_TRIP = {"sp": (3, "normal forms classify"),
+               "so-odd": (2, "witnesses split")}
+
+
+def _label_back(kind, label, field):
+    """The label the kind's classifier reads off the label's witness: an sp
+    normal form's module, classified closed for a closed label, or the odd
+    split of a so-odd witness."""
+    if kind == "so-odd":
+        return od.rational_label(*od.odd_witness(label, field))
+    mod, _ = fm.build_normal_form(label, field)
+    if any(b.eps is None for b in label):
+        return fm.classify_closed(mod)
+    return fm.classify_fq(mod)
+
+
+def _ck_round_trips(kind, max_n):
+    top = _cap(max_n, 5)
+    fam = cb.FAMILIES[kind]
+    f4_top, reads = _ROUND_TRIP[kind]
+    runs = {"closed": [(fam.closed(pair), e) for n in range(1, top + 1)
+                       for pair in fam.pairs(n)
+                       for e in ((1, 2) if n <= f4_top else (1,))],
+            "decorated": [(label, e) for n in range(1, min(top, 2) + 1)
+                          for label in fam.rational(n) for e in (1, 2)]}
+    for what, cases in runs.items():
+        for label, e in cases:
+            if _label_back(kind, label, field_for(e)) != label:
+                return False, (f"{what} round trip fails at "
+                               f"{fam.format(label)} over GF({2 ** e})")
+    return True, (f"{len(runs['closed'])} closed (n<={top}) and "
+                  f"{len(runs['decorated'])} decorated (n<=2) {reads} back "
+                  f"to their labels")
+
+
+def _radical_shifts(space, X0, rng, rounds):
+    """rounds pairs (X, X + R): X a conjugate of X0 by a random group
+    element, R a random sum of trace radical basis matrices."""
+    rad = space.trace_radical_basis()
+    for _ in range(rounds):
+        X = cl.coadjoint(space, cl.random_group_element(space, rng), X0)
+        R = la.zeros(space.d, space.d)
+        for r in rad:
+            if rng.integers(0, 2):
+                R = la.add(R, r)
+        yield X, la.add(X, R)
+
+
 _ck_sp_oracle_counts = partial(_ck_oracle_counts, "sp")
 _ck_sp_class_splitting = partial(_ck_class_splitting, "sp")
 _ck_sp_classifier_vs_orbits = partial(_ck_classifier_vs_orbits, "sp")
 _ck_sp_chi_pattern = partial(_ck_chi_pattern, "sp")
+_ck_sp_round_trips = partial(_ck_round_trips, "sp")
 _ck_oodd_oracle_counts = partial(_ck_oracle_counts, "so-odd")
 _ck_oodd_class_splitting = partial(_ck_class_splitting, "so-odd")
 _ck_oodd_classifier_vs_orbits = partial(_ck_classifier_vs_orbits, "so-odd")
 _ck_orth_chi_pattern = partial(_ck_chi_pattern, "orth")
+_ck_oodd_round_trips = partial(_ck_round_trips, "so-odd")
 
 
 # ----------------------------------------------------------------------
 # symplectic suite
-
-
-def _ck_sp_round_trips(max_n):
-    top = _cap(max_n, 5)
-    closed = 0
-    for n in range(1, top + 1):
-        for pair in cb.symp_pairs(n):
-            blocks = cb.symp_pair_to_blocks(pair)
-            for e in (1, 2) if n <= 3 else (1,):
-                mod, _ = fm.build_normal_form(blocks, field_for(e))
-                if fm.classify_closed(mod) != blocks:
-                    return False, f"closed round trip fails at {blocks} over GF({2 ** e})"
-                closed += 1
-    deco = 0
-    for n in range(1, min(top, 2) + 1):
-        for sym in cb.rational_symbols(n):
-            for e in (1, 2):
-                mod, _ = fm.build_normal_form(sym, field_for(e))
-                if fm.classify_fq(mod) != sym:
-                    return False, f"decorated round trip fails at {sym} over GF({2 ** e})"
-                deco += 1
-    return True, (f"{closed} closed (n<={top}) and {deco} decorated (n<=2) "
-                  f"normal forms classify back to their labels")
 
 
 def _ck_sp_radical_invariance(max_n):
@@ -246,15 +275,8 @@ def _ck_sp_radical_invariance(max_n):
         space = space_for("sp", n, e)
         labs = tuple(cb.BlockLabel(*b) for b in blocks)
         _, X0 = fm.build_normal_form(labs, space.field)
-        rad = space.trace_radical_basis()
-        for _ in range(34):
-            g = cl.random_group_element(space, rng)
-            X = cl.coadjoint(space, g, X0)
-            R = la.zeros(space.d, space.d)
-            for r in rad:
-                if rng.integers(0, 2):
-                    R = la.add(R, r)
-            a, b = fm.build_module(space, X), fm.build_module(space, la.add(X, R))
+        for X, shifted in _radical_shifts(space, X0, rng, 34):
+            a, b = fm.build_module(space, X), fm.build_module(space, shifted)
             if not (a.op == b.op and a.quad == b.quad):
                 return False, f"module data moved under a radical shift at {labs}"
             rounds += 1
@@ -263,27 +285,6 @@ def _ck_sp_radical_invariance(max_n):
 
 # ----------------------------------------------------------------------
 # odd orthogonal suite
-
-
-def _ck_oodd_round_trips(max_n):
-    top = _cap(max_n, 5)
-    closed = 0
-    for n in range(1, top + 1):
-        for pair in cb.oodd_pairs(n):
-            lab = cb.pair_to_label(pair)
-            for e in (1, 2) if n <= 2 else (1,):
-                if od.rational_label(*od.odd_witness(lab, field_for(e))) != lab:
-                    return False, f"round trip fails at {lab} over GF({2 ** e})"
-                closed += 1
-    deco = 0
-    for n in range(1, min(top, 2) + 1):
-        for lab in cb.rational_labels(n):
-            for e in (1, 2):
-                if od.rational_label(*od.odd_witness(lab, field_for(e))) != lab:
-                    return False, f"decorated round trip fails at {lab} over GF({2 ** e})"
-                deco += 1
-    return True, (f"{closed} closed (n<={top}) and {deco} decorated (n<=2) "
-                  f"witnesses split back to their labels")
 
 
 def _ck_series_identities(max_n):
@@ -313,17 +314,9 @@ def _ck_odd_split_invariance(max_n):
     rng = np.random.default_rng(41)
     cap = _oracle_cap(max_n)
     space = space_for("so-odd", cap)
-    rad = space.trace_radical_basis()
     rounds = 0
     for r in census("so-odd", cap, 1):
-        for _ in range(20):
-            g = cl.random_group_element(space, rng)
-            X = cl.coadjoint(space, g, r.representative)
-            R = la.zeros(space.d, space.d)
-            for b in rad:
-                if rng.integers(0, 2):
-                    R = la.add(R, b)
-            shifted = la.add(X, R)
+        for X, shifted in _radical_shifts(space, r.representative, rng, 20):
             if cl.alternating_gram(space, X) != cl.alternating_gram(space, shifted):
                 return False, f"alternating form moved under a radical shift at {r.label}"
             s1 = od.split_odd_functional(space, X)

@@ -222,6 +222,14 @@ def test_random_even_elements_reach_both_cosets():
     assert 0 < inside < len(draws)
 
 
+@pytest.mark.parametrize("e", [1, 2])
+def test_even_reach_is_where_the_engine_stops(e):
+    top = orc.even_reach(e)
+    assert 1 << orc._key_bits(space_for("so-even", top, e)) <= orc.POINT_LIMIT
+    with pytest.raises(ValueError, match=r"stops at 2\^21"):
+        orc._key_bits(space_for("so-even", top + 1, e))
+
+
 def test_census_refuses_duals_beyond_the_point_limit():
     assert orc.POINT_LIMIT == 1 << 21
     for kind, n, e in [("so-even", 4, 1), ("so-even", 3, 2), ("sp", 3, 2)]:

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from char2orbits import cli
@@ -62,3 +67,13 @@ def test_census_is_memoized():
     first = vf.census("sp", 1, 1)
     assert vf.census("sp", 1, 1) is first
     assert sum(r.orbit_size for r in first) == 4
+
+
+def test_verify_all_json_matches_the_cli_golden(capsys):
+    # run times vary; every other byte of the report is pinned
+    golden = Path(__file__).resolve().parents[1] / "benchmarks/golden/cli.json"
+    want = json.loads(golden.read_text())["verify all json"]
+    assert cli.main(["verify", "--suite", "all", "--format", "json"]) == want["exit"]
+    out = re.sub(rb'"seconds": [0-9.eE+-]+', b'"seconds": _',
+                 capsys.readouterr().out.encode())
+    assert hashlib.sha256(out).hexdigest() == want["stdout_sha256"]
