@@ -53,7 +53,7 @@ def report(family, label) -> CentralizerReport:
 def pair_report(family, pair) -> CentralizerReport:
     """The report shared by every label of a pair of the family; the pair
     is not checked, so the caller passes one it has checked."""
-    return CentralizerReport(family.dim_z(pair), family.split_k(pair))
+    return CentralizerReport(family.dim_z(pair), len(family.free(pair)))
 
 
 # ----------------------------------------------------------------------

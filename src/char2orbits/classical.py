@@ -213,6 +213,19 @@ def space_for(kind: str, n: int, e: int = 1) -> Space:
     return Space(kind, n, field_for(e))
 
 
+# the most points (keys) oracle's exhaustive census enumerates in one dual
+POINT_LIMIT = 1 << 21
+
+
+def even_reach(e: int) -> int:
+    """The largest rank whose so-even dual over GF(2^e), q^(n (2n - 1))
+    points, fits POINT_LIMIT: the census's reach in that family."""
+    n = 1
+    while 1 << e * (n + 1) * (2 * n + 1) <= POINT_LIMIT:
+        n += 1
+    return n
+
+
 # ----------------------------------------------------------------------
 # group elements
 

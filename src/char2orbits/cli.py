@@ -149,7 +149,7 @@ def _table_rows(kind: str, n: int, q: str) -> list[dict]:
             continue
         shared = {**_pick(cells, "pair", "dim_orbit", "component_group"),
                   "stabilizer_leading": cells[f"points_leading_q{q}"]}
-        for label in fam.decorate(closed):
+        for label in fam.decorate(closed, fam.free(pair)):
             own = _label_cells(fam, label)
             rows.append({"label": own["label"], "eps": own["eps"], **shared,
                          "label_json": own["label_json"]})
@@ -158,13 +158,14 @@ def _table_rows(kind: str, n: int, q: str) -> list[dict]:
 
 def _even_rows(n: int, e: int) -> list[dict]:
     from . import classical as cl
-    from . import oracle as orc
 
-    top = orc.even_reach(e)
+    top = cl.even_reach(e)
     if n > top:
         raise SizeBound(
             f"so-even over GF({1 << e}) is answered by an exhaustive "
             f"census, which stops at n = {top}; n = {n} is out of reach")
+    from . import oracle as orc
+
     space = cl.space_for("so-even", n, e)
     reports = orc.all_nilpotent_orbits(space, classify=False)
     rows = []
@@ -308,11 +309,12 @@ def _parse_label(kind: str, text: str):
         raise BadRequest(str(exc))
     if not valid:
         raise BadRequest(f"invalid {kind} label {text!r}")
-    rank = sum(map(sum, fam.pair(label)))
+    pair = fam.pair(label)
+    rank, free = sum(map(sum, pair)), fam.free(pair)
     if rank < 1:
         raise BadRequest(f"label {text!r} has rank 0; ranks must be >= 1")
-    blocks, free = fam.blocks(label), fam.free(label)
-    if any(b.eps == "d" and i not in free for i, b in enumerate(blocks)):
+    if any(b.eps == "d" and i not in free
+           for i, b in enumerate(fam.blocks(label))):
         raise BadRequest(f"label {text!r} is not canonical: \"d\" may only "
                          f"sit at its splitting positions {free} (0-based)")
     if rank > LIST_CAP:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, total_ordering
-from itertools import product
+from itertools import compress, product
 from operator import ge, le
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -180,11 +180,10 @@ def oodd_pairs(n: int) -> list[Pair]:
 
 
 def oodd_split_indices(pair: Pair) -> list[int]:
-    "1-based positions i >= 1 with nu_i < mu_i <= nu_{i-1}."
+    "0-based complement block positions i with nu_{i+1} < mu_{i+1} <= nu_i."
     nu, mu = strip_zeros(pair[0]), strip_zeros(pair[1])
-    s = len(mu)
-    v = _pad(nu, s + 1)
-    return [i for i in range(1, s + 1) if v[i] < mu[i - 1] <= v[i - 1]]
+    v = _pad(nu, len(mu) + 1)
+    return [i for i, m in enumerate(mu) if v[i + 1] < m <= v[i]]
 
 
 def oodd_fq_fanout(pair: Pair) -> list[Pair]:
@@ -199,7 +198,7 @@ def oodd_fq_fanout(pair: Pair) -> list[Pair]:
     s = len(mu)
     v = _pad(nu, s + 1)
     rs = oodd_split_indices(pair)
-    bounds = rs + [s + 1]
+    bounds = [i + 1 for i in rs] + [s + 1]
     out = []
     for eps in product((1, 2), repeat=len(rs)):
         head = bounds[0]
@@ -351,10 +350,16 @@ def symp_pair_to_blocks(pair: Pair) -> tuple[BlockLabel, ...]:
     return tuple(BlockLabel(l + k, l) for l, k in zip(_pad(mu, s), _pad(nu, s)))
 
 
-def split_positions(blocks) -> list[int]:
-    """0-based block positions where a rational label may carry "d": the
-    splitting indices of the label's partition pair."""
-    return symp_split_indices(symp_blocks_to_pair(blocks))
+def orth_d_positions(blocks) -> list[int]:
+    """The positions of the orthogonal blocks whose level admits a "d"."""
+    return [i for i, b in enumerate(blocks)
+            if _block_range_ok(BlockLabel(b.m, b.l, "d"), "orth")]
+
+
+def decorated(closed, ds) -> tuple[BlockLabel, ...]:
+    """The blocks of `closed`, "d" at the positions in ds, "0" elsewhere."""
+    return tuple(BlockLabel(b.m, b.l, "d" if i in ds else "0")
+                 for i, b in enumerate(closed))
 
 
 def decorations(closed, free):
@@ -365,17 +370,15 @@ def decorations(closed, free):
     orbit tables follow this order, and so does the first match that
     classify_orth_fq returns.
     """
-    for choice in product(("0", "d"), repeat=len(free)):
-        eps = dict(zip(free, choice))
-        yield tuple(BlockLabel(b.m, b.l, eps.get(i, "0"))
-                    for i, b in enumerate(closed))
+    for choice in product((False, True), repeat=len(free)):
+        yield decorated(closed, list(compress(free, choice)))
 
 
 def _rational(kind: str, n: int) -> list:
     "Each pair's closed label of the family, decorated, pair by pair."
     fam = FAMILIES[kind]
     return [label for pair in fam.pairs(n)
-            for label in fam.decorate(fam.closed(pair))]
+            for label in fam.decorate(fam.closed(pair), fam.free(pair))]
 
 
 def rational_symbols(n: int) -> list[tuple[BlockLabel, ...]]:
@@ -449,11 +452,6 @@ class OddLabel(_FrozenRecord):
         return OddLabel(self.m, tuple(BlockLabel(b.m, b.l) for b in self.blocks))
 
 
-def odd_split_positions(label: OddLabel) -> list[int]:
-    "0-based complement block positions where the decoration is free."
-    return [i - 1 for i in oodd_split_indices(label.pair())]
-
-
 def pair_to_label(pair) -> OddLabel:
     """Closed label, all decorations "0", with the given pair's shape.
 
@@ -509,15 +507,17 @@ def _weighted(parts, a: int) -> int:
 
 
 class Family(_FrozenRecord):
-    """One label family: pairs(n), split_k, fanout, closed (the closed
-    label), dim_z and pair_text take a pair; pair, blocks, free, format,
-    closed_text, to_json and valid take a label; decorate(closed) gives the
-    2^k rational labels of a closed label in decorations order;
-    parse(text) and rational(n) make labels; group(n) names the group.
-    The fields hold functions, not methods: benchmarks/tracing.py names a
-    method's span <layer>.<method>, so twin methods would share a name."""
+    """One label family: pairs(n); fanout, closed (the closed label),
+    dim_z, pair_text and free (the pair's k splitting positions, 0-based
+    blocks) take a pair; pair, blocks, format, closed_text, to_json and
+    valid take a label; decorate(closed, free) gives the 2^k rational
+    labels of a closed label, given its pair's free positions, in
+    decorations order; parse(text) and rational(n) make labels; group(n)
+    names the group.  The fields hold functions, not methods:
+    benchmarks/tracing.py names a method's span <layer>.<method>, so twin
+    methods would share a name."""
 
-    __slots__ = ("kind", "group", "pairs", "split_k", "fanout", "closed",
+    __slots__ = ("kind", "group", "pairs", "fanout", "closed",
                  "dim_z", "pair_text", "pair", "blocks", "free", "format",
                  "closed_text", "to_json", "valid", "decorate", "parse",
                  "rational")
@@ -531,30 +531,27 @@ class Family(_FrozenRecord):
 # sp blocks; nu_0 + sum (4i + 1) nu_i + (4i - 1) mu_i for odd pairs (nu, mu)
 FAMILIES = {f.kind: f for f in (
     Family(kind="sp", group=lambda n: f"sp({2 * n})",
-           pairs=symp_pairs, split_k=lambda p: len(symp_split_indices(p)),
-           fanout=symp_fq_fanout, closed=symp_pair_to_blocks,
+           pairs=symp_pairs, fanout=symp_fq_fanout, closed=symp_pair_to_blocks,
            dim_z=lambda p: _weighted(p[0], -3) + _weighted(p[1], -1),
            pair_text=format_pair, pair=symp_blocks_to_pair,
-           blocks=lambda label: label, free=split_positions,
+           blocks=lambda label: label, free=symp_split_indices,
            format=format_blocks, closed_text=format_symp_symbol,
            to_json=blocks_to_json,
            valid=lambda label: validate_blocks(label, kind="sp"),
-           decorate=lambda closed: list(
-               decorations(closed, split_positions(closed))),
+           decorate=lambda closed, free: list(decorations(closed, free)),
            parse=parse_blocks, rational=rational_symbols),
     Family(kind="so-odd", group=lambda n: f"o({2 * n + 1})",
-           pairs=oodd_pairs, split_k=lambda p: len(oodd_split_indices(p)),
-           fanout=oodd_fq_fanout, closed=pair_to_label,
+           pairs=oodd_pairs, fanout=oodd_fq_fanout, closed=pair_to_label,
            dim_z=lambda p: (sum(p[0][:1]) + _weighted(p[0][1:], 1)
                             + _weighted(p[1], -1)),
            pair_text=lambda p: format_pair(p, odd=True), pair=OddLabel.pair,
-           blocks=lambda label: label.blocks, free=odd_split_positions,
+           blocks=lambda label: label.blocks, free=oodd_split_indices,
            format=format_label,
            closed_text=lambda label: format_label(label.closed()),
            to_json=label_to_json,
            valid=lambda label: (oodd_pair_valid(*label.pair())
                                 and validate_blocks(label.blocks, kind="orth")),
-           decorate=lambda closed: [
-               OddLabel(closed.m, blocks) for blocks in
-               decorations(closed.blocks, odd_split_positions(closed))],
+           decorate=lambda closed, free: [
+               OddLabel(closed.m, blocks)
+               for blocks in decorations(closed.blocks, free)],
            parse=parse_label, rational=rational_labels))}

@@ -50,7 +50,8 @@ from functools import lru_cache
 from . import linalg as la
 from .classical import (Space, functional_from_gram, is_alternating,
                         module_endomorphism)
-from .combinatorics import (BlockLabel, _block_range_ok, split_positions,
+from .combinatorics import (BlockLabel, decorated, orth_d_positions,
+                            symp_blocks_to_pair, symp_split_indices,
                             validate_blocks)
 # the label layer lives in combinatorics; benchmarks/workloads.py still
 # reads these names through this module
@@ -360,23 +361,20 @@ def _decorate(closed, free, kind: str, field: Field, inv) -> tuple:
     D eps = inv - inv(0) plus the kernel of D; reducing the solution by
     the kernel's RREF clears every pivot, which makes it the first.
     """
-    def label(ds):
-        return tuple(BlockLabel(b.m, b.l, "d" if i in ds else "0")
-                     for i, b in enumerate(closed))
-
     F2 = field_for(1)
-    base = _label_invariant(label(()), kind, field)
+    base = _label_invariant(decorated(closed, ()), kind, field)
     if [x is None for x in inv] != [x is None for x in base]:
         return None, 0
     rows = [i for i, x in enumerate(base) if x is not None]
-    cols = [_label_invariant(label((p,)), kind, field) for p in free]
+    cols = [_label_invariant(decorated(closed, (p,)), kind, field)
+            for p in free]
     D = [[c[i] ^ base[i] for c in cols] for i in rows]
     eps = la.solve(F2, D, [inv[i] ^ base[i] for i in rows])
     if eps is None:
         return None, 0
     K = la.kernel_basis(F2, D)
     eps = la.reduce_modulo(F2, *la.rref(F2, K), eps)
-    return label({p for p, x in zip(free, eps) if x}), 2 ** len(K)
+    return decorated(closed, {p for p, x in zip(free, eps) if x}), 2 ** len(K)
 
 
 def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
@@ -389,8 +387,8 @@ def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
     closed = classify_closed(mod)
-    label, count = _decorate(closed, split_positions(closed), "sp",
-                             mod.field, arf_invariant(mod))
+    free = symp_split_indices(symp_blocks_to_pair(closed))
+    label, count = _decorate(closed, free, "sp", mod.field, arf_invariant(mod))
     if count != 1:
         raise ClassificationError(
             f"expected exactly one canonical match, got {count} "
@@ -409,9 +407,8 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
     closed = classify_closed(mod)
-    free = [i for i, b in enumerate(closed)
-            if _block_range_ok(BlockLabel(b.m, b.l, "d"), "orth")]
-    label, _ = _decorate(closed, free, "orth", mod.field, arf_invariant(mod))
+    label, _ = _decorate(closed, orth_d_positions(closed), "orth", mod.field,
+                         arf_invariant(mod))
     if label is None:
         raise ClassificationError(
             f"no decoration of {closed} matches the module")

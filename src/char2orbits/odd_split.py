@@ -215,12 +215,11 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
     start = _clip(m, raw)
     if not validate_blocks(start, kind="orth"):
         raise ClassificationError(f"clipped label {start} is invalid")
-    clipped = OddLabel(m, start)
-    free = cb.odd_split_positions(clipped)
+    pair = OddLabel(m, start).pair()
+    free = cb.oodd_split_indices(pair)
     order = [i for i in range(len(start)) if i not in free] + free
     fixed = len(order) - len(free)
-    can_d = {i for i, b in enumerate(start)
-             if cb._block_range_ok(BlockLabel(b.m, b.l, "d"), "orth")}
+    can_d = set(cb.orth_d_positions(start))
     moves = [{i} for i, b in enumerate(start) if b.l > m]
     moves += [{i, j} for i in range(len(start)) for j in range(i + 1, len(start))
               if start[i].l + start[j].l > start[i].m]
@@ -228,7 +227,7 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
                              for mv in moves if mv <= can_d])
     eps = la.reduce_modulo(F2, R, pivots,
                            [int(start[i].eps == "d") for i in order])
-    if any(eps[:fixed]) or not cb.oodd_pair_valid(*clipped.pair()):
+    if any(eps[:fixed]) or not cb.oodd_pair_valid(*pair):
         count = 0
     else:
         count = 2 ** sum(p >= fixed for p in pivots)
@@ -236,8 +235,7 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
         raise ClassificationError(
             f"moves from {start} reach {count} canonical labels, not one")
     ds = {i for i, x in zip(order, eps) if x}
-    return OddLabel(m, tuple(BlockLabel(b.m, b.l, "d" if i in ds else "0")
-                             for i, b in enumerate(start)))
+    return OddLabel(m, cb.decorated(start, ds))
 
 
 # ----------------------------------------------------------------------

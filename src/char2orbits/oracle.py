@@ -36,30 +36,16 @@ from . import classical as cl
 from . import combinatorics as cb
 from . import linalg as la
 from . import odd_split as od
-from .finite_field import Field
-
-POINT_LIMIT = 1 << 21
-
-
-def even_reach(e: int) -> int:
-    """The largest rank whose so-even dual over GF(2^e), q^(n (2n - 1))
-    points, fits POINT_LIMIT: the census's reach in that family."""
-    n = 1
-    while 1 << e * (n + 1) * (2 * n + 1) <= POINT_LIMIT:
-        n += 1
-    return n
+from .classical import POINT_LIMIT
 
 
 class FiniteGroup(cb._Record):
     """Generators and formula order; _labels memoizes _orbits per action."""
 
-    __slots__ = ("kind", "n", "field", "generators", "order", "_labels")
+    __slots__ = ("generators", "order", "_labels")
 
-    def __init__(self, kind: str, n: int, field: Field, generators: list,
-                 order: int, _labels: dict | None = None):
-        self.kind = kind
-        self.n = n
-        self.field = field
+    def __init__(self, generators: list, order: int,
+                 _labels: dict | None = None):
         self.generators = generators
         self.order = order
         self._labels = {} if _labels is None else _labels
@@ -151,8 +137,7 @@ def enumerate_group(space: cl.Space) -> FiniteGroup:
         q = space.field.q
         order = (cz.even_group_order(space.n, q) if space.kind == "so-even"
                  else cz.group_order(space.n, q))
-        _group_memo[memo_key] = FiniteGroup(space.kind, space.n, space.field,
-                                            _generators(space), order)
+        _group_memo[memo_key] = FiniteGroup(_generators(space), order)
     return _group_memo[memo_key]
 
 

@@ -157,7 +157,7 @@ def _ck_class_splitting(kind, max_n):
         for r in census(kind, n, 1):
             pair = fam.pair(r.label)
             got[pair] = got.get(pair, 0) + 1
-        want = {pair: 2 ** fam.split_k(pair) for pair in fam.pairs(n)}
+        want = {pair: 2 ** len(fam.free(pair)) for pair in fam.pairs(n)}
         if got != want:
             return False, (f"{fam.group(n)}: orbits per partition "
                            f"pair {got}, wanted 2^k {want}")
@@ -251,16 +251,13 @@ def _radical_shifts(space, X0, rng, rounds):
         yield X, la.add(X, R)
 
 
-_ck_sp_oracle_counts = partial(_ck_oracle_counts, "sp")
-_ck_sp_class_splitting = partial(_ck_class_splitting, "sp")
-_ck_sp_classifier_vs_orbits = partial(_ck_classifier_vs_orbits, "sp")
-_ck_sp_chi_pattern = partial(_ck_chi_pattern, "sp")
-_ck_sp_round_trips = partial(_ck_round_trips, "sp")
-_ck_oodd_oracle_counts = partial(_ck_oracle_counts, "so-odd")
-_ck_oodd_class_splitting = partial(_ck_class_splitting, "so-odd")
-_ck_oodd_classifier_vs_orbits = partial(_ck_classifier_vs_orbits, "so-odd")
-_ck_orth_chi_pattern = partial(_ck_chi_pattern, "orth")
-_ck_oodd_round_trips = partial(_ck_round_trips, "so-odd")
+def _family_checks(kind, round_trip_name, chi_kind):
+    "The five checks both families run, in suite order."
+    return (("oracle-counts", partial(_ck_oracle_counts, kind)),
+            ("class-splitting", partial(_ck_class_splitting, kind)),
+            ("classifier-vs-orbits", partial(_ck_classifier_vs_orbits, kind)),
+            (round_trip_name, partial(_ck_round_trips, kind)),
+            ("chi-pattern", partial(_ck_chi_pattern, chi_kind)))
 
 
 # ----------------------------------------------------------------------
@@ -511,20 +508,10 @@ SUITES = {
         ("splitting-sum", _ck_splitting_sum),
         ("rational-enumerations", _ck_rational_enumerations),
     ),
-    "sp": (
-        ("oracle-counts", _ck_sp_oracle_counts),
-        ("class-splitting", _ck_sp_class_splitting),
-        ("classifier-vs-orbits", _ck_sp_classifier_vs_orbits),
-        ("normal-form-round-trips", _ck_sp_round_trips),
-        ("chi-pattern", _ck_sp_chi_pattern),
+    "sp": _family_checks("sp", "normal-form-round-trips", "sp") + (
         ("radical-invariance", _ck_sp_radical_invariance),
     ),
-    "so-odd": (
-        ("oracle-counts", _ck_oodd_oracle_counts),
-        ("class-splitting", _ck_oodd_class_splitting),
-        ("classifier-vs-orbits", _ck_oodd_classifier_vs_orbits),
-        ("round-trips", _ck_oodd_round_trips),
-        ("chi-pattern", _ck_orth_chi_pattern),
+    "so-odd": _family_checks("so-odd", "round-trips", "orth") + (
         ("series-identities", _ck_series_identities),
         ("split-invariance", _ck_odd_split_invariance),
     ),

@@ -173,11 +173,12 @@ def _canonical_candidates(m: int, sizes) -> list[cb.OddLabel]:
     for levels in product(*ranges):
         base = cb.OddLabel(m, tuple(cb.BlockLabel(k, l)
                                     for k, l in zip(sizes, levels)))
+        pair = base.pair()
         if not (cb.validate_blocks(base.blocks, kind="orth")
-                and cb.oodd_pair_valid(*base.pair())):
+                and cb.oodd_pair_valid(*pair)):
             continue
         out += [cb.OddLabel(m, blocks) for blocks in
-                cb.decorations(base.blocks, cb.odd_split_positions(base))]
+                cb.decorations(base.blocks, cb.oodd_split_indices(pair))]
     return out
 
 
@@ -254,7 +255,7 @@ def _is_canonical(m: int, blocks) -> bool:
     label = cb.OddLabel(m, blocks)
     if not cb.oodd_pair_valid(*label.pair()):
         return False
-    free = set(cb.odd_split_positions(label))
+    free = set(cb.oodd_split_indices(label.pair()))
     return all(b.eps == "0" for i, b in enumerate(blocks) if i not in free)
 
 
@@ -353,7 +354,8 @@ def classify_fq_by_scan(mod: fm.FormModule) -> tuple:
     "The one canonical candidate whose normal form's invariant is the module's."
     closed = closed_by_index_chi(mod)
     inv = power_form_invariant(mod)
-    matches = [cand for cand in cb.decorations(closed, cb.split_positions(closed))
+    free = cb.symp_split_indices(cb.symp_blocks_to_pair(closed))
+    matches = [cand for cand in cb.decorations(closed, free)
                if normal_form_invariant(cand, "sp", mod.field) == inv]
     if len(matches) != 1:
         raise fm.ClassificationError(f"expected one match, got {matches}")

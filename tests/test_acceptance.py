@@ -18,6 +18,7 @@ stated survives only as verify's chain-c-claimed check, which fails.
 """
 
 import time
+from functools import partial
 
 from char2orbits import centralizers as cz
 from char2orbits import combinatorics as cb
@@ -69,13 +70,13 @@ def test_criterion_2_exhaustive_f2_orbit_counts():
 
 
 def test_criterion_3_closed_classes_split_into_2k_orbits():
-    run_check("criterion-3-sp", vf._ck_sp_class_splitting)
-    run_check("criterion-3-so-odd", vf._ck_oodd_class_splitting)
+    run_check("criterion-3-sp", partial(vf._ck_class_splitting, "sp"))
+    run_check("criterion-3-so-odd", partial(vf._ck_class_splitting, "so-odd"))
 
 
 def test_criterion_4_classifier_agrees_with_oracle_orbits():
-    run_check("criterion-4-sp", vf._ck_sp_classifier_vs_orbits)
-    run_check("criterion-4-so-odd", vf._ck_oodd_classifier_vs_orbits)
+    run_check("criterion-4-sp", partial(vf._ck_classifier_vs_orbits, "sp"))
+    run_check("criterion-4-so-odd", partial(vf._ck_classifier_vs_orbits, "so-odd"))
 
 
 def test_criterion_5a_stabilizer_growth_rate_is_dimension():
@@ -112,10 +113,10 @@ def test_criterion_6_duality_transport():
 
 def test_criterion_7_property_suites():
     t0 = time.perf_counter()
-    run_check("criterion-7-sp-round-trips", vf._ck_sp_round_trips)
-    run_check("criterion-7-odd-round-trips", vf._ck_oodd_round_trips)
-    run_check("criterion-7-chi-sp", vf._ck_sp_chi_pattern)
-    run_check("criterion-7-chi-orth", vf._ck_orth_chi_pattern)
+    run_check("criterion-7-sp-round-trips", partial(vf._ck_round_trips, "sp"))
+    run_check("criterion-7-odd-round-trips", partial(vf._ck_round_trips, "so-odd"))
+    run_check("criterion-7-chi-sp", partial(vf._ck_chi_pattern, "sp"))
+    run_check("criterion-7-chi-orth", partial(vf._ck_chi_pattern, "orth"))
     run_check("criterion-7-radical-sp", vf._ck_sp_radical_invariance)
     run_check("criterion-7-radical-odd", vf._ck_odd_split_invariance)
     run_check("criterion-7-series", vf._ck_series_identities)

@@ -201,10 +201,11 @@ def test_table_rows_match_rows_built_label_by_label(kind):
             assert [list(r) for r in got] == [list(r) for r in want]
         for pair in fam.pairs(n):
             closed = fam.closed(pair)
-            blocks = cb.decorations(fam.blocks(closed), fam.free(closed))
+            free = fam.free(pair)
+            blocks = cb.decorations(fam.blocks(closed), free)
             want = [b if kind == "sp" else cb.OddLabel(closed.m, b)
                     for b in blocks]
-            assert fam.decorate(closed) == want
+            assert fam.decorate(closed, free) == want
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +560,8 @@ def _numpy_free_commands(tmp_path):
                                        "X": "0 1 1 0"}), [])):
         (tmp_path / name).write_text(text)
         argvs.append((["classify", "--matrix", str(tmp_path / name)] + extra, 2))
+    # a so-even table past the census's reach is refused before numpy loads
+    argvs.append((["orbits", "--type", "so-even", "--n", "12", "--q", "2"], 3))
     return argvs
 
 

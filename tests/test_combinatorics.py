@@ -171,9 +171,9 @@ def test_symp_blocks_to_pair_drops_zero_parts():
 
 def test_symp_split_k_examples():
     # (2)^2_2 has pair mu=(2), nu=(); nothing to split
-    assert SP.split_k(co.symp_blocks_to_pair(blocks((2, 2)))) == 0
+    assert len(SP.free(co.symp_blocks_to_pair(blocks((2, 2))))) == 0
     # (2)^2_1 has pair mu=(1), nu=(1); one split position
-    assert SP.split_k(((1,), (1,))) == 1
+    assert len(SP.free(((1,), (1,)))) == 1
     assert co.symp_fq_fanout(((1,), (1,))) == [((1,), (1,)), ((), (2,))]
 
 
@@ -181,7 +181,7 @@ def test_symp_fanout_identity_first_and_membership():
     for n in range(1, 9):
         for pair in co.symp_pairs(n):
             fan = co.symp_fq_fanout(pair)
-            assert len(fan) == 2 ** SP.split_k(pair)
+            assert len(fan) == 2 ** len(SP.free(pair))
             assert len(set(fan)) == len(fan)
             assert fan[0] == pair
             in_delta = [p for p in fan if co.symp_pair_valid(*p)]
@@ -202,7 +202,7 @@ def test_symp_fanout_union_is_all_pairs():
 
 def test_symp_sum_2k_is_p2():
     for n in range(1, 11):
-        total = sum(2 ** SP.split_k(p) for p in co.symp_pairs(n))
+        total = sum(2 ** len(SP.free(p)) for p in co.symp_pairs(n))
         assert total == co.p2(n)
 
 
@@ -227,9 +227,9 @@ def test_oodd_enumeration_size():
 
 
 def test_oodd_split_k_examples():
-    assert SO.split_k(((1,), (1,))) == 1
-    assert SO.split_k(((), (2,))) == 0
-    assert SO.split_k(((2,), ())) == 0
+    assert len(SO.free(((1,), (1,)))) == 1
+    assert len(SO.free(((), (2,)))) == 0
+    assert len(SO.free(((2,), ()))) == 0
     fan = co.oodd_fq_fanout(((1,), (1,)))
     assert fan == [((1,), (1,)), ((1, 1), ())]
 
@@ -239,7 +239,7 @@ def test_oodd_fanout_properties():
         seen = []
         for pair in co.oodd_pairs(n):
             fan = co.oodd_fq_fanout(pair)
-            assert len(fan) == 2 ** SO.split_k(pair)
+            assert len(fan) == 2 ** len(SO.free(pair))
             assert len(set(fan)) == len(fan)
             assert fan[0] == pair
             assert [p for p in fan if co.oodd_pair_valid(*p)] == [pair]
@@ -250,9 +250,27 @@ def test_oodd_fanout_properties():
         assert len(seen) == len(set(seen)) == co.p2(n)
 
 
+def test_split_positions_are_0_based_blocks():
+    # the splitting indices by the 1-based rule, i >= 1 with
+    # nu_i < mu_i <= nu_{i-1}, are the 0-based complement blocks plus one
+    for n in range(1, 11):
+        for nu, mu in co.oodd_pairs(n):
+            v = list(nu) + [0] * (len(mu) + 1 - len(nu))
+            old = [i for i in range(1, len(mu) + 1)
+                   if v[i] < mu[i - 1] <= v[i - 1]]
+            assert co.oodd_split_indices((nu, mu)) == [i - 1 for i in old]
+    # and each family's rational labels carry "d" only at those positions
+    for fam in co.FAMILIES.values():
+        for n in range(1, 9):
+            for label in fam.rational(n):
+                free = fam.free(fam.pair(label))
+                assert all(b.eps == "0" or i in free
+                           for i, b in enumerate(fam.blocks(label)))
+
+
 def test_oodd_sum_2k_is_p2():
     for n in range(1, 11):
-        assert sum(2 ** SO.split_k(p) for p in co.oodd_pairs(n)) == co.p2(n)
+        assert sum(2 ** len(SO.free(p)) for p in co.oodd_pairs(n)) == co.p2(n)
 
 
 # ----------------------------------------------------------------------
@@ -367,4 +385,5 @@ def test_family_table_wiring(kind):
         for pair in fam.pairs(n):
             closed = fam.closed(pair)
             assert fam.pair(closed) == pair
-            assert len(fam.free(closed)) == fam.split_k(pair)
+            free = fam.free(pair)
+            assert len(fam.decorate(closed, free)) == 2 ** len(free)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import module_search as ms
+from char2orbits import centralizers as cz
 from char2orbits import classical as cl
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
@@ -71,8 +72,9 @@ def test_validate_rejects_bad_ranges_and_orders():
 def test_split_positions_agree_with_pair_language(n):
     for pair in cb.symp_pairs(n):
         blocks = cb.symp_pair_to_blocks(pair)
-        assert cb.split_positions(blocks) == cb.symp_split_indices(pair)
-        assert len(cb.split_positions(blocks)) == SP.split_k(pair)
+        free = SP.free(cb.symp_blocks_to_pair(blocks))
+        assert free == cb.symp_split_indices(pair)
+        assert len(free) == cz.report(SP, blocks).comp_rank
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +361,7 @@ def test_arf_invariant_separates_the_canonical_sp_decorations(field):
     for n in range(1, 6):
         for pair in cb.symp_pairs(n):
             closed = cb.symp_pair_to_blocks(pair)
-            cands = list(cb.decorations(closed, cb.split_positions(closed)))
+            cands = SP.decorate(closed, SP.free(pair))
             invs = {fm.arf_invariant(fm.build_normal_form(c, field)[0])
                     for c in cands}
             assert len(invs) == len(cands), closed

@@ -30,7 +30,7 @@ def canonical_labels(n):
         m = nu[0] if nu else 0
         tail = list(nu[1:]) + [0] * (len(mu) - len(nu) + 1)
         base = [BlockLabel(mu[i] + tail[i], mu[i]) for i in range(len(mu))]
-        free = [i - 1 for i in cb.oodd_split_indices(pair)]
+        free = cb.oodd_split_indices(pair)
         for choice in product("0d", repeat=len(free)):
             eps = ["0"] * len(base)
             for pos, c in zip(free, choice):
