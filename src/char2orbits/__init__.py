@@ -20,6 +20,30 @@ Submodules:
 Importing the package loads no submodule.  Only oracle (the exhaustive
 census) and verify import numpy; every other module is plain Python, and
 only verify imports isometry.
+
+Process-wide memos, each bounded as stated:
+
+    finite_field.field_for        one field per degree e
+    combinatorics.partition_count one count per n asked
+    form_modules._block_table     per-block Arf tables: one per (kind,
+                                  field, block, Jordan size)
+    form_modules._sp_label,       the label half of rational
+    form_modules._orth_label      classification, keyed on (closed label,
+                                  field, invariant); only keys that give a
+                                  label are stored, at most the
+                                  decorations of each closed label
+    odd_split._odd_label          the odd canonical member, keyed on
+                                  (chain length, complement label)
+    oracle._group_memo            one generating set per space (kind, n,
+                                  e) asked
+    verify._census_memo           one census per space asked, each within
+                                  classical.POINT_LIMIT keys
+
+The label memos and the block tables hold only labels, blocks and
+invariants of the ranks that inputs had, so the label universe up to the
+largest rank labelled bounds them.  The `orbits` listings fill neither;
+classify, normal-form, verify and the oracle census do, and the CLI caps
+the rank of classify and normal-form at cli.LIST_CAP.
 """
 
 __version__ = "0.1.0"

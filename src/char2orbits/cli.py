@@ -112,20 +112,21 @@ def _pair_cells(fam, pair) -> dict:
             "points_leading_q4": rep.point_count_leading(4)}
 
 
-def _label_cells(fam, label) -> dict:
-    "The fields of one label that its pair does not fix."
+def _label_cells(fam, label, pair) -> dict:
+    "The fields of one label, given its pair, that the pair does not fix."
     eps = [b.eps for b in fam.blocks(label)]
     return {"label": fam.format(label),
             "eps": None if None in eps else "".join(eps),
-            "label_json": fam.to_json(label)}
+            "label_json": fam.to_json(label, pair)}
 
 
 def _label_row(kind: str, label) -> dict:
     """Every field the commands print about one valid label of the kind's
     family, decorated or closed: its own cells and its pair's."""
     fam = cb.FAMILIES[kind]
-    return {**_label_cells(fam, label), "closed_label": fam.closed_text(label),
-            **_pair_cells(fam, fam.pair(label))}
+    pair = fam.pair(label)
+    return {**_label_cells(fam, label, pair),
+            "closed_label": fam.closed_text(label), **_pair_cells(fam, pair)}
 
 
 def _pick(row: dict, *keys: str) -> dict:
@@ -150,7 +151,7 @@ def _table_rows(kind: str, n: int, q: str) -> list[dict]:
         shared = {**_pick(cells, "pair", "dim_orbit", "component_group"),
                   "stabilizer_leading": cells[f"points_leading_q{q}"]}
         for label in fam.decorate(closed, fam.free(pair)):
-            own = _label_cells(fam, label)
+            own = _label_cells(fam, label, pair)
             rows.append({"label": own["label"], "eps": own["eps"], **shared,
                          "label_json": own["label_json"]})
     return rows

@@ -490,8 +490,9 @@ def parse_label(text: str) -> OddLabel:
     return OddLabel(int(head.group(1)), blocks)
 
 
-def label_to_json(label: OddLabel) -> dict:
-    nu, mu = label.pair()
+def label_to_json(label: OddLabel, pair) -> dict:
+    "JSON form of a label, given its pair (label.pair())."
+    nu, mu = pair
     return {"m": label.m,
             "pair": {"nu": list(nu), "mu": list(mu)},
             "eps": [b.eps for b in label.blocks]}
@@ -509,10 +510,10 @@ def _weighted(parts, a: int) -> int:
 class Family(_FrozenRecord):
     """One label family: pairs(n); fanout, closed (the closed label),
     dim_z, pair_text and free (the pair's k splitting positions, 0-based
-    blocks) take a pair; pair, blocks, format, closed_text, to_json and
-    valid take a label; decorate(closed, free) gives the 2^k rational
-    labels of a closed label, given its pair's free positions, in
-    decorations order; parse(text) and rational(n) make labels; group(n)
+    blocks) take a pair; pair, blocks, format, closed_text and valid take
+    a label, to_json a label and its pair; decorate(closed, free) gives the
+    2^k rational labels of a closed label, given its pair's free positions,
+    in decorations order; parse(text) and rational(n) make labels; group(n)
     names the group.  The fields hold functions, not methods:
     benchmarks/tracing.py names a method's span <layer>.<method>, so twin
     methods would share a name."""
@@ -536,7 +537,7 @@ FAMILIES = {f.kind: f for f in (
            pair_text=format_pair, pair=symp_blocks_to_pair,
            blocks=lambda label: label, free=symp_split_indices,
            format=format_blocks, closed_text=format_symp_symbol,
-           to_json=blocks_to_json,
+           to_json=lambda label, pair: blocks_to_json(label),
            valid=lambda label: validate_blocks(label, kind="sp"),
            decorate=lambda closed, free: list(decorations(closed, free)),
            parse=parse_blocks, rational=rational_symbols),

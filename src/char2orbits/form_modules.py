@@ -41,6 +41,14 @@ one closed label the invariant is affine over F_2 in the decoration
 vector, and both rational classifiers decide every decoration by one
 reduction over F_2 (_decorate).  Classification is polynomial linear
 algebra with no search and no scan of decorations.
+
+Each rational classifier splits where the matrix work ends.  The matrix
+half runs once per module: the power table, classify_closed and
+arf_invariant.  The label half (_sp_label, _orth_label) reads only the
+key (closed label, field, invariant): split positions, the F_2 solve and
+its count check.  It is memoised per key, like the per-block tables, so
+a batch of functionals solves once per distinct key.  A key that raises
+ClassificationError is not stored and raises again on every call.
 """
 
 from __future__ import annotations
@@ -386,9 +394,14 @@ def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
-    closed = classify_closed(mod)
+    return _sp_label(classify_closed(mod), mod.field, arf_invariant(mod))
+
+
+@lru_cache(maxsize=None)
+def _sp_label(closed, field: Field, inv) -> tuple[BlockLabel, ...]:
+    "classify_fq's label half; only keys that give a label are stored."
     free = symp_split_indices(symp_blocks_to_pair(closed))
-    label, count = _decorate(closed, free, "sp", mod.field, arf_invariant(mod))
+    label, count = _decorate(closed, free, "sp", field, inv)
     if count != 1:
         raise ClassificationError(
             f"expected exactly one canonical match, got {count} "
@@ -406,9 +419,13 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
-    closed = classify_closed(mod)
-    label, _ = _decorate(closed, orth_d_positions(closed), "orth", mod.field,
-                         arf_invariant(mod))
+    return _orth_label(classify_closed(mod), mod.field, arf_invariant(mod))
+
+
+@lru_cache(maxsize=None)
+def _orth_label(closed, field: Field, inv) -> tuple[BlockLabel, ...]:
+    "classify_orth_fq's label half; only keys that give a label are stored."
+    label, _ = _decorate(closed, orth_d_positions(closed), "orth", field, inv)
     if label is None:
         raise ClassificationError(
             f"no decoration of {closed} matches the module")

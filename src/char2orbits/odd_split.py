@@ -28,10 +28,13 @@ level above m absorbs its decoration, and two blocks whose levels
 together exceed the leading size flip decorations in tandem.  These moves
 are fixed vectors over F_2, so the labels they reach form a coset of
 their span, and one reduction picks its canonical member, which has "d"
-only at splitting positions of the associated partition pair.  The tests
-hold this against a walk over the moves (odd_label_by_walk) and an
-exhaustive whole-space isometry search (odd_label_by_search), both in
-tests/module_search.py.
+only at splitting positions of the associated partition pair.  The split
+and the complement's classification are the matrix half, run once per
+functional; the clip, moves and reduction read only the chain length and
+the complement's label, and that label half (_odd_label) is memoised per
+key, storing only keys that give a label.  The tests hold this against
+a walk over the moves (odd_label_by_walk) and an exhaustive whole-space
+isometry search (odd_label_by_search), both in tests/module_search.py.
 
 As the lowest module that sees both classifiers, this one also holds the
 entry point for every kind, rational_label, which decides nilpotency and
@@ -40,6 +43,8 @@ NotNilpotentError (SplitError for so-odd).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import combinatorics as cb
 from . import linalg as la
@@ -210,8 +215,15 @@ def rational_odd_label(split: OddSplit) -> OddLabel:
     such members, or levels that form no admissible pair, raises
     ClassificationError.
     """
-    m, F2 = split.m, field_for(1)
     raw = classify_orth_fq(split.module) if split.module is not None else ()
+    return _odd_label(split.m, raw)
+
+
+@lru_cache(maxsize=None)
+def _odd_label(m: int, raw) -> OddLabel:
+    """rational_odd_label's label half, from the chain length and the
+    complement's label; only keys that give a label are stored."""
+    F2 = field_for(1)
     start = _clip(m, raw)
     if not validate_blocks(start, kind="orth"):
         raise ClassificationError(f"clipped label {start} is invalid")

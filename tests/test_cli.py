@@ -185,7 +185,7 @@ def _rows_label_by_label(kind, n, q):
                      "pair": fam.pair_text(pair), "dim_orbit": dim_orbit,
                      "component_group": rep.component_group(),
                      "stabilizer_leading": rep.point_count_leading(int(q)),
-                     "label_json": fam.to_json(label)})
+                     "label_json": fam.to_json(label, pair)})
     return rows
 
 
@@ -206,6 +206,15 @@ def test_table_rows_match_rows_built_label_by_label(kind):
             want = [b if kind == "sp" else cb.OddLabel(closed.m, b)
                     for b in blocks]
             assert fam.decorate(closed, free) == want
+
+
+def test_odd_tables_read_each_pair_from_the_pair_loop(monkeypatch):
+    calls = []
+    pair = cb.OddLabel.pair
+    monkeypatch.setattr(cb.OddLabel, "pair", lambda label: (
+        calls.append(label), pair(label))[1])
+    assert len(cli._table_rows("so-odd", 12, "4")) == 1165
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

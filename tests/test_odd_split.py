@@ -12,6 +12,7 @@ from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
 from char2orbits import linalg as la
 from char2orbits import odd_split as od
+from char2orbits import verify as vf
 from char2orbits.classical import (alternating_gram, coadjoint,
                                    random_group_element, space_for)
 from char2orbits.combinatorics import BlockLabel
@@ -466,7 +467,7 @@ def test_label_json_round_trip():
             {"m": 0, "pair": {"nu": [], "mu": [1, 1]}, "eps": ["0", "0"]},
             {"m": 0, "pair": {"nu": [], "mu": [2, 1]}, "eps": ["d", "0"]}]
     for lab, obj in zip(labs, want):
-        assert json.loads(json.dumps(cb.label_to_json(lab))) == obj
+        assert json.loads(json.dumps(cb.label_to_json(lab, lab.pair()))) == obj
 
 
 def test_pair_to_label_round_trips_the_pair():
@@ -495,3 +496,106 @@ def test_label_text_round_trip():
     assert cb.format_label(labs[0]) == "m=3; -"
     with pytest.raises(ValueError):
         cb.parse_label("chain=3; -")
+
+
+# ----------------------------------------------------------------------
+# the label memos
+
+LABEL_MEMOS = (fm._sp_label, fm._orth_label, od._odd_label)
+
+
+def clear_label_memos():
+    for memo in LABEL_MEMOS:
+        memo.cache_clear()
+
+
+def seeded_conjugates(count, seed):
+    """(space, functional, label) for `count` seeded conjugates of every
+    rational label with n <= 3, over F_2 and then F_4."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for e, F in ((1, F2), (2, F4)):
+        for n in (1, 2, 3):
+            cases = [(space_for("sp", n, e), fm.build_normal_form(sym, F)[1], sym)
+                     for sym in cb.rational_symbols(n)]
+            cases += [od.odd_witness(lab, F) + (lab,)
+                      for lab in cb.rational_labels(n)]
+            for space, X, label in cases:
+                for _ in range(count):
+                    g = random_group_element(space, gen)
+                    out.append((space, coadjoint(space, g, X), label))
+    return out
+
+
+def test_warm_label_memos_agree_with_cold_ones():
+    inputs = [(space_for(kind, n, e), r.representative, r.label)
+              for kind in ("sp", "so-odd")
+              for n, e in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
+              for r in vf.census(kind, n, e)]
+    inputs += seeded_conjugates(2, 47)
+    cold = []
+    for space, X, _ in inputs:
+        clear_label_memos()
+        cold.append(od.rational_label(space, X))
+    for space, X, _ in inputs:
+        od.rational_label(space, X)
+    misses = [memo.cache_info().misses for memo in LABEL_MEMOS]
+    warm = [od.rational_label(space, X) for space, X, _ in inputs]
+    assert [memo.cache_info().misses for memo in LABEL_MEMOS] == misses
+    assert warm == cold == [label for _, _, label in inputs]
+
+
+def test_a_failed_label_raises_again_and_is_not_stored(monkeypatch):
+    sp_mod = fm.build_normal_form(cb.parse_blocks("(2)^2_1:d"), F2)[0]
+    split = od.split_odd_functional(*od.odd_witness(
+        cb.parse_label("m=1; (2)^2_2:0"), F2))
+    # an invariant whose None pattern no decoration of the closed label has
+    monkeypatch.setattr(fm, "arf_invariant", lambda mod: (None,) * 3)
+    clear_label_memos()
+    for _ in range(2):
+        with pytest.raises(fm.ClassificationError):
+            fm.classify_fq(sp_mod)
+        with pytest.raises(fm.ClassificationError):
+            od.rational_odd_label(split)
+    monkeypatch.undo()
+    # a complement label whose clip is no admissible label
+    monkeypatch.setattr(od, "classify_orth_fq", lambda mod: cb.parse_blocks(
+        "(1)^2_1:0 (2)^2_2:0"))
+    for _ in range(2):
+        with pytest.raises(fm.ClassificationError):
+            od.rational_odd_label(split)
+    assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == [0, 0, 0]
+
+
+def test_labelling_twice_decorates_once_per_key(monkeypatch):
+    inputs = seeded_conjugates(1, 53)
+    assert len(inputs) == 68
+    keys = {"sp": set(), "orth": set(), "odd": set()}
+    for space, X, _ in inputs:
+        if space.kind == "sp":
+            mod = fm.build_module(space, X)
+            keys["sp"].add((classify_closed(mod), mod.field,
+                            fm.arf_invariant(mod)))
+            continue
+        split = od.split_odd_functional(space, X)
+        mod, raw = split.module, ()
+        if mod is not None:
+            keys["orth"].add((classify_closed(mod), mod.field,
+                              fm.arf_invariant(mod)))
+            raw = fm.classify_orth_fq(mod)
+        keys["odd"].add((split.m, raw))
+    solved, reduced = [], []
+    decorate, clip = fm._decorate, od._clip
+    monkeypatch.setattr(fm, "_decorate", lambda *args: (
+        solved.append(args[0]), decorate(*args))[1])
+    monkeypatch.setattr(od, "_clip", lambda m, blocks: (
+        reduced.append(m), clip(m, blocks))[1])
+    clear_label_memos()
+    first = [od.rational_label(space, X) for space, X, _ in inputs]
+    sizes = [memo.cache_info().currsize for memo in LABEL_MEMOS]
+    second = [od.rational_label(space, X) for space, X, _ in inputs]
+    assert first == second == [label for _, _, label in inputs]
+    assert len(solved) == len(keys["sp"]) + len(keys["orth"])
+    assert len(reduced) == len(keys["odd"])
+    assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == sizes \
+        == [len(keys[k]) for k in ("sp", "orth", "odd")]
