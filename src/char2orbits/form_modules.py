@@ -32,8 +32,12 @@ All of it comes from the powers of T: each module builds its power ladder
 T^0..T^k once (linalg.power_ladder, which is also its nilpotency check),
 reads its Jordan type off the ladder's ranks and ker(T^m) off the ladder's
 kernels, which the ladder's rank eliminations already give.  The power
-forms are computed from the ladder once per module, each from one product
-img U img^t, and arf_invariant collects them.  A normal form is the
+forms are computed from the ladder once per module, and arf_invariant
+collects them.  As T is self-adjoint, the polar form of v -> quad(T^i v)
+is beta(T^(2i+s) v, w), s = 1 for sp and 0 for orth, so it vanishes on
+ker(T^m) once 2i + s >= m: those forms are additive there and read off
+their basis values alone, and only the lower powers pay one product
+img U img^t and an Arf reduction.  A normal form is the
 orthogonal sum of its blocks, so its invariant combines cached per-block
 tables: None where any block gives None, else the sum of the block traces
 mod 2.  A block's None pattern does not depend on its decoration, so over
@@ -168,24 +172,32 @@ def _series(mod: FormModule, gram, v, w) -> list[int]:
 
 
 def _power_forms(mod: FormModule, m: int, count: int):
-    """Polar Gram and basis values of v -> quad(T^i v) on ker(T^m), for
-    i = 0..count-1.
+    """(vanishes identically, _arf_trace) of v -> quad(T^i v) on ker(T^m),
+    for i = 0..count-1.
 
-    With the rows of `img` the images T^i v of a basis of ker(T^m) and U
-    the upper-triangular matrix of quad, M = img U img^t gives both: the
-    polar Gram is M + M^t and the values are the diagonal of M.  Once the
-    image is zero, so is every later form.
+    quad polarizes to beta(T^s v, w), s = 1 for sp and 0 for orth, and T
+    is self-adjoint, so the polar form of v -> quad(T^i v) is
+    beta(T^(2i+s) v, w): zero on ker(T^m) once 2i + s >= m.  There the form
+    is additive, and its basis values alone decide both entries.  Below
+    that, with the rows of `img` the images T^i v of a basis of ker(T^m)
+    and U the upper-triangular matrix of quad, M = img U img^t gives the
+    polar Gram M + M^t and the values, the diagonal of M.  From i = m on,
+    T^i kills ker(T^m) and the entry is (True, 0).
     """
-    F, op_t = mod.field, la.transpose(mod.op)
+    F, op_t, s = mod.field, la.transpose(mod.op), int(mod.kind == "sp")
     img = mod.kernels[min(m, len(mod.kernels) - 1)]
-    k = len(img)
-    for _ in range(count):
-        if la.is_zero(img):
-            yield la.zeros(k, k), [0] * k
+    for i in range(count):
+        if i >= m:
+            yield True, 0
             continue
-        M = la.mat_mul(F, la.mat_mul(F, img, mod._U), la.transpose(img))
-        yield ([[a ^ b for a, b in zip(r, c)] for r, c in zip(M, zip(*M))],
-               [r[i] for i, r in enumerate(M)])
+        if 2 * i + s >= m:
+            vals = la.quad_values(F, mod._U, img)
+            yield not any(vals), None if any(vals) else 0
+        else:
+            M = la.mat_mul(F, la.mat_mul(F, img, mod._U), la.transpose(img))
+            pol = [[a ^ b for a, b in zip(r, c)] for r, c in zip(M, zip(*M))]
+            vals = [r[j] for j, r in enumerate(M)]
+            yield not any(vals) and la.is_zero(pol), _arf_trace(F, pol, vals)
         img = la.mat_mul(F, img, op_t)
 
 
@@ -197,8 +209,8 @@ def index_chi(mod: FormModule, m: int) -> int:
     """
     if not 0 <= m <= mod.dim:
         raise ValueError("power must lie between 0 and dim")
-    for i, (pol, vals) in enumerate(_power_forms(mod, m, mod.dim + 1)):
-        if not any(vals) and la.is_zero(pol):
+    for i, (zero, _) in enumerate(_power_forms(mod, m, mod.dim + 1)):
+        if zero:
             return i
     raise AssertionError("nilpotent operator must reach a vanishing power")
 
@@ -243,11 +255,8 @@ def _power_table(mod: FormModule) -> dict:
     _arf_trace) of v -> quad(T^i v) on ker(T^m) for 0 <= i <= m; computed
     once per module."""
     if mod._table is None:
-        F = mod.field
-        mod._table = {
-            m: tuple((not any(vals) and la.is_zero(pol), _arf_trace(F, pol, vals))
-                     for pol, vals in _power_forms(mod, m, m + 1))
-            for m in sorted(set(mod.partition))}
+        mod._table = {m: tuple(_power_forms(mod, m, m + 1))
+                      for m in sorted(set(mod.partition))}
     return mod._table
 
 
@@ -340,8 +349,7 @@ def _block_table(kind: str, field: Field, block: BlockLabel, m: int) -> tuple:
     """Arf data of the one-block normal form of `block` at Jordan size m,
     for i = 0..m.  The label universe (m <= 12) bounds the cache."""
     mod = build_normal_form((block,), field, kind=kind)[0]
-    return tuple(_arf_trace(field, pol, vals)
-                 for pol, vals in _power_forms(mod, m, m + 1))
+    return tuple(t for _, t in _power_forms(mod, m, m + 1))
 
 
 def _label_invariant(blocks, kind: str, field: Field) -> tuple:

@@ -5,20 +5,21 @@ Gram G.  The split finds the minimal m for which the pencil system
 
     G v_0 = 0,   G v_i = S v_{i-1} (1 <= i <= m),   S v_m = 0
 
-has a solution; it grows the space of possible chain ends one length at
-a time rather than solving the system afresh for each m.  The solution
-space at that m is one-dimensional, and the chain is normalized so the
-ambient quadratic form takes value 1 on v_m (which spans the radical of
-the pairing).  A dual family u_0..u_{m-1} follows: u_0 by one solve,
-then u_i = S G u_(i-1), as S is its own inverse away from the radical
-slot.  The complement W of the resulting (2m+1)-dimensional chain part is
-cut out by 2m+1 pairing conditions.  W carries a nondegenerate pairing
-Gw, the transfer operator T = Gw^-1 Gx with Gx the functional's form on
-W (both Grams from one product, T from one elimination of [Gw | Gx]),
-and the ambient quadratic values: an orth form module.  The functional
-is nilpotent exactly when the split goes through with T nilpotent; every
-structural failure raises SplitError, the so-odd case of
-NotNilpotentError.
+has a solution.  S v_m = 0 puts the chain's end on the radical line of
+r = e_2n, and each step back is v_(i-1) = S G v_i modulo r, so every
+chain is a combination of one Krylov sequence (S G)^t r, and each trial
+length is a system in the m + 1 coefficients alone.  The solution space
+at that m is one-dimensional, and the chain is normalized so the ambient
+quadratic form takes value 1 on v_m, which is then r.  A dual family
+u_0..u_{m-1} follows: u_0 by one solve, then u_i = S G u_(i-1), as S is
+its own inverse away from the radical slot.  The complement W of the
+resulting (2m+1)-dimensional chain part is cut out by 2m+1 pairing
+conditions.  W carries a nondegenerate pairing Gw, the transfer operator
+T = Gw^-1 Gx with Gx the functional's form on W (both Grams from one
+product, T from one elimination of [Gw | Gx]), and the ambient quadratic
+values: an orth form module.  The functional is nilpotent exactly when
+the split goes through with T nilpotent; every structural failure raises
+SplitError, the so-odd case of NotNilpotentError.
 
 The rational label of a nilpotent functional is the chain length m plus
 the decorated block label of W, which classify_orth_fq reads off Arf
@@ -90,33 +91,35 @@ class OddSplit(cb._Record):
 def _chain_vectors(space: Space, G):
     """The least m with a pencil chain v_0..v_m, and that chain normalized.
 
-    The ends v_m of the chains that satisfy every equation but S v_m = 0
-    form a space E_m: E_0 = ker G and E_(m+1) = {w : G w in S E_m}.  One
-    kernel of [S E_m^t | G], in the unknowns (c, w), gives both: its
-    vectors with w = 0 are the combinations c of E_m's basis with
-    S E_m^t c = 0, and the w parts of the others are a basis of E_(m+1).
-    The first m with such a c is the chain length.  There two chains with
-    one end differ by a shorter chain that ends in ker S, so each chain is
-    fixed by its end.  Its end lies in ker S, the radical line of the odd
-    space's pairing, so c is unique up to a scalar and the end has nonzero
-    quadratic value.  Each basis end carries its chain, flattened, so the
-    chain needs no solve.
+    S v_m = 0 puts the end on the radical line of r = e_2n.  Going back,
+    G v_i = S v_(i-1) has a solution exactly when (G v_i)_rad = 0, as S has
+    no radical row, and then v_(i-1) = S G v_i + c r, since S is its own
+    inverse away from the radical slot and kills r.  So the chains of
+    length m are v_(m-j) = sum over t <= j of a_t (S G)^(j-t) r, one Krylov
+    sequence of r, with (G v_i)_rad = 0 for i > 0 and G v_0 = 0: an
+    (m+d) x (m+1) system in a_0..a_m, and every solution of it is a chain.
+    The first m where it has a nonzero solution is therefore the first m
+    where the pencil system has one, and the chain is the same.  There
+    a_0 != 0, for a_0 = 0 would leave a chain of length m - 1, so the
+    solution is unique up to a scalar; a_0 = 1 gives v_m = r, quadratic
+    value 1, the normalization the split needs.
     """
     F, d = space.field, space.d
-    ends = la.kernel_basis(F, G)
-    chains = [list(e) for e in ends]
+    krylov, images = [[0] * (d - 1) + [1]], []  # (S G)^t r and G (S G)^t r
     for m in range(space.n + 1):
-        k = len(ends)
-        SE = space.apply_form(la.transpose(ends))
-        K = la.kernel_basis(F, [b + g for b, g in zip(SE, G)])
-        C = [x[:k] for x in K if not any(x[k:])]
-        if C:
-            chain = la.reshape(la.mat_mul(F, C, chains)[0], d)
-            scale = F.sqrt(F.inv(space.alpha(chain[m])))
-            return m, [la.scale(F, scale, v) for v in chain]
-        chains = [c + x[k:] for c, x in
-                  zip(la.mat_mul(F, [x[:k] for x in K], chains), K)]
-        ends = [x[k:] for x in K]
+        images.append(la.mat_vec(F, G, krylov[m]))
+        # column t is a_t; row j < m reads (G v_(m-j))_rad, then G v_0
+        A = [[images[j - t][-1] if t <= j else 0 for t in range(m + 1)]
+             for j in range(m)]
+        A += [[images[m - t][x] for t in range(m + 1)] for x in range(d)]
+        a = la.solve(F, [row[1:] for row in A], [row[0] for row in A])
+        if a is not None:
+            a = [1] + a
+            chain = la.mat_mul(F, [[a[j - c] if c <= j else 0
+                                    for c in range(m + 1)]
+                                   for j in range(m + 1)], krylov)
+            return m, chain[::-1]
+        krylov.append(space.apply_form(images[m]))
     raise SplitError("no pencil chain of any admissible length")
 
 

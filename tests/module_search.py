@@ -332,11 +332,23 @@ def power_forms_by_polar(mod: fm.FormModule, m: int, count: int):
         img = la.mat_mul(F, img, op_t)
 
 
+def power_entries_by_polar(mod: fm.FormModule, m: int, count: int):
+    """fm._power_forms with no shortcut: every entry from the full polar
+    Gram and fm._arf_trace."""
+    return [(not any(vals) and la.is_zero(pol),
+             fm._arf_trace(mod.field, pol, vals))
+            for pol, vals in power_forms_by_polar(mod, m, count)]
+
+
+def power_table_by_polar(mod: fm.FormModule) -> dict:
+    "fm._power_table, every entry from the full polar Gram."
+    return {m: tuple(power_entries_by_polar(mod, m, m + 1))
+            for m in sorted(set(mod.partition))}
+
+
 def power_form_invariant(mod: fm.FormModule) -> tuple:
-    "fm.arf_invariant, walking the power forms afresh."
-    sizes = sorted(set(mod.partition))
-    return tuple(fm._arf_trace(mod.field, pol, vals) for m in sizes
-                 for pol, vals in fm._power_forms(mod, m, m + 1))
+    "fm.arf_invariant, walking the power forms afresh by the polar Gram."
+    return tuple(t for row in power_table_by_polar(mod).values() for _, t in row)
 
 
 def normal_form_invariant(blocks, kind: str, field) -> tuple:

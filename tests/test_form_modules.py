@@ -455,14 +455,52 @@ def test_power_forms_match_the_polar_formula(field):
         for kind, blocks in cases:
             mod = fm.build_normal_form(blocks, field, kind=kind)[0]
             for m in sorted({0, mod.dim} | set(mod.partition)):
-                got = list(fm._power_forms(mod, m, m + 2))
-                assert got == list(ms.power_forms_by_polar(mod, m, m + 2)), \
-                    (blocks, m)
-                Tm = la.identity(mod.dim)
-                for _ in range(m):
-                    Tm = la.mat_mul(field, Tm, mod.op)
-                img = la.kernel_basis(field, Tm)
-                assert got[0][1] == la.quad_values(field, mod._U, img)
+                assert list(fm._power_forms(mod, m, m + 2)) == \
+                    ms.power_entries_by_polar(mod, m, m + 2), (blocks, m)
+
+
+def conjugate_modules(field, max_n, seed):
+    """The sp module of a seeded conjugate of every rational normal form and
+    the orth module of a seeded conjugate of every odd witness, n <= max_n."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for n in range(1, max_n + 1):
+        space = cl.Space("sp", n, field)
+        for blocks in cb.rational_symbols(n):
+            X = fm.build_normal_form(blocks, field)[1]
+            g = cl.random_group_element(space, gen)
+            out.append(fm.build_module(space, cl.coadjoint(space, g, X)))
+        for lab in cb.rational_labels(n):
+            osp, X = od.odd_witness(lab, field)
+            g = cl.random_group_element(osp, gen)
+            mod = od.split_odd_functional(osp, cl.coadjoint(osp, g, X)).module
+            if mod is not None:
+                out.append(mod)
+    return out
+
+
+@pytest.mark.parametrize("field,max_n", [(F2, 5), (F4, 5), (field_for(3), 3)])
+def test_power_table_shortcuts_hold_off_the_normal_form(field, max_n,
+                                                        monkeypatch):
+    # the polar form of v -> quad(T^i v) is beta(T^(2i+s) v, w), s = 1 for
+    # sp and 0 for orth: zero on ker(T^m) once 2i + s >= m, where the walk
+    # reads the entry off the values alone and skips _arf_trace
+    mods = conjugate_modules(field, max_n, 41)
+    want = []
+    for mod in mods:
+        s = int(mod.kind == "sp")
+        for m in set(mod.partition):
+            for i, (pol, _) in enumerate(ms.power_forms_by_polar(mod, m, m + 1)):
+                assert (2 * i + s < m) or la.is_zero(pol), (mod.kind, m, i)
+        want.append(ms.power_table_by_polar(mod))
+    reductions = []
+    arf_trace = fm._arf_trace
+    monkeypatch.setattr(fm, "_arf_trace", lambda F, gram, vals: (
+        reductions.append(len(gram)), arf_trace(F, gram, vals))[1])
+    assert [fm._power_table(mod) for mod in mods] == want
+    assert len(reductions) == sum(
+        2 * i + int(mod.kind == "sp") < m
+        for mod in mods for m in set(mod.partition) for i in range(m + 1))
 
 
 @pytest.mark.parametrize("field", [F2, F4])

@@ -296,7 +296,7 @@ def test_rational_label_round_trips_over_gf8_and_gf16(kind, e):
             assert od.rational_label(space, Y) == lab
 
 
-@pytest.mark.parametrize("F", [F2, F4])
+@pytest.mark.parametrize("F", [F2, F4, Field(3)])
 def test_chain_search_matches_the_block_system(F):
     gen = np.random.default_rng(17)
     cases = [od.odd_witness(lab, F) for n in range(1, 7)
@@ -311,7 +311,7 @@ def test_chain_search_matches_the_block_system(F):
         seen.add(got[0])
     assert seen == set(range(7)) | {12}
     # any alternating G, of any rank: an odd pencil always has a chain
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         space = space_for("so-odd", n, F.e)
         for _ in range(40):
             U = np.triu(gen.integers(0, F.q, size=(space.d, space.d)), 1)
@@ -319,6 +319,28 @@ def test_chain_search_matches_the_block_system(F):
             G = (U ^ U.T).tolist()
             got = od._chain_vectors(space, G)
             assert got == ms.chain_by_block_system(space, G)
+
+
+def test_random_so_odd_outcomes_are_pinned():
+    # sha256 of the label or exception text of 300 seeded random matrices
+    # per (n <= 3, q in {2, 4}): the chain search must not change a label,
+    # a chain length or a failure message
+    outcomes, labelled = [], 0
+    for n in (1, 2, 3):
+        for e in (1, 2):
+            space = space_for("so-odd", n, e)
+            gen = np.random.default_rng([n, space.field.q])
+            for _ in range(300):
+                X = gen.integers(0, space.field.q, size=(space.d, space.d))
+                try:
+                    lab = od.rational_label(space, X.tolist())
+                    outcomes.append(cb.format_label(lab))
+                    labelled += 1
+                except (fm.NotNilpotentError, fm.ClassificationError) as exc:
+                    outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert labelled == 369
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
+        "d9d37bbc5ae8f98abf1b1f5b97109066a93354de98c9aa016ed3906a85615db4")
 
 
 def test_bigger_decorated_round_trips():
