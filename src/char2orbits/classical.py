@@ -11,7 +11,26 @@ halves and kills the odd radical slot, so Space.apply_form applies it by
 slicing.  A functional on the Lie algebra is carried as any matrix X with
 xi(x) = tr(X x); two representatives are the same functional iff their
 pairings with a basis of the algebra agree.  Matrices are linalg's lists
-of int rows, and the algebra and Borel bases are lists of 0/1 matrices.
+of int rows.
+
+The bases are written down, not eliminated.  S only swaps rows, (S X)[i]
+= X[sigma(i)] with sigma the swap of the halves, so x^t S + S x = 0 asks
+S x to be symmetric: one free value per pair of flat slots
+{sigma(i) d + j, sigma(j) d + i}, i < j < 2n, plus sigma(i) d + i for sp
+(the orthogonal kinds keep S x alternating), plus the last row 2n d + j,
+j < 2n, for so-odd, whose trace condition zeroes the corner.  These 0/1
+supports are disjoint, so the elimination over d^2 unknowns returns
+exactly them, the larger slot f of each its free column and the partner
+p < f a pivot.  The private slot table lists them, (f, p) or (f,), by f
+as kernel_basis does; the Borel basis is its entries upper triangular in
+flag order.  Transposed, an entry gives its pairing row's support, its
+selector; these are disjoint too, so the trace radical is one vector per
+two-slot selector and a unit per slot outside them, dual_from_values puts
+each value in its selector's first slot and canonical_rep each pairing
+value in the last (the solve with free coordinates 0 and the reduction
+modulo the radical's RREF), and algebra_coords reads the free slots.  The
+tests hold all of it against the elimination up to rank 12.
+
 The calculus attached to a functional:
 
   * module_endomorphism (sp, so-even): X + S (S X)^t, the endomorphism that
@@ -47,8 +66,6 @@ from .finite_field import Field, field_for
 
 KINDS = ("sp", "so-odd", "so-even")
 
-_F2 = field_for(1)
-
 
 def _dimension(kind: str, n: int) -> int:
     return 2 * n + 1 if kind == "so-odd" else 2 * n
@@ -74,11 +91,10 @@ class Space:
             B[2 * n][2 * n] = 1
         self.B = None if kind == "sp" else B
         self.S = la.add(B, la.transpose(B))
+        self._table: list | None = None
         self._lie: list | None = None
         self._borel: list | None = None
         self._radical: list | None = None
-        self._radical_rref: tuple | None = None
-        self._pairing_rows: list | None = None
         self._selectors: list | None = None
 
     def __repr__(self) -> str:
@@ -102,43 +118,42 @@ class Space:
         return la.dot(self.field, v, la.mat_vec(self.field, self.B, v))
 
     # ------------------------------------------------------------------
-    # algebra and Borel bases (0/1 matrices, valid over every GF(2^e))
+    # the slot table: algebra, Borel and radical bases written down
 
-    def _condition_rows(self, extra_zero_positions=()) -> list[list[int]]:
-        """Constraint matrix whose right kernel (in x-coordinates) is the
-        algebra: rows for x^t S + S x = 0, plus alternating-diagonal and
-        trace rows for the orthogonal kinds, plus forced-zero entries."""
-        d, S = self.d, self.S
-        ncond = d * d + (d if self.kind != "sp" else 0) \
-            + (1 if self.kind == "so-odd" else 0) + len(extra_zero_positions)
-        rows = la.zeros(ncond, d * d)
-        for a in range(d):
-            for b in range(d):
-                var = a * d + b
-                for j in range(d):
-                    rows[b * d + j][var] ^= S[a][j]
-                    rows[j * d + b][var] ^= S[j][a]
-                if self.kind != "sp":
-                    rows[d * d + b][var] = S[a][b]
-                if self.kind == "so-odd" and a == b:
-                    rows[d * d + d][var] = 1
-        for k, (i, j) in enumerate(extra_zero_positions):
-            rows[ncond - len(extra_zero_positions) + k][i * d + j] = 1
-        return rows
+    def _slot_table(self) -> list[tuple[int, ...]]:
+        "Entry k: the flat slots (f, p) or (f,) of lie_basis matrix k."
+        if self._table is None:
+            n, d = self.n, self.d
+            sigma = [*range(n, 2 * n), *range(n)]
+            table = [(max(s), min(s)) for s in (
+                (sigma[i] * d + j, sigma[j] * d + i)
+                for i in range(2 * n) for j in range(i + 1, 2 * n))]
+            if self.kind == "sp":
+                table += [(sigma[i] * d + i,) for i in range(2 * n)]
+            elif self.kind == "so-odd":
+                table += [(2 * n * d + j,) for j in range(2 * n)]
+            self._table = sorted(table)
+        return self._table
 
-    def _basis(self, extra_zero_positions=()) -> list[list[list[int]]]:
-        K = la.kernel_basis(_F2, self._condition_rows(extra_zero_positions))
-        return [la.reshape(k, self.d) for k in K]
+    def _matrices(self, entries) -> list[list[list[int]]]:
+        "One 0/1 matrix per entry, 1 in the entry's flat slots."
+        d, out = self.d, []
+        for slots in entries:
+            M = la.zeros(d, d)
+            for s in slots:
+                M[s // d][s % d] = 1
+            out.append(M)
+        return out
 
     def lie_basis(self) -> list[list[list[int]]]:
         "Echelonized basis of the algebra: a list of dim matrices."
         if self._lie is None:
-            self._lie = self._basis()
+            self._lie = self._matrices(self._slot_table())
         return self._lie
 
     @property
     def dim_algebra(self) -> int:
-        return len(self.lie_basis())
+        return len(self._slot_table())
 
     def flag_order(self) -> list[int]:
         "Basis order in which the pairing is antidiagonal."
@@ -150,19 +165,21 @@ class Space:
     def borel_basis(self) -> list[list[list[int]]]:
         "Algebra elements upper triangular in flag order."
         if self._borel is None:
-            sigma = self.flag_order()
-            self._borel = self._basis(tuple(
-                (sigma[i], sigma[j])
-                for i in range(self.d) for j in range(self.d) if i > j))
+            d, pos = self.d, [0] * self.d
+            for i, v in enumerate(self.flag_order()):
+                pos[v] = i
+            self._borel = self._matrices(
+                slots for slots in self._slot_table()
+                if all(pos[s // d] <= pos[s % d] for s in slots))
         return self._borel
 
     def _pairing_selectors(self) -> list[list[int]]:
         """Per basis matrix b of the algebra, the nonzero positions of its
         pairing row, so tr(X b) is the sum of X's flat entries there."""
         if self._selectors is None:
-            self._selectors = [
-                [k for k, x in enumerate(la.flatten(zip(*b))) if x]
-                for b in self.lie_basis()]
+            d = self.d
+            self._selectors = [sorted(s % d * d + s // d for s in slots)
+                               for slots in self._slot_table()]
         return self._selectors
 
     # ------------------------------------------------------------------
@@ -177,36 +194,33 @@ class Space:
     def dual_equal(self, X, Y) -> bool:
         return self.pairing_vector(X) == self.pairing_vector(Y)
 
-    def _pairing_matrix(self) -> list[list[int]]:
-        "Rows b^t of the algebra basis, flattened: X -> tr(X b) row by row."
-        if self._pairing_rows is None:
-            self._pairing_rows = [la.flatten(la.transpose(b))
-                                  for b in self.lie_basis()]
-        return self._pairing_rows
-
     def dual_from_values(self, values) -> list[list[int]]:
         "Some representative X whose pairing_vector equals `values`."
         if len(values) != self.dim_algebra:
             raise ValueError("need one value per algebra basis element")
-        X = la.solve(self.field, self._pairing_matrix(), values)
-        assert X is not None, "the trace pairing must be onto"
+        X = [0] * self.d ** 2
+        for sel, v in zip(self._pairing_selectors(), values):
+            X[sel[0]] = v
         return la.reshape(X, self.d)
 
     def trace_radical_basis(self) -> list[list[list[int]]]:
         "Matrices pairing to zero with the whole algebra."
         if self._radical is None:
-            K = la.kernel_basis(_F2, self._pairing_matrix())
-            self._radical = [la.reshape(k, self.d) for k in K]
+            sels = self._pairing_selectors()
+            held = {s for sel in sels for s in sel}
+            self._radical = self._matrices(sorted(
+                [sel for sel in sels if len(sel) == 2]
+                + [(s,) for s in range(self.d ** 2) if s not in held],
+                key=max))
         return self._radical
 
     def canonical_rep(self, X) -> list[list[int]]:
         "The unique representative with zeros in the radical's pivot slots."
-        if self._radical_rref is None:
-            self._radical_rref = la.rref(
-                _F2, [la.flatten(R) for R in self.trace_radical_basis()])
-        R, pivots = self._radical_rref
-        v = la.reduce_modulo(self.field, R, pivots, la.flatten(X))
-        return la.reshape(v, self.d)
+        x = la.flatten(X)
+        out = [0] * len(x)
+        for sel in self._pairing_selectors():
+            out[sel[-1]] = reduce(xor, map(x.__getitem__, sel), 0)
+        return la.reshape(out, self.d)
 
 
 def space_for(kind: str, n: int, e: int = 1) -> Space:
@@ -357,11 +371,10 @@ def functional_from_gram(F: Field, S, A, quad=None) -> list[list[int]]:
 
 def algebra_coords(space: Space, T) -> list[int]:
     "Coordinates of T in the lie_basis; raises if T is outside the algebra."
-    basis = [la.flatten(b) for b in space.lie_basis()]
-    c = la.solve(space.field, la.transpose(basis), la.flatten(T))
-    if c is None:
+    if not in_algebra(space, T):
         raise ValueError("matrix is not in the algebra")
-    return c
+    d = space.d
+    return [T[f // d][f % d] for f, *_ in space._slot_table()]
 
 
 def in_algebra(space: Space, T) -> bool:

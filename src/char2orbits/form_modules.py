@@ -182,7 +182,7 @@ def _power_forms(mod: FormModule, m: int, count: int):
     that, with the rows of `img` the images T^i v of a basis of ker(T^m)
     and U the upper-triangular matrix of quad, M = img U img^t gives the
     polar Gram M + M^t and the values, the diagonal of M.  From i = m on,
-    T^i kills ker(T^m) and the entry is (True, 0).
+    T^i kills ker(T^m) and the entry is (True, 0), so img stops at T^(m-1).
     """
     F, op_t, s = mod.field, la.transpose(mod.op), int(mod.kind == "sp")
     img = mod.kernels[min(m, len(mod.kernels) - 1)]
@@ -190,6 +190,8 @@ def _power_forms(mod: FormModule, m: int, count: int):
         if i >= m:
             yield True, 0
             continue
+        if i:
+            img = la.mat_mul(F, img, op_t)
         if 2 * i + s >= m:
             vals = la.quad_values(F, mod._U, img)
             yield not any(vals), None if any(vals) else 0
@@ -198,7 +200,6 @@ def _power_forms(mod: FormModule, m: int, count: int):
             pol = [[a ^ b for a, b in zip(r, c)] for r, c in zip(M, zip(*M))]
             vals = [r[j] for j, r in enumerate(M)]
             yield not any(vals) and la.is_zero(pol), _arf_trace(F, pol, vals)
-        img = la.mat_mul(F, img, op_t)
 
 
 def index_chi(mod: FormModule, m: int) -> int:

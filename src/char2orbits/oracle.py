@@ -13,16 +13,19 @@ hyperbolic pairs.  Every generator is an involution.
 There is one orbit engine.  Every generator g acts F_2-linearly on keys,
 so its permutation of all q^N keys is spread out from the images of the
 e*N single-bit keys, and those come from one matrix: the adjoint matrix
-of g, whose column j holds the lie_basis coordinates of g b_j g.  Two
-products on stacked operands give all N images, and each coordinate is
-read in its free slot.  Under conjugation the single-bit images are the
-matrix's columns; under the coadjoint action they are its rows, because
+of g, whose column j holds the lie_basis coordinates of g b_j g.  Each
+b_j is 1 at the one or two slots of its entry in classical's slot table,
+so each coordinate, read in its free slot, sums at most two products of
+entries of g.  Under conjugation the single-bit images are the matrix's
+columns; under the coadjoint action they are its rows, because
 tr(g M_i g^-1 b_j) = coord_i(g^-1 b_j g).  Min-label propagation over
 the permutations then names every orbit by its least key.  Permutations
-and labels are int32 arrays over at most POINT_LIMIT keys.  Each
-nilpotent orbit is reported with its size, stabilizer order, and the
-label odd_split's rational_label gives its representative; the adjoint
-census reports the sizes of its nilpotent orbits.
+and labels are int32 arrays over at most POINT_LIMIT keys.  The Borel
+basis is part of the lie_basis, so the functionals vanishing on it are
+the keys with zeros at its coordinates.  Each nilpotent orbit is
+reported with its size, stabilizer order, and the label odd_split's
+rational_label gives its representative; the adjoint census reports the
+sizes of its nilpotent orbits.
 """
 
 from __future__ import annotations
@@ -150,25 +153,19 @@ def _functional(space: cl.Space, key: int) -> list:
 
 
 def _algebra_element(space: cl.Space, key: int) -> list:
-    F = space.field
-    T = la.zeros(space.d, space.d)
-    for c, b in zip(key_values(space, key), space.lie_basis()):
-        T = la.add(T, la.scale(F, c, b))
-    return T
+    "The algebra element with the key's lie_basis coordinates."
+    d, T = space.d, [0] * space.d ** 2
+    for c, slots in zip(key_values(space, key), space._slot_table()):
+        for s in slots:
+            T[s] = c
+    return la.reshape(T, d)
 
 
 def _free_slots(space: cl.Space) -> list[int]:
-    """Flat positions that read an algebra element's lie_basis coordinates.
-
-    Coordinate k is read in a slot where basis matrix k is 1 and every
-    other basis matrix 0; the lie basis comes from kernel_basis, which
-    gives each basis matrix such a slot, its free column.
-    """
-    flats = [la.flatten(b) for b in space.lie_basis()]
-    N = len(flats)
-    columns = list(zip(*flats))
-    return [columns.index(tuple(int(j == k) for j in range(N)))
-            for k in range(N)]
+    """Flat positions that read an algebra element's lie_basis coordinates:
+    coordinate k is read in the free slot of the space's slot-table entry
+    k, where basis matrix k is 1 and every other basis matrix 0."""
+    return [f for f, *_ in space._slot_table()]
 
 
 def _spread(images) -> np.ndarray:
@@ -190,26 +187,31 @@ def _key_bits(space: cl.Space) -> int:
     return bits
 
 
-def _adjoint_matrix(space: cl.Space, g, slots) -> list[list[int]]:
+def _adjoint_matrix(space: cl.Space, g) -> list[list[int]]:
     """Entry (i, j) is coordinate i of g b_j g, b_j the lie_basis and g an
-    involution: g [b_1 | ... | b_N], then its N blocks stacked times g."""
-    F, d = space.field, space.d
-    basis = space.lie_basis()
-    left = la.mat_mul(F, g, [[x for b in basis for x in b[r]]
-                             for r in range(d)])
-    images = la.mat_mul(F, [r[c:c + d] for c in range(0, len(basis) * d, d)
-                            for r in left], g)
-    return [[images[j * d + s // d][s % d] for j in range(len(basis))]
-            for s in slots]
+    involution.  b_j is 1 only at its slot-table slots (a, b), so
+    (g b_j g)[r][c] is the sum of g[r][a] g[b][c] over them, read at the
+    free slot (r, c) of coordinate i.  A lone slot is paired with (d, 0),
+    which reads the zero row appended to g[r]'s multiplication rows."""
+    MUL, d = space.field.mul_table, space.d
+    quads = [(*divmod(f, d), *(divmod(p[0], d) if p else (d, 0)))
+             for f, *p in space._slot_table()]
+    gt = la.transpose(g)
+    out = []
+    for r, c, *_ in quads:
+        row, col = [MUL[x] for x in g[r]] + [MUL[0]], gt[c]
+        out.append([row[a][col[b]] ^ row[a2][col[b2]]
+                    for a, b, a2, b2 in quads])
+    return out
 
 
-def _image_keys(space: cl.Space, g, action: str, slots) -> list[int]:
+def _image_keys(space: cl.Space, g, action: str) -> list[int]:
     """The images under g of the e*N single-bit keys, in bit order.  The
     adjoint images are the columns of g's adjoint matrix A; since
     tr(g M_i g^-1 b_j) is coord_i(g^-1 b_j g), the coadjoint ones are its
     rows."""
     F = space.field
-    A = _adjoint_matrix(space, g, slots)
+    A = _adjoint_matrix(space, g)
     rows = A if action == "coadjoint" else la.transpose(A)
     return [_pack(la.scale(F, 1 << t, r), F.e) for r in rows
             for t in range(F.e)]
@@ -228,8 +230,7 @@ def _orbits(space: cl.Space, group: FiniteGroup | None,
     if group is None:
         group = enumerate_group(space)
     if action not in group._labels:
-        slots = _free_slots(space)
-        perms = [_spread(_image_keys(space, g, action, slots))
+        perms = [_spread(_image_keys(space, g, action))
                  for g in group.generators]
         labels = np.arange(1 << bits, dtype=np.int32)
         while True:
@@ -264,15 +265,9 @@ def all_nilpotent_orbits(space: cl.Space,
     of the orbits' least keys.
     """
     group, labels = _orbits(space, group, "coadjoint")
-    e = space.field.e
-    # the functional's values on the Borel basis: each Borel element's
-    # lie coordinates, read from the free slots, weigh the key's values
-    flats = [la.flatten(c) for c in space.borel_basis()]
-    borel = _spread([_pack([f[s] for f in flats], e) << t
-                     for s in _free_slots(space) for t in range(e)])
     sizes = np.bincount(labels)
     reports = []
-    for least in np.flatnonzero(np.bincount(labels[borel == 0])):
+    for least in np.flatnonzero(np.bincount(labels[_perp_keys(space)])):
         rep = space.canonical_rep(_functional(space, int(least)))
         size = int(sizes[least])
         reports.append(OrbitReport(
@@ -282,6 +277,16 @@ def all_nilpotent_orbits(space: cl.Space,
             label=od.rational_label(space, rep) if classify else None))
     reports.sort(key=lambda r: (r.orbit_size, str(r.label)))
     return reports
+
+
+def _perp_keys(space: cl.Space) -> np.ndarray:
+    """The keys of the functionals vanishing on the Borel, ascending.  The
+    borel_basis is part of the lie_basis, so these are the keys whose Borel
+    coordinates are 0: the span of the other coordinates' single-bit keys."""
+    e = space.field.e
+    flats = [la.flatten(b) for b in space.borel_basis()]
+    return _spread([1 << e * k + t for k, f in enumerate(_free_slots(space))
+                    if not any(b[f] for b in flats) for t in range(e)])
 
 
 def adjoint_nilpotent_orbit_sizes(space: cl.Space,

@@ -103,3 +103,59 @@ def jordan_partition(F, A):
     for m in range(1, len(ranks) - 1):
         parts += [m] * (ranks[m - 1] - 2 * ranks[m] + ranks[m + 1])
     return sorted(parts, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# a classical space's bases by elimination over d^2 unknowns: the
+# reference for classical's slot table
+
+
+def condition_rows(space, extra_zero_positions=()):
+    """Constraint matrix whose right kernel (in x-coordinates) is the
+    algebra: rows for x^t S + S x = 0, plus alternating-diagonal and
+    trace rows for the orthogonal kinds, plus forced-zero entries."""
+    d, S = space.d, space.S
+    ncond = d * d + (d if space.kind != "sp" else 0) \
+        + (1 if space.kind == "so-odd" else 0) + len(extra_zero_positions)
+    rows = [[0] * (d * d) for _ in range(ncond)]
+    for a in range(d):
+        for b in range(d):
+            var = a * d + b
+            for j in range(d):
+                rows[b * d + j][var] ^= S[a][j]
+                rows[j * d + b][var] ^= S[j][a]
+            if space.kind != "sp":
+                rows[d * d + b][var] = S[a][b]
+            if space.kind == "so-odd" and a == b:
+                rows[d * d + d][var] = 1
+    for k, (i, j) in enumerate(extra_zero_positions):
+        rows[ncond - len(extra_zero_positions) + k][i * d + j] = 1
+    return rows
+
+
+def _matrices(vectors, d):
+    return [[v[i:i + d] for i in range(0, d * d, d)] for v in vectors]
+
+
+def lie_basis(F2, space):
+    "Kernel basis of the algebra conditions over F_2, as matrices."
+    d = space.d
+    return _matrices(kernel_basis(F2, condition_rows(space), d * d), d)
+
+
+def borel_basis(F2, space):
+    "The algebra elements with zeros below the diagonal in flag order."
+    d, sigma = space.d, space.flag_order()
+    below = [(sigma[i], sigma[j]) for i in range(d) for j in range(i)]
+    return _matrices(kernel_basis(F2, condition_rows(space, below), d * d), d)
+
+
+def pairing_matrix(F2, space):
+    "Rows b^t of the algebra basis, flattened: X -> tr(X b) row by row."
+    return [[x for r in zip(*b) for x in r] for b in lie_basis(F2, space)]
+
+
+def trace_radical_basis(F2, space):
+    "Kernel basis of the trace pairing with the algebra, as matrices."
+    d = space.d
+    return _matrices(kernel_basis(F2, pairing_matrix(F2, space), d * d), d)

@@ -3,12 +3,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+import elimination_reference as ref
 import module_search as ms
 from char2orbits import classical as cl
 from char2orbits import linalg as la
 from char2orbits.finite_field import field_for
 
 rng = np.random.default_rng(41)
+F2 = field_for(1)
 
 
 def random_matrix(gen, q, d):
@@ -71,7 +73,7 @@ def test_plain_triangular_part_of_sp4_is_not_a_borel():
     # dimension 5, one short; the flag order fixes it
     sp = cl.space_for("sp", 2)
     raw = [(i, j) for i in range(4) for j in range(4) if i > j]
-    K = la.kernel_basis(field_for(1), sp._condition_rows(tuple(raw)))
+    K = ref.kernel_basis(F2, ref.condition_rows(sp, raw), 16)
     assert len(K) == 5
     assert len(sp.borel_basis()) == 6
 
@@ -90,7 +92,62 @@ def test_radical_dimension(kind, n):
 def test_pairing_selectors_are_the_pairing_rows_support(kind, n, e):
     space = cl.space_for(kind, n, e)
     assert space._pairing_selectors() == [
-        [k for k, x in enumerate(row) if x] for row in space._pairing_matrix()]
+        [k for k, x in enumerate(row) if x]
+        for row in ref.pairing_matrix(F2, space)]
+
+
+# ----------------------------------------------------------------------
+# the slot table against the elimination over d^2 unknowns
+
+
+@pytest.mark.parametrize("kind", cl.KINDS)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_slot_table_bases_equal_the_elimination(kind, n):
+    space = cl.space_for(kind, n)
+    assert space.lie_basis() == ref.lie_basis(F2, space)
+    assert space.borel_basis() == ref.borel_basis(F2, space)
+    assert space.trace_radical_basis() == ref.trace_radical_basis(F2, space)
+
+
+@pytest.mark.parametrize("kind", cl.KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_dual_from_values_and_canonical_rep_equal_the_elimination(kind, n, e):
+    # the solve with free coordinates 0, and the reduction modulo the RREF
+    # of the radical, that the slot table writes down
+    space = cl.space_for(kind, n, e)
+    F, d = space.field, space.d
+    P = ref.pairing_matrix(F2, space)
+    R, pivots = la.rref(F2, [la.flatten(b) for b in
+                             ref.trace_radical_basis(F2, space)])
+    gen = np.random.default_rng(1000 * n + 10 * e + cl.KINDS.index(kind))
+    for _ in range(10):
+        values = gen.integers(0, F.q, size=space.dim_algebra).tolist()
+        assert space.dual_from_values(values) == la.reshape(
+            la.solve(F, P, values), d)
+        X = random_matrix(gen, F.q, d)
+        assert space.canonical_rep(X) == la.reshape(
+            la.reduce_modulo(F, R, pivots, la.flatten(X)), d)
+
+
+@pytest.mark.parametrize("kind", cl.KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("e", [1, 2])
+def test_algebra_coords_read_the_free_slots(kind, n, e):
+    space = cl.space_for(kind, n, e)
+    F, basis = space.field, space.lie_basis()
+    gen = np.random.default_rng(7 * n + e)
+    for _ in range(5):
+        c = gen.integers(0, F.q, size=len(basis)).tolist()
+        T = la.zeros(space.d, space.d)
+        for x, b in zip(c, basis):
+            T = la.add(T, la.scale(F, x, b))
+        assert cl.algebra_coords(space, T) == c
+    outside = la.zeros(space.d, space.d)
+    outside[0][0] = 1
+    assert not cl.in_algebra(space, outside)
+    with pytest.raises(ValueError, match="not in the algebra"):
+        cl.algebra_coords(space, outside)
 
 
 @pytest.mark.parametrize("kind", cl.KINDS)

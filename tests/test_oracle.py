@@ -258,8 +258,10 @@ def test_functional_key_round_trip():
 
 
 def algebra_key(space, T):
-    "An algebra element as one integer: packed lie_basis coordinates."
-    return orc._pack(cl.algebra_coords(space, T), space.field.e)
+    """An algebra element as one integer: its lie_basis coordinates by a
+    solve against the flattened basis, packed."""
+    basis = la.transpose([la.flatten(b) for b in space.lie_basis()])
+    return orc._pack(la.solve(space.field, basis, la.flatten(T)), space.field.e)
 
 
 def unit_matrices(space, action):
@@ -286,10 +288,23 @@ def reference_permutation(space, g, action):
 @pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED])
 def test_stacked_permutations_equal_the_per_key_formula(kind, n, e, action):
     space = space_for(kind, n, e)
-    slots = orc._free_slots(space)
     for g in orc.enumerate_group(space).generators:
-        stacked = orc._spread(orc._image_keys(space, g, action, slots))
+        stacked = orc._spread(orc._image_keys(space, g, action))
         assert np.array_equal(stacked, reference_permutation(space, g, action))
+
+
+@pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED] + REACH + PLANES)
+def test_perp_keys_are_the_keys_vanishing_on_the_borel(kind, n, e):
+    # the spread of every key's values on the Borel basis, each Borel
+    # element's lie coordinates read by a solve: b^perp is where it is 0
+    space = space_for(kind, n, e)
+    F = space.field
+    basis = la.transpose([la.flatten(b) for b in space.lie_basis()])
+    coords = [la.solve(F, basis, la.flatten(b)) for b in space.borel_basis()]
+    on_borel = orc._spread([orc._pack([c[k] for c in coords], F.e) << t
+                            for k in range(space.dim_algebra)
+                            for t in range(F.e)])
+    assert np.array_equal(orc._perp_keys(space), np.flatnonzero(on_borel == 0))
 
 
 @pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
