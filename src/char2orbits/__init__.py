@@ -25,12 +25,13 @@ Process-wide memos, each bounded as stated:
 
     finite_field.field_for        one field per degree e
     combinatorics.partition_count one count per n asked
-    form_modules._block_table     per-block Arf tables: one per (kind,
-                                  field, block, Jordan size)
+    form_modules._block_table     per-block Arf tables, read off by
+                                  formula: one per (kind, block, Jordan
+                                  size), shared by every field
     form_modules._sp_label,       the label half of rational
     form_modules._orth_label      classification, keyed on (closed label,
-                                  field, invariant); only keys that give a
-                                  label are stored, at most the
+                                  invariant) with no field; only keys that
+                                  give a label are stored, at most the
                                   decorations of each closed label
     odd_split._odd_label          the odd canonical member, keyed on
                                   (chain length, complement label)

@@ -40,19 +40,23 @@ their basis values alone, and only the lower powers pay one product
 img U img^t and an Arf reduction.  A normal form is the
 orthogonal sum of its blocks, so its invariant combines cached per-block
 tables: None where any block gives None, else the sum of the block traces
-mod 2.  A block's None pattern does not depend on its decoration, so over
-one closed label the invariant is affine over F_2 in the decoration
-vector, and both rational classifiers decide every decoration by one
-reduction over F_2 (_decorate).  Classification is polynomial linear
-algebra with no search and no scan of decorations.
+mod 2.  A block's table is read off its shape by a closed form, with no
+matrix: each power form holds at most one pair of the block's values,
+and trace(delta) = 1, so the tables do not depend on the field.  A
+block's None pattern does not depend on its decoration, so over one
+closed label the invariant is affine over F_2 in the decoration vector,
+and both rational classifiers decide every decoration by one reduction
+over F_2 (_decorate).  Classification is polynomial linear algebra with
+no search and no scan of decorations.
 
 Each rational classifier splits where the matrix work ends.  The matrix
 half runs once per module: the power table, classify_closed and
 arf_invariant.  The label half (_sp_label, _orth_label) reads only the
-key (closed label, field, invariant): split positions, the F_2 solve and
-its count check.  It is memoised per key, like the per-block tables, so
-a batch of functionals solves once per distinct key.  A key that raises
-ClassificationError is not stored and raises again on every call.
+key (closed label, invariant): split positions, the F_2 solve and its
+count check.  It is memoised per key, like the per-block tables, so a
+batch of functionals solves once per distinct key, over every field at
+once.  A key that raises ClassificationError is not stored and raises
+again on every call.
 """
 
 from __future__ import annotations
@@ -346,28 +350,47 @@ def build_normal_form(blocks, field: Field, kind: str = "sp"):
 
 
 @lru_cache(maxsize=None)
-def _block_table(kind: str, field: Field, block: BlockLabel, m: int) -> tuple:
+def _block_table(kind: str, block: BlockLabel, m: int) -> tuple:
     """Arf data of the one-block normal form of `block` at Jordan size m,
-    for i = 0..m.  The label universe (m <= 12) bounds the cache."""
-    mod = build_normal_form((block,), field, kind=kind)[0]
-    return tuple(t for _, t in _power_forms(mod, m, m + 1))
+    for i = 0..m, read off the block's shape.  The label universe
+    (m <= 12) bounds the cache.
+
+    In build_normal_form's basis, T^i maps ker(T^m) onto the first-chain
+    slots a_k, max(M - m, 0) <= k <= M - 1 - i, and the second-chain
+    slots b_j, i <= j < min(m, M), M the block's size.  The polar form
+    beta(T^(2i+s) v, w) pairs a_k with b_(k+2i+s) and leaves the rest in
+    its radical.  The form's values are 1 at a_(l-1-i) and, for "d",
+    delta at b_(l-1+s+i), where those slots exist: the two ends of one
+    pair.  A valid "d" block has 2l + s > M, so wherever b_(l-1+s+i)
+    exists, a_(l-1-i) does too.  So the entry is None if a_(l-1-i) exists
+    without its partner, the trace of delta = 1 if both values are
+    there, and 0 otherwise; it is 0 from i = m on.  No entry depends on
+    the field.
+    """
+    M, l, s, d = block.m, block.l, int(kind == "sp"), block.eps == "d"
+    out = [0] * (m + 1)
+    for i in range(m):
+        a = l - 1 - i in range(max(M - m, 0), M - i)
+        b = l - 1 + s + i in range(i, min(m, M))
+        out[i] = None if a and not b else int(a and b and d)
+    return tuple(out)
 
 
-def _label_invariant(blocks, kind: str, field: Field) -> tuple:
-    """arf_invariant of the normal form of `blocks`, combined from the
-    per-block tables at the label's sizes; an invalid label raises
-    ValueError, as build_normal_form does."""
+def _label_invariant(blocks, kind: str) -> tuple:
+    """arf_invariant of the normal form of `blocks` over any field,
+    combined from the per-block tables at the label's sizes; an invalid
+    label raises ValueError, as build_normal_form does."""
     blocks = tuple(blocks)
     if not validate_blocks(blocks, kind=kind):
         raise ValueError(f"invalid label {blocks} for kind {kind}")
     out = []
     for m in sorted({b.m for b in blocks}):
-        rows = [_block_table(kind, field, b, m) for b in blocks]
+        rows = [_block_table(kind, b, m) for b in blocks]
         out += [None if None in col else sum(col) % 2 for col in zip(*rows)]
     return tuple(out)
 
 
-def _decorate(closed, free, kind: str, field: Field, inv) -> tuple:
+def _decorate(closed, free, kind: str, inv) -> tuple:
     """The decorations of `closed` ("d" or "0" at each position of `free`,
     "0" elsewhere) whose invariant is `inv`: the first in
     combinatorics.decorations order, or None, and how many there are.
@@ -379,12 +402,11 @@ def _decorate(closed, free, kind: str, field: Field, inv) -> tuple:
     the kernel's RREF clears every pivot, which makes it the first.
     """
     F2 = field_for(1)
-    base = _label_invariant(decorated(closed, ()), kind, field)
+    base = _label_invariant(decorated(closed, ()), kind)
     if [x is None for x in inv] != [x is None for x in base]:
         return None, 0
     rows = [i for i, x in enumerate(base) if x is not None]
-    cols = [_label_invariant(decorated(closed, (p,)), kind, field)
-            for p in free]
+    cols = [_label_invariant(decorated(closed, (p,)), kind) for p in free]
     D = [[c[i] ^ base[i] for c in cols] for i in rows]
     eps = la.solve(F2, D, [inv[i] ^ base[i] for i in rows])
     if eps is None:
@@ -403,14 +425,14 @@ def classify_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """
     if mod.kind != "sp":
         raise ValueError("rational symplectic classification needs an sp module")
-    return _sp_label(classify_closed(mod), mod.field, arf_invariant(mod))
+    return _sp_label(classify_closed(mod), arf_invariant(mod))
 
 
 @lru_cache(maxsize=None)
-def _sp_label(closed, field: Field, inv) -> tuple[BlockLabel, ...]:
+def _sp_label(closed, inv) -> tuple[BlockLabel, ...]:
     "classify_fq's label half; only keys that give a label are stored."
     free = symp_split_indices(symp_blocks_to_pair(closed))
-    label, count = _decorate(closed, free, "sp", field, inv)
+    label, count = _decorate(closed, free, "sp", inv)
     if count != 1:
         raise ClassificationError(
             f"expected exactly one canonical match, got {count} "
@@ -428,13 +450,13 @@ def classify_orth_fq(mod: FormModule) -> tuple[BlockLabel, ...]:
     """
     if mod.kind != "orth":
         raise ValueError("rational orthogonal classification needs an orth module")
-    return _orth_label(classify_closed(mod), mod.field, arf_invariant(mod))
+    return _orth_label(classify_closed(mod), arf_invariant(mod))
 
 
 @lru_cache(maxsize=None)
-def _orth_label(closed, field: Field, inv) -> tuple[BlockLabel, ...]:
+def _orth_label(closed, inv) -> tuple[BlockLabel, ...]:
     "classify_orth_fq's label half; only keys that give a label are stored."
-    label, _ = _decorate(closed, orth_d_positions(closed), "orth", field, inv)
+    label, _ = _decorate(closed, orth_d_positions(closed), "orth", inv)
     if label is None:
         raise ClassificationError(
             f"no decoration of {closed} matches the module")

@@ -18,9 +18,13 @@ b_j is 1 at the one or two slots of its entry in classical's slot table,
 so each coordinate, read in its free slot, sums at most two products of
 entries of g.  Under conjugation the single-bit images are the matrix's
 columns; under the coadjoint action they are its rows, because
-tr(g M_i g^-1 b_j) = coord_i(g^-1 b_j g).  Min-label propagation over
-the permutations then names every orbit by its least key.  Permutations
-and labels are int32 arrays over at most POINT_LIMIT keys.  The Borel
+tr(g M_i g^-1 b_j) = coord_i(g^-1 b_j g).  The generators are stacked
+into one array, so the adjoint matrices, the single-bit images and the
+permutations of a whole group each come out of a few numpy calls, the
+field's multiplication table indexed by arrays of entries.  Min-label
+propagation over the permutations, in place, then names every orbit by
+its least key.  Permutations and labels are int32 arrays over at most
+POINT_LIMIT keys.  The Borel
 basis is part of the lie_basis, so the functionals vanishing on it are
 the keys with zeros at its coordinates.  Each nilpotent orbit is
 reported with its size, stabilizer order, and the label odd_split's
@@ -43,7 +47,8 @@ from .classical import POINT_LIMIT
 
 
 class FiniteGroup(cb._Record):
-    """Generators and formula order; _labels memoizes _orbits per action."""
+    """Generators and formula order; _labels memoizes _orbits per action.
+    The repr leaves the memo out; pickles and copies carry it."""
 
     __slots__ = ("generators", "order", "_labels")
 
@@ -52,6 +57,13 @@ class FiniteGroup(cb._Record):
         self.generators = generators
         self.order = order
         self._labels = {} if _labels is None else _labels
+
+    def __repr__(self) -> str:
+        return (f"FiniteGroup(generators={self.generators!r}, "
+                f"order={self.order!r})")
+
+    def __reduce__(self):
+        return FiniteGroup, (self.generators, self.order, self._labels)
 
 
 class OrbitReport(cb._Record):
@@ -63,6 +75,16 @@ class OrbitReport(cb._Record):
         self.orbit_size = orbit_size
         self.stabilizer_order = stabilizer_order
         self.label = label
+
+    def __repr__(self) -> str:
+        return (f"OrbitReport(representative={self.representative!r}, "
+                f"orbit_size={self.orbit_size!r}, "
+                f"stabilizer_order={self.stabilizer_order!r}, "
+                f"label={self.label!r})")
+
+    def __reduce__(self):
+        return OrbitReport, (self.representative, self.orbit_size,
+                             self.stabilizer_order, self.label)
 
 
 # ----------------------------------------------------------------------
@@ -169,10 +191,14 @@ def _free_slots(space: cl.Space) -> list[int]:
 
 
 def _spread(images) -> np.ndarray:
-    "The F_2-linear map on all keys with the given single-bit images."
-    out = np.zeros(1 << len(images), dtype=np.int32)
-    for i, img in enumerate(images):
-        out[1 << i:2 << i] = out[:1 << i] ^ img
+    """The F_2-linear maps on all keys with the given single-bit images:
+    row g of the (k, bits) images gives row g of the (k, 2^bits) result.
+    Each step XORs the filled prefix into the next block in place."""
+    images = np.asarray(images, dtype=np.int32)
+    out = np.zeros((len(images), 1 << images.shape[1]), dtype=np.int32)
+    for i in range(images.shape[1]):
+        np.bitwise_xor(out[:, :1 << i], images[:, i, None],
+                       out=out[:, 1 << i:2 << i])
     return out
 
 
@@ -187,34 +213,35 @@ def _key_bits(space: cl.Space) -> int:
     return bits
 
 
-def _adjoint_matrix(space: cl.Space, g) -> list[list[int]]:
-    """Entry (i, j) is coordinate i of g b_j g, b_j the lie_basis and g an
-    involution.  b_j is 1 only at its slot-table slots (a, b), so
-    (g b_j g)[r][c] is the sum of g[r][a] g[b][c] over them, read at the
-    free slot (r, c) of coordinate i.  A lone slot is paired with (d, 0),
-    which reads the zero row appended to g[r]'s multiplication rows."""
-    MUL, d = space.field.mul_table, space.d
-    quads = [(*divmod(f, d), *(divmod(p[0], d) if p else (d, 0)))
-             for f, *p in space._slot_table()]
-    gt = la.transpose(g)
-    out = []
-    for r, c, *_ in quads:
-        row, col = [MUL[x] for x in g[r]] + [MUL[0]], gt[c]
-        out.append([row[a][col[b]] ^ row[a2][col[b2]]
-                    for a, b, a2, b2 in quads])
-    return out
+def _permutations(space: cl.Space, generators, action: str) -> np.ndarray:
+    """Row g is generator g's permutation of all keys under `action`.
 
-
-def _image_keys(space: cl.Space, g, action: str) -> list[int]:
-    """The images under g of the e*N single-bit keys, in bit order.  The
-    adjoint images are the columns of g's adjoint matrix A; since
-    tr(g M_i g^-1 b_j) is coord_i(g^-1 b_j g), the coadjoint ones are its
-    rows."""
-    F = space.field
-    A = _adjoint_matrix(space, g)
-    rows = A if action == "coadjoint" else la.transpose(A)
-    return [_pack(la.scale(F, 1 << t, r), F.e) for r in rows
-            for t in range(F.e)]
+    Entry (i, j) of g's adjoint matrix is coordinate i of g b_j g, b_j the
+    lie_basis and g an involution.  b_j is 1 only at its slot-table slots
+    (a, b) and (a2, b2), so (g b_j g)[r][c], read at the free slot (r, c)
+    of coordinate i, is g[r][a] g[b][c] + g[r][a2] g[b2][c].  The
+    generators are stacked with a zero row and column d, at which a lone
+    slot's missing pivot (d, d) reads 0.  The adjoint images of the
+    single-bit keys are the matrix's columns; since tr(g M_i g^-1 b_j) is
+    coord_i(g^-1 b_j g), the coadjoint ones are its rows.
+    """
+    F, d = space.field, space.d
+    MUL = np.array(F.mul_table, dtype=np.intp)
+    G = np.zeros((len(generators), d + 1, d + 1), dtype=np.intp)
+    G[:, :d, :d] = generators
+    table = space._slot_table()
+    r, c = np.divmod(_free_slots(space), d)
+    r2, c2 = np.array([divmod(p[0], d) if p else (d, d)
+                       for _, *p in table]).T
+    rows, cols = r[:, None], c[:, None]
+    A = (MUL[G[:, rows, r], G[:, c, cols]]
+         ^ MUL[G[:, rows, r2], G[:, c2, cols]])
+    if action == "adjoint":
+        A = A.transpose(0, 2, 1)
+    # bit t of coordinate i has image sum_j (2^t A[g, i, j]) << e*j
+    scaled = MUL[1 << np.arange(F.e)][:, A] << F.e * np.arange(len(table))
+    images = scaled.sum(axis=-1).transpose(1, 2, 0)
+    return _spread(images.reshape(len(generators), -1))
 
 
 def _orbits(space: cl.Space, group: FiniteGroup | None,
@@ -224,21 +251,27 @@ def _orbits(space: cl.Space, group: FiniteGroup | None,
 
     Each pass pulls every label down to the least label among its
     generator images, then jumps labels to their own labels; the labels
-    stop moving exactly when each is its orbit's minimum.
+    stop moving exactly when each is its orbit's minimum.  Labels only
+    fall, so a pass that leaves their sum alone left every label alone.
+    The pass gathers into one scratch array and takes minimums in place.
     """
     bits = _key_bits(space)
     if group is None:
         group = enumerate_group(space)
     if action not in group._labels:
-        perms = [_spread(_image_keys(space, g, action))
-                 for g in group.generators]
+        perms = _permutations(space, group.generators, action)
         labels = np.arange(1 << bits, dtype=np.int32)
+        scratch = np.empty_like(labels)
+        total = None
         while True:
-            before = labels
             for p in perms:
-                labels = np.minimum(labels, labels[p])
-            labels = labels[labels]
-            if np.array_equal(labels, before):
+                # mode "raise" would buffer the output; every index is valid
+                np.take(labels, p, out=scratch, mode="clip")
+                np.minimum(labels, scratch, out=labels)
+            np.take(labels, labels, out=scratch, mode="clip")
+            labels, scratch = scratch, labels
+            before, total = total, int(labels.sum(dtype=np.int64))
+            if total == before:
                 break
         group._labels[action] = labels
     return group, group._labels[action]
@@ -285,8 +318,8 @@ def _perp_keys(space: cl.Space) -> np.ndarray:
     coordinates are 0: the span of the other coordinates' single-bit keys."""
     e = space.field.e
     flats = [la.flatten(b) for b in space.borel_basis()]
-    return _spread([1 << e * k + t for k, f in enumerate(_free_slots(space))
-                    if not any(b[f] for b in flats) for t in range(e)])
+    return _spread([[1 << e * k + t for k, f in enumerate(_free_slots(space))
+                     if not any(b[f] for b in flats) for t in range(e)]])[0]
 
 
 def adjoint_nilpotent_orbit_sizes(space: cl.Space,

@@ -1,10 +1,10 @@
 """The tests' references for the rational classifiers: exhaustive isometry
 searches, the walk over the odd label's decoration moves, the power forms
 by the polar Gram, the odd split's chain by one block system per length,
-and the scans that compare a module's Arf invariant with each candidate's
-whole normal form, which the classifiers replace by one F_2 reduction over
-per-block tables; and the yes/no nilpotency test the tests read off
-od.rational_label.
+the per-block tables from one-block normal forms, and the scans that
+compare a module's Arf invariant with each candidate's whole normal form,
+which the classifiers replace by one F_2 reduction over per-block tables;
+and the yes/no nilpotency test the tests read off od.rational_label.
 
 A module map is pinned down by the images of the generators of the normal
 form's operator chains; the search places one image per generator.  An odd
@@ -354,6 +354,14 @@ def power_form_invariant(mod: fm.FormModule) -> tuple:
 def normal_form_invariant(blocks, kind: str, field) -> tuple:
     "Arf invariant of the whole normal form of `blocks`."
     return power_form_invariant(fm.build_normal_form(blocks, field, kind=kind)[0])
+
+
+def block_tables_by_normal_form(kind: str, block, field, sizes) -> dict:
+    """fm._block_table at each Jordan size in `sizes`, from the power forms
+    of the one-block normal form of `block` over `field`."""
+    mod = fm.build_normal_form((block,), field, kind=kind)[0]
+    return {m: tuple(t for _, t in fm._power_forms(mod, m, m + 1))
+            for m in sizes}
 
 
 def closed_by_index_chi(mod: fm.FormModule) -> tuple:

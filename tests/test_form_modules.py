@@ -410,15 +410,36 @@ def test_block_tables_give_the_normal_form_invariant(field, n):
               for c in valid_decorations(closed, "orth")]
     for kind, blocks in cases:
         mod = fm.build_normal_form(blocks, field, kind=kind)[0]
-        assert fm._label_invariant(blocks, kind, field) == \
-            fm.arf_invariant(mod), blocks
+        assert fm._label_invariant(blocks, kind) == fm.arf_invariant(mod), \
+            blocks
 
 
 def test_block_tables_refuse_an_invalid_label():
     with pytest.raises(ValueError, match="invalid label"):
-        fm._label_invariant(labels((2, 2), eps=["d"]), "sp", F2)
+        fm._label_invariant(labels((2, 2), eps=["d"]), "sp")
     with pytest.raises(ValueError, match="invalid label"):
-        fm._label_invariant(labels((2, 1), eps=["d"]), "orth", F2)
+        fm._label_invariant(labels((2, 1), eps=["d"]), "orth")
+
+
+def valid_blocks(kind, top):
+    "Every valid one-block label of `kind` with chain length at most top."
+    return [b for m in range(1, top + 1) for l in range(m + 1)
+            for b in (cb.BlockLabel(m, l, "0"), cb.BlockLabel(m, l, "d"))
+            if cb.validate_blocks((b,), kind=kind)]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_closed_form_block_tables_match_the_normal_form(e):
+    # the formula reads no field: over F_2, F_4 and F_8 alike it gives the
+    # power forms of the one-block normal form at every Jordan size
+    field, sizes = field_for(e), range(1, 13)
+    blocks = [(kind, b) for kind in ("sp", "orth")
+              for b in valid_blocks(kind, 12)]
+    assert len(blocks) == 180
+    for kind, block in blocks:
+        got = {m: fm._block_table(kind, block, m) for m in sizes}
+        assert got == ms.block_tables_by_normal_form(kind, block, field,
+                                                     sizes), (kind, block)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -596,14 +596,12 @@ def test_labelling_twice_decorates_once_per_key(monkeypatch):
     for space, X, _ in inputs:
         if space.kind == "sp":
             mod = fm.build_module(space, X)
-            keys["sp"].add((classify_closed(mod), mod.field,
-                            fm.arf_invariant(mod)))
+            keys["sp"].add((classify_closed(mod), fm.arf_invariant(mod)))
             continue
         split = od.split_odd_functional(space, X)
         mod, raw = split.module, ()
         if mod is not None:
-            keys["orth"].add((classify_closed(mod), mod.field,
-                              fm.arf_invariant(mod)))
+            keys["orth"].add((classify_closed(mod), fm.arf_invariant(mod)))
             raw = fm.classify_orth_fq(mod)
         keys["odd"].add((split.m, raw))
     solved, reduced = [], []

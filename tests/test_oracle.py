@@ -1,6 +1,7 @@
 import copy
 import functools
 import os
+import pickle
 import subprocess
 import sys
 from itertools import product
@@ -155,6 +156,26 @@ def test_groups_with_memoized_labels_compare_without_raising():
     assert group != twin
 
 
+def test_oracle_records_survive_pickle_and_copy():
+    # the written-out repr and __reduce__ say what the generic record
+    # methods say, field for field
+    space = space_for("so-odd", 1)
+    group = orc.enumerate_group(space)
+    reports = orc.all_nilpotent_orbits(space, group)
+    assert group._labels
+    for record in [group, *reports]:
+        assert repr(record) == cb._Record.__repr__(record)
+        assert record.__reduce__() == cb._Record.__reduce__(record)
+        for other in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert type(other) is type(record)
+            assert repr(other) == repr(record)
+    twin = pickle.loads(pickle.dumps(group))
+    assert twin.order == group.order and twin.generators == group.generators
+    assert np.array_equal(twin._labels["coadjoint"],
+                          group._labels["coadjoint"])
+
+
 def test_group_orders_match_the_product_formula():
     for kind, n, e in [("sp", 1, 1), ("sp", 2, 1), ("so-odd", 1, 1),
                        ("sp", 1, 2)]:
@@ -273,24 +294,75 @@ def unit_matrices(space, action):
             for i in range(space.field.e * space.dim_algebra)]
 
 
+def spread(images):
+    "One F_2-linear map on all keys, from its single-bit images."
+    return orc._spread([images])[0]
+
+
 def reference_permutation(space, g, action):
     """The permutation of all keys from to_key(g M g^-1), one product pair
     and one key read per single-bit unit M: the reference for the engine's
-    one adjoint matrix per generator."""
+    stacked adjoint matrices."""
     F = space.field
     to_key = {"coadjoint": orc.functional_key, "adjoint": algebra_key}[action]
     g_inv = la.inverse(F, g)
-    return orc._spread([to_key(space, la.mat_mul(F, la.mat_mul(F, g, M), g_inv))
-                        for M in unit_matrices(space, action)])
+    return spread([to_key(space, la.mat_mul(F, la.mat_mul(F, g, M), g_inv))
+                   for M in unit_matrices(space, action)])
+
+
+def adjoint_matrix(space, g):
+    """Entry (i, j) is coordinate i of g b_j g, b_j the lie_basis and g an
+    involution, one generator at a time in plain Python.  b_j is 1 only at
+    its slot-table slots (a, b), so (g b_j g)[r][c] is the sum of
+    g[r][a] g[b][c] over them, read at the free slot (r, c) of coordinate
+    i.  A lone slot is paired with (d, 0), which reads the zero row
+    appended to g[r]'s multiplication rows."""
+    MUL, d = space.field.mul_table, space.d
+    quads = [(*divmod(f, d), *(divmod(p[0], d) if p else (d, 0)))
+             for f, *p in space._slot_table()]
+    gt = la.transpose(g)
+    out = []
+    for r, c, *_ in quads:
+        row, col = [MUL[x] for x in g[r]] + [MUL[0]], gt[c]
+        out.append([row[a][col[b]] ^ row[a2][col[b2]]
+                    for a, b, a2, b2 in quads])
+    return out
+
+
+def image_keys(space, g, action):
+    """The images under g of the e*N single-bit keys, in bit order: the
+    columns of g's adjoint matrix (adjoint) or its rows (coadjoint)."""
+    F = space.field
+    A = adjoint_matrix(space, g)
+    rows = A if action == "coadjoint" else la.transpose(A)
+    return [orc._pack(la.scale(F, 1 << t, r), F.e) for r in rows
+            for t in range(F.e)]
 
 
 @pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
 @pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED])
 def test_stacked_permutations_equal_the_per_key_formula(kind, n, e, action):
     space = space_for(kind, n, e)
-    for g in orc.enumerate_group(space).generators:
-        stacked = orc._spread(orc._image_keys(space, g, action))
-        assert np.array_equal(stacked, reference_permutation(space, g, action))
+    gens = orc.enumerate_group(space).generators
+    for g, perm in zip(gens, orc._permutations(space, gens, action)):
+        assert np.array_equal(perm, reference_permutation(space, g, action))
+
+
+@pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
+@pytest.mark.parametrize("kind,n,e,count",
+                         [(*s[:3], None) for s in SERVED + PLANES]
+                         + [(*s, 3) for s in REACH])
+def test_stacked_permutations_equal_the_per_generator_matrices(
+        kind, n, e, count, action):
+    # every generator of the served spaces and the planes, and the first
+    # three of each larger space, against one adjoint matrix per generator
+    space = space_for(kind, n, e)
+    gens = orc.enumerate_group(space).generators[:count]
+    stacked = orc._permutations(space, gens, action)
+    assert stacked.shape == (len(gens), 1 << orc._key_bits(space))
+    assert stacked.dtype == np.int32
+    for g, perm in zip(gens, stacked):
+        assert np.array_equal(perm, spread(image_keys(space, g, action)))
 
 
 @pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED] + REACH + PLANES)
@@ -301,9 +373,8 @@ def test_perp_keys_are_the_keys_vanishing_on_the_borel(kind, n, e):
     F = space.field
     basis = la.transpose([la.flatten(b) for b in space.lie_basis()])
     coords = [la.solve(F, basis, la.flatten(b)) for b in space.borel_basis()]
-    on_borel = orc._spread([orc._pack([c[k] for c in coords], F.e) << t
-                            for k in range(space.dim_algebra)
-                            for t in range(F.e)])
+    on_borel = spread([orc._pack([c[k] for c in coords], F.e) << t
+                       for k in range(space.dim_algebra) for t in range(F.e)])
     assert np.array_equal(orc._perp_keys(space), np.flatnonzero(on_borel == 0))
 
 
