@@ -22,14 +22,17 @@ j < 2n, for so-odd, whose trace condition zeroes the corner.  These 0/1
 supports are disjoint, so the elimination over d^2 unknowns returns
 exactly them, the larger slot f of each its free column and the partner
 p < f a pivot.  The private slot table lists them, (f, p) or (f,), by f
-as kernel_basis does; the Borel basis is its entries upper triangular in
-flag order.  Transposed, an entry gives its pairing row's support, its
-selector; these are disjoint too, so the trace radical is one vector per
-two-slot selector and a unit per slot outside them, dual_from_values puts
-each value in its selector's first slot and canonical_rep each pairing
-value in the last (the solve with free coordinates 0 and the reduction
-modulo the radical's RREF), and algebra_coords reads the free slots.  The
-tests hold all of it against the elimination up to rank 12.
+as kernel_basis does, and everything else is read off it.  The Borel is
+the entries upper triangular in flag order, named by their indices,
+borel_coordinates.  Transposed, an entry gives its pairing row's support,
+its selector; these are disjoint too, so the trace radical is one vector
+per two-slot selector and a unit per slot outside them, and
+dual_from_values, putting each value in its selector's last slot, writes
+the canonical representative (the reduction modulo the radical's RREF)
+with no solve.  algebra_coords reads the free slots, and
+wedge_invariant_form pairs each entry with the entry whose slots are its
+selector.  The tests hold all of it against the elimination up to rank
+12.
 
 The calculus attached to a functional:
 
@@ -93,7 +96,6 @@ class Space:
         self.S = la.add(B, la.transpose(B))
         self._table: list | None = None
         self._lie: list | None = None
-        self._borel: list | None = None
         self._radical: list | None = None
         self._selectors: list | None = None
 
@@ -162,16 +164,13 @@ class Space:
             return list(range(n)) + [2 * n] + list(range(2 * n - 1, n - 1, -1))
         return list(range(n)) + list(range(2 * n - 1, n - 1, -1))
 
-    def borel_basis(self) -> list[list[list[int]]]:
-        "Algebra elements upper triangular in flag order."
-        if self._borel is None:
-            d, pos = self.d, [0] * self.d
-            for i, v in enumerate(self.flag_order()):
-                pos[v] = i
-            self._borel = self._matrices(
-                slots for slots in self._slot_table()
-                if all(pos[s // d] <= pos[s % d] for s in slots))
-        return self._borel
+    def borel_coordinates(self) -> list[int]:
+        "Indices of the table entries upper triangular in flag order."
+        d, pos = self.d, [0] * self.d
+        for i, v in enumerate(self.flag_order()):
+            pos[v] = i
+        return [k for k, slots in enumerate(self._slot_table())
+                if all(pos[s // d] <= pos[s % d] for s in slots)]
 
     def _pairing_selectors(self) -> list[list[int]]:
         """Per basis matrix b of the algebra, the nonzero positions of its
@@ -195,12 +194,12 @@ class Space:
         return self.pairing_vector(X) == self.pairing_vector(Y)
 
     def dual_from_values(self, values) -> list[list[int]]:
-        "Some representative X whose pairing_vector equals `values`."
+        "The canonical representative X whose pairing_vector is `values`."
         if len(values) != self.dim_algebra:
             raise ValueError("need one value per algebra basis element")
         X = [0] * self.d ** 2
         for sel, v in zip(self._pairing_selectors(), values):
-            X[sel[0]] = v
+            X[sel[-1]] = v
         return la.reshape(X, self.d)
 
     def trace_radical_basis(self) -> list[list[list[int]]]:
@@ -213,14 +212,6 @@ class Space:
                 + [(s,) for s in range(self.d ** 2) if s not in held],
                 key=max))
         return self._radical
-
-    def canonical_rep(self, X) -> list[list[int]]:
-        "The unique representative with zeros in the radical's pivot slots."
-        x = la.flatten(X)
-        out = [0] * len(x)
-        for sel in self._pairing_selectors():
-            out[sel[-1]] = reduce(xor, map(x.__getitem__, sel), 0)
-        return la.reshape(out, self.d)
 
 
 def space_for(kind: str, n: int, e: int = 1) -> Space:
@@ -405,32 +396,20 @@ def wedge_invariant_form(space: Space) -> list[list[int]]:
     on the even-orthogonal algebra.
 
     The algebra is identified with the second wedge power of the natural
-    module by a.b -> (v -> beta(a,v) b + beta(b,v) a); the pairing of two
-    wedges is the determinant of their cross pairings.  The identification
-    has full rank and the resulting Gram is nondegenerate, both asserted.
+    module by a.b -> (v -> beta(a,v) b + beta(b,v) a), and the pairing of
+    two wedges is the determinant of their cross pairings.  The wedge
+    e_i.e_j is the table entry with slots j d + sigma(i) and i d + sigma(j),
+    and beta pairs e_i with e_sigma(i) alone, so two entries pair to 1
+    exactly when one's slots are the other's transposed: entry k pairs with
+    the entry whose slots are k's selector.  The Gram is a permutation
+    matrix; its nondegeneracy is asserted.
     """
     assert space.kind == "so-even"
-    F = space.field
-    d, S = space.d, space.S
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    columns = []
-    for i, j in pairs:
-        M = la.zeros(d, d)
-        M[j] = list(S[i])
-        M[i] = [x ^ y for x, y in zip(M[i], S[j])]
-        columns.append(la.flatten(M))
-    Phi = la.transpose(columns)
-    basis = space.lie_basis()
-    assert la.rank(F, Phi) == len(pairs) == len(basis)
-    W = []
-    for b in basis:
-        w = la.solve(F, Phi, la.flatten(b))
-        assert w is not None
-        W.append(w)
-    Gw = [[F.mul(S[i][p], S[j][q]) ^ F.mul(S[i][q], S[j][p]) for p, q in pairs]
-          for i, j in pairs]
-    G = la.mat_mul(F, la.mat_mul(F, W, Gw), la.transpose(W))
-    assert la.rank(F, G) == len(basis)
+    index = {slots: k for k, slots in enumerate(space._slot_table())}
+    G = [[0] * space.dim_algebra for _ in range(space.dim_algebra)]
+    for row, sel in zip(G, space._pairing_selectors()):
+        row[index[tuple(reversed(sel))]] = 1
+    assert la.rank(space.field, G) == space.dim_algebra
     return G
 
 

@@ -265,10 +265,11 @@ def _read_grid(text: str, type_flag: str | None, e: int):
 
 
 def _cmd_classify(args) -> int:
+    space, X = _read_matrix(args.matrix, args.type, args.q)
+    # the classifiers load only once the file has been read and checked
     from . import odd_split as od
     from .form_modules import NotNilpotentError
 
-    space, X = _read_matrix(args.matrix, args.type, args.q)
     report: dict = {"kind": space.kind, "n": space.n, "q": space.field.q}
     try:
         label = od.rational_label(space, X)

@@ -24,12 +24,14 @@ permutations of a whole group each come out of a few numpy calls, the
 field's multiplication table indexed by arrays of entries.  Min-label
 propagation over the permutations, in place, then names every orbit by
 its least key.  Permutations and labels are int32 arrays over at most
-POINT_LIMIT keys.  The Borel
-basis is part of the lie_basis, so the functionals vanishing on it are
-the keys with zeros at its coordinates.  Each nilpotent orbit is
-reported with its size, stabilizer order, and the label odd_split's
-rational_label gives its representative; the adjoint census reports the
-sizes of its nilpotent orbits.
+POINT_LIMIT keys.  The slot table decides the rest: the functionals
+vanishing on the Borel are the keys that are 0 at the space's
+borel_coordinates, spread from the other coordinates' single-bit keys,
+and a key's matrix is dual_from_values of its values, already the
+canonical representative.  Each nilpotent orbit is reported with that
+representative of its least key, its size, stabilizer order, and the
+label odd_split's rational_label gives it; the adjoint census reports
+the sizes of its nilpotent orbits.
 """
 
 from __future__ import annotations
@@ -183,13 +185,6 @@ def _algebra_element(space: cl.Space, key: int) -> list:
     return la.reshape(T, d)
 
 
-def _free_slots(space: cl.Space) -> list[int]:
-    """Flat positions that read an algebra element's lie_basis coordinates:
-    coordinate k is read in the free slot of the space's slot-table entry
-    k, where basis matrix k is 1 and every other basis matrix 0."""
-    return [f for f, *_ in space._slot_table()]
-
-
 def _spread(images) -> np.ndarray:
     """The F_2-linear maps on all keys with the given single-bit images:
     row g of the (k, bits) images gives row g of the (k, 2^bits) result.
@@ -230,7 +225,7 @@ def _permutations(space: cl.Space, generators, action: str) -> np.ndarray:
     G = np.zeros((len(generators), d + 1, d + 1), dtype=np.intp)
     G[:, :d, :d] = generators
     table = space._slot_table()
-    r, c = np.divmod(_free_slots(space), d)
+    r, c = np.divmod([f for f, *_ in table], d)
     r2, c2 = np.array([divmod(p[0], d) if p else (d, d)
                        for _, *p in table]).T
     rows, cols = r[:, None], c[:, None]
@@ -282,8 +277,7 @@ def coadjoint_orbit(space: cl.Space, X,
     "Orbit of the functional: key -> canonical representative matrix."
     _, labels = _orbits(space, group, "coadjoint")
     members = np.flatnonzero(labels == labels[functional_key(space, X)])
-    return {int(k): space.canonical_rep(_functional(space, int(k)))
-            for k in members}
+    return {int(k): _functional(space, int(k)) for k in members}
 
 
 def all_nilpotent_orbits(space: cl.Space,
@@ -301,7 +295,7 @@ def all_nilpotent_orbits(space: cl.Space,
     sizes = np.bincount(labels)
     reports = []
     for least in np.flatnonzero(np.bincount(labels[_perp_keys(space)])):
-        rep = space.canonical_rep(_functional(space, int(least)))
+        rep = _functional(space, int(least))
         size = int(sizes[least])
         reports.append(OrbitReport(
             representative=rep,
@@ -313,13 +307,12 @@ def all_nilpotent_orbits(space: cl.Space,
 
 
 def _perp_keys(space: cl.Space) -> np.ndarray:
-    """The keys of the functionals vanishing on the Borel, ascending.  The
-    borel_basis is part of the lie_basis, so these are the keys whose Borel
-    coordinates are 0: the span of the other coordinates' single-bit keys."""
-    e = space.field.e
-    flats = [la.flatten(b) for b in space.borel_basis()]
-    return _spread([[1 << e * k + t for k, f in enumerate(_free_slots(space))
-                     if not any(b[f] for b in flats) for t in range(e)]])[0]
+    """The keys of the functionals vanishing on the Borel, ascending: the
+    keys whose borel_coordinates are 0, the span of the other coordinates'
+    single-bit keys."""
+    e, borel = space.field.e, set(space.borel_coordinates())
+    return _spread([[1 << e * k + t for k in range(space.dim_algebra)
+                     if k not in borel for t in range(e)]])[0]
 
 
 def adjoint_nilpotent_orbit_sizes(space: cl.Space,

@@ -159,3 +159,27 @@ def trace_radical_basis(F2, space):
     "Kernel basis of the trace pairing with the algebra, as matrices."
     d = space.d
     return _matrices(kernel_basis(F2, pairing_matrix(F2, space), d * d), d)
+
+
+def wedge_invariant_form(space):
+    """The so-even wedge pairing's Gram in lie_basis coordinates, by one
+    solve per basis element: each basis matrix is written in the images
+    Phi of the wedges e_i.e_j, v -> beta(e_i, v) e_j + beta(e_j, v) e_i,
+    and two wedges pair by the determinant of their cross pairings."""
+    F, d, S = space.field, space.d, space.S
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    columns = []
+    for i, j in pairs:
+        M = [[0] * d for _ in range(d)]
+        M[j] = list(S[i])
+        M[i] = [x ^ y for x, y in zip(M[i], S[j])]
+        columns.append([x for row in M for x in row])
+    Phi = [list(row) for row in zip(*columns)]
+    basis = lie_basis(F, space)
+    assert rank(F, Phi) == len(pairs) == len(basis)
+    W = [solve(F, Phi, [x for row in b for x in row], len(pairs))
+         for b in basis]
+    assert None not in W
+    Gw = [[F.mul(S[i][p], S[j][q]) ^ F.mul(S[i][q], S[j][p]) for p, q in pairs]
+          for i, j in pairs]
+    return mat_mul(F, mat_mul(F, W, Gw), [list(c) for c in zip(*W)])

@@ -130,34 +130,39 @@ sys.stdout = stdout
 sys.stderr.write(json.dumps([code, sorted(sys.modules)]))
 """
 COLD = {"dataclasses", "inspect", "csv", "char2orbits.isometry"}
-# numpy, which the so-even census and verify need, loads inspect itself
+CLASSIFIERS = {"char2orbits.form_modules", "char2orbits.odd_split"}
+# numpy, which the so-even census and verify need, loads inspect itself;
+# classify reads a zero grid, or malformed JSON where it must exit 2
 COMMANDS = [
-    (["orbits", "--type", "sp", "--n", "2"], COLD),
+    (["orbits", "--type", "sp", "--n", "2"], COLD, 0),
     (["orbits", "--type", "so-odd", "--n", "2", "--q", "4", "--format", "csv"],
-     COLD - {"csv"}),
+     COLD - {"csv"}, 0),
     (["orbits", "--type", "so-even", "--n", "1", "--q", "2"],
-     COLD - {"inspect"}),
-    (["centralizer", "--type", "sp", "--label", "(2)^2_1:d"], COLD),
+     COLD - {"inspect"}, 0),
+    (["centralizer", "--type", "sp", "--label", "(2)^2_1:d"], COLD, 0),
     (["normal-form", "--type", "sp", "--label", "(2)^2_1:d"],
-     COLD | {"char2orbits.odd_split"}),
-    (["normal-form", "--type", "so-odd", "--label", "m=1; (1)^2_1:d"], COLD),
-    (["classify", "--type", "sp", "--matrix"], COLD),
-    (["classify", "--type", "so-odd", "--q", "4", "--matrix"], COLD),
-    (["verify", "--suite", "combinatorics"], {"dataclasses", "csv"}),
+     COLD | {"char2orbits.odd_split"}, 0),
+    (["normal-form", "--type", "so-odd", "--label", "m=1; (1)^2_1:d"], COLD, 0),
+    (["classify", "--type", "sp", "--matrix"], COLD, 0),
+    (["classify", "--type", "so-odd", "--q", "4", "--matrix"], COLD, 0),
+    (["classify", "--matrix"], COLD | CLASSIFIERS, 2),
+    (["verify", "--suite", "combinatorics"], {"dataclasses", "csv"}, 0),
 ]
 
 
-@pytest.mark.parametrize("argv,absent", COMMANDS,
-                         ids=[" ".join(a[:3]) for a, _ in COMMANDS])
-def test_each_command_loads_only_what_it_runs(tmp_path, argv, absent):
+@pytest.mark.parametrize("argv,absent,exit_code", COMMANDS,
+                         ids=[" ".join(a[:3]) for a, *_ in COMMANDS])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, absent,
+                                              exit_code):
     if argv[0] == "classify":
         d = 5 if "so-odd" in argv else 4
-        grid = tmp_path / "zero.txt"
-        grid.write_text("\n".join(" ".join("0" * d) for _ in range(d)))
+        grid = tmp_path / "matrix.txt"
+        grid.write_text('{"kind": "sp", "n": 1,' if exit_code else
+                        "\n".join(" ".join("0" * d) for _ in range(d)))
         argv = argv + [str(grid)]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", PROBE] + argv, env=env,
                           capture_output=True, text=True, timeout=120)
     code, modules = json.loads(done.stderr.splitlines()[-1])
-    assert code == 0
+    assert code == exit_code
     assert not absent & set(modules), sorted(absent & set(modules))

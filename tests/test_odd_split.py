@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
+import elimination_reference as ref
 import module_search as ms
 from char2orbits import combinatorics as cb
 from char2orbits import form_modules as fm
@@ -183,12 +185,40 @@ def test_exhaustive_o3_census_over_f4():
                       cb.OddLabel(0, (BlockLabel(1, 1, "0"),)): 1}
 
 
+# every point of b^perp at rank 2 over F_8, labelled: the counts per label
+B_PERP_F8 = {
+    "sp": {"(1)^2_0:0 (1)^2_0:0": 1, "(1)^2_1:0 (1)^2_1:0": 63,
+           "(2)^2_1:d": 196, "(2)^2_1:0": 700, "(2)^2_2:0": 3136},
+    "so-odd": {"m=0; (1)^2_1:0 (1)^2_1:0": 1, "m=0; (2)^2_2:0": 63,
+               "m=1; (1)^2_1:d": 196, "m=1; (1)^2_1:0": 700,
+               "m=2; -": 3136},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(B_PERP_F8))
+def test_rank_two_b_perp_sweep_over_f8(kind):
+    # b^perp is the functionals that are 0 at the borel_coordinates
+    space = space_for(kind, 2, 3)
+    borel = set(space.borel_coordinates())
+    free = [k for k in range(space.dim_algebra) if k not in borel]
+    assert len(free) == 4
+    text = cb.FAMILIES[kind].format
+    counts = Counter()
+    for point in product(range(8), repeat=len(free)):
+        values = [0] * space.dim_algebra
+        for k, v in zip(free, point):
+            values[k] = v
+        X = space.dual_from_values(values)
+        counts[text(od.rational_label(space, X))] += 1
+    assert counts == B_PERP_F8[kind]
+
+
 def test_every_borel_vanishing_functional_splits():
     from char2orbits.classical import algebra_coords
 
     for n in (1, 2):
         sp = space_for("so-odd", n)
-        rows = [algebra_coords(sp, b) for b in sp.borel_basis()]
+        rows = [algebra_coords(sp, b) for b in ref.borel_basis(F2, sp)]
         kernel = la.kernel_basis(F2, rows)
         for coeffs in product(range(2), repeat=len(kernel)):
             vals = [0] * sp.dim_algebra
