@@ -23,7 +23,7 @@ reports = orc.all_nilpotent_orbits(space, group, classify=False)
 sizes = sorted(r.orbit_size for r in reports)
 print(f"nilpotent coadjoint orbits: sizes {sizes}")
 
-adjoint = orc.adjoint_nilpotent_orbit_count(space, group)
+adjoint = orc.adjoint_nilpotent_orbit_count(space)
 print(f"nilpotent adjoint orbit count via transport: {adjoint}")
 assert adjoint == len(reports)
 

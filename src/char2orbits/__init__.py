@@ -35,8 +35,9 @@ Process-wide memos, each bounded as stated:
                                   decorations of each closed label
     odd_split._odd_label          the odd canonical member, keyed on
                                   (chain length, complement label)
-    oracle._group_memo            one generating set per space (kind, n,
-                                  e) asked
+    oracle._group_memo            one generator list and group order per
+                                  space (kind, n, e) asked; no label
+                                  array outlives the call that made it
     verify._census_memo           one census per space asked, each within
                                   classical.POINT_LIMIT keys
 

@@ -22,11 +22,12 @@ j < 2n, for so-odd, whose trace condition zeroes the corner.  These 0/1
 supports are disjoint, so the elimination over d^2 unknowns returns
 exactly them, the larger slot f of each its free column and the partner
 p < f a pivot.  The private slot table lists them, (f, p) or (f,), by f
-as kernel_basis does, and everything else is read off it.  The Borel is
+as kernel_basis does, and everything else is read off it.  The Borel b is
 the entries upper triangular in flag order, named by their indices,
-borel_coordinates.  Transposed, an entry gives its pairing row's support,
-its selector; these are disjoint too, so the trace radical is one vector
-per two-slot selector and a unit per slot outside them, and
+borel_coordinates, and its nilradical n the strictly upper ones,
+borel_coordinates(strict=True).  Transposed, an entry gives its pairing
+row's support, its selector; these are disjoint too, so the trace radical
+is one vector per two-slot selector and a unit per slot outside them, and
 dual_from_values, putting each value in its selector's last slot, writes
 the canonical representative (the reduction modulo the radical's RREF)
 with no solve.  algebra_coords reads the free slots, and
@@ -54,7 +55,12 @@ Borel here is the triangular intersection in flag order: reorder the basis so
 the pairing becomes antidiagonal (first half, defective vector if any, second
 half reversed), and keep the algebra elements that are upper triangular in
 that order.  Triangularity in the rough standard order is a strictly smaller
-space for n >= 2 and is not a Borel.  The criterion form of nilpotency needs
+space for n >= 2 and is not a Borel.  Its nilradical n, the strictly upper
+triangular elements, plays that part on the algebra side.  The functionals
+vanishing on the Borel, b^perp, and n are both coordinate subspaces: b^perp
+is the value vectors 0 at the Borel coordinates, n the elements whose
+coordinates are 0 outside the strict ones, and oracle's one census rule
+keeps the orbits that meet them.  The criterion form of nilpotency needs
 the odd split and lives in odd_split (rational_label, which raises
 NotNilpotentError on a functional that is not nilpotent).
 """
@@ -164,13 +170,14 @@ class Space:
             return list(range(n)) + [2 * n] + list(range(2 * n - 1, n - 1, -1))
         return list(range(n)) + list(range(2 * n - 1, n - 1, -1))
 
-    def borel_coordinates(self) -> list[int]:
-        "Indices of the table entries upper triangular in flag order."
+    def borel_coordinates(self, strict: bool = False) -> list[int]:
+        """Indices of the table entries upper triangular in flag order, the
+        Borel b, or with strict the strictly upper ones, its nilradical n."""
         d, pos = self.d, [0] * self.d
         for i, v in enumerate(self.flag_order()):
             pos[v] = i
         return [k for k, slots in enumerate(self._slot_table())
-                if all(pos[s // d] <= pos[s % d] for s in slots)]
+                if all(pos[s // d] + strict <= pos[s % d] for s in slots)]
 
     def _pairing_selectors(self) -> list[list[int]]:
         """Per basis matrix b of the algebra, the nonzero positions of its

@@ -10,25 +10,33 @@ odd orthogonal generators are their lifts along the radical, and the
 split even orthogonal ones are the reflections plus one swap of two
 hyperbolic pairs.  Every generator is an involution.
 
-There is one orbit engine.  Every generator g acts F_2-linearly on keys,
-so its permutation of all q^N keys is spread out from the images of the
-e*N single-bit keys, and those come from one matrix: the adjoint matrix
-of g, whose column j holds the lie_basis coordinates of g b_j g.  Each
-b_j is 1 at the one or two slots of its entry in classical's slot table,
-so each coordinate, read in its free slot, sums at most two products of
+There is one orbit engine and one census rule.  Every generator g acts
+F_2-linearly on keys, so all it takes is the images of the e*N
+single-bit keys, and those come from one matrix: the adjoint matrix of
+g, whose column j holds the lie_basis coordinates of g b_j g.  Each b_j
+is 1 at the one or two slots of its entry in classical's slot table, so
+each coordinate, read in its free slot, sums at most two products of
 entries of g.  Under conjugation the single-bit images are the matrix's
 columns; under the coadjoint action they are its rows, because
 tr(g M_i g^-1 b_j) = coord_i(g^-1 b_j g).  The generators are stacked
-into one array, so the adjoint matrices, the single-bit images and the
-permutations of a whole group each come out of a few numpy calls, the
-field's multiplication table indexed by arrays of entries.  Min-label
-propagation over the permutations, in place, then names every orbit by
-its least key.  Permutations and labels are int32 arrays over at most
-POINT_LIMIT keys.  The slot table decides the rest: the functionals
-vanishing on the Borel are the keys that are 0 at the space's
-borel_coordinates, spread from the other coordinates' single-bit keys,
-and a key's matrix is dual_from_values of its values, already the
-canonical representative.  Each nilpotent orbit is reported with that
+into one array, so a whole group's images come out of a few numpy
+calls, the field's multiplication table indexed by arrays of entries.
+The engine, _orbit_labels, is a pure function of that (k, bits) stack:
+it spreads each row into a permutation of all keys and names every
+orbit by its least key by min-label propagation in place.  Permutations
+and labels are int32 arrays over at most POINT_LIMIT keys, and no label
+array outlives the call that asked for it.
+
+A census then keeps the orbits that meet a coordinate subspace, whose
+keys are spread from its coordinates' single-bit keys.  A functional is
+nilpotent when its orbit meets b^perp, the keys 0 at the space's
+borel_coordinates; an algebra element is nilpotent when its orbit meets
+the nilradical n, the keys 0 outside the coordinates strictly upper
+triangular in flag order, as every nilpotent element lies in the
+nilradical of some Borel (Jantzen, Nilpotent orbits in representation
+theory); the tests hold this rule against linalg.power_ladder on every
+space of at most 2^16 keys.  A key's matrix is dual_from_values of its
+values, already the canonical representative.  Each nilpotent coadjoint orbit is reported with that
 representative of its least key, its size, stabilizer order, and the
 label odd_split's rational_label gives it; the adjoint census reports
 the sizes of its nilpotent orbits.
@@ -49,23 +57,13 @@ from .classical import POINT_LIMIT
 
 
 class FiniteGroup(cb._Record):
-    """Generators and formula order; _labels memoizes _orbits per action.
-    The repr leaves the memo out; pickles and copies carry it."""
+    "Generators and the order from the product formula."
 
-    __slots__ = ("generators", "order", "_labels")
+    __slots__ = ("generators", "order")
 
-    def __init__(self, generators: list, order: int,
-                 _labels: dict | None = None):
+    def __init__(self, generators: list, order: int):
         self.generators = generators
         self.order = order
-        self._labels = {} if _labels is None else _labels
-
-    def __repr__(self) -> str:
-        return (f"FiniteGroup(generators={self.generators!r}, "
-                f"order={self.order!r})")
-
-    def __reduce__(self):
-        return FiniteGroup, (self.generators, self.order, self._labels)
 
 
 class OrbitReport(cb._Record):
@@ -77,16 +75,6 @@ class OrbitReport(cb._Record):
         self.orbit_size = orbit_size
         self.stabilizer_order = stabilizer_order
         self.label = label
-
-    def __repr__(self) -> str:
-        return (f"OrbitReport(representative={self.representative!r}, "
-                f"orbit_size={self.orbit_size!r}, "
-                f"stabilizer_order={self.stabilizer_order!r}, "
-                f"label={self.label!r})")
-
-    def __reduce__(self):
-        return OrbitReport, (self.representative, self.orbit_size,
-                             self.stabilizer_order, self.label)
 
 
 # ----------------------------------------------------------------------
@@ -176,15 +164,6 @@ def _functional(space: cl.Space, key: int) -> list:
     return space.dual_from_values(key_values(space, key))
 
 
-def _algebra_element(space: cl.Space, key: int) -> list:
-    "The algebra element with the key's lie_basis coordinates."
-    d, T = space.d, [0] * space.d ** 2
-    for c, slots in zip(key_values(space, key), space._slot_table()):
-        for s in slots:
-            T[s] = c
-    return la.reshape(T, d)
-
-
 def _spread(images) -> np.ndarray:
     """The F_2-linear maps on all keys with the given single-bit images:
     row g of the (k, bits) images gives row g of the (k, 2^bits) result.
@@ -208,8 +187,9 @@ def _key_bits(space: cl.Space) -> int:
     return bits
 
 
-def _permutations(space: cl.Space, generators, action: str) -> np.ndarray:
-    """Row g is generator g's permutation of all keys under `action`.
+def _images(space: cl.Space, generators, action: str) -> np.ndarray:
+    """Row g holds generator g's images of the single-bit keys under
+    `action`, in bit order.
 
     Entry (i, j) of g's adjoint matrix is coordinate i of g b_j g, b_j the
     lie_basis and g an involution.  b_j is 1 only at its slot-table slots
@@ -235,14 +215,12 @@ def _permutations(space: cl.Space, generators, action: str) -> np.ndarray:
         A = A.transpose(0, 2, 1)
     # bit t of coordinate i has image sum_j (2^t A[g, i, j]) << e*j
     scaled = MUL[1 << np.arange(F.e)][:, A] << F.e * np.arange(len(table))
-    images = scaled.sum(axis=-1).transpose(1, 2, 0)
-    return _spread(images.reshape(len(generators), -1))
+    return scaled.sum(axis=-1).transpose(1, 2, 0).reshape(len(generators), -1)
 
 
-def _orbits(space: cl.Space, group: FiniteGroup | None,
-            action: str) -> tuple[FiniteGroup, np.ndarray]:
-    """The group, and the least key of every key's orbit under `action`,
-    "coadjoint" on functionals or "adjoint" on algebra elements.
+def _orbit_labels(images) -> np.ndarray:
+    """The least key of every key's orbit under the F_2-linear maps whose
+    single-bit images are the rows of the (k, bits) stack.
 
     Each pass pulls every label down to the least label among its
     generator images, then jumps labels to their own labels; the labels
@@ -250,32 +228,44 @@ def _orbits(space: cl.Space, group: FiniteGroup | None,
     fall, so a pass that leaves their sum alone left every label alone.
     The pass gathers into one scratch array and takes minimums in place.
     """
-    bits = _key_bits(space)
+    perms = _spread(images)
+    labels = np.arange(perms.shape[1], dtype=np.int32)
+    scratch = np.empty_like(labels)
+    total = None
+    while True:
+        for p in perms:
+            # mode "raise" would buffer the output; every index is valid
+            np.take(labels, p, out=scratch, mode="clip")
+            np.minimum(labels, scratch, out=labels)
+        np.take(labels, labels, out=scratch, mode="clip")
+        labels, scratch = scratch, labels
+        before, total = total, int(labels.sum(dtype=np.int64))
+        if total == before:
+            return labels
+
+
+def _span_keys(space: cl.Space, coordinates) -> np.ndarray:
+    """The keys that are 0 outside the given coordinates, ascending: the
+    span of those coordinates' single-bit keys."""
+    e = space.field.e
+    return _spread([[1 << e * k + t for k in coordinates
+                     for t in range(e)]])[0]
+
+
+def _orbits(space: cl.Space, action: str, group: FiniteGroup | None = None
+            ) -> tuple[FiniteGroup, np.ndarray]:
+    """The group, and the least key of every key's orbit under `action`,
+    "coadjoint" on functionals or "adjoint" on algebra elements.  A space
+    past POINT_LIMIT is refused before any generator is built."""
+    _key_bits(space)
     if group is None:
         group = enumerate_group(space)
-    if action not in group._labels:
-        perms = _permutations(space, group.generators, action)
-        labels = np.arange(1 << bits, dtype=np.int32)
-        scratch = np.empty_like(labels)
-        total = None
-        while True:
-            for p in perms:
-                # mode "raise" would buffer the output; every index is valid
-                np.take(labels, p, out=scratch, mode="clip")
-                np.minimum(labels, scratch, out=labels)
-            np.take(labels, labels, out=scratch, mode="clip")
-            labels, scratch = scratch, labels
-            before, total = total, int(labels.sum(dtype=np.int64))
-            if total == before:
-                break
-        group._labels[action] = labels
-    return group, group._labels[action]
+    return group, _orbit_labels(_images(space, group.generators, action))
 
 
-def coadjoint_orbit(space: cl.Space, X,
-                    group: FiniteGroup) -> dict[int, list]:
+def coadjoint_orbit(space: cl.Space, X) -> dict[int, list]:
     "Orbit of the functional: key -> canonical representative matrix."
-    _, labels = _orbits(space, group, "coadjoint")
+    _, labels = _orbits(space, "coadjoint")
     members = np.flatnonzero(labels == labels[functional_key(space, X)])
     return {int(k): _functional(space, int(k)) for k in members}
 
@@ -285,16 +275,19 @@ def all_nilpotent_orbits(space: cl.Space,
                          classify: bool = True) -> list[OrbitReport]:
     """Every nilpotent coadjoint orbit over the space's own field.
 
-    Nilpotence uses the definition: the orbit must contain a functional
-    vanishing on the fixed Borel, and those functionals form a linear
-    subspace of keys.  The whole dual is partitioned, so the run is
+    Nilpotence uses the definition: the orbit must meet b^perp, the
+    functionals vanishing on the fixed Borel, which are the keys 0 at the
+    Borel coordinates.  The whole dual is partitioned, so the run is
     exhaustive; reports are sorted by size and label text, ties in order
     of the orbits' least keys.
     """
-    group, labels = _orbits(space, group, "coadjoint")
+    group, labels = _orbits(space, "coadjoint", group)
     sizes = np.bincount(labels)
+    borel = set(space.borel_coordinates())
+    perp = _span_keys(space, [k for k in range(space.dim_algebra)
+                              if k not in borel])
     reports = []
-    for least in np.flatnonzero(np.bincount(labels[_perp_keys(space)])):
+    for least in np.flatnonzero(np.bincount(labels[perp])):
         rep = _functional(space, int(least))
         size = int(sizes[least])
         reports.append(OrbitReport(
@@ -306,27 +299,17 @@ def all_nilpotent_orbits(space: cl.Space,
     return reports
 
 
-def _perp_keys(space: cl.Space) -> np.ndarray:
-    """The keys of the functionals vanishing on the Borel, ascending: the
-    keys whose borel_coordinates are 0, the span of the other coordinates'
-    single-bit keys."""
-    e, borel = space.field.e, set(space.borel_coordinates())
-    return _spread([[1 << e * k + t for k in range(space.dim_algebra)
-                     if k not in borel for t in range(e)]])[0]
-
-
-def adjoint_nilpotent_orbit_sizes(space: cl.Space,
-                                  group: FiniteGroup | None = None) -> list[int]:
+def adjoint_nilpotent_orbit_sizes(space: cl.Space) -> list[int]:
     """Sizes of the orbits of nilpotent algebra elements under conjugation,
-    in order of the orbits' least keys."""
-    _, labels = _orbits(space, group, "adjoint")
-    least = np.flatnonzero(labels == np.arange(len(labels)))
-    nilpotent = [int(k) for k in least if la.power_ladder(
-        space.field, _algebra_element(space, int(k))) is not None]
-    return np.bincount(labels)[nilpotent].tolist()
+    in order of the orbits' least keys: the orbits that meet the
+    nilradical n, the keys 0 outside the strictly upper Borel
+    coordinates."""
+    _, labels = _orbits(space, "adjoint")
+    nilradical = _span_keys(space, space.borel_coordinates(strict=True))
+    least = np.flatnonzero(np.bincount(labels[nilradical]))
+    return np.bincount(labels)[least].tolist()
 
 
-def adjoint_nilpotent_orbit_count(space: cl.Space,
-                                  group: FiniteGroup | None = None) -> int:
+def adjoint_nilpotent_orbit_count(space: cl.Space) -> int:
     "Orbit count of nilpotent algebra elements under conjugation."
-    return len(adjoint_nilpotent_orbit_sizes(space, group))
+    return len(adjoint_nilpotent_orbit_sizes(space))

@@ -63,6 +63,10 @@ def test_so_even_dimension(n, dim):
 def test_borel_dimension(kind, n, bdim):
     space = cl.space_for(kind, n)
     assert len(space.borel_coordinates()) == bdim
+    # the nilradical leaves out the n-dimensional torus
+    strict = space.borel_coordinates(strict=True)
+    assert len(strict) == bdim - n
+    assert set(strict) <= set(space.borel_coordinates())
     # and every Borel element the elimination finds is in the algebra
     borel = ref.borel_basis(F2, space)
     assert len(borel) == bdim

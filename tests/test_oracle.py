@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -145,36 +146,20 @@ def test_group_orders_filter_mode():
         assert orc.enumerate_group(space_for(kind, n, e)).order == want
 
 
-def test_groups_with_memoized_labels_compare_without_raising():
-    # the label memo holds numpy arrays, which == cannot reduce to a bool;
-    # groups are records that compare by identity
-    space = space_for("sp", 1)
-    group = orc.enumerate_group(space)
-    orc.all_nilpotent_orbits(space, group)
-    twin = copy.deepcopy(group)
-    assert group._labels and twin._labels
-    assert group == group
-    assert group != twin
-
-
 def test_oracle_records_survive_pickle_and_copy():
-    # the written-out repr and __reduce__ say what the generic record
-    # methods say, field for field
     space = space_for("so-odd", 1)
     group = orc.enumerate_group(space)
     reports = orc.all_nilpotent_orbits(space, group)
-    assert group._labels
+    assert orc.FiniteGroup.__slots__ == ("generators", "order")
+    assert repr(group) == (f"FiniteGroup(generators={group.generators!r}, "
+                           f"order={group.order!r})")
     for record in [group, *reports]:
-        assert repr(record) == cb._Record.__repr__(record)
-        assert record.__reduce__() == cb._Record.__reduce__(record)
         for other in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                       copy.deepcopy(record)):
             assert type(other) is type(record)
             assert repr(other) == repr(record)
     twin = pickle.loads(pickle.dumps(group))
     assert twin.order == group.order and twin.generators == group.generators
-    assert np.array_equal(twin._labels["coadjoint"],
-                          group._labels["coadjoint"])
 
 
 def test_group_orders_match_the_product_formula():
@@ -286,11 +271,20 @@ def algebra_key(space, T):
     return orc._pack(la.solve(space.field, basis, la.flatten(T)), space.field.e)
 
 
+def algebra_element(space, key):
+    "The algebra element whose lie_basis coordinates are the key's values."
+    F, d = space.field, space.d
+    T = la.zeros(d, d)
+    for c, b in zip(orc.key_values(space, key), space.lie_basis()):
+        T = la.add(T, la.scale(F, c, b))
+    return T
+
+
 def unit_matrices(space, action):
     """The matrices of the single-bit keys: one dual_from_values each for
     functionals, a scaled lie_basis matrix for algebra elements."""
     to_matrix = {"coadjoint": orc._functional,
-                 "adjoint": orc._algebra_element}[action]
+                 "adjoint": algebra_element}[action]
     return [to_matrix(space, 1 << i)
             for i in range(space.field.e * space.dim_algebra)]
 
@@ -345,7 +339,7 @@ def image_keys(space, g, action):
 def test_stacked_permutations_equal_the_per_key_formula(kind, n, e, action):
     space = space_for(kind, n, e)
     gens = orc.enumerate_group(space).generators
-    for g, perm in zip(gens, orc._permutations(space, gens, action)):
+    for g, perm in zip(gens, orc._spread(orc._images(space, gens, action))):
         assert np.array_equal(perm, reference_permutation(space, g, action))
 
 
@@ -359,7 +353,7 @@ def test_stacked_permutations_equal_the_per_generator_matrices(
     # three of each larger space, against one adjoint matrix per generator
     space = space_for(kind, n, e)
     gens = orc.enumerate_group(space).generators[:count]
-    stacked = orc._permutations(space, gens, action)
+    stacked = orc._spread(orc._images(space, gens, action))
     assert stacked.shape == (len(gens), 1 << orc._key_bits(space))
     assert stacked.dtype == np.int32
     for g, perm in zip(gens, stacked):
@@ -377,7 +371,10 @@ def test_perp_keys_are_the_keys_vanishing_on_the_borel(kind, n, e):
               for b in ref.borel_basis(F2, space)]
     on_borel = spread([orc._pack([c[k] for c in coords], F.e) << t
                        for k in range(space.dim_algebra) for t in range(F.e)])
-    assert np.array_equal(orc._perp_keys(space), np.flatnonzero(on_borel == 0))
+    borel = set(space.borel_coordinates())
+    free = [k for k in range(space.dim_algebra) if k not in borel]
+    assert np.array_equal(orc._span_keys(space, free),
+                          np.flatnonzero(on_borel == 0))
 
 
 @pytest.mark.parametrize("action", ["coadjoint", "adjoint"])
@@ -385,15 +382,22 @@ def test_perp_keys_are_the_keys_vanishing_on_the_borel(kind, n, e):
 def test_lean_generators_give_the_labels_of_every_transvection(kind, n, e,
                                                                action):
     space = space_for(kind, n, e)
-    lean = orc.enumerate_group(space)
+    lean = orc.enumerate_group(space).generators
     gens = full_transvections(space)
     if kind == "so-even" and n >= 2:
         gens.append(cl.pair_swap(space))
-    full = orc.FiniteGroup(gens, lean.order)
-    _, want = orc._orbits(space, full, action)
-    _, got = orc._orbits(space, lean, action)
+    want = orc._orbit_labels(orc._images(space, gens, action))
+    got = orc._orbit_labels(orc._images(space, lean, action))
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
+
+
+def test_orbit_labels_need_only_the_image_stack():
+    # three bits; one map swaps bits 0 and 1, so 1 <-> 2 and 5 <-> 6
+    assert orc._orbit_labels([[2, 1, 4]]).tolist() == [0, 1, 1, 3, 4, 5, 5, 7]
+    # adding the map that swaps bits 1 and 2 joins the keys by weight
+    assert orc._orbit_labels([[2, 1, 4], [1, 4, 2]]).tolist() == \
+        [0, 1, 1, 3, 1, 3, 3, 7]
 
 
 # ----------------------------------------------------------------------
@@ -495,14 +499,13 @@ def test_the_largest_census_stays_under_500_mb():
 
 def _assert_engine_orbits_match_the_scan(kind, n, e):
     space = space_for(kind, n, e)
-    group = orc.enumerate_group(space)
     G = filter_scan(kind, n, e)
     seen = set()
     for idx in range(space.field.q ** space.dim_algebra):
         if idx in seen:
             continue
         X = space.dual_from_values(orc.key_values(space, idx))
-        engine = set(orc.coadjoint_orbit(space, X, group))
+        engine = set(orc.coadjoint_orbit(space, X))
         assert engine == set(conjugate_keys(space, G, X).tolist())
         seen.update(engine)
     assert len(seen) == space.field.q ** space.dim_algebra
@@ -525,10 +528,9 @@ def test_generator_and_filter_orbits_agree_on_o4_plus():
                                       ("so-odd", 1, 2)])
 def test_nilpotence_definition_matches_the_splitting_criterion(kind, n, e):
     space = space_for(kind, n, e)
-    grp = orc.enumerate_group(space)
     nil_keys = set()
-    for r in orc.all_nilpotent_orbits(space, grp, classify=False):
-        nil_keys.update(orc.coadjoint_orbit(space, r.representative, grp))
+    for r in orc.all_nilpotent_orbits(space, classify=False):
+        nil_keys.update(orc.coadjoint_orbit(space, r.representative))
     for idx in range(space.field.q ** space.dim_algebra):
         X = space.dual_from_values(orc.key_values(space, idx))
         assert ms.criterion_nilpotent(space, X) == (idx in nil_keys)
@@ -551,11 +553,10 @@ def test_labels_are_constant_on_small_orbits():
     for kind, n, e in [("sp", 1, 1), ("so-odd", 1, 1), ("sp", 1, 2),
                        ("so-odd", 1, 2)]:
         space = space_for(kind, n, e)
-        grp = orc.enumerate_group(space)
-        reports = orc.all_nilpotent_orbits(space, grp)
+        reports = orc.all_nilpotent_orbits(space)
         assert len({str(r.label) for r in reports}) == len(reports)
         for r in reports:
-            orbit = orc.coadjoint_orbit(space, r.representative, grp)
+            orbit = orc.coadjoint_orbit(space, r.representative)
             for Y in orbit.values():
                 assert od.rational_label(space, Y) == r.label
 
@@ -567,14 +568,50 @@ def test_labels_are_constant_on_small_orbits():
 @pytest.mark.parametrize("kind,n,e", [s[:3] for s in SERVED])
 def test_adjoint_and_coadjoint_nilpotent_orbit_sizes_agree(kind, n, e):
     space = space_for(kind, n, e)
-    grp = orc.enumerate_group(space)
     co = [r.orbit_size
-          for r in orc.all_nilpotent_orbits(space, grp, classify=False)]
-    ad = orc.adjoint_nilpotent_orbit_sizes(space, grp)
+          for r in orc.all_nilpotent_orbits(space, classify=False)]
+    ad = orc.adjoint_nilpotent_orbit_sizes(space)
     assert sorted(ad) == sorted(co)
-    assert orc.adjoint_nilpotent_orbit_count(space, grp) == len(ad)
+    assert orc.adjoint_nilpotent_orbit_count(space) == len(ad)
     if (kind, n, e) == ("sp", 2, 1):
         assert sorted(ad) == [1, 15, 15, 45, 180]
+
+
+# every space the engine reaches with at most 2^16 keys
+LADDER = [(kind, n, e) for kind in cl.KINDS for n in (1, 2, 3)
+          for e in range(1, 9) if e * space_for(kind, n, e).dim_algebra <= 16]
+
+
+def power_ladder_sizes(space):
+    """Sizes of the adjoint orbits whose least key's matrix
+    linalg.power_ladder calls nilpotent, in order of those keys: the
+    reference for the census's rule, the orbits that meet n."""
+    _, labels = orc._orbits(space, "adjoint")
+    least = np.flatnonzero(labels == np.arange(len(labels))).tolist()
+    nilpotent = [k for k in least if la.power_ladder(
+        space.field, algebra_element(space, k)) is not None]
+    return np.bincount(labels)[nilpotent].tolist()
+
+
+@pytest.mark.parametrize("kind,n,e", LADDER)
+def test_adjoint_orbits_meeting_n_are_the_power_ladder_nilpotent_ones(
+        kind, n, e):
+    space = space_for(kind, n, e)
+    want = power_ladder_sizes(space)
+    assert orc.adjoint_nilpotent_orbit_sizes(space) == want
+
+
+def test_no_label_array_outlives_a_census():
+    space = space_for("sp", 2, 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        orc.all_nilpotent_orbits(space)
+        orc.adjoint_nilpotent_orbit_sizes(space)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 19
 
 
 # The two actions part ways past the served spaces: at rank 3 over F_2
@@ -598,10 +635,9 @@ BEYOND_SIZES = {
 @pytest.mark.parametrize("kind,n,e", REACH)
 def test_adjoint_and_coadjoint_sizes_beyond_the_served_spaces(kind, n, e):
     space = space_for(kind, n, e)
-    grp = orc.enumerate_group(space)
     co = [r.orbit_size
-          for r in orc.all_nilpotent_orbits(space, grp, classify=False)]
-    ad = orc.adjoint_nilpotent_orbit_sizes(space, grp)
+          for r in orc.all_nilpotent_orbits(space, classify=False)]
+    ad = orc.adjoint_nilpotent_orbit_sizes(space)
     assert (sorted(co), sorted(ad)) == BEYOND_SIZES[kind, n, e]
     assert sum(ad) == space.field.q ** (space.dim_algebra - n)
 
@@ -630,6 +666,5 @@ def test_censuses_load_no_numpy_ma_beyond_numpy_itself():
 
 def test_even_adjoint_and_coadjoint_nilpotent_counts_agree():
     space = space_for("so-even", 2)
-    grp = orc.enumerate_group(space)
-    co = orc.all_nilpotent_orbits(space, grp, classify=False)
-    assert orc.adjoint_nilpotent_orbit_count(space, grp) == len(co)
+    co = orc.all_nilpotent_orbits(space, classify=False)
+    assert orc.adjoint_nilpotent_orbit_count(space) == len(co)

@@ -77,3 +77,18 @@ def test_verify_all_json_matches_the_cli_golden(capsys):
     out = re.sub(rb'"seconds": [0-9.eE+-]+', b'"seconds": _',
                  capsys.readouterr().out.encode())
     assert hashlib.sha256(out).hexdigest() == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("kind", ["sp", "so-odd"])
+def test_round_trips_report_the_decorated_range_they_ran(kind):
+    passed, detail = vf._ck_round_trips(kind, 1)
+    assert passed
+    assert "closed (n<=1)" in detail and "decorated (n<=1)" in detail
+
+
+def test_radical_invariance_honours_max_n():
+    # rank-2 cases need max_n >= 2; only the Sp(2)/F_4 shifts run at 1
+    assert vf._ck_sp_radical_invariance(1) == (
+        True, "operator and quadratic data unchanged in 34 radical shifts")
+    assert vf._ck_sp_radical_invariance(None)[1].endswith(
+        "unchanged in 102 radical shifts")
