@@ -17,7 +17,8 @@ space = space_for("so-even", 2, 1)
 F = space.field
 group = orc.enumerate_group(space)
 print(f"O(4, F_2) has {group.order} elements; {len(group.generators)} "
-      f"generators: reflections and a hyperbolic-pair swap")
+      f"generators: a root element for each simple root and its negative, "
+      f"and one reflection")
 
 reports = orc.all_nilpotent_orbits(space, group, classify=False)
 sizes = sorted(r.orbit_size for r in reports)

@@ -401,13 +401,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="char2orbits",
-        description="Nilpotent coadjoint orbits of classical groups in "
-                    "characteristic two")
-    sub = p.add_subparsers(dest="command", required=True)
-
+def _add_orbits(sub) -> None:
     po = sub.add_parser("orbits", help="table of nilpotent orbits")
     po.add_argument("--type", required=True,
                     choices=["sp", "so-odd", "so-even"])
@@ -419,6 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["table", "json", "csv"])
     po.set_defaults(fn=_cmd_orbits)
 
+
+def _add_classify(sub) -> None:
     pc = sub.add_parser("classify", help="label a functional from a file")
     pc.add_argument("--matrix", required=True,
                     help="matrix file: whitespace grid of field elements, "
@@ -429,6 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "gives its own")
     pc.set_defaults(fn=_cmd_classify)
 
+
+def _add_normal_form(sub) -> None:
     pn = sub.add_parser("normal-form", help="standard witness of a label")
     pn.add_argument("--type", required=True, choices=["sp", "so-odd"])
     pn.add_argument("--label", required=True,
@@ -438,12 +436,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--format", default="json", choices=["json", "table"])
     pn.set_defaults(fn=_cmd_normal_form)
 
+
+def _add_centralizer(sub) -> None:
     pz = sub.add_parser("centralizer", help="stabilizer data of a label")
     pz.add_argument("--type", required=True, choices=["sp", "so-odd"])
     pz.add_argument("--label", required=True)
     pz.add_argument("--format", default="json", choices=["json", "table"])
     pz.set_defaults(fn=_cmd_centralizer)
 
+
+def _add_verify(sub) -> None:
     pv = sub.add_parser("verify", help="run the acceptance suites")
     pv.add_argument("--suite", default="all",
                     choices=("all",) + SUITES)
@@ -452,11 +454,33 @@ def _build_parser() -> argparse.ArgumentParser:
                          "full documented range")
     pv.add_argument("--format", default="text", choices=["text", "json"])
     pv.set_defaults(fn=_cmd_verify)
+
+
+# the subcommands in help order, each with the function adding its parser
+_COMMANDS = {"orbits": _add_orbits, "classify": _add_classify,
+            "normal-form": _add_normal_form, "centralizer": _add_centralizer,
+            "verify": _add_verify}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv[0] names a command, only that
+    command's subparser is built, since parsing the rest of argv reads no
+    other; otherwise (top-level help, a missing or unknown command) all
+    five are, as that help and those errors list them."""
+    p = _Parser(
+        prog="char2orbits",
+        description="Nilpotent coadjoint orbits of classical groups in "
+                    "characteristic two")
+    sub = p.add_subparsers(dest="command", required=True)
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        _COMMANDS[name](sub)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     if [] in vars(args).values():
         # argparse reads "--label=--" as an empty list of values
         print("an option's value is '--'", file=sys.stderr)

@@ -3,12 +3,14 @@
 Functionals are handled through their value vectors on the algebra basis,
 packed into one integer key with e bits per value; matrices only serve as
 action representatives.  A group is a list of generators and its order
-from the product formula.  The symplectic generators are the
-transvections along e_i and e_i + e_j, one per vector and element of an
-F_2-basis of F_q; they yield every root subgroup, so they generate.  The
-odd orthogonal generators are their lifts along the radical, and the
-split even orthogonal ones are the reflections plus one swap of two
-hyperbolic pairs.  Every generator is an involution.
+from the product formula.  The generators are written down, with no
+scan: the root elements x_{+-a}(c) of the simple roots a, c running over
+an F_2-basis of F_q, each the identity plus c at one or two entries.  By
+Steinberg they generate Sp(2n, q); their lifts along the radical
+generate O(2n+1, q), and for O+(2n, q) they generate Omega+, so one
+reflection is added; O+(2), with no roots, takes its q - 1 reflections.
+Each generator is the identity plus a matrix of square zero, so it is
+an involution in characteristic 2.
 
 There is one orbit engine and one census rule.  Every generator g acts
 F_2-linearly on keys, so all it takes is the images of the e*N
@@ -107,45 +109,60 @@ _group_memo: dict = {}
 
 
 def _generators(space: cl.Space) -> list:
-    """Transvections along e_i and e_i + e_j with c in the F_2-basis of F_q
-    (sp), their orthogonal lifts (so-odd), or every reflection and the
-    pair swap (so-even); all of them are involutions."""
-    F, n = space.field, space.n
-    if space.kind == "so-even":
+    """x_{+-a}(c) for the simple roots a, c in the F_2-basis of F_q: the
+    identity plus c at the root's one or two entries, or at their
+    transposes.  so-odd adds sqrt(c) in the radical row under a long root,
+    so-even n >= 2 adds the reflection along e_1 + f_1, and so-even n = 1,
+    with no roots, takes every reflection.  All of them are involutions."""
+    F, n, d = space.field, space.n, space.d
+    if space.kind == "so-even" and n == 1:
         # alpha(c v) = c^2 alpha(v), so alpha(v) = 1 picks one vector per line
-        gens = [cl.orthogonal_transvection(space, v)
-                for v in product(range(F.q), repeat=space.d)
-                if space.alpha(v) == 1]
-        return gens + [cl.pair_swap(space)] if n >= 2 else gens
-    unit = la.identity(2 * n)
-    vectors = unit + [[a ^ b for a, b in zip(u, w)]
-                      for i, u in enumerate(unit) for w in unit[i + 1:]]
+        return [cl.orthogonal_transvection(space, v)
+                for v in product(range(F.q), repeat=d) if space.alpha(v) == 1]
+    # e_i - e_(i+1), then 2e_n (sp, so-odd) or e_(n-1) + e_n (so-even)
+    roots = [[(i, i + 1), (n + i + 1, n + i)] for i in range(n - 1)]
+    roots.append([(n - 2, 2 * n - 1), (n - 1, 2 * n - 2)]
+                 if space.kind == "so-even" else [(n - 1, 2 * n - 1)])
     gens = []
-    for v in vectors:
-        for c in (1 << k for k in range(F.e)):
-            if space.kind == "sp":
-                gens.append(cl.symplectic_transvection(space, v, c))
-            else:
-                # v + a e_rad with alpha = 1/c acts on V/rad as t_{v,c}
-                a = F.sqrt(F.inv(c) ^ space.alpha(v + [0]))
-                gens.append(cl.orthogonal_transvection(space, v + [a]))
+    for entries in roots:
+        # +a, then -a at the transposed entries
+        for root in (entries, [(b, a) for a, b in entries]):
+            for c in (1 << k for k in range(F.e)):
+                g = la.identity(d)
+                for a, b in root:
+                    g[a][b] = c
+                if space.kind == "so-odd" and len(root) == 1:
+                    # alpha on V/rad gains c x_b^2; the radical takes it back
+                    g[2 * n][root[0][1]] = F.sqrt(c)
+                gens.append(g)
+    if space.kind == "so-even":
+        # the root elements generate Omega+, of index 2 in O+; swapping
+        # e_1 and f_1 is the reflection along e_1 + f_1, outside it
+        swap = la.identity(d)
+        swap[0], swap[n] = swap[n], swap[0]
+        gens.append(swap)
     return gens
 
 
 def enumerate_group(space: cl.Space) -> FiniteGroup:
     """Generators of the space's finite group, and its order.
 
-    For sp, t_{a+b,c} t_{a,c} t_{b,c} with beta(a, b) = 0 is the root
-    element x -> x + c a beta(x, b) + c b beta(x, a), so the transvections
-    along e_i and e_i + e_j, c running over an F_2-basis of F_q, give every
-    root subgroup, and root subgroups generate Sp(2n, q) (Steinberg,
-    Lectures on Chevalley groups).  Restriction to V/rad is an isomorphism
-    O(2n+1, q) -> Sp(2n, q) in characteristic 2, so the orthogonal lifts
-    of those transvections generate the odd orthogonal group.  The
-    reflections of the split even orthogonal group can fall short: in
-    O+(4, F_2) they generate a subgroup of index 2, so the swap of two
-    hyperbolic pairs joins them.  The order is the product formula; the
-    tests close the generators under multiplication and compare.
+    The root subgroups X_{+-a} of the simple roots a generate the Chevalley
+    group in every characteristic (Steinberg, Lectures on Chevalley
+    groups): <X_a, X_-a> holds a lift of the reflection w_a, the w_a
+    generate the Weyl group, every root is w(a) for a simple a, and the
+    lift of w conjugates X_a onto X_w(a).  X_a(F_q) is additive, so c may
+    run over an F_2-basis of F_q.  For sp that group is Sp(2n, q).
+    Restriction to V/rad is an isomorphism O(2n+1, q) -> Sp(2n, q) in
+    characteristic 2, so the unique lifts of the sp generators generate
+    the odd orthogonal group; only a long root element moves a form
+    value, alpha(x) gaining c x_b^2, which the radical coordinate's
+    sqrt(c) x_b cancels.  For so-even the root elements generate
+    Omega+(2n, q), the kernel of the Dickson invariant, so one reflection
+    reaches O+(2n, q).  Each generator is 1 + N with N^2 = 0, so it
+    squares to 1 + 2N = 1 in characteristic 2.  The order is the product
+    formula; the tests close the generators under multiplication and
+    compare.
     """
     memo_key = (space.kind, space.n, space.field.e)
     if memo_key not in _group_memo:

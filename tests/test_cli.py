@@ -116,7 +116,7 @@ def test_orbits_rejects_bad_rank_and_bad_q(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv,prog", [
+USAGE_ERRORS = [
     ([], "char2orbits"),
     (["classify"], "char2orbits classify"),
     (["classify", "--matrix", "m.txt", "--q", "3"], "char2orbits classify"),
@@ -126,7 +126,10 @@ def test_orbits_rejects_bad_rank_and_bad_q(capsys):
     (["normal-form", "--type", "sp", "--label", "(1)^2_0:0", "extra\nline"],
      "char2orbits"),
     (["nonsense"], "char2orbits"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,prog", USAGE_ERRORS)
 def test_usage_errors_are_one_line(capsys, argv, prog):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -143,6 +146,35 @@ def test_help_keeps_its_usage_text(capsys):
     assert exc.value.code == 0 and err == ""
     assert out.startswith("usage: char2orbits classify")
     assert len(out.splitlines()) > 1
+
+
+def exits_with(capsys, parse, argv):
+    "The exit code, stdout and stderr of parse(argv), which exits."
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h", "orbits"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    *(argv for argv, _ in USAGE_ERRORS)])
+def test_the_named_subparser_alone_prints_what_all_five_print(capsys, argv):
+    # main builds only the subparser argv[0] names; help, usage errors and
+    # exit codes stay those of the parser with every subcommand
+    want = exits_with(capsys, cli._build_parser().parse_args, argv)
+    assert exits_with(capsys, cli.main, argv) == want
+
+
+def test_a_named_command_builds_no_other_subparser(capsys):
+    parser = cli._build_parser(["orbits"])
+    code, out, err = exits_with(capsys, parser.parse_args,
+                                ["classify", "--matrix", "m.txt"])
+    assert code == 2 and out == ""
+    assert err.startswith("char2orbits: error: argument command: invalid "
+                          "choice: 'classify'")
+    assert "orbits" in err and "verify" not in err
 
 
 def test_orbits_output_is_deterministic(capsys):

@@ -51,7 +51,7 @@ PLANES = [("so-even", 1, 1), ("so-even", 1, 2)]
 
 def full_transvections(space):
     """Every distinct transvection (sp, so-odd) or reflection (so-even) of
-    the space, by a scan of all q^d vectors: the reference generating set."""
+    the space, by a scan of all q^d vectors."""
     F = space.field
     unique = {}
     for v in product(range(F.q), repeat=space.d):
@@ -64,6 +64,33 @@ def full_transvections(space):
         for t in ts:
             unique.setdefault(key(t), t)
     return list(unique.values())
+
+
+def reference_generators(space):
+    """The transvections along e_i and e_i + e_j, c in the F_2-basis of F_q
+    (sp), their lifts along the radical (so-odd), or every reflection and,
+    for n >= 2, the pair swap (so-even): the reference generating set that
+    the simple root elements are held against."""
+    F, n = space.field, space.n
+    if space.kind == "so-even":
+        # alpha(c v) = c^2 alpha(v), so alpha(v) = 1 picks one vector per line
+        gens = [cl.orthogonal_transvection(space, v)
+                for v in product(range(F.q), repeat=space.d)
+                if space.alpha(v) == 1]
+        return gens + [cl.pair_swap(space)] if n >= 2 else gens
+    unit = la.identity(2 * n)
+    vectors = unit + [[a ^ b for a, b in zip(u, w)]
+                      for i, u in enumerate(unit) for w in unit[i + 1:]]
+    gens = []
+    for v in vectors:
+        for c in (1 << k for k in range(F.e)):
+            if space.kind == "sp":
+                gens.append(cl.symplectic_transvection(space, v, c))
+            else:
+                # v + a e_rad with alpha = 1/c acts on V/rad as t_{v,c}
+                a = F.sqrt(F.inv(c) ^ space.alpha(v + [0]))
+                gens.append(cl.orthogonal_transvection(space, v + [a]))
+    return gens
 
 
 def batch_mul(F, A, B):
@@ -193,12 +220,14 @@ def test_every_generator_is_an_involution(kind, n, e):
 
 
 def test_lean_generator_counts():
-    # e * (2n + C(2n, 2)) transvections for sp and so-odd; so-even keeps
-    # every reflection and the pair swap, the one generator the full
-    # transvection scan leaves out
+    # 2ne simple root elements, and one reflection for so-even with n >= 2;
+    # the reference has e * (2n + C(2n, 2)) transvections for sp and
+    # so-odd, and every reflection and the pair swap for so-even
     counts = [len(orc.enumerate_group(space_for(*s[:3])).generators)
               for s in SERVED]
-    assert counts == [3, 6, 10, 3, 10, 6, 7]
+    assert counts == [2, 4, 4, 2, 4, 4, 5]
+    assert [len(reference_generators(space_for(*s[:3]))) for s in SERVED] \
+        == [3, 6, 10, 3, 10, 6, 7]
     assert sum(len(full_transvections(space_for(*s[:3]))) for s in SERVED) \
         + 1 == 76
 
@@ -211,17 +240,14 @@ def test_generator_closures_reach_the_formula_order():
 
 def test_even_reflections_alone_stop_at_index_two():
     space = space_for("so-even", 2)
-    gens = orc.enumerate_group(space).generators
-    refl = [g for g in gens if la.rank(F2, la.add(g, la.identity(4))) == 1]
-    assert len(refl) == len(gens) - 1
+    refl = full_transvections(space)
+    assert all(la.rank(F2, la.add(g, la.identity(4))) == 1 for g in refl)
     assert len(closure(F2, refl)) == 36
 
 
 def test_random_even_elements_reach_both_cosets():
     space = space_for("so-even", 2)
-    gens = orc.enumerate_group(space).generators
-    refl = [g for g in gens if la.rank(F2, la.add(g, la.identity(4))) == 1]
-    half = closure(F2, refl)
+    half = closure(F2, full_transvections(space))
     rng = np.random.default_rng(0)
     draws = [cl.random_group_element(space, rng) for _ in range(300)]
     assert all(key(g) in generator_closure("so-even", 2, 1) for g in draws)
@@ -389,6 +415,25 @@ def test_lean_generators_give_the_labels_of_every_transvection(kind, n, e,
     want = orc._orbit_labels(orc._images(space, gens, action))
     got = orc._orbit_labels(orc._images(space, lean, action))
     assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+
+
+# both actions on every census space of at most 2^16 keys, the coadjoint
+# one past that
+REFERENCE_CASES = [(*s[:3], action) for s in SERVED + PLANES + REACH
+                   for action in ("coadjoint", "adjoint")
+                   if action == "coadjoint"
+                   or orc._key_bits(space_for(*s[:3])) <= 16]
+
+
+@pytest.mark.parametrize("kind,n,e,action", REFERENCE_CASES)
+def test_simple_root_elements_give_the_labels_of_the_reference_set(
+        kind, n, e, action):
+    space = space_for(kind, n, e)
+    got = orc._orbit_labels(orc._images(
+        space, orc.enumerate_group(space).generators, action))
+    want = orc._orbit_labels(orc._images(
+        space, reference_generators(space), action))
     assert np.array_equal(got, want)
 
 
