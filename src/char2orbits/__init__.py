@@ -36,8 +36,9 @@ Process-wide memos, each bounded as stated:
     odd_split._odd_label          the odd canonical member, keyed on
                                   (chain length, complement label)
     oracle._group_memo            one generator list and group order per
-                                  space (kind, n, e) asked; no label
-                                  array outlives the call that made it
+                                  space (kind, n, e) asked; coadjoint_orbits
+                                  hands its label array to the caller, and
+                                  verify drops it after each check
     verify._census_memo           one census per space asked, each within
                                   classical.POINT_LIMIT keys
 

@@ -8,9 +8,9 @@ scan: the root elements x_{+-a}(c) of the simple roots a, c running over
 an F_2-basis of F_q, each the identity plus c at one or two entries.  By
 Steinberg they generate Sp(2n, q); their lifts along the radical
 generate O(2n+1, q), and for O+(2n, q) they generate Omega+, so one
-reflection is added; O+(2), with no roots, takes its q - 1 reflections.
-Each generator is the identity plus a matrix of square zero, so it is
-an involution in characteristic 2.
+reflection is added, e_1 <-> f_1; O+(2), with no roots, takes all q - 1
+of e_1 -> f_1 / b, f_1 -> b e_1.  Each generator is the identity plus
+a matrix of square zero, so it is an involution in characteristic 2.
 
 There is one orbit engine and one census rule.  Every generator g acts
 F_2-linearly on keys, so all it takes is the images of the e*N
@@ -26,8 +26,9 @@ calls, the field's multiplication table indexed by arrays of entries.
 The engine, _orbit_labels, is a pure function of that (k, bits) stack:
 it spreads each row into a permutation of all keys and names every
 orbit by its least key by min-label propagation in place.  Permutations
-and labels are int32 arrays over at most POINT_LIMIT keys, and no label
-array outlives the call that asked for it.
+and labels are int32 arrays over at most POINT_LIMIT keys.
+coadjoint_orbits hands a space's one labelling to its caller; a census
+drops its own on return.
 
 A census then keeps the orbits that meet a coordinate subspace, whose
 keys are spread from its coordinates' single-bit keys.  A functional is
@@ -45,8 +46,6 @@ the sizes of its nilpotent orbits.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -112,17 +111,16 @@ def _generators(space: cl.Space) -> list:
     """x_{+-a}(c) for the simple roots a, c in the F_2-basis of F_q: the
     identity plus c at the root's one or two entries, or at their
     transposes.  so-odd adds sqrt(c) in the radical row under a long root,
-    so-even n >= 2 adds the reflection along e_1 + f_1, and so-even n = 1,
-    with no roots, takes every reflection.  All of them are involutions."""
+    and so-even adds the reflections along a e_1 + a^-1 f_1: the one with
+    a = 1 when n >= 2, and all q - 1 when n = 1, with no roots.  All of
+    them are involutions."""
     F, n, d = space.field, space.n, space.d
-    if space.kind == "so-even" and n == 1:
-        # alpha(c v) = c^2 alpha(v), so alpha(v) = 1 picks one vector per line
-        return [cl.orthogonal_transvection(space, v)
-                for v in product(range(F.q), repeat=d) if space.alpha(v) == 1]
     # e_i - e_(i+1), then 2e_n (sp, so-odd) or e_(n-1) + e_n (so-even)
     roots = [[(i, i + 1), (n + i + 1, n + i)] for i in range(n - 1)]
-    roots.append([(n - 2, 2 * n - 1), (n - 1, 2 * n - 2)]
-                 if space.kind == "so-even" else [(n - 1, 2 * n - 1)])
+    if space.kind != "so-even":
+        roots.append([(n - 1, 2 * n - 1)])
+    elif n >= 2:
+        roots.append([(n - 2, 2 * n - 1), (n - 1, 2 * n - 2)])
     gens = []
     for entries in roots:
         # +a, then -a at the transposed entries
@@ -136,11 +134,12 @@ def _generators(space: cl.Space) -> list:
                     g[2 * n][root[0][1]] = F.sqrt(c)
                 gens.append(g)
     if space.kind == "so-even":
-        # the root elements generate Omega+, of index 2 in O+; swapping
-        # e_1 and f_1 is the reflection along e_1 + f_1, outside it
-        swap = la.identity(d)
-        swap[0], swap[n] = swap[n], swap[0]
-        gens.append(swap)
+        # Omega+ has index 2 in O+; the reflection along a e_1 + a^-1 f_1
+        # sends e_1 to f_1 / b and f_1 to b e_1, b = a^2 running over F_q*
+        for b in range(1, F.q) if n == 1 else (1,):
+            g = la.identity(d)
+            g[0][0], g[0][n], g[n][0], g[n][n] = 0, b, F.inv(b), 0
+            gens.append(g)
     return gens
 
 
@@ -159,10 +158,11 @@ def enumerate_group(space: cl.Space) -> FiniteGroup:
     value, alpha(x) gaining c x_b^2, which the radical coordinate's
     sqrt(c) x_b cancels.  For so-even the root elements generate
     Omega+(2n, q), the kernel of the Dickson invariant, so one reflection
-    reaches O+(2n, q).  Each generator is 1 + N with N^2 = 0, so it
-    squares to 1 + 2N = 1 in characteristic 2.  The order is the product
-    formula; the tests close the generators under multiplication and
-    compare.
+    reaches O+(2n, q); O+(2, q) is generated by its q - 1 reflections,
+    written down as antidiagonal matrices.  Each generator is 1 + N with
+    N^2 = 0, so it squares to 1 + 2N = 1 in characteristic 2.  The order
+    is the product formula; the tests close the generators under
+    multiplication and compare.
     """
     memo_key = (space.kind, space.n, space.field.e)
     if memo_key not in _group_memo:
@@ -175,10 +175,6 @@ def enumerate_group(space: cl.Space) -> FiniteGroup:
 
 # ----------------------------------------------------------------------
 # the orbit engine
-
-
-def _functional(space: cl.Space, key: int) -> list:
-    return space.dual_from_values(key_values(space, key))
 
 
 def _spread(images) -> np.ndarray:
@@ -280,11 +276,18 @@ def _orbits(space: cl.Space, action: str, group: FiniteGroup | None = None
     return group, _orbit_labels(_images(space, group.generators, action))
 
 
-def coadjoint_orbit(space: cl.Space, X) -> dict[int, list]:
-    "Orbit of the functional: key -> canonical representative matrix."
-    _, labels = _orbits(space, "coadjoint")
-    members = np.flatnonzero(labels == labels[functional_key(space, X)])
-    return {int(k): _functional(space, int(k)) for k in members}
+def _census(space: cl.Space, action: str, coordinates,
+            group: FiniteGroup | None = None) -> tuple:
+    """The census rule: the group, the least keys of the `action` orbits
+    that meet the span of the coordinates, ascending, and their sizes."""
+    group, labels = _orbits(space, action, group)
+    least = np.flatnonzero(np.bincount(labels[_span_keys(space, coordinates)]))
+    return group, least, np.bincount(labels)[least]
+
+
+def coadjoint_orbits(space: cl.Space) -> np.ndarray:
+    "The least key of every functional's orbit, indexed by key."
+    return _orbits(space, "coadjoint")[1]
 
 
 def all_nilpotent_orbits(space: cl.Space,
@@ -298,20 +301,14 @@ def all_nilpotent_orbits(space: cl.Space,
     exhaustive; reports are sorted by size and label text, ties in order
     of the orbits' least keys.
     """
-    group, labels = _orbits(space, "coadjoint", group)
-    sizes = np.bincount(labels)
     borel = set(space.borel_coordinates())
-    perp = _span_keys(space, [k for k in range(space.dim_algebra)
-                              if k not in borel])
+    group, least, sizes = _census(space, "coadjoint", [
+        k for k in range(space.dim_algebra) if k not in borel], group)
     reports = []
-    for least in np.flatnonzero(np.bincount(labels[perp])):
-        rep = _functional(space, int(least))
-        size = int(sizes[least])
-        reports.append(OrbitReport(
-            representative=rep,
-            orbit_size=size,
-            stabilizer_order=group.order // size,
-            label=od.rational_label(space, rep) if classify else None))
+    for key, size in zip(least.tolist(), sizes.tolist()):
+        rep = space.dual_from_values(key_values(space, key))
+        label = od.rational_label(space, rep) if classify else None
+        reports.append(OrbitReport(rep, size, group.order // size, label))
     reports.sort(key=lambda r: (r.orbit_size, str(r.label)))
     return reports
 
@@ -321,10 +318,8 @@ def adjoint_nilpotent_orbit_sizes(space: cl.Space) -> list[int]:
     in order of the orbits' least keys: the orbits that meet the
     nilradical n, the keys 0 outside the strictly upper Borel
     coordinates."""
-    _, labels = _orbits(space, "adjoint")
-    nilradical = _span_keys(space, space.borel_coordinates(strict=True))
-    least = np.flatnonzero(np.bincount(labels[nilradical]))
-    return np.bincount(labels)[least].tolist()
+    return _census(space, "adjoint",
+                   space.borel_coordinates(strict=True))[2].tolist()
 
 
 def adjoint_nilpotent_orbit_count(space: cl.Space) -> int:

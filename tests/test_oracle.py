@@ -66,6 +66,15 @@ def full_transvections(space):
     return list(unique.values())
 
 
+def reflection_scan(space):
+    """Every reflection of an even orthogonal space, by a scan of all q^d
+    vectors: the reference for O+(2)'s written-down reflections."""
+    # alpha(c v) = c^2 alpha(v), so alpha(v) = 1 picks one vector per line
+    return [cl.orthogonal_transvection(space, v)
+            for v in product(range(space.field.q), repeat=space.d)
+            if space.alpha(v) == 1]
+
+
 def reference_generators(space):
     """The transvections along e_i and e_i + e_j, c in the F_2-basis of F_q
     (sp), their lifts along the radical (so-odd), or every reflection and,
@@ -73,10 +82,7 @@ def reference_generators(space):
     the simple root elements are held against."""
     F, n = space.field, space.n
     if space.kind == "so-even":
-        # alpha(c v) = c^2 alpha(v), so alpha(v) = 1 picks one vector per line
-        gens = [cl.orthogonal_transvection(space, v)
-                for v in product(range(F.q), repeat=space.d)
-                if space.alpha(v) == 1]
+        gens = reflection_scan(space)
         return gens + [cl.pair_swap(space)] if n >= 2 else gens
     unit = la.identity(2 * n)
     vectors = unit + [[a ^ b for a, b in zip(u, w)]
@@ -145,6 +151,11 @@ def closure(F, gens):
 def generator_closure(kind, n, e):
     space = space_for(kind, n, e)
     return closure(space.field, orc.enumerate_group(space).generators)
+
+
+def functional(space, key):
+    "The canonical representative of the functional with the given key."
+    return space.dual_from_values(orc.key_values(space, key))
 
 
 def conjugate_keys(space, G, X):
@@ -232,6 +243,18 @@ def test_lean_generator_counts():
         + 1 == 76
 
 
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_plane_reflections_are_the_scanned_ones(e):
+    # O+(2) over F_2, F_4, F_8 and F_16: the q - 1 antidiagonal reflections
+    space = space_for("so-even", 1, e)
+    gens = orc.enumerate_group(space).generators
+    assert len(gens) == space.field.q - 1
+    assert sorted(map(key, gens)) == sorted(map(key, reflection_scan(space)))
+    for g in gens:
+        assert cl.preserves_form(space, g)
+        assert la.mat_mul(space.field, g, g) == la.identity(2)
+
+
 def test_generator_closures_reach_the_formula_order():
     for kind, n, e, want in SERVED:
         grp = orc.enumerate_group(space_for(kind, n, e))
@@ -271,6 +294,8 @@ def test_census_refuses_duals_beyond_the_point_limit():
             orc.all_nilpotent_orbits(space, classify=False)
         with pytest.raises(ValueError):
             orc.adjoint_nilpotent_orbit_count(space)
+        with pytest.raises(ValueError, match=r"stops at 2\^21"):
+            orc.coadjoint_orbits(space)
         # refused before any group is built
         assert (kind, n, e) not in orc._group_memo
 
@@ -282,7 +307,7 @@ def test_census_refuses_duals_beyond_the_point_limit():
 def test_functional_key_round_trip():
     space = space_for("sp", 1, 2)
     for idx in range(space.field.q ** space.dim_algebra):
-        X = space.dual_from_values(orc.key_values(space, idx))
+        X = functional(space, idx)
         assert orc.functional_key(space, X) == idx
 
 
@@ -309,8 +334,7 @@ def algebra_element(space, key):
 def unit_matrices(space, action):
     """The matrices of the single-bit keys: one dual_from_values each for
     functionals, a scaled lie_basis matrix for algebra elements."""
-    to_matrix = {"coadjoint": orc._functional,
-                 "adjoint": algebra_element}[action]
+    to_matrix = {"coadjoint": functional, "adjoint": algebra_element}[action]
     return [to_matrix(space, 1 << i)
             for i in range(space.field.e * space.dim_algebra)]
 
@@ -545,15 +569,14 @@ def test_the_largest_census_stays_under_500_mb():
 def _assert_engine_orbits_match_the_scan(kind, n, e):
     space = space_for(kind, n, e)
     G = filter_scan(kind, n, e)
-    seen = set()
-    for idx in range(space.field.q ** space.dim_algebra):
-        if idx in seen:
-            continue
-        X = space.dual_from_values(orc.key_values(space, idx))
-        engine = set(orc.coadjoint_orbit(space, X))
-        assert engine == set(conjugate_keys(space, G, X).tolist())
-        seen.update(engine)
-    assert len(seen) == space.field.q ** space.dim_algebra
+    labels = orc.coadjoint_orbits(space)
+    assert len(labels) == space.field.q ** space.dim_algebra
+    # each label is a least key, so these orbits cover every key
+    assert np.array_equal(labels[labels], labels)
+    for least in np.flatnonzero(labels == np.arange(len(labels))).tolist():
+        X = functional(space, least)
+        assert np.array_equal(np.flatnonzero(labels == least),
+                              np.unique(conjugate_keys(space, G, X)))
 
 
 def test_generator_and_filter_orbits_agree_on_sp4():
@@ -573,12 +596,12 @@ def test_generator_and_filter_orbits_agree_on_o4_plus():
                                       ("so-odd", 1, 2)])
 def test_nilpotence_definition_matches_the_splitting_criterion(kind, n, e):
     space = space_for(kind, n, e)
-    nil_keys = set()
-    for r in orc.all_nilpotent_orbits(space, classify=False):
-        nil_keys.update(orc.coadjoint_orbit(space, r.representative))
+    nilpotent = np.isin(orc.coadjoint_orbits(space), [
+        orc.functional_key(space, r.representative)
+        for r in orc.all_nilpotent_orbits(space, classify=False)])
     for idx in range(space.field.q ** space.dim_algebra):
-        X = space.dual_from_values(orc.key_values(space, idx))
-        assert ms.criterion_nilpotent(space, X) == (idx in nil_keys)
+        X = functional(space, idx)
+        assert ms.criterion_nilpotent(space, X) == nilpotent[idx]
 
 
 @pytest.mark.parametrize("kind,n,e", [("sp", 1, 1), ("so-odd", 1, 1),
@@ -600,10 +623,13 @@ def test_labels_are_constant_on_small_orbits():
         space = space_for(kind, n, e)
         reports = orc.all_nilpotent_orbits(space)
         assert len({str(r.label) for r in reports}) == len(reports)
+        labels = orc.coadjoint_orbits(space)
         for r in reports:
-            orbit = orc.coadjoint_orbit(space, r.representative)
-            for Y in orbit.values():
-                assert od.rational_label(space, Y) == r.label
+            least = orc.functional_key(space, r.representative)
+            members = np.flatnonzero(labels == least).tolist()
+            assert len(members) == r.orbit_size
+            for k in members:
+                assert od.rational_label(space, functional(space, k)) == r.label
 
 
 # ----------------------------------------------------------------------

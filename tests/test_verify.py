@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from char2orbits import cli
+from char2orbits import oracle as orc
 from char2orbits import verify as vf
 
 
@@ -92,3 +93,35 @@ def test_radical_invariance_honours_max_n():
         True, "operator and quadratic data unchanged in 34 radical shifts")
     assert vf._ck_sp_radical_invariance(None)[1].endswith(
         "unchanged in 102 radical shifts")
+
+
+def test_even_suite_at_rank_one_runs_the_plane():
+    # O+(2) has no roots: its group is the q - 1 written-down reflections
+    assert [(r.name, r.passed, r.detail)
+            for r in vf.run_suite("so-even", max_n=1)] == [
+        ("theta-transport", True, "bijective, equivariant, "
+         "nilpotence-preserving transport on all 2 functionals of o(2, F_2)"),
+        ("orbit-counts-agree", True,
+         "o(2, F_2) has 1 nilpotent orbits on both sides"),
+        ("wedge-form", True,
+         "nondegenerate invariant pairing on o(2), 100 random checks")]
+
+
+def test_orbit_checks_label_each_space_once(monkeypatch):
+    for kind, n in [("sp", 1), ("sp", 2), ("so-odd", 1), ("so-odd", 2),
+                    ("so-even", 2)]:
+        vf.census(kind, n, 1)
+    engine, calls = orc._orbit_labels, []
+
+    def counted(images):
+        calls.append(len(images))
+        return engine(images)
+
+    monkeypatch.setattr(orc, "_orbit_labels", counted)
+    for kind in ("sp", "so-odd"):
+        calls.clear()
+        assert vf._ck_classifier_vs_orbits(kind, None)[0]
+        assert len(calls) == 2  # one labelling per rank
+    calls.clear()
+    assert vf._ck_theta_transport(None)[0]
+    assert len(calls) == 1
