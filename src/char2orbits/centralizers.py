@@ -17,14 +17,13 @@ from __future__ import annotations
 from . import combinatorics as cb
 
 
-class CentralizerReport(cb._FrozenRecord):
+class CentralizerReport(cb._Record):
     __slots__ = ("dim_z", "comp_rank")
 
     def __init__(self, dim_z: int, comp_rank: int):
         if dim_z < 0 or comp_rank < 0:
             raise ValueError("negative centralizer data")
-        object.__setattr__(self, "dim_z", dim_z)
-        object.__setattr__(self, "comp_rank", comp_rank)
+        super().__init__(dim_z, comp_rank)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

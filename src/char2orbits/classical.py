@@ -249,8 +249,8 @@ def preserves_form(space: Space, g) -> bool:
     gt = la.transpose(g)
     if space.kind == "sp":
         return la.mat_mul(F, la.mat_mul(F, gt, space.S), g) == space.S
-    M = la.add(la.mat_mul(F, la.mat_mul(F, gt, space.B), g), space.B)
-    return M == la.transpose(M) and not any(M[i][i] for i in range(space.d))
+    return is_alternating(la.add(la.mat_mul(F, la.mat_mul(F, gt, space.B), g),
+                                 space.B))
 
 
 def coadjoint(space: Space, g, X) -> list[list[int]]:

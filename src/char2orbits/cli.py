@@ -205,25 +205,20 @@ def _cmd_orbits(args) -> int:
 # classify
 
 
-def _rank_bound(n: int) -> SizeBound:
-    """The classify rank cap.  Both input forms check it once the input is
-    well formed and before any space is built."""
-    return SizeBound(f"classify stops at rank {LIST_CAP}; "
-                     f"the matrix file gives n = {n}")
-
-
 def _read_matrix(path: str, type_flag: str | None, q_flag: str | None):
     """The space and functional of a matrix file.  A JSON file carries its
     own kind and field, which --type and --q may repeat but not contradict;
-    a grid takes both from the flags, q = 2 by default."""
+    a grid takes both from the flags, q = 2 by default.  Either form checks
+    the rank cap once it is well formed, before any space is built."""
     from .classical import Space, dual_parts_from_json
 
     try:
         with open(path) as f:
             text = f.read()
-        if not text.lstrip().startswith("{"):
-            return _read_grid(text, type_flag, 2 if q_flag == "4" else 1)
-        kind, n, field, X = dual_parts_from_json(json.loads(text))
+        if text.lstrip().startswith("{"):
+            kind, n, field, X = dual_parts_from_json(json.loads(text))
+        else:
+            kind, n, field, X = _grid_parts(text, type_flag, q_flag)
     except OSError as exc:
         raise BadRequest(f"cannot read matrix file {path}: {exc}")
     except (ValueError, KeyError, TypeError, AttributeError,
@@ -236,17 +231,18 @@ def _read_matrix(path: str, type_flag: str | None, q_flag: str | None):
             raise BadRequest(f"matrix file {path} gives {flag[2:]} {value}, "
                              f"but {flag} {given} was requested")
     if n > LIST_CAP:
-        raise _rank_bound(n)
+        raise SizeBound(f"classify stops at rank {LIST_CAP}; "
+                        f"the matrix file gives n = {n}")
     return Space(kind, n, field), X
 
 
-def _read_grid(text: str, type_flag: str | None, e: int):
-    from .classical import space_for
+def _grid_parts(text: str, type_flag: str | None, q_flag: str | None):
+    "A grid's kind, rank, field and functional, as dual_parts_from_json's."
     from .finite_field import field_for
 
     if type_flag is None:
         raise BadRequest("plain matrix files need --type")
-    field = field_for(e)
+    field = field_for(2 if q_flag == "4" else 1)
     rows = [line.split() for line in text.splitlines() if line.split()]
     d = len(rows)
     if any(len(r) != d for r in rows):
@@ -255,13 +251,10 @@ def _read_grid(text: str, type_flag: str | None, e: int):
     if d % 2 != want_odd:
         raise BadRequest(f"{type_flag} needs an {'odd' if want_odd else 'even'}"
                          f"-dimensional matrix, got {d}")
-    n = d // 2
-    if n < 1:
+    if d < 2:
         raise BadRequest("matrix is too small")
     X = [[field.parse_element(t) for t in r] for r in rows]
-    if n > LIST_CAP:
-        raise _rank_bound(n)
-    return space_for(type_flag, n, e), X
+    return type_flag, d // 2, field, X
 
 
 def _cmd_classify(args) -> int:
@@ -374,12 +367,12 @@ def _cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     results = vf.run(suites, max_n=args.max_n)
     if args.format == "json":
-        print(json.dumps({
+        _print_record({
             "max_n": args.max_n,
             "passed": all(r.passed for r in results),
             "checks": [{"suite": r.suite, "name": r.name, "passed": r.passed,
                         "seconds": round(r.seconds, 3), "detail": r.detail}
-                       for r in results]}, indent=2))
+                       for r in results]}, "json")
     else:
         for r in results:
             print(r.line())

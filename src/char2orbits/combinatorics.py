@@ -25,13 +25,16 @@ label sets, their text forms and their JSON forms, gathered per kind in
 the family table FAMILIES.  This layer is pure Python, so commands that
 only read and print labels build no matrix.
 
-The package's small records (these two labels, the centralizer report,
-the odd split, the oracle's group and orbit reports, verify's check
-results) are plain __slots__ classes on the _Record base below: no
-generated code, so a command-line process compiles no inspect or ast
-machinery to start.  The records that are compared (the labels and the
-centralizer report) spell out their field tuple in == and hash; the rest
-compare by identity.
+The package's small records (these two labels, the family table's rows,
+the centralizer report, the odd split, the oracle's group and orbit
+reports, verify's check results) are frozen __slots__ classes on the
+_Record base below, whose __init__ takes the field values in slot order;
+only BlockLabel (eps defaults to None), Family (keyword fields) and the
+centralizer report (it rejects negatives) write their own.  No generated
+code, so a command-line process compiles no inspect or ast machinery to
+start.  The records that are compared (the labels and the centralizer
+report) spell out their field tuple in == and hash; the rest compare by
+identity.
 """
 
 from __future__ import annotations
@@ -239,16 +242,32 @@ def format_symp_symbol(blocks) -> str:
 
 
 class _Record:
-    """Slots-only record: repr, pickle and copy read the fields generically.
+    """Frozen slots-only record, the base of every package record.
 
-    Fields are the __slots__ in order; a slot named with a leading
-    underscore stays out of the repr.  Records compare by identity unless
-    a subclass writes == (and, when frozen, hash) on its own explicit field
-    tuple, several times faster than a loop over slots; only the records
-    that are compared do.  The label classes write their repr out too.
+    Fields are the __slots__ in order.  __init__ takes one value per
+    field, by position, and sets each once via object.__setattr__; after
+    that, assigning or deleting a field raises AttributeError.  A slot
+    named with a leading underscore stays out of the repr.  repr, pickle
+    and copy read the fields generically.  Records compare by identity
+    unless a subclass writes == and hash on its own explicit field tuple,
+    several times faster than a loop over slots; only the records that
+    are compared do.  The label classes write their repr out too.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{self.__slots__}, got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__
@@ -259,20 +278,8 @@ class _Record:
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-class _FrozenRecord(_Record):
-    "A record whose fields are set once, in __init__, via object.__setattr__."
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 @total_ordering
-class BlockLabel(_FrozenRecord):
+class BlockLabel(_Record):
     """One block: chain length m, level l, rational decoration eps.
 
     eps is None for closed-field labels, "0" or "d" for rational ones.
@@ -420,14 +427,10 @@ def blocks_to_json(blocks) -> dict:
 # odd orthogonal labels: chain length plus complement blocks
 
 
-class OddLabel(_FrozenRecord):
-    """Chain length plus the complement's block label."""
+class OddLabel(_Record):
+    "Chain length m plus the complement's block label, a BlockLabel tuple."
 
     __slots__ = ("m", "blocks")
-
-    def __init__(self, m: int, blocks: tuple[BlockLabel, ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
 
     def __repr__(self) -> str:
         return f"OddLabel(m={self.m!r}, blocks={self.blocks!r})"
@@ -507,7 +510,7 @@ def _weighted(parts, a: int) -> int:
     return sum((4 * i + a) * p for i, p in enumerate(parts, 1))
 
 
-class Family(_FrozenRecord):
+class Family(_Record):
     """One label family: pairs(n); fanout, closed (the closed label),
     dim_z, pair_text and free (the pair's k splitting positions, 0-based
     blocks) take a pair; pair, blocks, format, closed_text and valid take

@@ -22,6 +22,7 @@ Each modulus is re-checked for irreducibility at construction time.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 DEFAULT_MODULUS = {
     1: 0b11,
@@ -85,9 +86,6 @@ class Field:
         self.e = e
         self.q = 1 << e
         self.modulus = modulus
-        self._mul_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
-        self._scale_bytes: list[bytes] | None = None
 
     # ------------------------------------------------------------------
     # scalar arithmetic
@@ -146,31 +144,25 @@ class Field:
         raise AssertionError("trace form identically zero")
 
     # ------------------------------------------------------------------
-    # lookup tables (built lazily; used by the dense linear algebra)
+    # lookup tables (built on first read, then plain instance attributes;
+    # used by the dense linear algebra)
 
-    @property
+    @cached_property
     def mul_table(self) -> list[list[int]]:
         "mul_table[a][b] is the product a b."
-        if self._mul_table is None:
-            self._mul_table = [[self.mul(a, b) for b in range(self.q)]
-                               for a in range(self.q)]
-        return self._mul_table
+        return [[self.mul(a, b) for b in range(self.q)] for a in range(self.q)]
 
-    @property
+    @cached_property
     def inv_table(self) -> list[int]:
         "inv_table[a] is the inverse of a, with 0 at 0."
-        if self._inv_table is None:
-            self._inv_table = [0] + [self.inv(a) for a in range(1, self.q)]
-        return self._inv_table
+        return [0] + [self.inv(a) for a in range(1, self.q)]
 
-    @property
+    @cached_property
     def scale_bytes(self) -> list[bytes]:
         """bytes.translate tables: scale_bytes[c] maps each element byte a
         to the byte c a, so it scales a row stored one byte per entry."""
-        if self._scale_bytes is None:
-            pad = bytes(256 - self.q)
-            self._scale_bytes = [bytes(row) + pad for row in self.mul_table]
-        return self._scale_bytes
+        pad = bytes(256 - self.q)
+        return [bytes(row) + pad for row in self.mul_table]
 
     # ------------------------------------------------------------------
     # serialization

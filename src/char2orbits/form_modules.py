@@ -118,7 +118,7 @@ class FormModule:
         ladder = la.power_ladder(field, self.op)
         if ladder is None:
             raise NotNilpotentError("operator must be nilpotent")
-        _, ranks, self.kernels = ladder
+        ranks, self.kernels = ladder
         self.partition = la.ladder_partition(ranks)
         op_t = la.transpose(self.op)
         shifted = la.mat_mul(field, op_t, self.gram)

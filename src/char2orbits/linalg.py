@@ -9,10 +9,10 @@ byte j): XOR adds two rows, and bytes.translate with the field's
 scale_bytes table scales one.  One Gaussian elimination on packed rows,
 _eliminate, serves rref, rank, kernel_basis, solve and solve_matrix (A^-1 B
 from [A | B]; inverse solves against I) over every field.  power_ladder
-computes the powers A^0..A^k of a nilpotent matrix, their ranks and kernel
-bases in one pass and returns None for any other matrix, so it is also the
+walks the powers A^0..A^k of a nilpotent matrix once, returns their ranks
+and kernel bases, and returns None for any other matrix, so it is also the
 package's one nilpotency test; the Jordan type is read off the ranks
-(ladder_partition), and a form module keeps the whole ladder.
+(ladder_partition), and a form module keeps the kernels.
 quad_matrix and quad_values evaluate a quadratic form given by its basis
 values and polar Gram; the form modules, the odd split and the isometry
 search share them.
@@ -264,7 +264,7 @@ def inverse(F: Field, A) -> list[list[int]]:
 
 
 def power_ladder(F: Field, A):
-    """The powers A^0..A^k of a square matrix, their ranks and kernel bases,
+    """The ranks and kernel bases of the powers A^0..A^k of a square matrix,
     k its nilpotency index (A^k = 0 != A^(k-1)); None if A is not nilpotent.
 
     Ranks of powers fall until they stay put, and once a rank repeats the
@@ -273,18 +273,17 @@ def power_ladder(F: Field, A):
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("only square matrices have powers")
-    powers, ranks, kernels = [identity(n)], [n], [[]]
-    P = as_matrix(A)
+    ranks, kernels = [n], [[]]
+    P = A
     while ranks[-1]:
         K = kernel_basis(F, P)
         if n - len(K) == ranks[-1]:
             return None
-        powers.append(P)
         ranks.append(n - len(K))
         kernels.append(K)
         if ranks[-1]:
             P = mat_mul(F, P, A)
-    return powers, ranks, kernels
+    return ranks, kernels
 
 
 def ladder_partition(ranks) -> list[int]:

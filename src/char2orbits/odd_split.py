@@ -72,17 +72,6 @@ class OddSplit(cb._Record):
 
     __slots__ = ("space", "X", "m", "chain", "dual", "complement", "module")
 
-    def __init__(self, space: Space, X: list[list[int]], m: int,
-                 chain: list[list[int]], dual: list[list[int]],
-                 complement: list[list[int]], module: FormModule | None):
-        self.space = space
-        self.X = X
-        self.m = m
-        self.chain = chain
-        self.dual = dual
-        self.complement = complement
-        self.module = module
-
 
 # ----------------------------------------------------------------------
 # the split itself

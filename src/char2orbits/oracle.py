@@ -62,20 +62,9 @@ class FiniteGroup(cb._Record):
 
     __slots__ = ("generators", "order")
 
-    def __init__(self, generators: list, order: int):
-        self.generators = generators
-        self.order = order
-
 
 class OrbitReport(cb._Record):
     __slots__ = ("representative", "orbit_size", "stabilizer_order", "label")
-
-    def __init__(self, representative: list, orbit_size: int,
-                 stabilizer_order: int, label: object = None):
-        self.representative = representative
-        self.orbit_size = orbit_size
-        self.stabilizer_order = stabilizer_order
-        self.label = label
 
 
 # ----------------------------------------------------------------------

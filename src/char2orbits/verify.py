@@ -50,16 +50,8 @@ from .classical import space_for
 from .finite_field import field_for
 
 
-class CheckResult(cb._FrozenRecord):
+class CheckResult(cb._Record):
     __slots__ = ("suite", "name", "passed", "seconds", "detail")
-
-    def __init__(self, suite: str, name: str, passed: bool, seconds: float,
-                 detail: str):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

@@ -5,6 +5,9 @@ from itertools import product
 import pytest
 
 from char2orbits import combinatorics as co
+from char2orbits import odd_split as od
+from char2orbits import oracle as orc
+from char2orbits import verify as vf
 
 SP, SO = co.FAMILIES["sp"], co.FAMILIES["so-odd"]
 
@@ -366,6 +369,32 @@ def test_label_records_survive_pickle_and_copy(label):
         assert type(other) is type(label)
         assert other == label and hash(other) == hash(label)
         assert repr(other) == repr(label)
+
+
+# the records built by the base's __init__ alone, one value per field
+POSITIONAL = [orc.FiniteGroup, orc.OrbitReport, od.OddSplit, vf.CheckResult]
+
+
+@pytest.mark.parametrize("cls", POSITIONAL, ids=lambda c: c.__name__)
+def test_records_are_frozen(cls):
+    record = cls(*range(len(cls.__slots__)))
+    for i, name in enumerate(cls.__slots__):
+        assert getattr(record, name) == i
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 0
+
+
+@pytest.mark.parametrize("cls", POSITIONAL + [co.OddLabel],
+                         ids=lambda c: c.__name__)
+def test_records_refuse_a_wrong_field_count(cls):
+    fields = len(cls.__slots__)
+    for count in (0, fields - 1, fields + 1):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*range(count))
 
 
 # ----------------------------------------------------------------------

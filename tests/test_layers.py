@@ -5,7 +5,8 @@ functions included, so a deferred import cannot hide an upward edge.
 The same scan keeps numpy, dataclasses and the exhaustive search off the
 modules that need none of them, and one subprocess per command kind
 checks what a command-line process really loads.  A name scan finds
-public definitions that nothing in the package uses.
+public definitions that nothing in the package uses, and a class scan
+keeps the building of records in their one base.
 """
 
 import ast
@@ -85,6 +86,29 @@ def test_no_module_imports_dataclasses(module):
 def test_only_verify_imports_the_exhaustive_search(module):
     imports = package_imports(PACKAGE / f"{module}.py")
     assert ("isometry" in imports) == (module == "verify")
+
+
+# the records that write their own __init__: a default field, keyword
+# fields and a value check; every other record takes its field values by
+# position through combinatorics._Record's
+OWN_INIT = {"BlockLabel", "Family", "CentralizerReport"}
+
+
+def test_records_are_built_by_the_one_base():
+    classes = [node for p in sorted(PACKAGE.glob("*.py"))
+               for node in ast.parse(p.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {c.name: {ast.unparse(b).split(".")[-1] for b in c.bases}
+             for c in classes}
+    records = {"_Record"}
+    while more := {name for name, b in bases.items() if b & records} - records:
+        records |= more
+    records.remove("_Record")
+    assert len(records) == 8
+    own = {c.name for c in classes if c.name in records and any(
+        isinstance(m, ast.FunctionDef) and m.name == "__init__"
+        for m in c.body)}
+    assert own == OWN_INIT
 
 
 def named(root) -> Counter:

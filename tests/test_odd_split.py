@@ -1,7 +1,9 @@
 """Chain splitting and labeling of odd orthogonal functionals."""
 
+import copy
 import hashlib
 import json
+import pickle
 from collections import Counter
 from itertools import product
 
@@ -93,6 +95,19 @@ def test_split_inverts_the_complement_gram_once(text, monkeypatch):
     [(Gw, Gx)] = calls
     assert Gw == s.module.gram
     assert la.mat_mul(F2, Gw, s.module.op) == Gx
+
+
+def test_odd_split_survives_pickle_and_copy():
+    space, X = od.odd_witness(cb.parse_label("m=1; (2)^2_2:0"), F2)
+    split = od.split_odd_functional(space, X)
+    fields = ("X", "m", "chain", "dual", "complement")
+    for other in (pickle.loads(pickle.dumps(split)), copy.copy(split),
+                  copy.deepcopy(split)):
+        assert type(other) is od.OddSplit
+        assert repr(other.space) == repr(split.space)
+        for name in fields:
+            assert getattr(other, name) == getattr(split, name)
+        assert od.rational_odd_label(other) == od.rational_odd_label(split)
 
 
 def test_form_modules_still_reject_a_degenerate_gram():

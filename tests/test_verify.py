@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -15,6 +17,16 @@ def test_check_result_line_format():
     assert good.line() == "PASS sp/round-trips (0.50s) all fine"
     bad = vf.CheckResult("sp", "round-trips", False, 1.25, "broke")
     assert bad.line().startswith("FAIL sp/round-trips (1.25s)")
+
+
+def test_check_results_survive_pickle_and_copy():
+    result = vf.CheckResult("sp", "round-trips", False, 1.25, "broke")
+    assert repr(result) == ("CheckResult(suite='sp', name='round-trips', "
+                            "passed=False, seconds=1.25, detail='broke')")
+    for other in (pickle.loads(pickle.dumps(result)), copy.copy(result),
+                  copy.deepcopy(result)):
+        assert type(other) is vf.CheckResult
+        assert repr(other) == repr(result) and other.line() == result.line()
 
 
 def test_every_suite_name_is_registered():
